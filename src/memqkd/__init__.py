@@ -68,6 +68,7 @@ from .session import (
     TimingOverheads,
     channel_accounting,
     chsh_statistic,
+    coincidence_cell_probabilities,
     sift,
     simulate_session,
 )

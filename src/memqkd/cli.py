@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -149,6 +150,12 @@ def _session_row(cfg: ScenarioConfig, tally, report) -> tuple[dict, KeyRateRepor
         "clock_rate_hz": report.clock_rate_hz,
         "seed": cfg.seed,
     }
+    if posterior is None:
+        # Without a sifted key the error rate, and every secure rate built
+        # on it, is unknown rather than perfect.
+        for column in ("qber_ml", "qber_lo", "qber_hi", "r_s", "secure_per_use",
+                       "R_over_Rmax", "R_over_PLOB"):
+            row[column] = math.nan
     return row, rates
 
 

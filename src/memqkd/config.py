@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
 from typing import Union
@@ -114,11 +115,22 @@ _SCHEMA: dict[str, dict[str, str]] = {
 }
 
 
+def _parse_int(raw: str) -> int:
+    """An integer literal, also in exponent notation such as 2e6, never rounded."""
+    try:
+        value = Decimal(raw)
+    except InvalidOperation:
+        raise ValueError(f"invalid literal for int(): {raw!r}") from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(value)
+
+
 def _convert(section: str, key: str, raw: str):
     kind = _SCHEMA[section][key]
     try:
         if kind == "int":
-            return int(float(raw))
+            return _parse_int(raw)
         if kind == "float":
             return float(raw)
         return raw.strip()

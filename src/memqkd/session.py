@@ -1,19 +1,23 @@
 """Orchestration of many memory cycles into a QKD or CHSH session.
 
-Two statistically equivalent execution paths are provided. The reference
-path runs `run_memory_cycle` slot by slot on density matrices and is the
-ground truth for small diagnostic runs. The fast path exploits that
-cycles are independent and that only cycles with exactly two heralds
-produce records: the number of heralds per cycle is multinomial over
-{0, 1, 2, >=3}, and conditioned on two heralds the slot positions are a
-uniform pair, the dephasing count is binomial, and the spin coherence at
-readout has a closed form. Sampling those sufficient statistics directly
-is exact, so billions of cycles cost only as much as the few that herald
-twice.
+Two execution paths sample the same distribution. The reference path
+runs `run_memory_cycle` slot by slot on density matrices and is the
+ground truth for small diagnostic runs. The fast path is two exact
+multinomial draws, so its cost does not grow with the cycle count:
 
-Both paths are deterministic for a fixed seed. Shards draw from seeds
-derived as (seed, shard_index) and merge by tally addition, which is
-order independent.
+1. Cycles are independent, so the herald counts of all cycles are one
+   draw over the Binomial(N, n_p * eta_detect) pmf of heralds per cycle.
+2. Only cycles with exactly two heralds make a record, and every input
+   to it is discrete: the two photon labels and parties, the window and
+   slot parity of each herald, and the outcomes m1, m2, m3. The count of
+   undetected scatters enters only through a mean dephasing factor that
+   has a closed form. Each coincidence cell therefore has a fixed
+   probability (`coincidence_cell_probabilities`), and the tally is one
+   draw from Multinomial(coincidences, pi).
+
+Both paths are deterministic for a fixed seed: the fast path draws from
+one generator seeded with `seed`, the reference path seeds cycle `idx`
+from (seed, idx).
 """
 
 from __future__ import annotations
@@ -29,15 +33,44 @@ from .bsm import (
     conjugate_label,
     run_memory_cycle_traced,
 )
-from .qubits import BASIS_ANGLE, NoiseParams, TimeBinQubit
+from .qubits import NoiseParams, TimeBinQubit
 
 BASES = ("X", "Y", "A", "B")
 _BASIS_INDEX = {b: i for i, b in enumerate(BASES)}
-_ANGLES = np.array([BASIS_ANGLE[b] for b in BASES])
-# Conjugation phi -> -phi: X fixed, Y sign flip, A <-> B with sign flip.
-_CONJ_BASIS = np.array([0, 1, 3, 2])
 
-_DETAIL_CHUNK = 1 << 20
+
+
+def _label(basis: str, sign: int) -> int:
+    """Photon label 2 * basis index + sign index (sign +1 -> 0, -1 -> 1)."""
+    return 2 * _BASIS_INDEX[basis] + (0 if sign == 1 else 1)
+
+
+_LABEL_PHASE = np.array([TimeBinQubit(b, s).phase for b in BASES for s in (1, -1)])
+_CONJ_LABEL = np.array([_label(*conjugate_label(b, s)) for b in BASES for s in (1, -1)])
+# Parity index (0 for +1) of each outcome (m1, m2, m3) in C order.
+_OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
+
+
+def _cell_index(frame_correction: bool) -> np.ndarray:
+    """Flat tally cell of each (w_lo, w_hi, party pair, label1, label2, parity).
+
+    w_lo and w_hi are the window parities of the first and second herald,
+    and a party pair is 2 * p1 + p2 with Alice as 0. Cells 0..127 are
+    `counts` and 128..255 `excluded`, both in C order of the tally layout.
+    """
+    w_lo, w_hi, pair, l1, l2, parity = np.indices((2, 2, 4, 8, 8, 2))
+    if frame_correction:
+        # Photons sent in odd windows are read out in the conjugated frame.
+        l1 = np.where(w_lo == 1, _CONJ_LABEL[l1], l1)
+        l2 = np.where(w_hi == 1, _CONJ_LABEL[l2], l2)
+    p1, p2 = pair // 2, pair % 2
+    # Orient cross-party records so the first index is Alice's photon.
+    swap = p1 > p2
+    alice, bob = np.where(swap, l2, l1), np.where(swap, l1, l2)
+    return (128 * (p1 == p2) + 16 * alice + 2 * bob + parity).ravel()
+
+
+_CELL_INDEX = (_cell_index(False), _cell_index(True))
 
 
 class EmptyCellError(RuntimeError):
@@ -100,12 +133,6 @@ class CoincidenceTally:
 
     def key_eligible(self) -> int:
         return int(self.counts.sum())
-
-    def __add__(self, other: "CoincidenceTally") -> "CoincidenceTally":
-        return CoincidenceTally(
-            counts=self.counts + other.counts,
-            excluded=self.excluded + other.excluded,
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoincidenceTally):
@@ -301,42 +328,17 @@ def chsh_statistic(
     return terms, abs(total)
 
 
-def _herald_count_pmf(n_slots: int, p: float) -> tuple[float, float, float, float]:
-    """Probabilities of 0, 1, 2 and >=3 heralds among the slots."""
-    q = 1.0 - p
-    p0 = q**n_slots
-    p1 = n_slots * p * q ** (n_slots - 1) if n_slots >= 1 else 0.0
-    p2 = (
-        math.comb(n_slots, 2) * p**2 * q ** (n_slots - 2) if n_slots >= 2 else 0.0
-    )
-    p3 = max(0.0, 1.0 - p0 - p1 - p2)
-    return p0, p1, p2, p3
+def _herald_count_pmf(n_slots: int, p: float) -> np.ndarray:
+    """Binomial(n_slots, p) probabilities of k = 0..n_slots heralds.
 
-
-def _sample_tail_heralds(
-    rng: np.random.Generator, n_slots: int, p: float, size: int
-) -> int:
-    """Total heralds in `size` cycles conditioned on at least three."""
-    if size == 0:
-        return 0
-    q = 1.0 - p
-    ks, ws = [], []
-    pk = math.comb(n_slots, 3) * p**3 * q ** (n_slots - 3) if n_slots >= 3 else 0.0
-    k = 3
-    while k <= n_slots and (pk > 0.0):
-        ks.append(k)
-        ws.append(pk)
-        k += 1
-        if k > n_slots:
-            break
-        pk *= (n_slots - k + 1) / k * (p / q) if q > 0 else 0.0
-        if ws and pk < ws[0] * 1e-12:
-            break
-    if not ks:
-        return 3 * size
-    w = np.array(ws) / np.sum(ws)
-    draws = rng.choice(np.array(ks), size=size, p=w)
-    return int(draws.sum())
+    Each term is evaluated in log space, so the tail P(k >= 3) is a sum
+    of accurate terms even when it is far below the rounding error of 1.
+    """
+    k = np.arange(n_slots + 1)
+    if p == 0.0 or p == 1.0:
+        return (k == round(p * n_slots)).astype(float)
+    log_comb = np.concatenate(([0.0], np.cumsum(np.log((n_slots - k[:-1]) / k[1:]))))
+    return np.exp(log_comb + k * math.log(p) + (n_slots - k) * math.log1p(-p))
 
 
 def _draw_state_labels(
@@ -351,59 +353,101 @@ def _draw_state_labels(
     return basis.astype(np.int64), sign.astype(np.int64)
 
 
-def _apply_frame_labels(
-    basis: np.ndarray, sign: np.ndarray, window_odd: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relabel photons sent in odd windows by the conjugated state."""
-    new_basis = np.where(window_odd, _CONJ_BASIS[basis], basis)
-    flip = window_odd & (basis != 0)
-    new_sign = np.where(flip, 1 - sign, sign)
-    return new_basis, new_sign
+def _born_kernel(phi1, phi2, frame, deph: float, noise: NoiseParams) -> np.ndarray:
+    """P(m1, m2, m3 | phi1, phi2, frame) on three trailing axes (index 0 = +1).
 
+    Outcome m of a herald has probability P(m | phi) and multiplies the
+    spin coherence by a unit phase g(m | phi); a pi-pulse count of odd
+    parity between the heralds conjugates the first factor. With
+    h = P g = (m e^{-i phi} + 2 eps + eps^2 m e^{i phi}) / (2 (1 + eps^2)),
 
-def _born_outcomes(
-    rng: np.random.Generator,
-    phi1: np.ndarray,
-    phi2: np.ndarray,
-    frame: np.ndarray,
-    n_scatters: np.ndarray,
-    noise: NoiseParams,
-    n_pi: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample (m1, m2, m3) for coincidence cycles, in closed form.
+        P(m1, m2, m3) = P1 P2 / 2 + m3 kappa Re(h1 h2),
+        kappa = (2 f_init - 1) (2 f_readout - 1) deph / 2,
 
-    The leakage biases the herald outcome distribution but leaves the
-    spin populations balanced, so each detector probability depends only
-    on its photon phase. The spin coherence at readout is the product of
-    one factor g per herald, with every pi pulse between the heralds
-    conjugating the accumulated coherence; dephasing contributions are
-    real scalars and commute with everything, so only their count matters.
+    where `deph` is the mean coherence factor of all dephasing in the
+    cycle. Dephasing is a real scalar and commutes with everything, so
+    only its total enters.
     """
-    k = len(phi1)
     eps = noise.eps_leak
     one = 1.0 + eps * eps
+    m = np.array([1.0, -1.0])
 
-    pm1 = (one + 2.0 * eps * np.cos(phi1)) / (2.0 * one)
-    m1 = np.where(rng.random(k) < pm1, 1, -1)
-    pm2 = (one + 2.0 * eps * np.cos(phi2)) / (2.0 * one)
-    m2 = np.where(rng.random(k) < pm2, 1, -1)
+    def herald(phi):
+        e = np.exp(1j * np.asarray(phi, dtype=float))[..., None]
+        p = (one + 2.0 * eps * m * e.real) / (2.0 * one)
+        return p, (m * e.conj() + 2.0 * eps + eps * eps * m * e) / (2.0 * one)
 
-    g1 = (m1 * np.exp(-1j * phi1) + 2.0 * eps + eps * eps * m1 * np.exp(1j * phi1)) / (
-        one + 2.0 * eps * m1 * np.cos(phi1)
-    )
-    g2 = (m2 * np.exp(-1j * phi2) + 2.0 * eps + eps * eps * m2 * np.exp(1j * phi2)) / (
-        one + 2.0 * eps * m2 * np.cos(phi2)
-    )
-    c = 0.5 * (2.0 * noise.f_init - 1.0) * g1
-    c = np.where(frame == 1, np.conj(c), c)
-    c = c * g2
-    deph = (1.0 - 2.0 * noise.p_mw) ** n_pi
-    deph = deph * (1.0 - 2.0 * noise.p_scatter_dephase) ** n_scatters
-    p_plus = np.clip(0.5 + np.real(c) * deph, 0.0, 1.0)
-    m3 = np.where(rng.random(k) < p_plus, 1, -1)
-    flip = rng.random(k) < (1.0 - noise.f_readout)
-    m3 = np.where(flip, -m3, m3)
-    return m1, m2, m3
+    (p1, h1), (p2, h2) = herald(phi1), herald(phi2)
+    h1 = np.where(np.asarray(frame)[..., None] == 1, h1.conj(), h1)
+    kappa = 0.5 * (2.0 * noise.f_init - 1.0) * (2.0 * noise.f_readout - 1.0) * deph
+    base = 0.5 * p1[..., :, None] * p2[..., None, :]
+    corr = kappa * (h1[..., :, None] * h2[..., None, :]).real
+    kernel = np.stack([base + corr, base - corr], axis=-1)
+    if kernel.min() < -1e-12 or kernel.max() > 1.0 + 1e-12:
+        raise RuntimeError(
+            f"Born probabilities outside [0, 1]: {kernel.min()}, {kernel.max()}"
+        )
+    return np.clip(kernel, 0.0, 1.0)
+
+
+def _pair_weights(seq: SequenceConfig, assignment: str) -> np.ndarray:
+    """P(window parity of lo, window parity of hi, party pair) of a herald pair.
+
+    The herald slots lo < hi are a uniform pair. Slot classes
+    2 * (window parity) + slot parity are tallied over all pairs with a
+    prefix sum; a party pair is 2 * p1 + p2 with Alice as 0.
+    """
+    slot = np.arange(seq.n_qubits)
+    onehot = np.eye(4)[2 * (seq.window_of(slot) % 2) + slot % 2]
+    before = np.cumsum(onehot, axis=0) - onehot
+    classes = (before.T @ onehot).reshape(2, 2, 2, 2, 1)  # (w_lo, s_lo, w_hi, s_hi)
+    parties = np.zeros((2, 2, 2, 2, 4))
+    if assignment == "random":
+        parties[...] = 0.25
+    elif assignment == "alternating":
+        s = np.arange(2)
+        parties[:, s[:, None], :, s, 2 * s[:, None] + s] = 1.0
+    else:
+        # One sender plays both parties: every record is Alice's, then Bob's.
+        parties[..., 1] = 1.0
+    weights = (classes * parties).sum(axis=(1, 3))
+    return weights / weights.sum()
+
+
+def coincidence_cell_probabilities(
+    seq: SequenceConfig,
+    chan: ChannelConfig,
+    parties: PartyConfig,
+    noise: NoiseParams,
+    frame_correction: bool = True,
+) -> np.ndarray:
+    """Probability of each coincidence cell, given that a cycle heralded twice.
+
+    Returns an array of shape (2, 4, 2, 4, 2, 2): index 0 holds the
+    `CoincidenceTally.counts` cells and index 1 the `excluded` cells, each
+    in the tally's (basisA, signA, basisB, signB, parity) layout. The
+    tally of n coincidences is exactly Multinomial(n, pi). The other N - 2
+    slots each scatter an undetected photon with probability r, so the
+    mean scatter dephasing is E[(1 - 2p)^Bin(N-2, r)] = (1 - 2pr)^(N-2).
+    """
+    n = seq.n_qubits
+    if n < 2:
+        raise ValueError(f"a coincidence needs two slots, the sequence has {n}")
+    a_h = chan.n_p * noise.eta_detect
+    r = chan.n_p * (1.0 - noise.eta_detect) / (1.0 - a_h) if a_h < 1.0 else 0.0
+    deph = (1.0 - 2.0 * noise.p_mw) ** seq.n_pi
+    deph *= (1.0 - 2.0 * noise.p_scatter_dephase * r) ** (n - 2)
+    frame = np.arange(2)[:, None, None]
+    kernel = _born_kernel(_LABEL_PHASE[:, None], _LABEL_PHASE, frame, deph, noise)
+    parity = kernel.reshape(2, 8, 8, 8) @ np.eye(2)[_OUTCOME_PARITY]  # (frame, l1, l2, q)
+    basis = [parties.basis_bias, 1.0 - parties.basis_bias, 0.0, 0.0]
+    prior = np.repeat(basis if parties.mode == "qkd" else [0.25] * 4, 2) / 2.0
+    labels = (parity * (prior[:, None] * prior)[..., None]).reshape(2, 128)
+    w = np.arange(2)
+    by_windows = labels[w[:, None] ^ w]  # (w_lo, w_hi, l1 * l2 * q)
+    weights = _pair_weights(seq, parties.assignment)[..., None] * by_windows[:, :, None]
+    pi = np.bincount(_CELL_INDEX[frame_correction], weights.ravel(), minlength=256)
+    return (pi / pi.sum()).reshape(2, 4, 2, 4, 2, 2)
 
 
 def forced_coincidence_outcomes(
@@ -425,133 +469,53 @@ def forced_coincidence_outcomes(
     if not 0 <= slot_i < slot_j < seq.n_qubits:
         raise ValueError(f"forced slots {slots} out of range")
     frame_parity = (seq.window_of(slot_j) - seq.window_of(slot_i)) % 2
-    rng = np.random.default_rng(seed)
-    phi1 = np.full(trials, qubit_a.phase)
-    phi2 = np.full(trials, qubit_b.phase)
-    frame = np.full(trials, frame_parity)
-    m1, m2, m3 = _born_outcomes(
-        rng, phi1, phi2, frame, np.zeros(trials, dtype=np.int64), noise, seq.n_pi
-    )
+    deph = (1.0 - 2.0 * noise.p_mw) ** seq.n_pi
+    kernel = _born_kernel(qubit_a.phase, qubit_b.phase, frame_parity, deph, noise)
+    outcome = np.random.default_rng(seed).choice(8, size=trials, p=kernel.ravel())
+    m1, m2, m3 = 1 - 2 * np.array(np.unravel_index(outcome, (2, 2, 2)))
     return m1, m2, m3, frame_parity
 
 
-@dataclass
-class _ShardResult:
-    tally: CoincidenceTally
-    cycles: int
-    heralds: int
-    coincidences: int
-    discarded: int
-    same_party: int
-
-
-def _run_shard_fast(
+def _run_fast(
     seq: SequenceConfig,
     chan: ChannelConfig,
     parties: PartyConfig,
     noise: NoiseParams,
     cycles: int,
-    rng: np.random.Generator,
+    seed: int,
     frame_correction: bool,
-) -> _ShardResult:
-    n = seq.n_qubits
-    a_h = chan.n_p * noise.eta_detect
-    a_s = chan.n_p * (1.0 - noise.eta_detect)
+) -> tuple[CoincidenceTally, int, int]:
+    """Tally, total heralds and cycles discarded by a third herald."""
     if chan.n_p > 1.0:
         raise ValueError(f"n_p = {chan.n_p} exceeds 1; not a valid slot probability")
-
-    pmf = np.array(_herald_count_pmf(n, a_h))
-    _, n1, n2, n3 = rng.multinomial(cycles, pmf / pmf.sum())
-    heralds = int(n1) + 2 * int(n2) + _sample_tail_heralds(rng, n, a_h, int(n3))
-
+    rng = np.random.default_rng(seed)
+    pmf = _herald_count_pmf(seq.n_qubits, chan.n_p * noise.eta_detect)
+    by_heralds = rng.multinomial(cycles, pmf / pmf.sum())
+    heralds = int(by_heralds @ np.arange(len(by_heralds)))
     tally = CoincidenceTally()
-    same_party = 0
-    scatter_cond = a_s / (1.0 - a_h) if a_h < 1.0 else 0.0
-
-    remaining = int(n2)
-    while remaining > 0:
-        k = min(remaining, _DETAIL_CHUNK)
-        remaining -= k
-
-        # Herald positions: a uniform pair of distinct slots, ordered.
-        first = rng.integers(0, n, size=k)
-        second = rng.integers(0, n, size=k)
-        clash = first == second
-        while clash.any():
-            second[clash] = rng.integers(0, n, size=int(clash.sum()))
-            clash = first == second
-        lo = np.minimum(first, second)
-        hi = np.maximum(first, second)
-        w_lo = lo // seq.n_sub
-        w_hi = hi // seq.n_sub
-        frame = ((w_hi - w_lo) % 2).astype(np.int64)
-
-        if parties.assignment == "random":
-            party1 = rng.integers(0, 2, size=k)
-            party2 = rng.integers(0, 2, size=k)
-        elif parties.assignment == "alternating":
-            party1 = lo % 2
-            party2 = hi % 2
-        else:
-            party1 = np.zeros(k, dtype=np.int64)
-            party2 = np.zeros(k, dtype=np.int64)
-
-        b1, s1 = _draw_state_labels(rng, parties, k)
-        b2, s2 = _draw_state_labels(rng, parties, k)
-        phi1 = _ANGLES[b1] + np.pi * s1
-        phi2 = _ANGLES[b2] + np.pi * s2
-
-        n_sc = rng.binomial(n - 2, scatter_cond, size=k) if n > 2 else np.zeros(k, int)
-
-        m1, m2, m3 = _born_outcomes(rng, phi1, phi2, frame, n_sc, noise, seq.n_pi)
-        parity_idx = np.where(m1 * m2 * m3 == 1, 0, 1).astype(np.int64)
-
-        if frame_correction:
-            b1, s1 = _apply_frame_labels(b1, s1, (w_lo % 2).astype(bool))
-            b2, s2 = _apply_frame_labels(b2, s2, (w_hi % 2).astype(bool))
-
-        if parties.assignment == "single":
-            eligible = np.ones(k, dtype=bool)
-        else:
-            eligible = party1 != party2
-        same_party += int(k - eligible.sum())
-
-        # Orient cross-party records so the first index is Alice's photon.
-        swap = eligible & (party1 == 1)
-        b1s, s1s = np.where(swap, b2, b1), np.where(swap, s2, s1)
-        b2s, s2s = np.where(swap, b1, b2), np.where(swap, s1, s2)
-
-        flat = np.ravel_multi_index(
-            (b1s, s1s, b2s, s2s, parity_idx), tally.counts.shape
-        )
-        np.add.at(tally.counts.reshape(-1), flat[eligible], 1)
-        np.add.at(tally.excluded.reshape(-1), flat[~eligible], 1)
-
-    return _ShardResult(
-        tally=tally,
-        cycles=cycles,
-        heralds=heralds,
-        coincidences=int(n2),
-        discarded=int(n3),
-        same_party=same_party,
-    )
+    if len(by_heralds) > 2 and by_heralds[2] > 0:
+        pi = coincidence_cell_probabilities(seq, chan, parties, noise, frame_correction)
+        cells = rng.multinomial(by_heralds[2], pi.ravel()).reshape(pi.shape)
+        tally = CoincidenceTally(counts=cells[0], excluded=cells[1])
+    return tally, heralds, int(by_heralds[3:].sum())
 
 
-def _run_shard_reference(
+def _run_reference(
     seq: SequenceConfig,
     chan: ChannelConfig,
     parties: PartyConfig,
     noise: NoiseParams,
     cycles: int,
-    seed_prefix: tuple[int, ...],
+    seed: int,
     frame_correction: bool,
-) -> _ShardResult:
+) -> tuple[CoincidenceTally, int, int]:
+    """Tally, total heralds and cycles discarded by a third herald."""
     n = seq.n_qubits
     tally = CoincidenceTally()
-    heralds = coincidences = discarded = same_party = 0
+    heralds = discarded = 0
 
     for idx in range(cycles):
-        rng = np.random.default_rng(list(seed_prefix) + [idx])
+        rng = np.random.default_rng([seed, idx])
         basis, sign = _draw_state_labels(rng, parties, n)
         if parties.assignment == "random":
             party = rng.integers(0, 2, size=n)
@@ -570,7 +534,6 @@ def _run_shard_reference(
             continue
         if record is None:
             continue
-        coincidences += 1
 
         labels = []
         for slot in (record.slot_i, record.slot_j):
@@ -585,8 +548,6 @@ def _run_shard_reference(
         if eligible and p1 == 1:
             (b1, s1), (b2, s2) = (b2, s2), (b1, s1)
         target = tally.counts if eligible else tally.excluded
-        if not eligible:
-            same_party += 1
         target[
             _BASIS_INDEX[b1],
             0 if s1 == 1 else 1,
@@ -595,14 +556,7 @@ def _run_shard_reference(
             0 if record.parity == 1 else 1,
         ] += 1
 
-    return _ShardResult(
-        tally=tally,
-        cycles=cycles,
-        heralds=heralds,
-        coincidences=coincidences,
-        discarded=discarded,
-        same_party=same_party,
-    )
+    return tally, heralds, discarded
 
 
 def simulate_session(
@@ -615,18 +569,16 @@ def simulate_session(
     *,
     overheads: TimingOverheads | None = None,
     engine: str = "fast",
-    shards: int = 1,
     frame_correction: bool = True,
 ) -> tuple[CoincidenceTally, SessionReport]:
     """Run `cycles` independent memory cycles and tally coincidences.
 
-    Deterministic for fixed (seed, shards, engine): shard s draws from
-    the derived seed (seed, s) and results merge by addition.
+    Deterministic for fixed (seed, engine). The fast engine makes two
+    multinomial draws from a generator seeded with `seed`; the reference
+    engine seeds cycle `idx` from (seed, idx).
     """
     if cycles < 1:
         raise ValueError(f"cycles must be at least 1, got {cycles}")
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1, got {shards}")
     if engine not in ("fast", "reference"):
         raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
     if not math.isclose(chan.n_p * seq.n_qubits, chan.n_m, rel_tol=1e-9, abs_tol=1e-300):
@@ -634,37 +586,18 @@ def simulate_session(
             f"channel n_p = n_m/N mismatch: {chan.n_p} * {seq.n_qubits} != {chan.n_m}"
         )
 
-    base = cycles // shards
-    results = []
-    for s in range(shards):
-        shard_cycles = base + (cycles - base * shards if s == shards - 1 else 0)
-        if shard_cycles == 0:
-            continue
-        if engine == "fast":
-            rng = np.random.default_rng([seed, s])
-            results.append(
-                _run_shard_fast(seq, chan, parties, noise, shard_cycles, rng, frame_correction)
-            )
-        else:
-            results.append(
-                _run_shard_reference(
-                    seq, chan, parties, noise, shard_cycles, (seed, s), frame_correction
-                )
-            )
-
-    tally = CoincidenceTally()
-    for r in results:
-        tally = tally + r.tally
+    run = _run_fast if engine == "fast" else _run_reference
+    tally, heralds, discarded = run(seq, chan, parties, noise, cycles, seed, frame_correction)
 
     counts = sift(tally)
     accounting = channel_accounting(seq, cycles, overheads)
     report = SessionReport(
         cycles=cycles,
         n_slots=seq.n_qubits,
-        heralds=sum(r.heralds for r in results),
-        coincidences=sum(r.coincidences for r in results),
-        discarded_multi=sum(r.discarded for r in results),
-        same_party=sum(r.same_party for r in results),
+        heralds=heralds,
+        coincidences=tally.total(),
+        discarded_multi=discarded,
+        same_party=int(tally.excluded.sum()),
         sifted_xx=counts.xx[0],
         errors_xx=counts.xx[1],
         sifted_yy=counts.yy[0],

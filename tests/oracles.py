@@ -3,7 +3,8 @@
 The Bell-measurement oracle builds the protocol's measurement operators
 by brute force on the spin x photon1 x photon2 state vector, using only
 projectors and bras (no parity shortcuts), and reduces them to a POVM on
-the 4-dimensional two-photon input space.
+the 4-dimensional two-photon input space. The herald-count oracle sums
+the binomial head in 50-digit arithmetic.
 """
 
 from __future__ import annotations
@@ -102,3 +103,15 @@ def bell_state_resolved(label: str, frame_parity: int) -> int:
         return 0
     probs = {p: v / total for p, v in probs_unnorm.items()}
     return deterministic_parity(state, frame_parity)
+
+
+def herald_tail_probability(n_slots: int, p: float) -> float:
+    """P(at least three heralds among n_slots), each with probability p."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        q = mpmath.mpf(p)
+        head = sum(
+            mpmath.binomial(n_slots, k) * q**k * (1 - q) ** (n_slots - k) for k in range(3)
+        )
+        return float(1 - head)

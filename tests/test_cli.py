@@ -79,6 +79,19 @@ class TestSimulate:
                     "--out", str(out2)]) == 0
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_no_sifted_key_writes_nan(self, tmp_path):
+        cfg = tmp_path / "starved.cfg"
+        cfg.write_text(FAST_QKD.replace("n_m = 1.2", "n_m = 0.0001")
+                       .replace("cycles = 30000", "cycles = 10"))
+        out = tmp_path / "starved.csv"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert values["sifted"] == "0"
+        for column in ("qber_ml", "qber_lo", "qber_hi", "r_s", "secure_per_use",
+                       "R_over_Rmax", "R_over_PLOB"):
+            assert values[column] == "nan", column
+
     def test_zero_cycles_is_config_error(self, qkd_config):
         assert run(["simulate", "--config", qkd_config, "--cycles", "0"]) == 2
 

@@ -67,6 +67,17 @@ def test_scientific_notation_cycles():
     assert cfg.cycles == 2_000_000
 
 
+def test_non_integral_seed_rejected():
+    with pytest.raises(ConfigError):
+        parse_config("[run]\nseed = 1.7\n")
+
+
+def test_large_seed_round_trips_exactly():
+    cfg = parse_config(f"[run]\nseed = {2**53 + 1}\n")
+    assert cfg.seed == 2**53 + 1
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         load_preset("fig9-nonexistent")

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
+import oracles
 from memqkd.bsm import ChannelConfig, SequenceConfig
 from memqkd.qubits import NoiseParams
 from memqkd.session import (
@@ -10,8 +14,10 @@ from memqkd.session import (
     EmptyCellError,
     PartyConfig,
     TimingOverheads,
+    _herald_count_pmf,
     channel_accounting,
     chsh_statistic,
+    coincidence_cell_probabilities,
     sift,
     simulate_session,
 )
@@ -49,23 +55,12 @@ class TestDeterminism:
         b = simulate_session(seq, chan, parties, noise, 50_000, seed=10)
         assert a[0] != b[0]
 
-    def test_shard_merge_is_order_independent(self):
-        seq, chan, noise = small_setup()
-        parties = PartyConfig()
-        sharded = simulate_session(seq, chan, parties, noise, 60_000, seed=9, shards=4)
-        again = simulate_session(seq, chan, parties, noise, 60_000, seed=9, shards=4)
-        assert sharded[0] == again[0]
-        # Tally addition commutes.
-        t1, _ = simulate_session(seq, chan, parties, noise, 20_000, seed=1)
-        t2, _ = simulate_session(seq, chan, parties, noise, 20_000, seed=2)
-        assert (t1 + t2) == (t2 + t1)
-
 
 class TestEngineEquivalence:
     def test_reference_and_fast_paths_agree(self):
         seq, chan, noise = small_setup()
         parties = PartyConfig(assignment="random")
-        _, ref = simulate_session(
+        ref_tally, ref = simulate_session(
             seq, chan, parties, noise, 40_000, seed=17, engine="reference"
         )
         _, fast = simulate_session(
@@ -91,6 +86,18 @@ class TestEngineEquivalence:
             e_ref, e_fast = k_ref / n_ref, k_fast / n_fast
             sigma = math.sqrt(e_fast * (1 - e_fast) / n_ref)
             assert abs(e_ref - e_fast) < 5 * sigma, attr_n
+
+        # Every cell of the reference tally follows the fast engine's cell
+        # probabilities.
+        observed = np.stack([ref_tally.counts, ref_tally.excluded]).ravel()
+        expected = ref.coincidences * coincidence_cell_probabilities(
+            seq, chan, parties, noise
+        ).ravel()
+        possible = expected > 0
+        assert observed[~possible].sum() == 0
+        assert expected[possible].min() >= 5
+        _, p_value = stats.chisquare(observed[possible], expected[possible])
+        assert p_value > 1e-3
 
     def test_paths_agree_at_full_sequence_layout(self):
         # Same cross-check at the 62-window, 124-slot layout with the
@@ -128,6 +135,28 @@ class TestHeraldStatistics:
         sigma = math.sqrt(expected * (1 - expected) / slots)
         assert abs(observed - expected) < 3 * sigma
 
+    @pytest.mark.parametrize("n", [124, 504])
+    @pytest.mark.parametrize("n_m", [2e-5, 2e-4, 2e-3])
+    def test_multi_herald_tail_matches_oracle(self, n, n_m):
+        p = n_m * NoiseParams().eta_detect / n
+        tail = _herald_count_pmf(n, p)[3:].sum()
+        assert tail == pytest.approx(oracles.herald_tail_probability(n, p), rel=1e-12)
+
+    def test_trillion_cycles(self):
+        # Two draws cover any cycle count, and the counts stay exact.
+        seq = SEQ124
+        chan = ChannelConfig.from_mean_photons(0.2, seq.n_qubits)
+        noise = NoiseParams()
+        cycles = 10**12
+        _, report = simulate_session(
+            seq, chan, PartyConfig(assignment="single"), noise, cycles, seed=8
+        )
+        a = chan.n_p * noise.eta_detect
+        p2 = math.comb(seq.n_qubits, 2) * a**2 * (1 - a) ** (seq.n_qubits - 2)
+        assert abs(report.coincidences - cycles * p2) < 5 * math.sqrt(cycles * p2)
+        slots = cycles * seq.n_qubits
+        assert abs(report.heralds - slots * a) < 5 * math.sqrt(slots * a)
+
     def test_zero_photons(self):
         seq = SequenceConfig(n_pi=4, n_sub=2)
         chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
@@ -136,6 +165,44 @@ class TestHeraldStatistics:
         )
         assert report.coincidences == 0
         assert tally.total() == 0
+
+
+class TestCellProbabilities:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_pi=st.integers(1, 8),
+        n_sub=st.sampled_from([1, 2, 4]),
+        mode=st.sampled_from(["qkd", "chsh"]),
+        assignment=st.sampled_from(["random", "alternating", "single"]),
+        bias=st.floats(0.0, 1.0),
+        load=st.floats(0.0, 1.0),
+        frame_correction=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cells_and_tally_are_conserved(
+        self, n_pi, n_sub, mode, assignment, bias, load, frame_correction, seed
+    ):
+        seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
+        chan = ChannelConfig.from_mean_photons(load * seq.n_qubits, seq.n_qubits)
+        parties = PartyConfig(mode=mode, basis_bias=bias, assignment=assignment)
+        noise = NoiseParams()
+        tally, report = simulate_session(
+            seq, chan, parties, noise, 10_000, seed, frame_correction=frame_correction
+        )
+        assert tally.total() == report.coincidences
+        assert report.same_party == tally.excluded.sum()
+        assert report.heralds >= 2 * report.coincidences + 3 * report.discarded_multi
+        if seq.n_qubits < 2:
+            assert report.coincidences == 0
+            return
+        pi = coincidence_cell_probabilities(seq, chan, parties, noise, frame_correction)
+        assert pi.shape == (2, 4, 2, 4, 2, 2)
+        assert (pi >= 0).all()
+        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+        if mode == "qkd":
+            assert pi[:, 2:].sum() == 0 and pi[:, :, :, 2:].sum() == 0
+        if assignment == "single":
+            assert pi[1].sum() == 0
 
 
 class TestSifting:
