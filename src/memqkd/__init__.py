@@ -9,7 +9,6 @@ from .bsm import (
     ideal_parity,
     run_memory_cycle,
     truth_table_rows,
-    y_frame_correction,
 )
 from .cavity import (
     CavityParams,
@@ -33,7 +32,6 @@ from .config import (
     serialize_config,
 )
 from .qubits import (
-    HeraldResult,
     NoiseParams,
     SpinState,
     TimeBinQubit,

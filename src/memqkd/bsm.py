@@ -159,20 +159,6 @@ def classify_bell_state(parity: int, frame_parity: int) -> str:
     return "Psi+" if parity == 1 else "Psi-"
 
 
-def y_frame_correction(basis_a: str, basis_b: str, frame_parity: int) -> int:
-    """Sign applied to the inferred correlation of a sifted coincidence.
-
-    A frame toggle between the heralds conjugates the stored phase. X
-    basis states are invariant under conjugation, but for a Y-Y pair an
-    odd frame flips the correlation, so the tally must be corrected.
-    """
-    if frame_parity not in (0, 1):
-        raise ValueError(f"frame_parity must be 0 or 1, got {frame_parity}")
-    if basis_a == "Y" and basis_b == "Y" and frame_parity == 1:
-        return -1
-    return 1
-
-
 def conjugate_label(basis: str, sign: int) -> tuple[str, int]:
     """State label under phase conjugation phi -> -phi.
 
@@ -304,10 +290,8 @@ def run_memory_cycle_traced(
                     # Third herald spoils the cycle; finish counting only.
                     discarded = True
                 elif not discarded:
-                    result, spin = reflect_and_herald(
-                        spin, qubit_source(slot), noise, rng
-                    )
-                    heralds.append((slot, result.m))
+                    m, spin = reflect_and_herald(spin, qubit_source(slot), noise, rng)
+                    heralds.append((slot, m))
                     windows.append(window)
             elif event == "scatter":
                 n_scatters += 1

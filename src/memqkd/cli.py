@@ -31,15 +31,8 @@ from .config import (
     load_config,
     load_preset,
 )
-from .rates import (
-    BoundsConfig,
-    KeyRateReport,
-    build_report,
-    plob_bound,
-    qber_posterior,
-    rate_direct_bound,
-)
-from .session import EmptyCellError, chsh_statistic, sift, simulate_session
+from .rates import BoundsConfig, KeyRateReport, build_report, qber_posterior
+from .session import EmptyCellError, chsh_statistic, simulate_session
 
 _FLOAT_FMT = "%.9g"
 
@@ -107,12 +100,11 @@ def _run_session(cfg: ScenarioConfig):
     )
 
 
-def _session_row(cfg: ScenarioConfig, tally, report) -> tuple[dict, KeyRateReport]:
+def _session_row(cfg: ScenarioConfig, report) -> tuple[dict, KeyRateReport]:
     chan = cfg.channel()
-    counts = sift(tally)
-    posterior = None
-    if counts.sifted > 0:
-        posterior = qber_posterior(counts.cells)
+    # Without a sifted key the error rate, and every secure rate built on
+    # it, is unknown (nan) rather than perfect.
+    qber = qber_posterior(report.errors, report.sifted) if report.sifted else math.nan
     bounds = BoundsConfig(
         eta=cfg.noise.eta_detect,
         n_pi=cfg.sequence.n_pi,
@@ -120,12 +112,7 @@ def _session_row(cfg: ScenarioConfig, tally, report) -> tuple[dict, KeyRateRepor
         p_ab=chan.p_ab,
         basis_bias=cfg.parties.basis_bias,
     )
-    rates = build_report(posterior if posterior is not None else 0.0, bounds, report)
-    # Ratios in the row compare the measured secure rate to the bounds;
-    # the analytic-identity ratios live in the `rates` subcommand.
-    secure_use = rates.r_s * report.sifted_rate_per_use()
-    r_max = rate_direct_bound(chan.p_ab, cfg.parties.basis_bias)
-    plob = plob_bound(chan.p_ab).linear
+    rates = build_report(qber, bounds, report)
     row = {
         "N": cfg.sequence.n_qubits,
         "n_m": chan.n_m,
@@ -142,20 +129,14 @@ def _session_row(cfg: ScenarioConfig, tally, report) -> tuple[dict, KeyRateRepor
         "qber_lo": rates.qber_low,
         "qber_hi": rates.qber_high,
         "r_s": rates.r_s,
-        "sifted_per_use": report.sifted_rate_per_use(),
-        "sifted_per_occupancy": report.sifted_rate_per_occupancy(),
-        "secure_per_use": secure_use,
-        "R_over_Rmax": secure_use / r_max if r_max > 0 else 0.0,
-        "R_over_PLOB": secure_use / plob if plob > 0 else 0.0,
+        "sifted_per_use": rates.sifted_per_use,
+        "sifted_per_occupancy": rates.sifted_per_occupancy,
+        "secure_per_use": rates.secure_per_use,
+        "R_over_Rmax": rates.ratio_rmax_per_use,
+        "R_over_PLOB": rates.ratio_plob_per_use,
         "clock_rate_hz": report.clock_rate_hz,
         "seed": cfg.seed,
     }
-    if posterior is None:
-        # Without a sifted key the error rate, and every secure rate built
-        # on it, is unknown rather than perfect.
-        for column in ("qber_ml", "qber_lo", "qber_hi", "r_s", "secure_per_use",
-                       "R_over_Rmax", "R_over_PLOB"):
-            row[column] = math.nan
     return row, rates
 
 
@@ -188,8 +169,8 @@ def _print_summary(cfg: ScenarioConfig, report, row, rates: KeyRateReport) -> No
 
 def _cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
-    tally, report = _run_session(cfg)
-    row, rates = _session_row(cfg, tally, report)
+    _, report = _run_session(cfg)
+    row, rates = _session_row(cfg, report)
     _write_csv(args.out, SIMULATE_COLUMNS, [row])
     _print_summary(cfg, report, row, rates)
     return 0
@@ -226,8 +207,8 @@ def _cmd_sweep(args) -> int:
             if value <= 0:
                 raise ConfigError(f"n_m values must be positive, got {value}")
             point = point.replace(n_m=value)
-        tally, report = _run_session(point)
-        row, _ = _session_row(point, tally, report)
+        _, report = _run_session(point)
+        row, _ = _session_row(point, report)
         rows.append(
             {
                 "N": row["N"],

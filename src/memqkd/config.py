@@ -9,8 +9,9 @@ built. Serialization is canonical, so parse(serialize(cfg)) round-trips.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
@@ -45,20 +46,7 @@ class ScenarioConfig:
         return ChannelConfig.from_mean_photons(self.n_m, self.sequence.n_qubits)
 
     def replace(self, **kwargs) -> "ScenarioConfig":
-        fields = {
-            "cavity": self.cavity,
-            "reflectances": self.reflectances,
-            "budget": self.budget,
-            "noise": self.noise,
-            "sequence": self.sequence,
-            "n_m": self.n_m,
-            "parties": self.parties,
-            "overheads": self.overheads,
-            "cycles": self.cycles,
-            "seed": self.seed,
-        }
-        fields.update(kwargs)
-        return ScenarioConfig(**fields)
+        return dataclasses.replace(self, **kwargs)
 
 
 def default_config() -> ScenarioConfig:
@@ -166,7 +154,7 @@ def parse_config(text: str) -> ScenarioConfig:
     cavity_keys = {k: v for k, v in values["cavity"].items() if k in
                    ("g", "kappa", "kappa_wg", "gamma", "delta_c")}
     try:
-        cavity = CavityParams(**{**_as_dict(base.cavity), **cavity_keys})
+        cavity = CavityParams(**{**asdict(base.cavity), **cavity_keys})
         reflectances = SpinReflectances(
             r_up=values["cavity"].get("r_up", base.reflectances.r_up),
             r_down=values["cavity"].get("r_down", base.reflectances.r_down),
@@ -180,10 +168,10 @@ def parse_config(text: str) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid [cavity] configuration: {exc}") from exc
 
-    noise = build(NoiseParams, _as_dict(base.noise), "noise")
-    sequence = build(SequenceConfig, _as_dict(base.sequence), "sequence")
-    parties = build(PartyConfig, _as_dict(base.parties), "parties")
-    overheads = build(TimingOverheads, _as_dict(base.overheads), "timing")
+    noise = build(NoiseParams, asdict(base.noise), "noise")
+    sequence = build(SequenceConfig, asdict(base.sequence), "sequence")
+    parties = build(PartyConfig, asdict(base.parties), "parties")
+    overheads = build(TimingOverheads, asdict(base.overheads), "timing")
 
     n_m = values["channel"].get("n_m", base.n_m)
     if n_m < 0:
@@ -209,10 +197,6 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
-def _as_dict(obj) -> dict:
-    return {name: getattr(obj, name) for name in obj.__dataclass_fields__}
-
-
 def serialize_config(cfg: ScenarioConfig) -> str:
     out = io.StringIO()
     sections = {
@@ -228,11 +212,11 @@ def serialize_config(cfg: ScenarioConfig) -> str:
             "eta_f": cfg.budget.eta_f,
             "eta_qe": cfg.budget.eta_qe,
         },
-        "noise": _as_dict(cfg.noise),
-        "sequence": _as_dict(cfg.sequence),
+        "noise": asdict(cfg.noise),
+        "sequence": asdict(cfg.sequence),
         "channel": {"n_m": cfg.n_m},
-        "parties": _as_dict(cfg.parties),
-        "timing": _as_dict(cfg.overheads),
+        "parties": asdict(cfg.parties),
+        "timing": asdict(cfg.overheads),
         "run": {"cycles": cfg.cycles, "seed": cfg.seed},
     }
     for section, entries in sections.items():

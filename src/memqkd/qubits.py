@@ -57,17 +57,6 @@ class TimeBinQubit:
 
 
 @dataclass(frozen=True)
-class HeraldResult:
-    """Which interferometer output detector registered the photon."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m not in (1, -1):
-            raise ValueError(f"herald outcome must be +1 or -1, got {self.m}")
-
-
-@dataclass(frozen=True)
 class NoiseParams:
     """Calibrated error model of the memory node.
 
@@ -231,18 +220,18 @@ def reflect_and_herald(
     qubit: TimeBinQubit,
     noise: NoiseParams,
     rng: np.random.Generator,
-) -> tuple[HeraldResult, SpinState]:
+) -> tuple[int, SpinState]:
     """Reflect one photonic qubit off the node and detect it.
 
-    Samples the detector outcome from the Born probabilities and returns
-    the heralded spin state. With eps_leak = 0 and the spin prepared in
+    Samples the detector outcome m = +-1 from the Born probabilities and
+    returns it with the heralded spin state. With eps_leak = 0 and the spin prepared in
     (|up>+|down>)/sqrt(2), the result is exactly
     (|up> + m exp(i phi) |down>)/sqrt(2).
     """
     _check_physical(spin.rho)
     p_plus = herald_probability(spin, qubit.phase, +1, noise.eps_leak)
     m = 1 if rng.random() < p_plus else -1
-    return HeraldResult(m), apply_herald(spin, qubit.phase, m, noise.eps_leak)
+    return m, apply_herald(spin, qubit.phase, m, noise.eps_leak)
 
 
 def apply_pi_pulse(spin: SpinState) -> SpinState:

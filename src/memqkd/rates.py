@@ -1,5 +1,12 @@
 """Analytic layer: QBER inference, secret fraction, key-rate bounds.
 
+The QBER posterior is the truncated Beta of the pooled sifted counts,
+Beta(errors + 1, sifted - errors + 1) on [0, 1/2]. Each rate ratio has
+one definition, in `build_report`: the secure rate over the bound, with
+the measured sifted rate when a session is given and the analytic one
+otherwise; its confidence levels integrate that same ratio over the
+posterior.
+
 Rate conventions. A full channel use is one photon from each party (two
 qubit slots); a channel occupancy is a single half-link slot, so rates
 per occupancy are half the rates per use. The direct-transmission and
@@ -12,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .session import QberCell, SessionReport
+from .session import SessionReport
 
 # Error-rate thresholds of the sifted key: security against individual
 # attacks is lost at the secret-fraction zero crossing (1 - 1/sqrt(2))/2,
@@ -79,50 +86,35 @@ class QberPosterior:
         return math.sqrt(max(var, 0.0))
 
 
-def qber_posterior(
-    cells: Iterable[Union[QberCell, tuple[int, int]]],
-    grid_step: float = _GRID_STEP,
-) -> QberPosterior:
-    """Posterior of the average QBER from per-combination error counts.
+def qber_posterior(errors: int, sifted: int) -> QberPosterior:
+    """Posterior of the average QBER from pooled error counts.
 
-    Each cell contributes a binomial likelihood for its observed errors;
-    the posterior is the normalized product over all cells, evaluated on
-    a uniform grid over [0, 1/2]. The credible interval integrates 34.1%
-    of posterior mass on each side of the maximum-likelihood point,
-    spilling to the other side at a domain edge.
+    A product of per-cell binomial likelihoods in one error rate E is the
+    binomial likelihood of the pooled counts, so on a uniform prior the
+    posterior is Beta(errors + 1, sifted - errors + 1) truncated to
+    [0, 1/2]. It is evaluated on a uniform grid over that range. The
+    credible interval integrates 34.1% of posterior mass on each side of
+    the maximum-likelihood point, spilling to the other side at a domain
+    edge.
     """
-    pairs = []
-    for cell in cells:
-        if isinstance(cell, QberCell):
-            k, n = cell.errors, cell.n
-        else:
-            k, n = cell
-        if not 0 <= k <= n:
-            raise ValueError(f"invalid cell counts: {k} errors of {n}")
-        if n > 0:
-            pairs.append((k, n))
-    if not pairs:
-        raise ValueError("qber_posterior requires at least one non-empty cell")
+    if not 0 <= errors <= sifted:
+        raise ValueError(f"invalid counts: {errors} errors of {sifted}")
+    if sifted == 0:
+        raise ValueError("qber_posterior requires at least one sifted coincidence")
 
-    grid = np.arange(0.0, 0.5 + grid_step / 2.0, grid_step)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_e = np.log(grid)
-        log_1me = np.log1p(-grid)
+    grid = np.arange(0.0, 0.5 + _GRID_STEP / 2.0, _GRID_STEP)
     loglik = np.zeros_like(grid)
-    for k, n in pairs:
-        term = np.zeros_like(grid)
-        if k > 0:
-            term = term + k * log_e
-        if n - k > 0:
-            term = term + (n - k) * log_1me
-        loglik += term
-    loglik[np.isnan(loglik)] = -np.inf
+    with np.errstate(divide="ignore"):
+        if errors > 0:
+            loglik += errors * np.log(grid)
+        if sifted > errors:
+            loglik += (sifted - errors) * np.log1p(-grid)
     loglik -= loglik.max()
     density = np.exp(loglik)
-    density /= density.sum() * grid_step
+    density /= density.sum() * _GRID_STEP
 
     ml_idx = int(np.argmax(density))
-    low_idx, high_idx = _central_interval(density, ml_idx, grid_step, 0.341)
+    low_idx, high_idx = _central_interval(density, ml_idx, _GRID_STEP, 0.341)
     return QberPosterior(
         grid=grid,
         density=density,
@@ -213,7 +205,11 @@ class BoundsConfig:
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Secret-key rates, bound ratios and confidence levels."""
+    """Secret-key rates, bound ratios and confidence levels.
+
+    Rates and ratios are stored per channel use; each per-occupancy value
+    is half of it, against the same per-use bounds.
+    """
 
     p_ab: float
     basis_bias: float
@@ -222,15 +218,30 @@ class KeyRateReport:
     qber_high: float
     r_s: float
     sifted_per_use: float
-    sifted_per_occupancy: float
-    secure_per_use: float
-    secure_per_occupancy: float
     ratio_rmax_per_use: float
-    ratio_rmax_per_occupancy: float
     ratio_plob_per_use: float
-    ratio_plob_per_occupancy: float
     confidence_vs_rmax: Optional[float]
     confidence_vs_plob: Optional[float]
+
+    @property
+    def secure_per_use(self) -> float:
+        return self.r_s * self.sifted_per_use
+
+    @property
+    def sifted_per_occupancy(self) -> float:
+        return self.sifted_per_use / 2.0
+
+    @property
+    def secure_per_occupancy(self) -> float:
+        return self.secure_per_use / 2.0
+
+    @property
+    def ratio_rmax_per_occupancy(self) -> float:
+        return self.ratio_rmax_per_use / 2.0
+
+    @property
+    def ratio_plob_per_occupancy(self) -> float:
+        return self.ratio_plob_per_use / 2.0
 
 
 def build_report(
@@ -238,15 +249,18 @@ def build_report(
     bounds: BoundsConfig,
     session: Optional[SessionReport] = None,
 ) -> KeyRateReport:
-    """Assemble the rate report in both normalizations.
+    """Assemble the rate report; the only definition of each rate ratio.
 
-    The bound ratios come from the analytic pipeline (enhancement formula
-    times secret fraction), so they satisfy the identity
-    ratio_rmax_per_occupancy = sifted_enhancement * r_s * sift_gain
-    exactly. Absolute rates use the simulated sifted counts when a
-    session report is supplied, otherwise the analytic sifted rate.
-    Confidence levels against each bound integrate the QBER posterior
-    over the region where the corresponding ratio exceeds one.
+    The sifted rate per use is the session's measured rate when a session
+    report is given, and otherwise the analytic rate: per occupancy,
+    sifted_enhancement times the direct bound. The secure rate is r_s
+    times the sifted rate, and R/Rmax and R/PLOB divide it by
+    `rate_direct_bound` and by the linear PLOB bound, both per use (nan
+    against a zero bound). In the analytic case this is the identity
+    ratio_rmax_per_use = 2 * sifted_enhancement * r_s. The confidence
+    against each bound is the posterior mass of error rates at which that
+    same ratio exceeds one. A nan `qber` (no sifted key) makes every
+    secure rate and ratio nan.
     """
     if isinstance(qber, QberPosterior):
         e_ml, e_low, e_high = qber.ml, qber.interval_low, qber.interval_high
@@ -255,33 +269,25 @@ def build_report(
         e_ml = e_low = e_high = float(qber)
         posterior = None
 
-    r_s = secret_fraction(e_ml)
-    enh_occ = sifted_enhancement(bounds.eta, bounds.n_pi, bounds.n_sub)
-    sift_frac = bounds.basis_bias**2 + (1.0 - bounds.basis_bias) ** 2
-    sift_gain = sift_frac / 0.5  # yield relative to unbiased sifting
+    r_s = math.nan if math.isnan(e_ml) else secret_fraction(e_ml)
     r_max = rate_direct_bound(bounds.p_ab, bounds.basis_bias)
     plob = plob_bound(bounds.p_ab).linear
-
-    if session is not None and session.channel_occupancies > 0:
-        sifted_occ = session.sifted_rate_per_occupancy()
+    if session is not None:
+        sifted_use = session.sifted_rate_per_use()
     else:
-        sifted_occ = enh_occ * (bounds.p_ab / 2.0) * sift_gain
-    sifted_use = 2.0 * sifted_occ
-    secure_occ = r_s * sifted_occ
-    secure_use = r_s * sifted_use
+        enhancement = sifted_enhancement(bounds.eta, bounds.n_pi, bounds.n_sub)
+        sifted_use = 2.0 * enhancement * r_max
 
-    def ratio_rmax(rs: np.ndarray | float) -> np.ndarray | float:
-        return 2.0 * enh_occ * (bounds.p_ab / 2.0) * sift_gain * rs / r_max
-
-    def ratio_plob(rs: np.ndarray | float) -> np.ndarray | float:
-        return 2.0 * enh_occ * (bounds.p_ab / 2.0) * sift_gain * rs / plob if plob > 0 else 0.0
+    def ratio(rs, bound: float):
+        # `rs * nan` keeps the shape of a grid of secret fractions.
+        return rs * sifted_use / bound if bound > 0 else rs * math.nan
 
     conf_rmax = conf_plob = None
     if posterior is not None:
         rs_grid = secret_fraction(posterior.grid)
         weight = posterior.density * posterior.step
-        conf_rmax = float(weight[ratio_rmax(rs_grid) > 1.0].sum())
-        conf_plob = float(weight[ratio_plob(rs_grid) > 1.0].sum())
+        conf_rmax = float(weight[ratio(rs_grid, r_max) > 1.0].sum())
+        conf_plob = float(weight[ratio(rs_grid, plob) > 1.0].sum())
 
     return KeyRateReport(
         p_ab=bounds.p_ab,
@@ -291,13 +297,8 @@ def build_report(
         qber_high=e_high,
         r_s=r_s,
         sifted_per_use=sifted_use,
-        sifted_per_occupancy=sifted_occ,
-        secure_per_use=secure_use,
-        secure_per_occupancy=secure_occ,
-        ratio_rmax_per_use=float(ratio_rmax(r_s)),
-        ratio_rmax_per_occupancy=float(ratio_rmax(r_s)) / 2.0,
-        ratio_plob_per_use=float(ratio_plob(r_s)),
-        ratio_plob_per_occupancy=float(ratio_plob(r_s)) / 2.0,
+        ratio_rmax_per_use=ratio(r_s, r_max),
+        ratio_plob_per_use=ratio(r_s, plob),
         confidence_vs_rmax=conf_rmax,
         confidence_vs_plob=conf_plob,
     )

@@ -241,23 +241,11 @@ class SessionReport:
 
 
 @dataclass(frozen=True)
-class QberCell:
-    """Error tally of one (basis, signA, signB) combination."""
-
-    basis: str
-    sign_a: int
-    sign_b: int
-    n: int
-    errors: int
-
-
-@dataclass(frozen=True)
 class SiftCounts:
-    """Same-basis coincidences kept for the key, with error counts."""
+    """Same-basis coincidences kept for the key, pooled as (sifted, errors)."""
 
-    xx: tuple[int, int]  # (sifted, errors)
+    xx: tuple[int, int]
     yy: tuple[int, int]
-    cells: tuple[QberCell, ...]
 
     @property
     def sifted(self) -> int:
@@ -268,31 +256,20 @@ class SiftCounts:
         return self.xx[1] + self.yy[1]
 
 
-def _expected_parity_index(basis_idx: int, sign_a: int, sign_b: int) -> int:
-    # Same-basis rule from the truth table: X pairs correlate with the
-    # sign product, Y pairs anticorrelate.
-    expected = sign_a * sign_b * (1 if basis_idx == 0 else -1)
-    return 0 if expected == 1 else 1
+# Truth-table rule for a same-basis record (basis X/Y, signA, signB,
+# parity), all as indices: X pairs correlate with the sign product and Y
+# pairs anticorrelate, so a record is an error when the indices sum to odd.
+_SIFT_ERROR = np.indices((2, 2, 2, 2)).sum(axis=0) % 2 == 1
 
 
 def sift(tally: CoincidenceTally) -> SiftCounts:
     """Keep XX and YY coincidences and count truth-table violations."""
-    cells = []
-    per_basis = {}
-    for b_idx, basis in ((0, "X"), (1, "Y")):
-        n_basis = 0
-        k_basis = 0
-        for ia, sign_a in ((0, 1), (1, -1)):
-            for ib, sign_b in ((0, 1), (1, -1)):
-                pair = tally.counts[b_idx, ia, b_idx, ib]
-                n = int(pair.sum())
-                bad = 1 - _expected_parity_index(b_idx, sign_a, sign_b)
-                k = int(pair[bad])
-                cells.append(QberCell(basis, sign_a, sign_b, n, k))
-                n_basis += n
-                k_basis += k
-        per_basis[basis] = (n_basis, k_basis)
-    return SiftCounts(xx=per_basis["X"], yy=per_basis["Y"], cells=tuple(cells))
+    same = tally.counts[[0, 1], :, [0, 1]]  # (basis X/Y, signA, signB, parity)
+    sifted = same.sum(axis=(1, 2, 3))
+    errors = (same * _SIFT_ERROR).sum(axis=(1, 2, 3))
+    return SiftCounts(
+        xx=(int(sifted[0]), int(errors[0])), yy=(int(sifted[1]), int(errors[1]))
+    )
 
 
 _CHSH_TERMS = (("X", "A"), ("X", "B"), ("Y", "A"), ("Y", "B"))

@@ -26,7 +26,6 @@ from memqkd.session import (
     PartyConfig,
     chsh_statistic,
     forced_coincidence_outcomes,
-    sift,
     simulate_session,
 )
 
@@ -149,7 +148,7 @@ def test_criterion_06_chsh():
     # The dephasing preset really is calibrated to a 0.11 error rate: the
     # same noise in key-generation mode must measure that QBER.
     cfg = load_preset("fig3-chsh-qber11")
-    tally, _ = simulate_session(
+    _, report = simulate_session(
         cfg.sequence,
         cfg.channel(),
         PartyConfig(mode="qkd", assignment="single"),
@@ -157,7 +156,7 @@ def test_criterion_06_chsh():
         cfg.cycles,
         cfg.seed,
     )
-    qber = qber_posterior(sift(tally).cells).ml
+    qber = qber_posterior(report.errors, report.sifted).ml
     assert abs(qber - 0.11) < 0.005
     _check(
         6,
@@ -174,7 +173,7 @@ def test_criterion_06_chsh():
 def test_criterion_07_posterior_confidence():
     n = 2433  # gives ML 0.097 with posterior sigma 0.006
     k = round(0.097 * n)
-    post = qber_posterior([(k, n)])
+    post = qber_posterior(k, n)
     conf = post.integrated_below(0.110)
     ok = (
         abs(post.ml - 0.097) < 1e-3
@@ -234,10 +233,10 @@ def test_criterion_10_qualitative_trends():
     qber_by_nm = []
     for n_m, cycles in ((0.02, 1_000_000_000), (0.1, 100_000_000), (0.2, 100_000_000)):
         cfg = base.replace(n_m=n_m)
-        tally, _ = simulate_session(
+        _, report = simulate_session(
             cfg.sequence, cfg.channel(), cfg.parties, cfg.noise, cycles, cfg.seed
         )
-        qber_by_nm.append(qber_posterior(sift(tally).cells).ml)
+        qber_by_nm.append(qber_posterior(report.errors, report.sifted).ml)
     trend_nm = qber_by_nm[0] < qber_by_nm[1] < qber_by_nm[2]
 
     # (b) error rate grows with N at fixed n_m once heating is enabled
@@ -245,18 +244,18 @@ def test_criterion_10_qualitative_trends():
     for n in (60, 124, 248, 504):
         seq = SequenceConfig(n_pi=n // 2, n_sub=2)
         cfg = base.replace(sequence=seq)
-        tally, _ = simulate_session(
+        _, report = simulate_session(
             seq, cfg.channel(), cfg.parties, cfg.noise, 1_000_000_000, cfg.seed
         )
-        qber_by_n.append(qber_posterior(sift(tally).cells).ml)
+        qber_by_n.append(qber_posterior(report.errors, report.sifted).ml)
     trend_n = all(b > a for a, b in zip(qber_by_n, qber_by_n[1:]))
 
     # (c) secure rate beats the direct-transmission p/2 line by > 3x at N=124
-    tally, report = simulate_session(
+    _, report = simulate_session(
         base.sequence, base.channel(), base.parties, base.noise,
         4_000_000_000, base.seed,
     )
-    post = qber_posterior(sift(tally).cells)
+    post = qber_posterior(report.errors, report.sifted)
     r_s = secret_fraction(post.ml)
     secure_per_use = r_s * report.sifted_rate_per_use()
     advantage = secure_per_use / rate_direct_bound(base.channel().p_ab, 0.5)

@@ -15,7 +15,6 @@ from memqkd.bsm import (
     run_memory_cycle,
     run_memory_cycle_traced,
     truth_table_rows,
-    y_frame_correction,
 )
 from memqkd.qubits import NoiseParams, TimeBinQubit
 from memqkd.session import forced_coincidence_outcomes
@@ -75,15 +74,6 @@ class TestClassification:
 
 
 class TestFrameCorrection:
-    def test_yy_odd_flips(self):
-        assert y_frame_correction("Y", "Y", 1) == -1
-
-    def test_xx_odd_unaffected(self):
-        assert y_frame_correction("X", "X", 1) == 1
-
-    def test_yy_even_unaffected(self):
-        assert y_frame_correction("Y", "Y", 0) == 1
-
     def test_conjugate_label_map(self):
         assert conjugate_label("X", 1) == ("X", 1)
         assert conjugate_label("Y", 1) == ("Y", -1)
@@ -97,24 +87,6 @@ class TestFrameCorrection:
                 cb, cs = conjugate_label(basis, sign)
                 conj_phase = (-q.phase) % (2 * math.pi)
                 assert TimeBinQubit(cb, cs).phase == pytest.approx(conj_phase, abs=1e-12)
-
-    def test_pair_correction_equals_per_photon_relabeling(self):
-        # For key rounds, flipping the inferred correlation via the
-        # pair-level rule marks exactly the same records as errors as
-        # relabeling the odd-window photon by its conjugate.
-        for basis in ("X", "Y"):
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    for frame in (0, 1):
-                        expect_sign = 1 if basis == "X" else -1
-                        corr = y_frame_correction(basis, basis, frame)
-                        for parity in (1, -1):
-                            err_pair = parity * corr != expect_sign * s1 * s2
-                            _, s2c = (
-                                conjugate_label(basis, s2) if frame else (basis, s2)
-                            )
-                            err_photon = parity != expect_sign * s1 * s2c
-                            assert err_pair == err_photon
 
 
 class TestIdealParity:

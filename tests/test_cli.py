@@ -1,3 +1,4 @@
+import math
 import textwrap
 
 import pytest
@@ -91,6 +92,17 @@ class TestSimulate:
         for column in ("qber_ml", "qber_lo", "qber_hi", "r_s", "secure_per_use",
                        "R_over_Rmax", "R_over_PLOB"):
             assert values[column] == "nan", column
+
+    def test_zero_photon_load_writes_nan_ratios(self, tmp_path):
+        # n_m = 0 gives p_AB = 0: a ratio against a zero bound is nan.
+        cfg = tmp_path / "dark.cfg"
+        cfg.write_text(FAST_QKD.replace("n_m = 1.2", "n_m = 0"))
+        out = tmp_path / "dark.csv"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert values["p_AB"] == "0"
+        assert values["R_over_Rmax"] == values["R_over_PLOB"] == "nan"
 
     def test_zero_cycles_is_config_error(self, qkd_config):
         assert run(["simulate", "--config", qkd_config, "--cycles", "0"]) == 2
@@ -228,6 +240,13 @@ class TestRates:
         plob_use, plob_occ = self._line_values(out, "R / (1.44 p)")
         assert plob_use == pytest.approx(2.80, abs=0.02)
         assert plob_occ == pytest.approx(1.40, abs=0.01)
+
+    def test_zero_transmission_prints_nan_ratios(self, capsys):
+        assert run(["rates", "--qber", "0.1", "--p-ab", "0"]) == 0
+        out = capsys.readouterr().out
+        for label in ("R / Rmax", "R / (1.44 p)"):
+            values = self._line_values(out, label)
+            assert len(values) == 2 and all(math.isnan(v) for v in values), label
 
     def test_bad_qber(self):
         assert run(["rates", "--qber", "0.7"]) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from memqkd.config import load_preset
 from memqkd.rates import (
     QBER_INDIVIDUAL_LIMIT,
     BoundsConfig,
@@ -16,6 +17,7 @@ from memqkd.rates import (
     secret_fraction,
     sifted_enhancement,
 )
+from memqkd.session import simulate_session
 
 
 def mp_entropy(x):
@@ -88,13 +90,12 @@ class TestSecretFraction:
 
 class TestQberPosterior:
     def test_zero_errors_peaks_at_zero(self):
-        cells = [(0, 100)] * 8
-        post = qber_posterior(cells)
+        post = qber_posterior(0, 800)
         assert post.ml == 0.0
         assert post.interval_low == 0.0
 
     def test_single_cell_matches_beta_oracle(self):
-        post = qber_posterior([(11, 100)])
+        post = qber_posterior(11, 100)
         assert post.ml == pytest.approx(0.110, abs=1e-3)
         # Oracle: the posterior is Beta(12, 90) restricted to [0, 1/2].
         beta = stats.beta(12, 90)
@@ -108,7 +109,7 @@ class TestQberPosterior:
         # ML 0.097 with posterior width about 0.006.
         n = 2433
         k = round(0.097 * n)
-        post = qber_posterior([(k, n)])
+        post = qber_posterior(k, n)
         assert post.ml == pytest.approx(0.097, abs=5e-4)
         assert post.std() == pytest.approx(0.006, abs=5e-4)
         conf = post.integrated_below(0.110)
@@ -120,25 +121,25 @@ class TestQberPosterior:
         f = 0.11
         widths = []
         for n in (100, 10_000, 1_000_000):
-            post = qber_posterior([(round(f * n), n)])
+            post = qber_posterior(round(f * n), n)
             assert post.ml == pytest.approx(f, abs=max(2e-4, 3 / n))
             widths.append(post.interval_high - post.interval_low)
         assert widths[0] > widths[1] > widths[2]
         assert widths[2] < 2e-3
 
     def test_argmax_invariant_under_count_scaling(self):
-        base = [(7, 80), (9, 75), (12, 90), (8, 85)]
-        post1 = qber_posterior(base)
-        post10 = qber_posterior([(10 * k, 10 * n) for k, n in base])
+        k, n = 36, 330  # (7, 80), (9, 75), (12, 90) and (8, 85) pooled
+        post1 = qber_posterior(k, n)
+        post10 = qber_posterior(10 * k, 10 * n)
         assert abs(post1.ml - post10.ml) <= 2e-4  # within grid resolution
 
     def test_density_normalized(self):
-        post = qber_posterior([(5, 50), (3, 40)])
+        post = qber_posterior(8, 90)
         assert post.density.sum() * post.step == pytest.approx(1.0, abs=1e-6)
         assert post.interval_low <= post.ml <= post.interval_high
 
     def test_all_errors_peaks_at_domain_edge(self):
-        post = qber_posterior([(50, 50)])
+        post = qber_posterior(50, 50)
         assert post.ml == pytest.approx(0.5)
         assert post.interval_high == pytest.approx(0.5)
         assert post.interval_low < 0.5
@@ -146,9 +147,9 @@ class TestQberPosterior:
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
-            qber_posterior([(0, 0)])
+            qber_posterior(0, 0)
         with pytest.raises(ValueError):
-            qber_posterior([(5, 3)])
+            qber_posterior(5, 3)
 
 
 class TestBounds:
@@ -230,11 +231,32 @@ class TestKeyRateReport:
         assert report.secure_per_use == pytest.approx(rs * report.sifted_per_use, rel=1e-12)
 
     def test_confidence_levels_from_posterior(self):
-        post = qber_posterior([(round(0.11 * 4000), 4000)] )
+        post = qber_posterior(round(0.11 * 4000), 4000)
         report = build_report(post, BoundsConfig())
         assert report.confidence_vs_rmax is not None
         assert report.confidence_vs_rmax > 0.99
         assert 0.5 < report.confidence_vs_plob < 1.0
+
+    def test_confidence_integrates_the_reported_ratio(self):
+        # The confidence against each bound is the posterior mass where the
+        # measured secure rate, r_s(E) x the session's sifted rate, beats it.
+        cfg = load_preset("fig4-point-N124")
+        _, session = simulate_session(
+            cfg.sequence, cfg.channel(), cfg.parties, cfg.noise, cfg.cycles, cfg.seed
+        )
+        post = qber_posterior(session.errors, session.sifted)
+        p_ab = cfg.channel().p_ab
+        bounds = BoundsConfig(eta=cfg.noise.eta_detect, p_ab=p_ab)
+        report = build_report(post, bounds, session)
+        assert report.sifted_per_use == session.sifted_rate_per_use()
+        weight = post.density * post.step
+        secure = secret_fraction(post.grid) * report.sifted_per_use
+        for confidence, bound in ((report.confidence_vs_rmax, rate_direct_bound(p_ab)),
+                                  (report.confidence_vs_plob, plob_bound(p_ab).linear)):
+            assert confidence == pytest.approx(weight[secure / bound > 1.0].sum(), abs=1e-12)
+        assert report.ratio_plob_per_use == pytest.approx(
+            report.secure_per_use / plob_bound(p_ab).linear, rel=1e-12
+        )
 
     def test_high_qber_kills_rate(self):
         report = build_report(0.2, BoundsConfig())
