@@ -297,8 +297,7 @@ def run_memory_cycle_traced(
                 n_scatters += 1
                 spin = apply_dephasing(spin, noise.p_scatter_dephase)
             slot += 1
-        spin = apply_pi_pulse(spin)
-        spin = apply_dephasing(spin, noise.p_mw)
+        spin = apply_pi_pulse(spin, noise.p_mw)
 
     trace = CycleTrace(heralds=n_heralds, scatters=n_scatters, discarded=discarded)
     if discarded or len(heralds) != 2:

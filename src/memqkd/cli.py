@@ -2,6 +2,7 @@
 
 Subcommands:
   simulate     run one session from a config or preset, write CSV + summary
+               (the summary goes to stderr when the CSV goes to stdout)
   sweep        sweep N or n_m and emit one plot-ready CSV row per point
   truth-table  print all 16 input-pair / frame-parity classifications
   chsh         run a Bell-test session and print the four correlations and S
@@ -14,9 +15,11 @@ failure (for example an empty correlation cell in the Bell test).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -172,7 +175,10 @@ def _cmd_simulate(args) -> int:
     _, report = _run_session(cfg)
     row, rates = _session_row(cfg, report)
     _write_csv(args.out, SIMULATE_COLUMNS, [row])
-    _print_summary(cfg, report, row, rates)
+    # Without --out the CSV is stdout, so the summary goes to stderr and
+    # stdout stays one clean data stream.
+    with contextlib.redirect_stdout(sys.stdout if args.out else sys.stderr):
+        _print_summary(cfg, report, row, rates)
     return 0
 
 
@@ -351,7 +357,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`) and took what it wanted.
+        # Point stdout at devnull so the interpreter's final flush does not
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,13 @@ interferometer applies a heralded Kraus map to the spin,
 where m = +/-1 is the detector that fired and eps is the amplitude
 leakage sqrt(r_down/r_up) from the residual reflection of the uncoupled
 spin state. With eps = 0 this teleports the photon phase onto the spin.
+
+Each microwave pi pulse that closes a free-precession window is one
+noisy map: the bit flip X rho X followed by a phase flip with the
+dephasing probability p_mw, which belongs to the pulse. Both act entry by
+entry on the 2x2 matrix: X conjugation swaps the two populations and the
+two coherences, and a phase flip with probability p scales the
+coherences by 1 - 2p.
 """
 
 from __future__ import annotations
@@ -22,9 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # Azimuthal angle of the positive-sign state of each basis. The four
 # bases are separated by 45 degrees on the equator; the negative sign
@@ -154,13 +158,24 @@ class SpinState:
 
 
 def _check_physical(rho: np.ndarray) -> None:
-    if not np.allclose(rho, rho.conj().T, atol=1e-9):
+    # Closed form on the four entries. Hermiticity uses the tolerance of
+    # np.allclose(rho, rho^H, atol=1e-9) (rtol 1e-5), and the smaller
+    # eigenvalue reads the lower triangle, as np.linalg.eigvalsh does. A nan
+    # entry fails the Hermiticity comparisons and is rejected there.
+    (a, b), (c, d) = rho.tolist()
+    hermitian = (
+        2.0 * abs(a.imag) <= 1e-9 + 1e-5 * abs(a)
+        and 2.0 * abs(d.imag) <= 1e-9 + 1e-5 * abs(d)
+        and abs(b - c.conjugate()) <= 1e-9 + 1e-5 * min(abs(b), abs(c))
+    )
+    if not hermitian:
         raise NonPhysicalStateError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
-        raise NonPhysicalStateError(f"trace must be 1, got {np.trace(rho)}")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -1e-9:
-        raise NonPhysicalStateError(f"negative eigenvalue {eigs.min()}")
+    trace = a + d
+    if abs(trace.real - 1.0) > 1e-9 or abs(trace.imag) > 1e-9:
+        raise NonPhysicalStateError(f"trace must be 1, got {trace}")
+    smallest = (a.real + d.real - math.hypot(a.real - d.real, 2.0 * abs(c))) / 2.0
+    if smallest < -1e-9:
+        raise NonPhysicalStateError(f"negative eigenvalue {smallest}")
 
 
 def initialize_spin(f_init: float = 1.0) -> SpinState:
@@ -234,17 +249,22 @@ def reflect_and_herald(
     return m, apply_herald(spin, qubit.phase, m, noise.eps_leak)
 
 
-def apply_pi_pulse(spin: SpinState) -> SpinState:
-    """Microwave pi pulse: conjugation by the bit-flip operator."""
-    return SpinState(_SX @ spin.rho @ _SX, validate=False)
+def apply_pi_pulse(spin: SpinState, p_mw: float) -> SpinState:
+    """Noisy microwave pi pulse: X rho X, then a phase flip with probability p_mw."""
+    if not 0 <= p_mw <= 1:
+        raise ValueError(f"pi-pulse dephasing probability must lie in [0, 1], got {p_mw}")
+    q = 1.0 - 2.0 * p_mw
+    (a, b), (c, d) = spin.rho.tolist()
+    return SpinState(np.array([[d, q * c], [q * b, a]]), validate=False)
 
 
 def apply_dephasing(spin: SpinState, p: float) -> SpinState:
     """Phase-flip channel rho -> (1-p) rho + p Z rho Z."""
     if not 0 <= p <= 1:
         raise ValueError(f"dephasing probability must lie in [0, 1], got {p}")
-    rho = (1.0 - p) * spin.rho + p * (_SZ @ spin.rho @ _SZ)
-    return SpinState(rho, validate=False)
+    q = 1.0 - 2.0 * p
+    (a, b), (c, d) = spin.rho.tolist()
+    return SpinState(np.array([[a, q * b], [q * c, d]]), validate=False)
 
 
 def measure_x(

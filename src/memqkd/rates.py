@@ -39,7 +39,8 @@ def binary_entropy(x):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0) or np.any(arr > 1):
         raise ValueError("binary_entropy requires arguments in [0, 1]")
-    out = np.zeros_like(arr)
+    # 0 at the end points, nan (unknown) for a nan argument.
+    out = np.where(np.isnan(arr), np.nan, 0.0)
     interior = (arr > 0) & (arr < 1)
     xi = arr[interior]
     out[interior] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
@@ -51,7 +52,8 @@ def secret_fraction(qber):
 
     r_s = max(0, h(1/2 + sqrt(E(1-E))) - h(E)). The eavesdropper term is
     the standard individual-attack information bound; the expression
-    crosses zero at E = (1 - 1/sqrt(2))/2 ~= 0.1464.
+    crosses zero at E = (1 - 1/sqrt(2))/2 ~= 0.1464. A nan QBER (unknown)
+    gives nan, not 0.
     """
     arr = np.asarray(qber, dtype=float)
     if np.any(arr < 0) or np.any(arr > 0.5):
@@ -269,7 +271,7 @@ def build_report(
         e_ml = e_low = e_high = float(qber)
         posterior = None
 
-    r_s = math.nan if math.isnan(e_ml) else secret_fraction(e_ml)
+    r_s = secret_fraction(e_ml)
     r_max = rate_direct_bound(bounds.p_ab, bounds.basis_bias)
     plob = plob_bound(bounds.p_ab).linear
     if session is not None:

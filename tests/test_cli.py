@@ -1,8 +1,15 @@
+import csv
+import io
 import math
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import memqkd
 from memqkd.cli import CHSH_COLUMNS, SIMULATE_COLUMNS, SWEEP_COLUMNS, run
 
 FAST_QKD = textwrap.dedent(
@@ -66,6 +73,32 @@ class TestSimulate:
         assert lines[0] == ",".join(SIMULATE_COLUMNS)
         assert len(lines) == 2
         assert "QBER" in capsys.readouterr().out
+
+    def test_stdout_is_only_the_csv(self, qkd_config, tmp_path, capsys):
+        assert run(["simulate", "--config", qkd_config]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert len(rows) == 2
+        assert rows[0] == SIMULATE_COLUMNS
+        assert len(rows[1]) == len(SIMULATE_COLUMNS)
+        assert "QBER" in captured.err
+        # The same CSV as with --out.
+        out = tmp_path / "result.csv"
+        assert run(["simulate", "--config", qkd_config, "--out", str(out)]) == 0
+        assert out.read_text() == captured.out
+
+    def test_closed_stdout_exits_cleanly(self, qkd_config):
+        # The reader of stdout is gone before the CSV is written, as with
+        # `| head` on a long output.
+        env = dict(os.environ, PYTHONPATH=str(Path(memqkd.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "memqkd", "simulate", "--config", qkd_config],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert b"Traceback" not in err
 
     def test_identical_seeds_identical_bytes(self, qkd_config, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

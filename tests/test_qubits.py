@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from memqkd.qubits import (
@@ -9,6 +11,7 @@ from memqkd.qubits import (
     NonPhysicalStateError,
     SpinState,
     TimeBinQubit,
+    _check_physical,
     apply_dephasing,
     apply_herald,
     apply_pi_pulse,
@@ -27,6 +30,47 @@ def random_state(rng) -> SpinState:
     w = rng.random()
     rho = w * np.outer(psi, psi.conj()) + (1 - w) * np.eye(2) / 2
     return SpinState(rho)
+
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def dephase(rho: np.ndarray, p: float) -> np.ndarray:
+    return (1 - p) * rho + p * (SZ @ rho @ SZ)
+
+
+def check_physical_oracle(rho: np.ndarray) -> None:
+    # The allclose / trace / eigvalsh form the closed-form check replaced.
+    if not np.allclose(rho, rho.conj().T, atol=1e-9):
+        raise NonPhysicalStateError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
+        raise NonPhysicalStateError(f"trace must be 1, got {np.trace(rho)}")
+    eigs = np.linalg.eigvalsh(rho)
+    if eigs.min() < -1e-9:
+        raise NonPhysicalStateError(f"negative eigenvalue {eigs.min()}")
+
+
+def oracle_margins(rho: np.ndarray) -> list[float]:
+    """Signed distance of each oracle test quantity from its threshold."""
+    adjoint = rho.conj().T
+    margins = list((np.abs(rho - adjoint) - (1e-9 + 1e-5 * np.abs(adjoint))).ravel())
+    trace = np.trace(rho)
+    margins += [abs(trace.real - 1.0) - 1e-9, abs(trace.imag) - 1e-9]
+    margins.append(np.linalg.eigvalsh(rho).min() + 1e-9)
+    return margins
+
+
+REJECTIONS = ("density matrix is not Hermitian", "trace must be 1", "negative eigenvalue")
+
+
+def rejection(check, rho: np.ndarray):
+    """None if `check` accepts rho, else which test rejected it."""
+    try:
+        check(rho)
+    except NonPhysicalStateError as exc:
+        return next(r for r in REJECTIONS if str(exc).startswith(r))
+    return None
 
 
 class TestStatePreparation:
@@ -48,6 +92,71 @@ class TestStatePreparation:
             SpinState(np.array([[1.5, 0], [0, -0.5]]))
         with pytest.raises(NonPhysicalStateError):
             SpinState(np.array([[0.5, 0.9], [0.9, 0.5]]))
+
+
+def near_threshold_matrix(
+    theta=math.pi / 2, phi=0.3, smallest=0.2, trace_shift=0.0, trace_imag=0.0,
+    diag_skew=0.0, offdiag_skew=0.0, skew_phase=1.0,
+) -> np.ndarray:
+    """A Hermitian matrix with eigenvalues (1 + trace_shift - smallest,
+    smallest), plus anti-Hermitian parts in units of the Hermiticity
+    tolerance, so every test can sit near its threshold. The diagonal
+    imaginary parts nearly cancel (the trace must stay real), so the
+    diagonal with the smaller modulus has the binding tolerance."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    u = np.array([[c, -np.exp(-1j * phi) * s], [np.exp(1j * phi) * s, c]])
+    rho = u @ np.diag([1.0 + trace_shift - smallest, smallest]) @ u.conj().T
+    a_imag = diag_skew * (1e-9 + 1e-5 * min(abs(rho[0, 0]), abs(rho[1, 1]))) / 2
+    rho[0, 0] += 1j * a_imag
+    rho[1, 1] += 1j * (trace_imag - a_imag)
+    rho[0, 1] += offdiag_skew * (1e-9 + 1e-5 * abs(rho[1, 0])) * np.exp(1j * skew_phase)
+    return rho
+
+
+class TestPhysicalityCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=st.floats(0.0, math.pi),
+        phi=st.floats(0.0, 2 * math.pi),
+        smallest=st.floats(-3e-9, 1e-9) | st.floats(0.0, 0.5),
+        trace_shift=st.just(0.0) | st.floats(-3e-9, 3e-9),
+        trace_imag=st.just(0.0) | st.floats(-3e-9, 3e-9),
+        diag_skew=st.just(0.0) | st.floats(-2.0, 2.0),
+        offdiag_skew=st.just(0.0) | st.floats(0.0, 2.0),
+        skew_phase=st.floats(0.0, 2 * math.pi),
+    )
+    def test_closed_form_agrees_with_eigvalsh_oracle(self, **params):
+        rho = near_threshold_matrix(**params)
+        assume(min(abs(m) for m in oracle_margins(rho)) > 1e-12)
+        assert rejection(_check_physical, rho) == rejection(check_physical_oracle, rho)
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            lambda d: {"trace_shift": 1e-9 + d},
+            lambda d: {"trace_shift": -1e-9 - d},
+            lambda d: {"trace_imag": 1e-9 + d},
+            lambda d: {"trace_imag": -1e-9 - d},
+            lambda d: {"smallest": -1e-9 - d},
+            lambda d: {"smallest": -1e-9 - d, "theta": 0.0},
+            # Hermiticity tolerances 1e-9 + 1e-5 |entry|: the smaller diagonal
+            # is d = 0.2 at theta = 0 and a = 0.2 at theta = pi, |c| = 0.3 at
+            # the default theta and c = 0 at theta = 0.
+            lambda d: {"diag_skew": 1.0 + d / 2e-6, "theta": 0.0},
+            lambda d: {"diag_skew": 1.0 + d / 2e-6, "theta": math.pi},
+            lambda d: {"offdiag_skew": 1.0 + d / 3e-6},
+            lambda d: {"offdiag_skew": 1.0 + d / 1e-9, "theta": 0.0},
+        ],
+    )
+    def test_each_threshold_just_outside_the_band(self, edge):
+        # 2e-12 inside the threshold is accepted and 2e-12 beyond it is
+        # rejected, by both forms.
+        inside = near_threshold_matrix(**edge(-2e-12))
+        beyond = near_threshold_matrix(**edge(2e-12))
+        assert rejection(check_physical_oracle, inside) is None
+        assert rejection(check_physical_oracle, beyond) is not None
+        for rho in (inside, beyond):
+            assert rejection(_check_physical, rho) == rejection(check_physical_oracle, rho)
 
 
 class TestTimeBinQubit:
@@ -146,7 +255,7 @@ class TestChannels:
         rng = np.random.default_rng(21)
         for _ in range(20):
             state = random_state(rng)
-            twice = apply_pi_pulse(apply_pi_pulse(state))
+            twice = apply_pi_pulse(apply_pi_pulse(state, 0.0), 0.0)
             assert np.allclose(twice.rho, state.rho, atol=1e-12)
 
     def test_full_dephasing_kills_coherence(self):
@@ -156,6 +265,20 @@ class TestChannels:
     def test_dephasing_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             apply_dephasing(prepare_superposition(), 1.5)
+        with pytest.raises(ValueError):
+            apply_pi_pulse(prepare_superposition(), 1.5)
+
+    @pytest.mark.parametrize("p", [0.0, 0.0011, 0.5, 1.0])
+    def test_maps_equal_their_matrix_product_forms(self, p):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            state = random_state(rng)
+            pulsed = apply_pi_pulse(state, p)
+            dephased = apply_dephasing(state, p)
+            assert np.allclose(pulsed.rho, dephase(SX @ state.rho @ SX, p), rtol=0, atol=1e-14)
+            assert np.allclose(dephased.rho, dephase(state.rho, p), rtol=0, atol=1e-14)
+            assert not np.shares_memory(pulsed.rho, state.rho)
+            assert not np.shares_memory(dephased.rho, state.rho)
 
     def test_all_maps_preserve_trace_and_positivity(self):
         rng = np.random.default_rng(99)
@@ -166,7 +289,7 @@ class TestChannels:
             eps = rng.uniform(0, 0.5)
             m = int(rng.choice([1, -1]))
             for mapped in (
-                apply_pi_pulse(state),
+                apply_pi_pulse(state, 0.0),
                 apply_dephasing(state, p),
                 apply_herald(state, phase, m, eps),
             ):

@@ -49,6 +49,11 @@ class TestBinaryEntropy:
         arr = binary_entropy(np.array([0.0, 0.5, 1.0]))
         assert np.allclose(arr, [0.0, 1.0, 0.0])
 
+    def test_nan_is_unknown(self):
+        assert math.isnan(binary_entropy(math.nan))
+        arr = binary_entropy(np.array([0.0, math.nan, 0.5, 1.0]))
+        assert np.array_equal(arr, [0.0, math.nan, 1.0, 0.0], equal_nan=True)
+
 
 class TestSecretFraction:
     def test_perfect_key(self):
@@ -86,6 +91,11 @@ class TestSecretFraction:
     def test_domain(self):
         with pytest.raises(ValueError):
             secret_fraction(0.6)
+
+    def test_nan_is_unknown(self):
+        assert math.isnan(secret_fraction(math.nan))
+        arr = secret_fraction(np.array([0.0, math.nan, 0.3]))
+        assert np.array_equal(arr, [1.0, math.nan, 0.0], equal_nan=True)
 
 
 class TestQberPosterior:
