@@ -7,7 +7,7 @@ from .bsm import (
     classify_bell_state,
     expected_parity,
     ideal_parity,
-    run_memory_cycle,
+    run_memory_cycle_traced,
     truth_table_rows,
 )
 from .cavity import (

@@ -222,28 +222,31 @@ def truth_table_rows() -> list[dict]:
     return rows
 
 
-def run_memory_cycle(
-    seq: SequenceConfig,
-    chan: ChannelConfig,
-    qubit_source: Callable[[int], TimeBinQubit],
-    noise: NoiseParams,
-    rng: np.random.Generator,
-    forced_slots: Optional[tuple[int, int]] = None,
-) -> Optional[BSMRecord]:
-    """Simulate one memory cycle slot by slot.
+class _StreamUniforms:
+    """`rng.random()` values in stream order, drawn in blocks.
 
-    Each slot heralds a reflection with probability n_p * eta_detect, or
-    scatters an undetected photon with probability n_p * (1 - eta_detect),
-    which dephases the spin. The first two heralds build the record; a
-    third herald in the same cycle discards it. Returns None unless
-    exactly two heralds occurred.
-
-    forced_slots injects heralds deterministically at the given pair of
-    slots (and suppresses random arrivals), which is how truth-table and
-    tomography-style drills are run.
+    A numpy Generator's `random(k)` returns the same doubles as k calls of
+    `random()`. A block is never longer than the number of draws the
+    caller says it will still make, so the generator ends each cycle
+    exactly where drawing one value at a time would leave it.
     """
-    record, _ = run_memory_cycle_traced(seq, chan, qubit_source, noise, rng, forced_slots)
-    return record
+
+    __slots__ = ("_rng", "_block")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = iter(())
+
+    def _draw(self, at_least: int) -> float:
+        """Next value; the caller will make at least `at_least` draws from here on."""
+        value = next(self._block, None)
+        if value is None:
+            self._block = iter(self._rng.random(at_least).tolist())
+            value = next(self._block)
+        return value
+
+    def random(self) -> float:
+        return self._draw(1)
 
 
 def run_memory_cycle_traced(
@@ -254,9 +257,22 @@ def run_memory_cycle_traced(
     rng: np.random.Generator,
     forced_slots: Optional[tuple[int, int]] = None,
 ) -> tuple[Optional[BSMRecord], CycleTrace]:
-    """run_memory_cycle plus per-cycle herald/scatter accounting."""
+    """Simulate one memory cycle slot by slot.
+
+    Each slot heralds a reflection with probability n_p * eta_detect, or
+    scatters an undetected photon with probability n_p * (1 - eta_detect),
+    which dephases the spin. The first two heralds build the record; a
+    third herald in the same cycle discards it. The record is None unless
+    exactly two heralds occurred; the trace counts heralds and scatters.
+
+    The cycle draws from `rng` in this order: one uniform per slot, one
+    after each of the first two heralds for its detector outcome, and two
+    for the readout. forced_slots injects heralds deterministically at the
+    given pair of slots and suppresses random arrivals (no slot draws),
+    which is how truth-table and tomography-style drills are run.
+    """
     p_herald = chan.n_p * noise.eta_detect
-    p_scatter = chan.n_p * (1.0 - noise.eta_detect)
+    p_event = p_herald + chan.n_p * (1.0 - noise.eta_detect)
     if chan.n_p > 1.0:
         raise ValueError(f"n_p = {chan.n_p} exceeds 1; not a valid slot probability")
     if forced_slots is not None:
@@ -264,6 +280,8 @@ def run_memory_cycle_traced(
         if not 0 <= i < j < seq.n_qubits:
             raise ValueError(f"forced slots {forced_slots} out of range")
 
+    uniforms = _StreamUniforms(rng)
+    n_slots = seq.n_qubits
     spin = prepare_superposition(noise.f_init)
     heralds: list[tuple[int, int]] = []  # (slot, m)
     windows: list[int] = []
@@ -274,28 +292,23 @@ def run_memory_cycle_traced(
     slot = 0
     for window in range(seq.n_pi):
         for _ in range(seq.n_sub):
-            if forced_slots is not None:
-                event = "herald" if slot in forced_slots else "none"
+            if forced_slots is None:
+                u = uniforms._draw(n_slots - slot)
+                herald = u < p_herald
+                if not herald and u < p_event:
+                    n_scatters += 1
+                    spin = apply_dephasing(spin, noise.p_scatter_dephase)
             else:
-                u = rng.random()
-                if u < p_herald:
-                    event = "herald"
-                elif u < p_herald + p_scatter:
-                    event = "scatter"
-                else:
-                    event = "none"
-            if event == "herald":
+                herald = slot in forced_slots
+            if herald:
                 n_heralds += 1
                 if n_heralds > 2:
                     # Third herald spoils the cycle; finish counting only.
                     discarded = True
                 elif not discarded:
-                    m, spin = reflect_and_herald(spin, qubit_source(slot), noise, rng)
+                    m, spin = reflect_and_herald(spin, qubit_source(slot), noise, uniforms)
                     heralds.append((slot, m))
                     windows.append(window)
-            elif event == "scatter":
-                n_scatters += 1
-                spin = apply_dephasing(spin, noise.p_scatter_dephase)
             slot += 1
         spin = apply_pi_pulse(spin, noise.p_mw)
 
@@ -303,7 +316,7 @@ def run_memory_cycle_traced(
     if discarded or len(heralds) != 2:
         return None, trace
 
-    m3 = measure_x(spin, noise.f_readout, rng)
+    m3 = measure_x(spin, noise.f_readout, uniforms)
     (slot_i, m1), (slot_j, m2) = heralds
     record = BSMRecord(
         slot_i=slot_i,

@@ -85,8 +85,6 @@ def _load_scenario(args) -> ScenarioConfig:
     if getattr(args, "seed", None) is not None:
         cfg = cfg.replace(seed=args.seed)
     if getattr(args, "cycles", None) is not None:
-        if args.cycles < 1:
-            raise ConfigError(f"cycles must be at least 1, got {args.cycles}")
         cfg = cfg.replace(cycles=args.cycles)
     return cfg
 
@@ -195,9 +193,9 @@ def _cmd_sweep(args) -> int:
     for index, value in enumerate(values):
         point = cfg.replace(seed=cfg.seed + index)
         if args.axis == "N":
-            n = int(value)
-            if n != value or n <= 0:
+            if not value.is_integer() or value <= 0:
                 raise ConfigError(f"N values must be positive integers, got {value}")
+            n = int(value)
             seq = cfg.sequence
             if n % seq.n_sub != 0:
                 raise ConfigError(f"N={n} is not a multiple of n_sub={seq.n_sub}")
@@ -270,14 +268,18 @@ def _cmd_chsh(args) -> int:
 def _cmd_rates(args) -> int:
     if not 0 <= args.qber <= 0.5:
         raise ConfigError(f"qber must lie in [0, 1/2], got {args.qber}")
-    bounds = BoundsConfig(
-        eta=args.eta,
-        n_pi=args.n_pi,
-        n_sub=args.n_sub,
-        p_ab=args.p_ab,
-        basis_bias=args.bias,
-    )
-    rates = build_report(args.qber, bounds)
+    # Every check that can fail here is on a command-line value.
+    try:
+        bounds = BoundsConfig(
+            eta=args.eta,
+            n_pi=args.n_pi,
+            n_sub=args.n_sub,
+            p_ab=args.p_ab,
+            basis_bias=args.bias,
+        )
+        rates = build_report(args.qber, bounds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     bias_label = f"{args.bias:.2f}:{1 - args.bias:.2f}"
     print(f"rate report  (E={args.qber:g}, eta={args.eta:g}, "
           f"n_pi={args.n_pi}, n_sub={args.n_sub}, bias={bias_label}, "
@@ -348,7 +350,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EmptyCellError as exc:

@@ -23,6 +23,11 @@ from .qubits import NoiseParams
 from .session import PartyConfig, TimingOverheads
 
 DEFAULT_SEED = 123456789
+# The fast engine's multinomial draws count cycles in int64.
+_MAX_CYCLES = 2**63 - 1
+# Both engines hold a few arrays of N entries per point; a million slots
+# is far beyond any pulse sequence and still fits in memory.
+_MAX_SLOTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -41,6 +46,23 @@ class ScenarioConfig:
     overheads: TimingOverheads
     cycles: int
     seed: int
+
+    def __post_init__(self) -> None:
+        # Checked here so that every way of building or editing a scenario
+        # (parsing, CLI overrides, sweep points) reports a ConfigError.
+        if self.sequence.n_qubits > _MAX_SLOTS:
+            raise ConfigError(
+                f"N = {self.sequence.n_qubits} qubit slots exceeds the limit of {_MAX_SLOTS}"
+            )
+        if not 0 <= self.n_m <= self.sequence.n_qubits:
+            raise ConfigError(
+                f"n_m must lie in [0, N = {self.sequence.n_qubits}] (at most one photon "
+                f"per slot on average), got {self.n_m}"
+            )
+        if not 1 <= self.cycles <= _MAX_CYCLES:
+            raise ConfigError(f"cycles must lie in [1, 2**63 - 1], got {self.cycles}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def channel(self) -> ChannelConfig:
         return ChannelConfig.from_mean_photons(self.n_m, self.sequence.n_qubits)
@@ -173,28 +195,18 @@ def parse_config(text: str) -> ScenarioConfig:
     parties = build(PartyConfig, asdict(base.parties), "parties")
     overheads = build(TimingOverheads, asdict(base.overheads), "timing")
 
-    n_m = values["channel"].get("n_m", base.n_m)
-    if n_m < 0:
-        raise ConfigError(f"n_m must be non-negative, got {n_m}")
-    cycles = values["run"].get("cycles", base.cycles)
-    if cycles < 1:
-        raise ConfigError(f"cycles must be at least 1, got {cycles}")
-    seed = values["run"].get("seed", base.seed)
-
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         cavity=cavity,
         reflectances=reflectances,
         budget=budget,
         noise=noise,
         sequence=sequence,
-        n_m=n_m,
+        n_m=values["channel"].get("n_m", base.n_m),
         parties=parties,
         overheads=overheads,
-        cycles=int(cycles),
-        seed=int(seed),
+        cycles=values["run"].get("cycles", base.cycles),
+        seed=values["run"].get("seed", base.seed),
     )
-    cfg.channel()  # revalidate the derived channel invariants
-    return cfg
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

@@ -1,9 +1,11 @@
 """Spin memory and time-bin photonic qubits as completely positive maps.
 
-The memory qubit lives in the basis {up, down} and is stored as a 2x2
-density matrix. Photonic qubits are equal-amplitude superpositions of an
-early and a late time bin, (|e> + exp(i*phi)|l>)/sqrt(2), so a single
-phase phi fixes the state.
+The memory qubit lives in the basis {up, down} and is described by a 2x2
+density matrix. `SpinState` stores its four entries as Python complex
+numbers, and its `rho` property returns a fresh array built from them, so
+no state shares memory with an array a caller holds. Photonic qubits are
+equal-amplitude superpositions of an early and a late time bin,
+(|e> + exp(i*phi)|l>)/sqrt(2), so a single phase phi fixes the state.
 
 Reflecting a photon off the node and detecting it behind the time-delay
 interferometer applies a heralded Kraus map to the spin,
@@ -20,7 +22,11 @@ noisy map: the bit flip X rho X followed by a phase flip with the
 dephasing probability p_mw, which belongs to the pulse. Both act entry by
 entry on the 2x2 matrix: X conjugation swaps the two populations and the
 two coherences, and a phase flip with probability p scales the
-coherences by 1 - 2p.
+coherences by 1 - 2p. These maps and the readout work on the four stored
+entries; the heralded Kraus map and the physicality check work on `rho`.
+
+The functions that sample take `rng`, anything whose `random()` returns
+the next uniform double of a numpy Generator's stream.
 """
 
 from __future__ import annotations
@@ -64,9 +70,9 @@ class TimeBinQubit:
 class NoiseParams:
     """Calibrated error model of the memory node.
 
-    eps_leak:          amplitude leakage of the uncoupled-state reflection.
-                       The physical value is sqrt(r_down/r_up) ~= 0.208;
-                       the default is calibrated so the heralded
+    eps_leak:          amplitude leakage of the uncoupled-state reflection,
+                       in [0, 1]. The physical value is sqrt(r_down/r_up)
+                       ~= 0.208; the default is calibrated so the heralded
                        spin-photon fidelity is 0.9445 at n_m = 0.002.
     p_mw:              dephasing probability per microwave pi pulse
                        (ohmic-heating proxy, calibrated against the
@@ -87,9 +93,8 @@ class NoiseParams:
     eta_detect: float = 0.423
 
     def __post_init__(self) -> None:
-        if self.eps_leak < 0:
-            raise ValueError(f"eps_leak must be non-negative, got {self.eps_leak}")
-        for name in ("p_mw", "p_scatter_dephase", "f_readout", "f_init", "eta_detect"):
+        # eps_leak is a ratio of reflection amplitudes, sqrt(r_down/r_up) <= 1.
+        for name in ("eps_leak", "p_mw", "p_scatter_dephase", "f_readout", "f_init", "eta_detect"):
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
@@ -108,9 +113,12 @@ class NoiseParams:
 
 
 class SpinState:
-    """2x2 density matrix of the memory qubit over {up, down}."""
+    """2x2 density matrix [[a, b], [c, d]] of the memory qubit over {up, down}.
 
-    __slots__ = ("rho",)
+    The per-slot maps read and write the entries without building an array.
+    """
+
+    __slots__ = ("_entries",)
 
     def __init__(self, rho: np.ndarray, validate: bool = True):
         rho = np.asarray(rho, dtype=complex)
@@ -118,7 +126,19 @@ class SpinState:
             raise NonPhysicalStateError(f"density matrix must be 2x2, got {rho.shape}")
         if validate:
             _check_physical(rho)
-        self.rho = rho
+        (a, b), (c, d) = rho.tolist()
+        self._entries = (a, b, c, d)
+
+    @classmethod
+    def _from_entries(cls, a: complex, b: complex, c: complex, d: complex) -> "SpinState":
+        state = object.__new__(cls)
+        state._entries = (a, b, c, d)
+        return state
+
+    @property
+    def rho(self) -> np.ndarray:
+        a, b, c, d = self._entries
+        return np.array([[a, b], [c, d]], dtype=complex)
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "SpinState":
@@ -135,10 +155,8 @@ class SpinState:
         return cls.from_bloch(0.0, 0.0, -1.0)
 
     def bloch_vector(self) -> tuple[float, float, float]:
-        x = 2.0 * self.rho[1, 0].real
-        y = 2.0 * self.rho[1, 0].imag
-        z = (self.rho[0, 0] - self.rho[1, 1]).real
-        return (x, y, z)
+        a, _, c, d = self._entries
+        return (2.0 * c.real, 2.0 * c.imag, (a - d).real)
 
     def purity(self) -> float:
         return float(np.trace(self.rho @ self.rho).real)
@@ -254,8 +272,8 @@ def apply_pi_pulse(spin: SpinState, p_mw: float) -> SpinState:
     if not 0 <= p_mw <= 1:
         raise ValueError(f"pi-pulse dephasing probability must lie in [0, 1], got {p_mw}")
     q = 1.0 - 2.0 * p_mw
-    (a, b), (c, d) = spin.rho.tolist()
-    return SpinState(np.array([[d, q * c], [q * b, a]]), validate=False)
+    a, b, c, d = spin._entries
+    return SpinState._from_entries(d, q * c, q * b, a)
 
 
 def apply_dephasing(spin: SpinState, p: float) -> SpinState:
@@ -263,8 +281,8 @@ def apply_dephasing(spin: SpinState, p: float) -> SpinState:
     if not 0 <= p <= 1:
         raise ValueError(f"dephasing probability must lie in [0, 1], got {p}")
     q = 1.0 - 2.0 * p
-    (a, b), (c, d) = spin.rho.tolist()
-    return SpinState(np.array([[a, q * b], [q * c, d]]), validate=False)
+    a, b, c, d = spin._entries
+    return SpinState._from_entries(a, q * b, q * c, d)
 
 
 def measure_x(
@@ -277,7 +295,7 @@ def measure_x(
     """
     if not 0 <= f_readout <= 1:
         raise ValueError(f"f_readout must lie in [0, 1], got {f_readout}")
-    p_plus = 0.5 + spin.rho[0, 1].real
+    p_plus = 0.5 + spin._entries[1].real
     m = 1 if rng.random() < p_plus else -1
     if rng.random() < 1.0 - f_readout:
         m = -m

@@ -1,8 +1,8 @@
 """Orchestration of many memory cycles into a QKD or CHSH session.
 
 Two execution paths sample the same distribution. The reference path
-runs `run_memory_cycle` slot by slot on density matrices and is the
-ground truth for small diagnostic runs. The fast path is two exact
+runs `run_memory_cycle_traced` slot by slot on density matrices and is
+the ground truth for small diagnostic runs. The fast path is two exact
 multinomial draws, so its cost does not grow with the cycle count:
 
 1. Cycles are independent, so the herald counts of all cycles are one
@@ -440,7 +440,7 @@ def forced_coincidence_outcomes(
 
     Returns trial-wise (m1, m2, m3) and the frame parity implied by the
     slot positions. Random photon arrivals (and hence scatter dephasing)
-    are suppressed, exactly like run_memory_cycle with forced slots.
+    are suppressed, exactly like run_memory_cycle_traced with forced slots.
     """
     slot_i, slot_j = slots
     if not 0 <= slot_i < slot_j < seq.n_qubits:

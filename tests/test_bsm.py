@@ -12,7 +12,6 @@ from memqkd.bsm import (
     conjugate_label,
     expected_parity,
     ideal_parity,
-    run_memory_cycle,
     run_memory_cycle_traced,
     truth_table_rows,
 )
@@ -147,7 +146,7 @@ class TestMemoryCycle:
         chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            record = run_memory_cycle(
+            record, _ = run_memory_cycle_traced(
                 seq, chan, _const_source(TimeBinQubit("X")), NoiseParams.ideal(), rng
             )
             assert record is None
@@ -163,7 +162,7 @@ class TestMemoryCycle:
         rng = np.random.default_rng(1)
         qubits = {0: TimeBinQubit(basis, 1), 1: TimeBinQubit(basis, sign_b)}
         for _ in range(100):
-            record = run_memory_cycle(
+            record, _ = run_memory_cycle_traced(
                 seq,
                 chan,
                 lambda slot: qubits[slot],
@@ -181,7 +180,7 @@ class TestMemoryCycle:
         rng = np.random.default_rng(2)
         qubits = {0: TimeBinQubit("Y", 1), 2: TimeBinQubit("Y", 1)}
         for _ in range(100):
-            record = run_memory_cycle(
+            record, _ = run_memory_cycle_traced(
                 seq,
                 chan,
                 lambda slot: qubits[slot],
@@ -204,6 +203,50 @@ class TestMemoryCycle:
         assert trace.discarded
         assert trace.heralds == 4
 
+    def test_shared_generator_stream_is_pinned(self):
+        # Records of 50 random cycles and one forced-slot cycle drawn from
+        # one generator, then the generator's next value, as the slot-by-slot
+        # scalar draws produce them. Block drawing must not move any of it.
+        seq = SequenceConfig(n_pi=4, n_sub=2)
+        chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
+        labels = [TimeBinQubit(b, s) for b in "XYAB" for s in (1, -1)]
+        source = lambda slot: labels[(3 * slot) % 8]
+        rng = np.random.default_rng(2024)
+
+        def summary(record, trace):
+            fields = (trace.heralds, trace.scatters, trace.discarded)
+            if record is None:
+                return fields
+            return fields + (record.slot_i, record.slot_j, record.m1, record.m2,
+                             record.m3, record.frame_parity)
+
+        observed = [
+            summary(*run_memory_cycle_traced(seq, chan, source, NoiseParams(), rng))
+            for _ in range(50)
+        ]
+        observed.append(summary(*run_memory_cycle_traced(
+            seq, chan, source, NoiseParams(), rng, forced_slots=(1, 6)
+        )))
+        assert observed == [
+            (1, 2, False), (2, 1, False, 3, 4, -1, 1, 1, 1), (0, 1, False),
+            (1, 0, False), (1, 1, False), (1, 1, False), (0, 1, False),
+            (4, 0, True), (1, 1, False), (1, 3, False), (1, 2, False),
+            (1, 2, False), (0, 2, False), (0, 3, False), (1, 2, False),
+            (1, 4, False), (1, 2, False), (0, 0, False),
+            (2, 1, False, 1, 4, 1, 1, -1, 0), (1, 2, False),
+            (2, 2, False, 2, 5, -1, 1, -1, 1), (0, 2, False), (1, 0, False),
+            (1, 1, False), (0, 0, False), (0, 3, False), (0, 1, False),
+            (1, 5, False), (0, 3, False), (0, 0, False), (1, 0, False),
+            (2, 1, False, 1, 6, 1, 1, 1, 1), (1, 0, False), (0, 1, False),
+            (1, 1, False), (2, 2, False, 2, 6, -1, -1, 1, 0), (1, 2, False),
+            (1, 2, False), (0, 2, False), (1, 2, False), (1, 2, False),
+            (2, 0, False, 0, 5, 1, 1, 1, 0), (2, 1, False, 0, 4, 1, 1, 1, 0),
+            (1, 2, False), (1, 1, False), (0, 0, False),
+            (2, 1, False, 0, 3, -1, -1, 1, 1), (1, 0, False), (0, 2, False),
+            (1, 0, False), (2, 0, False, 1, 6, 1, 1, -1, 1),
+        ]
+        assert rng.random() == 0.9747810885761651
+
     def test_noiseless_truth_table_through_reference_engine(self):
         # Spot check: the density-matrix path reproduces the table rows.
         seq = SequenceConfig(n_pi=2, n_sub=2)
@@ -215,7 +258,7 @@ class TestMemoryCycle:
             slots = (0, 1) if row["frame"] == "even" else (0, 2)
             qubits = {slots[0]: qa, slots[1]: qb}
             for _ in range(25):
-                record = run_memory_cycle(
+                record, _ = run_memory_cycle_traced(
                     seq,
                     chan,
                     lambda slot: qubits[slot],

@@ -140,6 +140,30 @@ class TestSimulate:
     def test_zero_cycles_is_config_error(self, qkd_config):
         assert run(["simulate", "--config", qkd_config, "--cycles", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "-1"], ["--cycles", str(2**63)]], ids=["seed", "cycles"]
+    )
+    def test_out_of_range_override_is_config_error(self, qkd_config, flags):
+        assert run(["simulate", "--config", qkd_config, *flags]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[channel]\nn_m = 500\n", "[noise]\neps_leak = nan\n", "[sequence]\nn_pi = 1e300\n"],
+        ids=["n_m-above-N", "eps_leak-nan", "n_pi-huge"],
+    )
+    def test_unusable_config_value_is_config_error(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert run(["simulate", "--config", str(path)]) == 2
+
+    def test_internal_value_error_is_not_a_config_error(self, qkd_config, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(memqkd.cli, "simulate_session", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            run(["simulate", "--config", qkd_config])
+
     def test_missing_config_file(self):
         assert run(["simulate", "--config", "/nonexistent/nope.cfg"]) == 2
 
@@ -214,6 +238,11 @@ class TestSweep:
         assert run(["sweep", "--config", qkd_config, "--axis", "N",
                     "--values", "9"]) == 2
 
+    @pytest.mark.parametrize("axis,values", [("N", "nan"), ("N", "inf"), ("n_m", "500")])
+    def test_bad_point_is_config_error(self, qkd_config, axis, values):
+        assert run(["sweep", "--config", qkd_config, "--axis", axis,
+                    "--values", values]) == 2
+
 
 class TestTruthTable:
     def test_prints_sixteen_classifications(self, capsys):
@@ -283,3 +312,7 @@ class TestRates:
 
     def test_bad_qber(self):
         assert run(["rates", "--qber", "0.7"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--bias", "1.5"], ["--n-pi", "2"], ["--eta", "2"]])
+    def test_bad_layout_is_config_error(self, flags):
+        assert run(["rates", "--qber", "0.1", *flags]) == 2

@@ -93,6 +93,14 @@ class TestStatePreparation:
         with pytest.raises(NonPhysicalStateError):
             SpinState(np.array([[0.5, 0.9], [0.9, 0.5]]))
 
+    def test_state_does_not_alias_the_callers_array(self):
+        rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        state = SpinState(rho)
+        rho[0, 1] = rho[1, 0] = 0.0
+        state.rho[0, 0] = 1.0
+        assert state.bloch_vector() == (1.0, 0.0, 0.0)
+        assert not np.shares_memory(state.rho, state.rho)
+
 
 def near_threshold_matrix(
     theta=math.pi / 2, phi=0.3, smallest=0.2, trace_shift=0.0, trace_imag=0.0,
@@ -244,8 +252,7 @@ class TestHeraldedGate:
 
     def test_rejects_nonphysical_input(self):
         rng = np.random.default_rng(0)
-        bad = SpinState.__new__(SpinState)
-        bad.rho = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
+        bad = SpinState(np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex), validate=False)
         with pytest.raises(NonPhysicalStateError):
             reflect_and_herald(bad, TimeBinQubit("X"), NoiseParams.ideal(), rng)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -122,6 +122,127 @@ class TestEngineEquivalence:
         e_fast = fast.errors / fast.sifted
         sigma = math.sqrt(e_fast * (1 - e_fast) / ref.sifted)
         assert abs(e_ref - e_fast) < 5 * sigma
+
+
+def nonzero_cells(tally):
+    """{(excluded, b1, s1, b2, s2, parity): count} for every non-empty cell."""
+    stacked = np.stack([tally.counts, tally.excluded])
+    return {tuple(int(i) for i in idx): int(stacked[tuple(idx)]) for idx in np.argwhere(stacked)}
+
+
+def report_counts(report):
+    return {
+        name: getattr(report, name)
+        for name in ("heralds", "coincidences", "discarded_multi", "same_party",
+                     "sifted_xx", "errors_xx", "sifted_yy", "errors_yy")
+    }
+
+
+class TestReferenceStream:
+    """Reference tallies pinned to their values under one scalar draw per slot.
+
+    Any change to the reference engine's random stream fails here, where
+    the statistical equivalence tests would let it pass.
+    """
+
+    def test_full_sequence_layout(self):
+        seq = SEQ124
+        chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
+        tally, report = simulate_session(
+            seq, chan, PartyConfig(assignment="single"), NoiseParams(), 300, seed=0,
+            engine="reference",
+        )
+        assert report_counts(report) == {
+            "heralds": 282, "coincidences": 55, "discarded_multi": 21, "same_party": 0,
+            "sifted_xx": 14, "errors_xx": 3, "sifted_yy": 14, "errors_yy": 6,
+        }
+        assert nonzero_cells(tally) == {
+            (0, 0, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 1, 1): 4,
+            (0, 0, 0, 1, 0, 0): 2, (0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 1, 1, 0): 1,
+            (0, 0, 0, 1, 1, 1): 2, (0, 0, 1, 0, 0, 0): 2, (0, 0, 1, 0, 0, 1): 3,
+            (0, 0, 1, 0, 1, 0): 2, (0, 0, 1, 1, 0, 0): 3, (0, 0, 1, 1, 0, 1): 2,
+            (0, 0, 1, 1, 1, 0): 1, (0, 0, 1, 1, 1, 1): 1, (0, 1, 0, 0, 0, 0): 6,
+            (0, 1, 0, 0, 0, 1): 1, (0, 1, 0, 0, 1, 1): 2, (0, 1, 0, 1, 0, 0): 2,
+            (0, 1, 0, 1, 0, 1): 1, (0, 1, 0, 1, 1, 0): 5, (0, 1, 0, 1, 1, 1): 1,
+            (0, 1, 1, 0, 0, 0): 2, (0, 1, 1, 0, 0, 1): 1, (0, 1, 1, 0, 1, 0): 2,
+            (0, 1, 1, 1, 0, 0): 1, (0, 1, 1, 1, 0, 1): 1, (0, 1, 1, 1, 1, 0): 2,
+            (0, 1, 1, 1, 1, 1): 1,
+        }
+
+    def test_eight_slot_chsh_layout(self):
+        seq = SequenceConfig(n_pi=4, n_sub=2)
+        chan = ChannelConfig.from_mean_photons(1.5, seq.n_qubits)
+        tally, report = simulate_session(
+            seq, chan, PartyConfig(mode="chsh", assignment="random"), NoiseParams(), 300,
+            seed=5, engine="reference",
+        )
+        assert report_counts(report) == {
+            "heralds": 175, "coincidences": 21, "discarded_multi": 5, "same_party": 11,
+            "sifted_xx": 0, "errors_xx": 0, "sifted_yy": 3, "errors_yy": 1,
+        }
+        assert nonzero_cells(tally) == {
+            (0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 3, 0, 1): 1, (0, 1, 0, 1, 0, 1): 2,
+            (0, 1, 0, 1, 1, 1): 1, (0, 1, 0, 2, 0, 0): 1, (0, 2, 0, 3, 0, 1): 1,
+            (0, 2, 0, 3, 1, 0): 1, (0, 2, 1, 3, 0, 0): 1, (0, 3, 1, 0, 0, 0): 1,
+            (1, 0, 0, 2, 0, 1): 1, (1, 0, 0, 2, 1, 1): 1, (1, 0, 0, 3, 1, 1): 1,
+            (1, 0, 1, 0, 1, 0): 1, (1, 1, 0, 2, 0, 1): 1, (1, 1, 1, 1, 1, 1): 1,
+            (1, 2, 0, 0, 1, 1): 1, (1, 2, 0, 1, 0, 1): 1, (1, 2, 1, 2, 1, 0): 1,
+            (1, 3, 0, 2, 1, 0): 1, (1, 3, 1, 2, 1, 1): 1,
+        }
+
+
+class TestReferenceFollowsExactProbabilities:
+    # Truth-table error rule over (basis X/Y, sign A, sign B, parity) indices:
+    # X pairs correlate with the sign product, Y pairs anticorrelate.
+    ERROR = np.indices((2, 2, 2, 2)).sum(axis=0) % 2 == 1
+
+    @staticmethod
+    def within_5_sigma(observed, trials, p):
+        return abs(observed - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+
+    # No shrinking: a 5-sigma miss is not made clearer by a smaller layout,
+    # and each example runs 2,000 reference cycles.
+    @settings(derandomize=True, max_examples=8, deadline=None, phases=[Phase.generate])
+    @given(
+        n_pi=st.integers(3, 6),
+        n_sub=st.sampled_from([1, 2, 4]),
+        mode=st.sampled_from(["qkd", "chsh"]),
+        assignment=st.sampled_from(["random", "alternating", "single"]),
+        frame_correction=st.booleans(),
+        heralds_per_cycle=st.floats(1.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_small_layouts(
+        self, n_pi, n_sub, mode, assignment, frame_correction, heralds_per_cycle, seed
+    ):
+        cycles = 2_000
+        seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
+        # Few undetected scatters, so the spin keeps enough coherence for the
+        # error rate to depend on the frame and the pulse noise.
+        noise = NoiseParams(eta_detect=0.9)
+        n_m = min(heralds_per_cycle / noise.eta_detect, seq.n_qubits)
+        chan = ChannelConfig.from_mean_photons(n_m, seq.n_qubits)
+        parties = PartyConfig(mode=mode, assignment=assignment)
+        pmf = _herald_count_pmf(seq.n_qubits, chan.n_p * noise.eta_detect)
+        assert cycles * pmf[2] >= 200
+
+        _, ref = simulate_session(
+            seq, chan, parties, noise, cycles, seed, engine="reference",
+            frame_correction=frame_correction,
+        )
+
+        k = np.arange(len(pmf))
+        mean, var = pmf @ k, pmf @ k**2 - (pmf @ k) ** 2
+        assert abs(ref.heralds - cycles * mean) <= 5 * math.sqrt(cycles * var)
+        assert self.within_5_sigma(ref.coincidences, cycles, pmf[2])
+        assert self.within_5_sigma(ref.discarded_multi, cycles, pmf[3:].sum())
+
+        pi = coincidence_cell_probabilities(seq, chan, parties, noise, frame_correction)
+        same = pi[0][[0, 1], :, [0, 1]]
+        p_sifted = same.sum()
+        p_error = same[self.ERROR].sum()
+        assert self.within_5_sigma(ref.sifted, ref.coincidences, p_sifted)
+        assert self.within_5_sigma(ref.errors, ref.sifted, p_error / p_sifted)
 
 
 class TestHeraldStatistics:
