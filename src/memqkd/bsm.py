@@ -54,10 +54,10 @@ class SequenceConfig:
             raise ValueError(f"n_pi must be at least 1, got {self.n_pi}")
         if self.n_sub not in (1, 2, 4):
             raise ValueError(f"n_sub must be 1, 2 or 4, got {self.n_sub}")
-        if not self.delta_t_ns > self.pi_time_ns:
+        if not 0 <= self.pi_time_ns < self.delta_t_ns < math.inf:
             raise ValueError(
-                f"delta_t ({self.delta_t_ns} ns) must exceed the pi time "
-                f"({self.pi_time_ns} ns)"
+                f"need 0 <= pi time ({self.pi_time_ns} ns) < delta_t "
+                f"({self.delta_t_ns} ns), both finite"
             )
 
     @classmethod
@@ -86,28 +86,27 @@ class SequenceConfig:
 class ChannelConfig:
     """Effective channel seen by the node.
 
-    n_m is the mean photon number incident on the device per memory
-    initialization, n_p = n_m / N the mean per qubit slot. With each
-    party emitting about one photon per qubit, the two-way channel
-    transmission is p_ab = n_p^2.
+    n_p is the mean photon number per qubit slot: n_m / N for a mean n_m
+    incident on the device per memory initialization. With each party
+    emitting about one photon per qubit, the two-way channel transmission
+    is p_ab = n_p^2.
     """
 
-    n_m: float
     n_p: float
-    p_ab: float
 
     def __post_init__(self) -> None:
-        if self.n_m < 0:
-            raise ValueError(f"n_m must be non-negative, got {self.n_m}")
-        if not math.isclose(self.p_ab, self.n_p**2, rel_tol=1e-12, abs_tol=1e-300):
-            raise ValueError("p_ab must equal n_p squared")
+        if not 0 <= self.n_p <= 1:
+            raise ValueError(f"n_p must lie in [0, 1] (a slot probability), got {self.n_p}")
+
+    @property
+    def p_ab(self) -> float:
+        return self.n_p**2
 
     @classmethod
     def from_mean_photons(cls, n_m: float, n_qubits: int) -> "ChannelConfig":
         if n_qubits <= 0:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
-        n_p = n_m / n_qubits
-        return cls(n_m=n_m, n_p=n_p, p_ab=n_p**2)
+        return cls(n_p=n_m / n_qubits)
 
 
 @dataclass(frozen=True)
@@ -273,8 +272,6 @@ def run_memory_cycle_traced(
     """
     p_herald = chan.n_p * noise.eta_detect
     p_event = p_herald + chan.n_p * (1.0 - noise.eta_detect)
-    if chan.n_p > 1.0:
-        raise ValueError(f"n_p = {chan.n_p} exceeds 1; not a valid slot probability")
     if forced_slots is not None:
         i, j = forced_slots
         if not 0 <= i < j < seq.n_qubits:

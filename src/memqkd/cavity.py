@@ -33,6 +33,9 @@ class CavityParams:
     delta_c: float = 0.0     # probe-cavity detuning, GHz
 
     def __post_init__(self) -> None:
+        for name in ("g", "kappa", "kappa_wg", "gamma", "delta_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.g < 0:
             raise ValueError(f"g must be non-negative, got {self.g}")
         if self.kappa <= 0:

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .bsm import truth_table_rows
-from .cavity import average_reflectivity, total_heralding_efficiency
 from .config import (
     ConfigError,
     ScenarioConfig,
@@ -116,7 +115,7 @@ def _session_row(cfg: ScenarioConfig, report) -> tuple[dict, KeyRateReport]:
     rates = build_report(qber, bounds, report)
     row = {
         "N": cfg.sequence.n_qubits,
-        "n_m": chan.n_m,
+        "n_m": cfg.n_m,
         "n_p": chan.n_p,
         "p_AB": chan.p_ab,
         "cycles": report.cycles,
@@ -142,13 +141,9 @@ def _session_row(cfg: ScenarioConfig, report) -> tuple[dict, KeyRateReport]:
 
 
 def _print_summary(cfg: ScenarioConfig, report, row, rates: KeyRateReport) -> None:
-    budget = cfg.budget
-    eta = total_heralding_efficiency(budget)
     print(f"session: N={row['N']} slots/cycle, n_m={row['n_m']:g}, "
           f"p_AB={row['p_AB']:.3e}, cycles={report.cycles:,}")
-    print(f"  efficiency budget: eta_sp={average_reflectivity(cfg.reflectances):.4f} "
-          f"eta_c={budget.eta_c:g} eta_f={budget.eta_f:g} eta_qe={budget.eta_qe:g} "
-          f"-> eta={eta:.4f}")
+    print(f"  heralding efficiency: eta_detect={cfg.noise.eta_detect:g}")
     print(f"  heralds={report.heralds:,}  coincidences={report.coincidences:,}  "
           f"discarded={report.discarded_multi:,}  same-party={report.same_party:,}")
     print(f"  sifted: XX {report.sifted_xx} ({report.errors_xx} err)  "
@@ -329,14 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario_flags(p_chsh)
     p_chsh.set_defaults(func=_cmd_chsh)
 
+    scenario = default_config()
     p_rates = sub.add_parser("rates", help="analytic rate report")
     p_rates.add_argument("--qber", type=float, required=True)
-    p_rates.add_argument("--eta", type=float, default=0.423)
-    p_rates.add_argument("--n-pi", dest="n_pi", type=int, default=62)
-    p_rates.add_argument("--n-sub", dest="n_sub", type=int, default=2)
-    p_rates.add_argument("--bias", type=float, default=0.5)
+    p_rates.add_argument("--eta", type=float, default=scenario.noise.eta_detect)
+    p_rates.add_argument("--n-pi", dest="n_pi", type=int, default=scenario.sequence.n_pi)
+    p_rates.add_argument("--n-sub", dest="n_sub", type=int, default=scenario.sequence.n_sub)
+    p_rates.add_argument("--bias", type=float, default=scenario.parties.basis_bias)
     p_rates.add_argument("--p-ab", dest="p_ab", type=float,
-                         default=(0.02 / 124) ** 2,
+                         default=scenario.channel().p_ab,
                          help="effective channel transmission")
     p_rates.set_defaults(func=_cmd_rates)
     return parser

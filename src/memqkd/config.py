@@ -1,9 +1,12 @@
 """Plain-text scenario configuration: sectioned key=value files.
 
-A scenario file has the sections [cavity], [noise], [sequence],
-[channel], [parties] and [run]. Unknown sections or keys are rejected,
-and every downstream invariant is revalidated when the dataclasses are
-built. Serialization is canonical, so parse(serialize(cfg)) round-trips.
+A scenario file has the sections [noise], [sequence], [channel],
+[parties], [timing] and [run]. Each physical parameter the simulator
+reads has exactly one key: the heralding efficiency is [noise]
+eta_detect, the photon load [channel] n_m. Unknown sections or keys are
+rejected, and every downstream invariant is revalidated when the
+dataclasses are built. Serialization is canonical, so
+parse(serialize(cfg)) round-trips.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from pathlib import Path
 from typing import Union
 
 from .bsm import ChannelConfig, SequenceConfig
-from .cavity import CavityParams, EfficiencyBudget, SpinReflectances
 from .qubits import NoiseParams
 from .session import PartyConfig, TimingOverheads
 
@@ -36,9 +38,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    cavity: CavityParams
-    reflectances: SpinReflectances
-    budget: EfficiencyBudget
     noise: NoiseParams
     sequence: SequenceConfig
     n_m: float
@@ -73,9 +72,6 @@ class ScenarioConfig:
 
 def default_config() -> ScenarioConfig:
     return ScenarioConfig(
-        cavity=CavityParams(),
-        reflectances=SpinReflectances(),
-        budget=EfficiencyBudget(),
         noise=NoiseParams(),
         sequence=SequenceConfig(),
         n_m=0.02,
@@ -87,18 +83,6 @@ def default_config() -> ScenarioConfig:
 
 
 _SCHEMA: dict[str, dict[str, str]] = {
-    "cavity": {
-        "g": "float",
-        "kappa": "float",
-        "kappa_wg": "float",
-        "gamma": "float",
-        "delta_c": "float",
-        "r_up": "float",
-        "r_down": "float",
-        "eta_c": "float",
-        "eta_f": "float",
-        "eta_qe": "float",
-    },
     "noise": {
         "eps_leak": "float",
         "p_mw": "float",
@@ -157,6 +141,11 @@ def parse_config(text: str) -> ScenarioConfig:
 
     values: dict[str, dict[str, object]] = {s: {} for s in _SCHEMA}
     for section in parser.sections():
+        if section == "cavity":
+            raise ConfigError(
+                "[cavity] is not a scenario section: the simulated heralding efficiency "
+                "is [noise] eta_detect and the leakage amplitude [noise] eps_leak"
+            )
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
@@ -173,32 +162,12 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid [{section}] configuration: {exc}") from exc
 
-    cavity_keys = {k: v for k, v in values["cavity"].items() if k in
-                   ("g", "kappa", "kappa_wg", "gamma", "delta_c")}
-    try:
-        cavity = CavityParams(**{**asdict(base.cavity), **cavity_keys})
-        reflectances = SpinReflectances(
-            r_up=values["cavity"].get("r_up", base.reflectances.r_up),
-            r_down=values["cavity"].get("r_down", base.reflectances.r_down),
-        )
-        budget = EfficiencyBudget(
-            eta_sp=(reflectances.r_up + reflectances.r_down) / 2.0,
-            eta_c=values["cavity"].get("eta_c", base.budget.eta_c),
-            eta_f=values["cavity"].get("eta_f", base.budget.eta_f),
-            eta_qe=values["cavity"].get("eta_qe", base.budget.eta_qe),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid [cavity] configuration: {exc}") from exc
-
     noise = build(NoiseParams, asdict(base.noise), "noise")
     sequence = build(SequenceConfig, asdict(base.sequence), "sequence")
     parties = build(PartyConfig, asdict(base.parties), "parties")
     overheads = build(TimingOverheads, asdict(base.overheads), "timing")
 
     return ScenarioConfig(
-        cavity=cavity,
-        reflectances=reflectances,
-        budget=budget,
         noise=noise,
         sequence=sequence,
         n_m=values["channel"].get("n_m", base.n_m),
@@ -212,18 +181,6 @@ def parse_config(text: str) -> ScenarioConfig:
 def serialize_config(cfg: ScenarioConfig) -> str:
     out = io.StringIO()
     sections = {
-        "cavity": {
-            "g": cfg.cavity.g,
-            "kappa": cfg.cavity.kappa,
-            "kappa_wg": cfg.cavity.kappa_wg,
-            "gamma": cfg.cavity.gamma,
-            "delta_c": cfg.cavity.delta_c,
-            "r_up": cfg.reflectances.r_up,
-            "r_down": cfg.reflectances.r_down,
-            "eta_c": cfg.budget.eta_c,
-            "eta_f": cfg.budget.eta_f,
-            "eta_qe": cfg.budget.eta_qe,
-        },
         "noise": asdict(cfg.noise),
         "sequence": asdict(cfg.sequence),
         "channel": {"n_m": cfg.n_m},

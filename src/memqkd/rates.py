@@ -185,17 +185,22 @@ def sifted_enhancement(eta: float, n_pi: int, n_sub: int) -> float:
         raise ValueError(f"n_pi must be at least 3, got {n_pi}")
     if n_sub < 1:
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
-    return eta**2 * (n_pi - 1) * (n_pi - 2) * n_sub / (2.0 * n_pi)
+    try:
+        return eta**2 * (n_pi - 1) * (n_pi - 2) * n_sub / (2.0 * n_pi)
+    except OverflowError:
+        raise ValueError(
+            "n_pi and n_sub must be representable as floats (below about 1.8e308)"
+        ) from None
 
 
 @dataclass(frozen=True)
 class BoundsConfig:
     """Inputs of the analytic rate pipeline."""
 
-    eta: float = 0.423
-    n_pi: int = 62
-    n_sub: int = 2
-    p_ab: float = 2.6015e-8  # (0.02 / 124)^2, the benchmark operating point
+    eta: float
+    n_pi: int
+    n_sub: int
+    p_ab: float
     basis_bias: float = 0.5
 
     def __post_init__(self) -> None:

@@ -42,9 +42,10 @@ class TestConfigs:
         assert chan.n_p == pytest.approx(0.02 / 124, rel=1e-15)
         assert chan.p_ab == pytest.approx((0.02 / 124) ** 2, rel=1e-15)
 
-    def test_channel_rejects_inconsistent_fields(self):
+    @pytest.mark.parametrize("n_p", [1.5, -0.1, math.nan])
+    def test_channel_rejects_slot_load_outside_unit_interval(self, n_p):
         with pytest.raises(ValueError):
-            ChannelConfig(n_m=0.02, n_p=1e-4, p_ab=1e-4)
+            ChannelConfig(n_p=n_p)
 
 
 class TestClassification:

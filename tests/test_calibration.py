@@ -1,0 +1,59 @@
+"""Where the shipped noise constants come from.
+
+Each calibrated constant of the fig4-point-N124 preset is recovered by
+root finding on the quantity it was fitted to, and must land within
+1e-5 of the value the preset ships.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from memqkd.config import load_preset
+from memqkd.qubits import spin_photon_fidelity
+from memqkd.session import coincidence_cell_probabilities
+
+
+def bisect(f, lo: float, hi: float, target: float) -> float:
+    """Root of f(x) = target on [lo, hi] for f monotone across it."""
+    rising = f(hi) > f(lo)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < target) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def expected_sifted_qber(cfg) -> float:
+    """Pooled X-X and Y-Y error rate of the exact coincidence distribution pi."""
+    pi = coincidence_cell_probabilities(cfg.sequence, cfg.channel(), cfg.parties, cfg.noise)
+    same = pi[0][[0, 1], :, [0, 1]]  # (basis X/Y, signA, signB, parity)
+    # X pairs correlate with the sign product and Y pairs anticorrelate.
+    error = np.indices(same.shape).sum(axis=0) % 2 == 1
+    return float(same[error].sum() / same.sum())
+
+
+@pytest.fixture(scope="module")
+def fig4():
+    return load_preset("fig4-point-N124")
+
+
+def test_eps_leak_gives_the_measured_spin_photon_fidelity(fig4):
+    def fidelity(eps):
+        return spin_photon_fidelity(dataclasses.replace(fig4.noise, eps_leak=eps), 0.002)
+
+    eps = bisect(fidelity, 0.0, 1.0, 0.9445)
+    assert eps == pytest.approx(0.2411446, abs=1e-7)
+    assert abs(eps - fig4.noise.eps_leak) < 1e-5
+
+
+def test_p_mw_gives_the_observed_sifted_qber(fig4):
+    def qber(p_mw):
+        return expected_sifted_qber(fig4.replace(noise=dataclasses.replace(fig4.noise, p_mw=p_mw)))
+
+    p_mw = bisect(qber, 0.0, 0.01, 0.115)
+    assert p_mw == pytest.approx(0.0010951, abs=1e-7)
+    assert abs(p_mw - fig4.noise.p_mw) < 1e-5

@@ -73,6 +73,15 @@ class TestReflectionCoefficient:
         with pytest.raises(ValueError):
             CavityParams(kappa_wg=30.0)  # exceeds kappa
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"g": math.nan}, {"kappa": math.inf, "kappa_wg": 10.8}, {"delta_c": math.nan}],
+        ids=["g-nan", "kappa-inf", "delta_c-nan"],
+    )
+    def test_rejects_non_finite_parameters(self, params):
+        with pytest.raises(ValueError):
+            CavityParams(**params)
+
 
 class TestCooperativity:
     def test_device_value(self):

@@ -148,8 +148,18 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "text",
-        ["[channel]\nn_m = 500\n", "[noise]\neps_leak = nan\n", "[sequence]\nn_pi = 1e300\n"],
-        ids=["n_m-above-N", "eps_leak-nan", "n_pi-huge"],
+        [
+            "[channel]\nn_m = 500\n",
+            "[noise]\neps_leak = nan\n",
+            "[sequence]\nn_pi = 1e300\n",
+            "[timing]\nreadout_s = nan\n",
+            "[timing]\nlock_s = inf\n",
+            "[sequence]\npi_time_ns = -1\n",
+            "[sequence]\ndelta_t_ns = inf\n",
+            "[cavity]\neta_c = 0.93\n",
+        ],
+        ids=["n_m-above-N", "eps_leak-nan", "n_pi-huge", "readout_s-nan", "lock_s-inf",
+             "pi_time-negative", "delta_t-inf", "cavity-section"],
     )
     def test_unusable_config_value_is_config_error(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
@@ -313,6 +323,11 @@ class TestRates:
     def test_bad_qber(self):
         assert run(["rates", "--qber", "0.7"]) == 2
 
-    @pytest.mark.parametrize("flags", [["--bias", "1.5"], ["--n-pi", "2"], ["--eta", "2"]])
-    def test_bad_layout_is_config_error(self, flags):
+    @pytest.mark.parametrize(
+        "flags",
+        [["--bias", "1.5"], ["--n-pi", "2"], ["--eta", "2"],
+         ["--n-pi", "9" * 400], ["--n-sub", "9" * 400]],
+    )
+    def test_bad_layout_is_config_error(self, flags, capsys):
         assert run(["rates", "--qber", "0.1", *flags]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1

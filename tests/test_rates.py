@@ -19,6 +19,9 @@ from memqkd.rates import (
 )
 from memqkd.session import simulate_session
 
+# The benchmark operating point: N = 124 slots as 62 x 2 at n_m = 0.02.
+BENCHMARK_BOUNDS = BoundsConfig(eta=0.423, n_pi=62, n_sub=2, p_ab=(0.02 / 124) ** 2)
+
 
 def mp_entropy(x):
     """Arbitrary-precision binary entropy oracle."""
@@ -213,8 +216,7 @@ class TestSiftedEnhancement:
 
 class TestKeyRateReport:
     def test_benchmark_ratios_unbiased(self):
-        bounds = BoundsConfig(eta=0.423, n_pi=62, n_sub=2, p_ab=(0.02 / 124) ** 2)
-        report = build_report(0.110, bounds)
+        report = build_report(0.110, BENCHMARK_BOUNDS)
         assert report.ratio_rmax_per_use == pytest.approx(4.13, abs=0.3)
         assert report.ratio_rmax_per_occupancy == pytest.approx(2.06, abs=0.15)
         assert report.ratio_plob_per_use == pytest.approx(1.43, abs=0.15)
@@ -232,7 +234,7 @@ class TestKeyRateReport:
         assert report.ratio_plob_per_occupancy == pytest.approx(1.40, abs=0.2)
 
     def test_report_identity(self):
-        bounds = BoundsConfig()
+        bounds = BENCHMARK_BOUNDS
         report = build_report(0.09, bounds)
         enh = sifted_enhancement(bounds.eta, bounds.n_pi, bounds.n_sub)
         rs = secret_fraction(0.09)
@@ -242,7 +244,7 @@ class TestKeyRateReport:
 
     def test_confidence_levels_from_posterior(self):
         post = qber_posterior(round(0.11 * 4000), 4000)
-        report = build_report(post, BoundsConfig())
+        report = build_report(post, BENCHMARK_BOUNDS)
         assert report.confidence_vs_rmax is not None
         assert report.confidence_vs_rmax > 0.99
         assert 0.5 < report.confidence_vs_plob < 1.0
@@ -256,7 +258,10 @@ class TestKeyRateReport:
         )
         post = qber_posterior(session.errors, session.sifted)
         p_ab = cfg.channel().p_ab
-        bounds = BoundsConfig(eta=cfg.noise.eta_detect, p_ab=p_ab)
+        bounds = BoundsConfig(
+            eta=cfg.noise.eta_detect, n_pi=cfg.sequence.n_pi, n_sub=cfg.sequence.n_sub,
+            p_ab=p_ab,
+        )
         report = build_report(post, bounds, session)
         assert report.sifted_per_use == session.sifted_rate_per_use()
         weight = post.density * post.step
@@ -269,6 +274,6 @@ class TestKeyRateReport:
         )
 
     def test_high_qber_kills_rate(self):
-        report = build_report(0.2, BoundsConfig())
+        report = build_report(0.2, BENCHMARK_BOUNDS)
         assert report.r_s == 0.0
         assert report.secure_per_use == 0.0

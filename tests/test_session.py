@@ -380,15 +380,13 @@ class TestSifting:
         tally = CoincidenceTally()
         tally.counts[0, 0, 1, 0, 0] = 50  # (X,+ | Y,+) coincidences only
         counts = sift(tally)
-        assert counts.sifted == 0
+        assert counts["sifted_xx"] == counts["sifted_yy"] == 0
 
     def test_sift_error_rules(self):
         tally = CoincidenceTally()
         tally.counts[0, 0, 0, 0, 1] = 3  # +x,+x with parity -1: errors
         tally.counts[1, 0, 1, 1, 0] = 5  # +y,-y with parity +1: correct
-        counts = sift(tally)
-        assert counts.xx == (3, 3)
-        assert counts.yy == (5, 0)
+        assert sift(tally) == {"sifted_xx": 3, "errors_xx": 3, "sifted_yy": 5, "errors_yy": 0}
 
 
 class TestPartyAssignment:
@@ -467,14 +465,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             simulate_session(seq, chan, PartyConfig(), noise, 0, seed=1)
 
-    def test_rejects_mismatched_channel(self):
-        seq = SequenceConfig(n_pi=4, n_sub=2)
-        chan = ChannelConfig.from_mean_photons(0.5, 16)  # wrong slot count
-        with pytest.raises(ValueError):
-            simulate_session(seq, chan, PartyConfig(), NoiseParams(), 10, seed=1)
-
     def test_rejects_overdriven_channel(self):
         seq = SequenceConfig(n_pi=4, n_sub=2)
-        chan = ChannelConfig.from_mean_photons(10.0, seq.n_qubits)  # n_p > 1
         with pytest.raises(ValueError):
-            simulate_session(seq, chan, PartyConfig(), NoiseParams(), 10, seed=1)
+            ChannelConfig.from_mean_photons(10.0, seq.n_qubits)  # n_p > 1
