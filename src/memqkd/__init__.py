@@ -38,7 +38,6 @@ from .qubits import (
     apply_dephasing,
     apply_herald,
     apply_pi_pulse,
-    initialize_spin,
     measure_x,
     prepare_superposition,
     reflect_and_herald,

@@ -60,15 +60,6 @@ class SequenceConfig:
                 f"({self.delta_t_ns} ns), both finite"
             )
 
-    @classmethod
-    def from_total(cls, n: int, n_sub: int, **kwargs) -> "SequenceConfig":
-        """Build from the total qubit count; n must equal n_pi * n_sub."""
-        if n <= 0 or n % n_sub != 0:
-            raise ValueError(
-                f"total qubit count {n} is not a multiple of n_sub={n_sub}"
-            )
-        return cls(n_pi=n // n_sub, n_sub=n_sub, **kwargs)
-
     @property
     def n_qubits(self) -> int:
         """Photonic qubit slots per memory initialization."""
@@ -222,30 +213,25 @@ def truth_table_rows() -> list[dict]:
 
 
 class _StreamUniforms:
-    """`rng.random()` values in stream order, drawn in blocks.
+    """`rng.random()` values in stream order for one random cycle.
 
-    A numpy Generator's `random(k)` returns the same doubles as k calls of
-    `random()`. A block is never longer than the number of draws the
-    caller says it will still make, so the generator ends each cycle
-    exactly where drawing one value at a time would leave it.
+    A random cycle draws at least once per slot, so its first N values come
+    from one `rng.random(N)` block, which holds the same doubles as N calls
+    of `rng.random()`; any later value is drawn on its own. The generator
+    thus ends each cycle where drawing one value at a time would leave it.
     """
 
     __slots__ = ("_rng", "_block")
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator, n: int):
         self._rng = rng
-        self._block = iter(())
+        self._block = iter(rng.random(n).tolist())
 
-    def _draw(self, at_least: int) -> float:
-        """Next value; the caller will make at least `at_least` draws from here on."""
+    def __next__(self) -> float:
         value = next(self._block, None)
-        if value is None:
-            self._block = iter(self._rng.random(at_least).tolist())
-            value = next(self._block)
-        return value
+        return self._rng.random() if value is None else value
 
-    def random(self) -> float:
-        return self._draw(1)
+    random = __next__
 
 
 def run_memory_cycle_traced(
@@ -277,8 +263,8 @@ def run_memory_cycle_traced(
         if not 0 <= i < j < seq.n_qubits:
             raise ValueError(f"forced slots {forced_slots} out of range")
 
-    uniforms = _StreamUniforms(rng)
-    n_slots = seq.n_qubits
+    # A forced-slot cycle draws only its detector outcomes and readout.
+    uniforms = rng if forced_slots is not None else _StreamUniforms(rng, seq.n_qubits)
     spin = prepare_superposition(noise.f_init)
     heralds: list[tuple[int, int]] = []  # (slot, m)
     windows: list[int] = []
@@ -290,7 +276,7 @@ def run_memory_cycle_traced(
     for window in range(seq.n_pi):
         for _ in range(seq.n_sub):
             if forced_slots is None:
-                u = uniforms._draw(n_slots - slot)
+                u = next(uniforms)
                 herald = u < p_herald
                 if not herald and u < p_event:
                     n_scatters += 1

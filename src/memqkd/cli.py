@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -67,23 +68,26 @@ def _write_csv(path: Optional[str], columns: list[str], rows: list[dict]) -> Non
         writer.writerow([_fmt(row[c]) for c in columns])
     text = buffer.getvalue()
     if path:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    if getattr(args, "preset", None) and getattr(args, "config", None):
+    if args.preset and args.config:
         raise ConfigError("give either --preset or --config, not both")
-    if getattr(args, "preset", None):
+    if args.preset:
         cfg = load_preset(args.preset)
-    elif getattr(args, "config", None):
+    elif args.config:
         cfg = load_config(args.config)
     else:
         cfg = default_config()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
-    if getattr(args, "cycles", None) is not None:
+    if args.cycles is not None:
         cfg = cfg.replace(cycles=args.cycles)
     return cfg
 
@@ -194,14 +198,7 @@ def _cmd_sweep(args) -> int:
             seq = cfg.sequence
             if n % seq.n_sub != 0:
                 raise ConfigError(f"N={n} is not a multiple of n_sub={seq.n_sub}")
-            point = point.replace(
-                sequence=type(seq)(
-                    n_pi=n // seq.n_sub,
-                    n_sub=seq.n_sub,
-                    delta_t_ns=seq.delta_t_ns,
-                    pi_time_ns=seq.pi_time_ns,
-                )
-            )
+            point = point.replace(sequence=dataclasses.replace(seq, n_pi=n // seq.n_sub))
         else:
             if value <= 0:
                 raise ConfigError(f"n_m values must be positive, got {value}")
@@ -298,12 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario_flags(p, cycles=True):
+    def add_scenario_flags(p):
         p.add_argument("--config", help="path to a scenario config file")
         p.add_argument("--preset", help=f"named preset ({', '.join(list_presets())})")
         p.add_argument("--seed", type=int, help="override the config seed")
-        if cycles:
-            p.add_argument("--cycles", type=int, help="override the cycle count")
+        p.add_argument("--cycles", type=int, help="override the cycle count")
         p.add_argument("--out", help="write the CSV here instead of stdout")
 
     p_sim = sub.add_parser("simulate", help="run one session")

@@ -82,31 +82,16 @@ def default_config() -> ScenarioConfig:
     )
 
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "noise": {
-        "eps_leak": "float",
-        "p_mw": "float",
-        "p_scatter_dephase": "float",
-        "f_readout": "float",
-        "f_init": "float",
-        "eta_detect": "float",
-    },
-    "sequence": {
-        "n_pi": "int",
-        "n_sub": "int",
-        "delta_t_ns": "float",
-        "pi_time_ns": "float",
-    },
-    "channel": {"n_m": "float"},
-    "parties": {"mode": "str", "basis_bias": "float", "assignment": "str"},
-    "timing": {
-        "lock_s": "float",
-        "block_s": "float",
-        "readout_s": "float",
-        "duty_factor": "float",
-    },
-    "run": {"cycles": "int", "seed": "int"},
-}
+def _sections(cfg: ScenarioConfig) -> dict[str, dict[str, object]]:
+    """The scenario's key = value entries by file section."""
+    return {
+        "noise": asdict(cfg.noise),
+        "sequence": asdict(cfg.sequence),
+        "channel": {"n_m": cfg.n_m},
+        "parties": asdict(cfg.parties),
+        "timing": asdict(cfg.overheads),
+        "run": {"cycles": cfg.cycles, "seed": cfg.seed},
+    }
 
 
 def _parse_int(raw: str) -> int:
@@ -120,12 +105,11 @@ def _parse_int(raw: str) -> int:
     return int(value)
 
 
-def _convert(section: str, key: str, raw: str):
-    kind = _SCHEMA[section][key]
+def _convert(section: str, key: str, raw: str, kind: type):
     try:
-        if kind == "int":
+        if kind is int:
             return _parse_int(raw)
-        if kind == "float":
+        if kind is float:
             return float(raw)
         return raw.strip()
     except ValueError as exc:
@@ -139,56 +123,41 @@ def parse_config(text: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    values: dict[str, dict[str, object]] = {s: {} for s in _SCHEMA}
+    # Each key's type is that of its default value.
+    entries = _sections(default_config())
     for section in parser.sections():
         if section == "cavity":
             raise ConfigError(
                 "[cavity] is not a scenario section: the simulated heralding efficiency "
                 "is [noise] eta_detect and the leakage amplitude [noise] eps_leak"
             )
-        if section not in _SCHEMA:
+        if section not in entries:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in entries[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[section][key] = _convert(section, key, raw)
+            entries[section][key] = _convert(section, key, raw, type(entries[section][key]))
 
-    base = default_config()
-
-    def build(cls, defaults, section):
-        merged = {**defaults, **values[section]}
+    def build(cls, section):
         try:
-            return cls(**merged)
+            return cls(**entries[section])
         except ValueError as exc:
             raise ConfigError(f"invalid [{section}] configuration: {exc}") from exc
 
-    noise = build(NoiseParams, asdict(base.noise), "noise")
-    sequence = build(SequenceConfig, asdict(base.sequence), "sequence")
-    parties = build(PartyConfig, asdict(base.parties), "parties")
-    overheads = build(TimingOverheads, asdict(base.overheads), "timing")
-
     return ScenarioConfig(
-        noise=noise,
-        sequence=sequence,
-        n_m=values["channel"].get("n_m", base.n_m),
-        parties=parties,
-        overheads=overheads,
-        cycles=values["run"].get("cycles", base.cycles),
-        seed=values["run"].get("seed", base.seed),
+        noise=build(NoiseParams, "noise"),
+        sequence=build(SequenceConfig, "sequence"),
+        n_m=entries["channel"]["n_m"],
+        parties=build(PartyConfig, "parties"),
+        overheads=build(TimingOverheads, "timing"),
+        cycles=entries["run"]["cycles"],
+        seed=entries["run"]["seed"],
     )
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     out = io.StringIO()
-    sections = {
-        "noise": asdict(cfg.noise),
-        "sequence": asdict(cfg.sequence),
-        "channel": {"n_m": cfg.n_m},
-        "parties": asdict(cfg.parties),
-        "timing": asdict(cfg.overheads),
-        "run": {"cycles": cfg.cycles, "seed": cfg.seed},
-    }
-    for section, entries in sections.items():
+    for section, entries in _sections(cfg).items():
         out.write(f"[{section}]\n")
         for key, value in entries.items():
             out.write(f"{key} = {value}\n")

@@ -22,8 +22,12 @@ noisy map: the bit flip X rho X followed by a phase flip with the
 dephasing probability p_mw, which belongs to the pulse. Both act entry by
 entry on the 2x2 matrix: X conjugation swaps the two populations and the
 two coherences, and a phase flip with probability p scales the
-coherences by 1 - 2p. These maps and the readout work on the four stored
-entries; the heralded Kraus map and the physicality check work on `rho`.
+coherences by 1 - 2p. K_m is diagonal, so the herald scales the
+populations by |k_up|^2 and |k_down|^2 and the coherences by
+k_up conj(k_down) and its conjugate, with k_up = 1 + eps m exp(i phi) and
+k_down = m exp(i phi) + eps. Every map, the readout and the physicality
+check work on the four stored entries; `SpinState(rho)` and `rho` are
+the only conversions between entries and arrays, for callers.
 
 The functions that sample take `rng`, anything whose `random()` returns
 the next uniform double of a numpy Generator's stream.
@@ -115,7 +119,7 @@ class NoiseParams:
 class SpinState:
     """2x2 density matrix [[a, b], [c, d]] of the memory qubit over {up, down}.
 
-    The per-slot maps read and write the entries without building an array.
+    The maps read and write the four entries without building an array.
     """
 
     __slots__ = ("_entries",)
@@ -124,9 +128,9 @@ class SpinState:
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (2, 2):
             raise NonPhysicalStateError(f"density matrix must be 2x2, got {rho.shape}")
-        if validate:
-            _check_physical(rho)
         (a, b), (c, d) = rho.tolist()
+        if validate:
+            _check_physical(a, b, c, d)
         self._entries = (a, b, c, d)
 
     @classmethod
@@ -140,47 +144,20 @@ class SpinState:
         a, b, c, d = self._entries
         return np.array([[a, b], [c, d]], dtype=complex)
 
-    @classmethod
-    def from_bloch(cls, x: float, y: float, z: float) -> "SpinState":
-        r = math.sqrt(x * x + y * y + z * z)
-        if r > 1 + 1e-12:
-            raise NonPhysicalStateError(f"Bloch vector has norm {r} > 1")
-        rho = 0.5 * np.array(
-            [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex
-        )
-        return cls(rho, validate=False)
-
-    @classmethod
-    def down(cls) -> "SpinState":
-        return cls.from_bloch(0.0, 0.0, -1.0)
-
     def bloch_vector(self) -> tuple[float, float, float]:
         a, _, c, d = self._entries
         return (2.0 * c.real, 2.0 * c.imag, (a - d).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
-
-    def expect_x(self) -> float:
-        return self.bloch_vector()[0]
-
-    def expect_z(self) -> float:
-        return self.bloch_vector()[2]
-
-    def isclose(self, other: "SpinState", atol: float = 1e-10) -> bool:
-        return bool(np.allclose(self.rho, other.rho, atol=atol))
 
     def __repr__(self) -> str:
         x, y, z = self.bloch_vector()
         return f"SpinState(bloch=({x:+.4f}, {y:+.4f}, {z:+.4f}))"
 
 
-def _check_physical(rho: np.ndarray) -> None:
+def _check_physical(a: complex, b: complex, c: complex, d: complex) -> None:
     # Closed form on the four entries. Hermiticity uses the tolerance of
     # np.allclose(rho, rho^H, atol=1e-9) (rtol 1e-5), and the smaller
     # eigenvalue reads the lower triangle, as np.linalg.eigvalsh does. A nan
     # entry fails the Hermiticity comparisons and is rejected there.
-    (a, b), (c, d) = rho.tolist()
     hermitian = (
         2.0 * abs(a.imag) <= 1e-9 + 1e-5 * abs(a)
         and 2.0 * abs(d.imag) <= 1e-9 + 1e-5 * abs(d)
@@ -196,56 +173,49 @@ def _check_physical(rho: np.ndarray) -> None:
         raise NonPhysicalStateError(f"negative eigenvalue {smallest}")
 
 
-def initialize_spin(f_init: float = 1.0) -> SpinState:
-    """Spin after projective feedback initialization into the down state.
-
-    With fidelity f the result is the classical mixture
-    f |down><down| + (1-f) |up><up|, so <Z> = -(2f - 1).
-    """
-    if not 0 <= f_init <= 1:
-        raise ValueError(f"f_init must lie in [0, 1], got {f_init}")
-    return SpinState(
-        np.array([[1.0 - f_init, 0.0], [0.0, f_init]], dtype=complex), validate=False
-    )
-
-
 def prepare_superposition(f_init: float = 1.0) -> SpinState:
     """Initialization followed by the pi/2 pulse that starts a memory cycle.
 
     For perfect initialization this is the pure +X state (|up>+|down>)/sqrt(2).
-    Imperfect initialization leaves a shortened Bloch vector (2f-1, 0, 0).
+    Imperfect initialization, the mixture f |down><down| + (1-f) |up><up|,
+    leaves a shortened Bloch vector (2f-1, 0, 0).
     """
-    x0 = 2.0 * f_init - 1.0
-    return SpinState.from_bloch(x0, 0.0, 0.0)
+    if not 0 <= f_init <= 1:
+        raise ValueError(f"f_init must lie in [0, 1], got {f_init}")
+    coherence = complex(0.5 * (2.0 * f_init - 1.0))
+    return SpinState._from_entries(0.5 + 0j, coherence, coherence, 0.5 + 0j)
 
 
-def herald_kraus(phase: float, m: int, eps_leak: float) -> np.ndarray:
-    """Kraus operator of the heralded reflection for outcome m."""
+def _herald_factors(phase: float, m: int, eps_leak: float) -> tuple[complex, complex]:
+    """Diagonal (k_up, k_down) of the Kraus operator K_m."""
     if m not in (1, -1):
         raise ValueError(f"herald outcome must be +1 or -1, got {m}")
-    e = np.exp(1j * phase)
-    return np.array(
-        [[1.0 + eps_leak * m * e, 0.0], [0.0, m * e + eps_leak]], dtype=complex
-    )
+    e = m * complex(math.cos(phase), math.sin(phase))
+    return 1.0 + eps_leak * e, e + eps_leak
 
 
 def apply_herald(spin: SpinState, phase: float, m: int, eps_leak: float) -> SpinState:
-    """Post-selected heralded map for a known detector outcome m."""
-    k = herald_kraus(phase, m, eps_leak)
-    rho = k @ spin.rho @ k.conj().T
-    norm = np.trace(rho).real
+    """Post-selected heralded map K_m rho K_m^H / tr(.) for a known outcome m."""
+    k_up, k_down = _herald_factors(phase, m, eps_leak)
+    a, b, c, d = spin._entries
+    up = abs(k_up) ** 2 * a
+    down = abs(k_down) ** 2 * d
+    norm = (up + down).real
     if norm <= 0:
         raise NonPhysicalStateError("herald outcome has zero probability")
-    return SpinState(rho / norm, validate=False)
+    cross = k_up * k_down.conjugate()
+    return SpinState._from_entries(
+        up / norm, cross * b / norm, cross.conjugate() * c / norm, down / norm
+    )
 
 
 def herald_probability(spin: SpinState, phase: float, m: int, eps_leak: float) -> float:
     """Born probability of detector outcome m, conditioned on a herald."""
-    k = herald_kraus(phase, m, eps_leak)
-    p = np.trace(k @ spin.rho @ k.conj().T).real
+    k_up, k_down = _herald_factors(phase, m, eps_leak)
+    a, _, _, d = spin._entries
     # Normalize over the two outcomes; the diagonal Kraus pair sums to
     # 2 (1 + eps^2) times the identity on the populations.
-    return float(p / (2.0 * (1.0 + eps_leak**2)))
+    return (abs(k_up) ** 2 * a + abs(k_down) ** 2 * d).real / (2.0 * (1.0 + eps_leak**2))
 
 
 def reflect_and_herald(
@@ -261,7 +231,7 @@ def reflect_and_herald(
     (|up>+|down>)/sqrt(2), the result is exactly
     (|up> + m exp(i phi) |down>)/sqrt(2).
     """
-    _check_physical(spin.rho)
+    _check_physical(*spin._entries)
     p_plus = herald_probability(spin, qubit.phase, +1, noise.eps_leak)
     m = 1 if rng.random() < p_plus else -1
     return m, apply_herald(spin, qubit.phase, m, noise.eps_leak)

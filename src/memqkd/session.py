@@ -131,9 +131,6 @@ class CoincidenceTally:
     def total(self) -> int:
         return int(self.counts.sum() + self.excluded.sum())
 
-    def key_eligible(self) -> int:
-        return int(self.counts.sum())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoincidenceTally):
             return NotImplemented
@@ -167,10 +164,6 @@ class TimingOverheads:
             raise ValueError(f"duty_factor must lie in (0, 1], got {self.duty_factor}")
         if self.lock_s > 0 and self.block_s <= 0:
             raise ValueError("block_s must be positive when lock_s > 0")
-
-    @classmethod
-    def zero(cls) -> "TimingOverheads":
-        return cls(lock_s=0.0, block_s=1.0, readout_s=0.0, duty_factor=1.0)
 
 
 @dataclass(frozen=True)

@@ -138,7 +138,7 @@ def test_criterion_06_chsh():
         tally, report = simulate_session(
             cfg.sequence, cfg.channel(), cfg.parties, cfg.noise, cfg.cycles, cfg.seed
         )
-        coincidences = tally.key_eligible()
+        coincidences = int(tally.counts.sum())
         s_plus = chsh_statistic(tally, 1)[1]
         s_minus = chsh_statistic(tally, -1)[1]
         results[preset] = (s_plus, s_minus, coincidences)

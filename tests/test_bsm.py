@@ -26,11 +26,6 @@ class TestConfigs:
         assert seq.window_of(0) == 0
         assert seq.window_of(3) == 1
 
-    def test_sequence_from_total_validates_divisibility(self):
-        assert SequenceConfig.from_total(124, 2).n_pi == 62
-        with pytest.raises(ValueError):
-            SequenceConfig.from_total(125, 2)
-
     def test_sequence_rejects_bad_layout(self):
         with pytest.raises(ValueError):
             SequenceConfig(n_pi=62, n_sub=3)

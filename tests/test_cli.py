@@ -185,6 +185,19 @@ class TestSimulate:
                     "--config", qkd_config]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep", "chsh"])
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+def test_unwritable_out_is_config_error(command, target, qkd_config, chsh_config,
+                                        tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv" if target == "missing-parent" else tmp_path
+    config = chsh_config if command == "chsh" else qkd_config
+    axis = ["--axis", "n_m", "--values", "0.5"] if command == "sweep" else []
+    assert run([command, "--config", config, *axis, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestPresetBenchmark:
     def test_fig4_point_qber_window(self, tmp_path):
         # The calibrated defaults must land in the observed error window.

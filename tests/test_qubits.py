@@ -11,11 +11,10 @@ from memqkd.qubits import (
     NonPhysicalStateError,
     SpinState,
     TimeBinQubit,
-    _check_physical,
     apply_dephasing,
     apply_herald,
     apply_pi_pulse,
-    initialize_spin,
+    herald_probability,
     measure_x,
     prepare_superposition,
     reflect_and_herald,
@@ -77,15 +76,19 @@ class TestStatePreparation:
     def test_superposition_points_along_x(self):
         state = prepare_superposition()
         assert state.bloch_vector() == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-        assert state.purity() == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(state.rho @ state.rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_imperfect_initialization_shortens_z(self):
-        state = initialize_spin(0.998)
-        assert state.expect_z() == pytest.approx(-(2 * 0.998 - 1), abs=1e-12)
+        # Undoing the pi/2 pulse recovers the initialized mixture
+        # f |down><down| + (1-f) |up><up|, so <Z> = -(2f - 1).
+        c = math.sqrt(0.5)
+        undo = np.array([[c, -c], [c, c]], dtype=complex)
+        state = SpinState(undo @ prepare_superposition(0.998).rho @ undo.conj().T)
+        assert state.bloch_vector()[2] == pytest.approx(-(2 * 0.998 - 1), abs=1e-12)
 
     def test_imperfect_superposition_shortens_x(self):
         state = prepare_superposition(0.998)
-        assert state.expect_x() == pytest.approx(2 * 0.998 - 1, abs=1e-12)
+        assert state.bloch_vector()[0] == pytest.approx(2 * 0.998 - 1, abs=1e-12)
 
     def test_nonphysical_matrices_rejected(self):
         with pytest.raises(NonPhysicalStateError):
@@ -136,7 +139,7 @@ class TestPhysicalityCheck:
     def test_closed_form_agrees_with_eigvalsh_oracle(self, **params):
         rho = near_threshold_matrix(**params)
         assume(min(abs(m) for m in oracle_margins(rho)) > 1e-12)
-        assert rejection(_check_physical, rho) == rejection(check_physical_oracle, rho)
+        assert rejection(SpinState, rho) == rejection(check_physical_oracle, rho)
 
     @pytest.mark.parametrize(
         "edge",
@@ -164,7 +167,7 @@ class TestPhysicalityCheck:
         assert rejection(check_physical_oracle, inside) is None
         assert rejection(check_physical_oracle, beyond) is not None
         for rho in (inside, beyond):
-            assert rejection(_check_physical, rho) == rejection(check_physical_oracle, rho)
+            assert rejection(SpinState, rho) == rejection(check_physical_oracle, rho)
 
 
 class TestTimeBinQubit:
@@ -203,8 +206,6 @@ class TestHeraldedGate:
         assert out.bloch_vector() == pytest.approx((-1.0, 0.0, 0.0), abs=1e-9)
 
     def test_born_probability_exactly_half_without_leakage(self):
-        from memqkd.qubits import herald_probability
-
         rng = np.random.default_rng(8)
         for _ in range(30):
             state = random_state(rng)
@@ -248,7 +249,25 @@ class TestHeraldedGate:
             spin = prepare_superposition()
             two_step = apply_herald(apply_herald(spin, phi1, m1, 0.0), phi2, m2, 0.0)
             one_step = apply_herald(spin, phi1 + phi2, m1 * m2, 0.0)
-            assert two_step.isclose(one_step, atol=1e-10)
+            assert np.allclose(two_step.rho, one_step.rho, atol=1e-10)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.24114, 1.0])
+    @pytest.mark.parametrize("m", [1, -1])
+    def test_herald_equals_its_matrix_product_form(self, m, eps):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            state = random_state(rng)
+            phase = rng.uniform(0, 2 * math.pi)
+            e = m * np.exp(1j * phase)
+            kraus = np.diag([1.0 + eps * e, e + eps])
+            mapped = kraus @ state.rho @ kraus.conj().T
+            norm = np.trace(mapped).real
+            assert np.allclose(
+                apply_herald(state, phase, m, eps).rho, mapped / norm, rtol=0, atol=1e-14
+            )
+            assert herald_probability(state, phase, m, eps) == pytest.approx(
+                norm / (2.0 * (1.0 + eps**2)), rel=0, abs=1e-14
+            )
 
     def test_rejects_nonphysical_input(self):
         rng = np.random.default_rng(0)

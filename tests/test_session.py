@@ -439,7 +439,8 @@ class TestChsh:
 
 class TestChannelAccounting:
     def test_zero_overheads_clock_rate(self):
-        acct = channel_accounting(SEQ124, 1000, TimingOverheads.zero())
+        no_overheads = TimingOverheads(lock_s=0.0, block_s=1.0, readout_s=0.0, duty_factor=1.0)
+        acct = channel_accounting(SEQ124, 1000, no_overheads)
         expected = SEQ124.n_qubits / SEQ124.cycle_duration_s()
         assert acct.clock_rate_hz == pytest.approx(expected, rel=1e-12)
 
