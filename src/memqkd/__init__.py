@@ -1,13 +1,12 @@
 """Memory-assisted MDI-QKD: spin-cavity Bell-state node simulator and rates."""
 
 from .bsm import (
-    BSMRecord,
     ChannelConfig,
     SequenceConfig,
     classify_bell_state,
     expected_parity,
     ideal_parity,
-    run_memory_cycle_traced,
+    run_memory_cycles,
     truth_table_rows,
 )
 from .cavity import (

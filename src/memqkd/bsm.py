@@ -11,6 +11,10 @@ Every pi pulse between the two heralds toggles the measurement frame:
 with an even number the node resolves the {Phi+-} pair, with an odd
 number the {Psi+-} pair. Only the parity of that count enters the
 algebra, so the pulse axes of the XY8 pattern are not tracked.
+
+`run_memory_cycles` advances a block of independent cycles in lockstep:
+one slot loop whose maps act on all the block's spins at once. A drill
+that needs one cycle runs a block of one.
 """
 
 from __future__ import annotations
@@ -100,44 +104,6 @@ class ChannelConfig:
         return cls(n_p=n_m / n_qubits)
 
 
-@dataclass(frozen=True)
-class BSMRecord:
-    """Outcome of one successful asynchronous Bell-state measurement."""
-
-    slot_i: int
-    slot_j: int
-    m1: int
-    m2: int
-    m3: int
-    frame_parity: int  # pi pulses between the heralds, mod 2 (0 = even)
-
-    def __post_init__(self) -> None:
-        if not self.slot_i < self.slot_j:
-            raise ValueError("herald slots must satisfy slot_i < slot_j")
-        for name in ("m1", "m2", "m3"):
-            if getattr(self, name) not in (1, -1):
-                raise ValueError(f"{name} must be +1 or -1")
-        if self.frame_parity not in (0, 1):
-            raise ValueError("frame_parity must be 0 (even) or 1 (odd)")
-
-    @property
-    def parity(self) -> int:
-        return self.m1 * self.m2 * self.m3
-
-    @property
-    def bell_label(self) -> str:
-        return classify_bell_state(self.parity, self.frame_parity)
-
-
-@dataclass(frozen=True)
-class CycleTrace:
-    """Low-level accounting of one simulated cycle."""
-
-    heralds: int
-    scatters: int
-    discarded: bool
-
-
 def classify_bell_state(parity: int, frame_parity: int) -> str:
     """Bell state heralded by a given total parity and frame parity."""
     if parity not in (1, -1):
@@ -165,6 +131,19 @@ def conjugate_label(basis: str, sign: int) -> tuple[str, int]:
     if basis == "B":
         return "A", -sign
     raise ValueError(f"unknown basis {basis!r}")
+
+
+BASES = ("X", "Y", "A", "B")
+
+
+def _label(basis: str, sign: int) -> int:
+    """Photon label 2 * basis index + sign index (sign +1 -> 0, -1 -> 1)."""
+    return 2 * BASES.index(basis) + (sign == -1)
+
+
+# Phase of each photon label, and the label of its phase conjugate.
+LABEL_PHASE = np.array([TimeBinQubit(b, s).phase for b in BASES for s in (1, -1)])
+CONJ_LABEL = np.array([_label(*conjugate_label(b, s)) for b in BASES for s in (1, -1)])
 
 
 def ideal_parity(phi1: float, phi2: float) -> int:
@@ -212,48 +191,46 @@ def truth_table_rows() -> list[dict]:
     return rows
 
 
-class _StreamUniforms:
-    """`rng.random()` values in stream order for one random cycle.
+@dataclass(frozen=True)
+class CycleBlock:
+    """Outcomes of a block of independent memory cycles, one row per cycle.
 
-    A random cycle draws at least once per slot, so its first N values come
-    from one `rng.random(N)` block, which holds the same doubles as N calls
-    of `rng.random()`; any later value is drawn on its own. The generator
-    thus ends each cycle where drawing one value at a time would leave it.
+    heralds and scatters count each cycle's heralds and undetected
+    scatters. The first two heralds fill `slots` and `labels` (photon
+    labels) and m[:, :2]; m[:, 2] is the readout. Only cycles with exactly
+    two heralds hold a record, and a third herald discards a cycle. Entries
+    a cycle did not reach are 0.
     """
 
-    __slots__ = ("_rng", "_block")
-
-    def __init__(self, rng: np.random.Generator, n: int):
-        self._rng = rng
-        self._block = iter(rng.random(n).tolist())
-
-    def __next__(self) -> float:
-        value = next(self._block, None)
-        return self._rng.random() if value is None else value
-
-    random = __next__
+    heralds: np.ndarray
+    scatters: np.ndarray
+    slots: np.ndarray
+    labels: np.ndarray
+    m: np.ndarray
 
 
-def run_memory_cycle_traced(
+def run_memory_cycles(
     seq: SequenceConfig,
     chan: ChannelConfig,
-    qubit_source: Callable[[int], TimeBinQubit],
     noise: NoiseParams,
+    cycles: int,
     rng: np.random.Generator,
+    photons: Callable[[int, int], np.ndarray],
     forced_slots: Optional[tuple[int, int]] = None,
-) -> tuple[Optional[BSMRecord], CycleTrace]:
-    """Simulate one memory cycle slot by slot.
+) -> CycleBlock:
+    """Simulate `cycles` independent memory cycles slot by slot, in lockstep.
 
     Each slot heralds a reflection with probability n_p * eta_detect, or
     scatters an undetected photon with probability n_p * (1 - eta_detect),
-    which dephases the spin. The first two heralds build the record; a
-    third herald in the same cycle discards it. The record is None unless
-    exactly two heralds occurred; the trace counts heralds and scatters.
+    which dephases the spin. The first two heralds of a cycle build its
+    record; a third herald discards it, and later heralds are only counted.
 
-    The cycle draws from `rng` in this order: one uniform per slot, one
-    after each of the first two heralds for its detector outcome, and two
-    for the readout. forced_slots injects heralds deterministically at the
-    given pair of slots and suppresses random arrivals (no slot draws),
+    The block draws from `rng` in this order. At each slot: one uniform
+    per cycle, then the photon labels `photons(slot, k)` of the k cycles
+    that herald for the first or second time, then their detector
+    outcomes. At the end, two uniforms per record for the readout.
+    forced_slots injects heralds deterministically at the given pair of
+    slots in every cycle and suppresses random arrivals (no slot draws),
     which is how truth-table and tomography-style drills are run.
     """
     p_herald = chan.n_p * noise.eta_detect
@@ -262,51 +239,38 @@ def run_memory_cycle_traced(
         i, j = forced_slots
         if not 0 <= i < j < seq.n_qubits:
             raise ValueError(f"forced slots {forced_slots} out of range")
+    lanes = np.arange(cycles)
 
-    # A forced-slot cycle draws only its detector outcomes and readout.
-    uniforms = rng if forced_slots is not None else _StreamUniforms(rng, seq.n_qubits)
-    spin = prepare_superposition(noise.f_init)
-    heralds: list[tuple[int, int]] = []  # (slot, m)
-    windows: list[int] = []
-    n_heralds = 0
-    n_scatters = 0
-    discarded = False
-
+    spin = prepare_superposition(noise.f_init, (cycles,))
+    heralds = np.zeros(cycles, dtype=np.int64)
+    scatters = np.zeros(cycles, dtype=np.int64)
+    slots = np.zeros((cycles, 2), dtype=np.int64)
+    labels = np.zeros((cycles, 2), dtype=np.int64)
+    m = np.zeros((cycles, 3), dtype=np.int64)
     slot = 0
-    for window in range(seq.n_pi):
+    for _ in range(seq.n_pi):
         for _ in range(seq.n_sub):
             if forced_slots is None:
-                u = next(uniforms)
-                herald = u < p_herald
-                if not herald and u < p_event:
-                    n_scatters += 1
-                    spin = apply_dephasing(spin, noise.p_scatter_dephase)
+                u = rng.random(cycles)
+                hit = np.flatnonzero(u < p_herald)
+                scatter = (p_herald <= u) & (u < p_event)
+                scatters += scatter
+                spin = apply_dephasing(spin, scatter * noise.p_scatter_dephase)
             else:
-                herald = slot in forced_slots
-            if herald:
-                n_heralds += 1
-                if n_heralds > 2:
-                    # Third herald spoils the cycle; finish counting only.
-                    discarded = True
-                elif not discarded:
-                    m, spin = reflect_and_herald(spin, qubit_source(slot), noise, uniforms)
-                    heralds.append((slot, m))
-                    windows.append(window)
+                hit = lanes if slot in forced_slots else lanes[:0]
+            heralds[hit] += 1
+            live = hit[heralds[hit] <= 2]
+            if live.size:
+                nth = heralds[live] - 1
+                label = photons(slot, live.size)
+                m[live, nth], spin[live] = reflect_and_herald(
+                    spin[live], LABEL_PHASE[label], noise, rng
+                )
+                slots[live, nth] = slot
+                labels[live, nth] = label
             slot += 1
         spin = apply_pi_pulse(spin, noise.p_mw)
 
-    trace = CycleTrace(heralds=n_heralds, scatters=n_scatters, discarded=discarded)
-    if discarded or len(heralds) != 2:
-        return None, trace
-
-    m3 = measure_x(spin, noise.f_readout, uniforms)
-    (slot_i, m1), (slot_j, m2) = heralds
-    record = BSMRecord(
-        slot_i=slot_i,
-        slot_j=slot_j,
-        m1=m1,
-        m2=m2,
-        m3=m3,
-        frame_parity=(windows[1] - windows[0]) % 2,
-    )
-    return record, trace
+    record = heralds == 2
+    m[record, 2] = measure_x(spin[record], noise.f_readout, rng)
+    return CycleBlock(heralds, scatters, slots, labels, m)

@@ -181,12 +181,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_scenario(args)
+    # Point i runs with seed + i, so a dropped field would shift every later seed.
+    fields = args.values.split(",")
+    if not all(field.strip() for field in fields):
+        raise ConfigError(f"sweep values {args.values!r} have an empty field")
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [float(v) for v in fields]
     except ValueError as exc:
         raise ConfigError(f"bad sweep values {args.values!r}: {exc}") from exc
-    if not values:
-        raise ConfigError("sweep requires a non-empty comma-separated values list")
 
     rows = []
     for index, value in enumerate(values):

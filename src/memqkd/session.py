@@ -1,9 +1,11 @@
 """Orchestration of many memory cycles into a QKD or CHSH session.
 
 Two execution paths sample the same distribution. The reference path
-runs `run_memory_cycle_traced` slot by slot on density matrices and is
-the ground truth for small diagnostic runs. The fast path is two exact
-multinomial draws, so its cost does not grow with the cycle count:
+runs the cycles slot by slot on density matrices (`run_memory_cycles`),
+in blocks of up to 2**17 slot uniforms that advance in lockstep, and is
+the ground truth; it never reads the fast path's cell probabilities.
+The fast path is two exact multinomial draws, so its cost does not grow
+with the cycle count:
 
 1. Cycles are independent, so the herald counts of all cycles are one
    draw over the Binomial(N, n_p * eta_detect) pmf of heralds per cycle.
@@ -15,9 +17,8 @@ multinomial draws, so its cost does not grow with the cycle count:
    probability (`coincidence_cell_probabilities`), and the tally is one
    draw from Multinomial(coincidences, pi).
 
-Both paths are deterministic for a fixed seed: the fast path draws from
-one generator seeded with `seed`, the reference path seeds cycle `idx`
-from (seed, idx).
+Both paths are deterministic for a fixed (seed, engine): each draws from
+one generator seeded with `seed`.
 """
 
 from __future__ import annotations
@@ -28,27 +29,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsm import (
+    BASES,
+    CONJ_LABEL,
+    LABEL_PHASE,
     ChannelConfig,
     SequenceConfig,
-    conjugate_label,
-    run_memory_cycle_traced,
+    run_memory_cycles,
 )
 from .qubits import NoiseParams, TimeBinQubit
 
-BASES = ("X", "Y", "A", "B")
 _BASIS_INDEX = {b: i for i, b in enumerate(BASES)}
-
-
-
-def _label(basis: str, sign: int) -> int:
-    """Photon label 2 * basis index + sign index (sign +1 -> 0, -1 -> 1)."""
-    return 2 * _BASIS_INDEX[basis] + (0 if sign == 1 else 1)
-
-
-_LABEL_PHASE = np.array([TimeBinQubit(b, s).phase for b in BASES for s in (1, -1)])
-_CONJ_LABEL = np.array([_label(*conjugate_label(b, s)) for b in BASES for s in (1, -1)])
 # Parity index (0 for +1) of each outcome (m1, m2, m3) in C order.
 _OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
+# Slot uniforms per reference block (1 MB); a block holds at least one cycle.
+_BLOCK_UNIFORMS = 2**17
 
 
 def _cell_index(frame_correction: bool) -> np.ndarray:
@@ -61,8 +55,8 @@ def _cell_index(frame_correction: bool) -> np.ndarray:
     w_lo, w_hi, pair, l1, l2, parity = np.indices((2, 2, 4, 8, 8, 2))
     if frame_correction:
         # Photons sent in odd windows are read out in the conjugated frame.
-        l1 = np.where(w_lo == 1, _CONJ_LABEL[l1], l1)
-        l2 = np.where(w_hi == 1, _CONJ_LABEL[l2], l2)
+        l1 = np.where(w_lo == 1, CONJ_LABEL[l1], l1)
+        l2 = np.where(w_hi == 1, CONJ_LABEL[l2], l2)
     p1, p2 = pair // 2, pair % 2
     # Orient cross-party records so the first index is Alice's photon.
     swap = p1 > p2
@@ -304,16 +298,14 @@ def _herald_count_pmf(n_slots: int, p: float) -> np.ndarray:
     return np.exp(log_comb + k * math.log(p) + (n_slots - k) * math.log1p(-p))
 
 
-def _draw_state_labels(
-    rng: np.random.Generator, parties: PartyConfig, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices and sign indices for `size` photons."""
+def _draw_labels(rng: np.random.Generator, parties: PartyConfig, size: int) -> np.ndarray:
+    """Photon labels 2 * basis index + sign index of `size` photons."""
+    u = rng.random((2, size))
     if parties.mode == "qkd":
-        basis = np.where(rng.random(size) < parties.basis_bias, 0, 1)
+        basis = u[0] >= parties.basis_bias  # X (0) with the bias, else Y
     else:
-        basis = rng.integers(0, 4, size=size)
-    sign = rng.integers(0, 2, size=size)  # 0 -> +1, 1 -> -1
-    return basis.astype(np.int64), sign.astype(np.int64)
+        basis = (4.0 * u[0]).astype(np.int64)  # X, Y, A, B alike
+    return 2 * basis + (u[1] >= 0.5)  # sign +1 -> 0, -1 -> 1
 
 
 def _born_kernel(phi1, phi2, frame, deph: float, noise: NoiseParams) -> np.ndarray:
@@ -401,7 +393,7 @@ def coincidence_cell_probabilities(
     deph = (1.0 - 2.0 * noise.p_mw) ** seq.n_pi
     deph *= (1.0 - 2.0 * noise.p_scatter_dephase * r) ** (n - 2)
     frame = np.arange(2)[:, None, None]
-    kernel = _born_kernel(_LABEL_PHASE[:, None], _LABEL_PHASE, frame, deph, noise)
+    kernel = _born_kernel(LABEL_PHASE[:, None], LABEL_PHASE, frame, deph, noise)
     parity = kernel.reshape(2, 8, 8, 8) @ np.eye(2)[_OUTCOME_PARITY]  # (frame, l1, l2, q)
     basis = [parties.basis_bias, 1.0 - parties.basis_bias, 0.0, 0.0]
     prior = np.repeat(basis if parties.mode == "qkd" else [0.25] * 4, 2) / 2.0
@@ -426,7 +418,7 @@ def forced_coincidence_outcomes(
 
     Returns trial-wise (m1, m2, m3) and the frame parity implied by the
     slot positions. Random photon arrivals (and hence scatter dephasing)
-    are suppressed, exactly like run_memory_cycle_traced with forced slots.
+    are suppressed, exactly like run_memory_cycles with forced slots.
     """
     slot_i, slot_j = slots
     if not 0 <= slot_i < slot_j < seq.n_qubits:
@@ -471,53 +463,41 @@ def _run_reference(
     frame_correction: bool,
 ) -> tuple[CoincidenceTally, int, int]:
     """Tally, total heralds and cycles discarded by a third herald."""
-    n = seq.n_qubits
-    tally = CoincidenceTally()
+    rng = np.random.default_rng(seed)
+    block = max(1, _BLOCK_UNIFORMS // seq.n_qubits)
+    cells = np.zeros(256, dtype=np.int64)
     heralds = discarded = 0
-
-    for idx in range(cycles):
-        rng = np.random.default_rng([seed, idx])
-        basis, sign = _draw_state_labels(rng, parties, n)
+    for start in range(0, cycles, block):
+        run = run_memory_cycles(
+            seq, chan, noise, min(block, cycles - start), rng,
+            lambda slot, k: _draw_labels(rng, parties, k),
+        )
+        heralds += int(run.heralds.sum())
+        discarded += int((run.heralds > 2).sum())
+        record = run.heralds == 2
+        slots, labels, m = run.slots[record], run.labels[record], run.m[record]
+        if frame_correction:
+            # Photons sent in odd windows are read out in the conjugated frame.
+            labels = np.where(seq.window_of(slots) % 2 == 1, CONJ_LABEL[labels], labels)
         if parties.assignment == "random":
-            party = rng.integers(0, 2, size=n)
+            party = rng.integers(0, 2, size=slots.shape)
         elif parties.assignment == "alternating":
-            party = np.arange(n) % 2
+            party = slots % 2
         else:
-            party = np.zeros(n, dtype=np.int64)
-
-        def source(slot: int) -> TimeBinQubit:
-            return TimeBinQubit(BASES[basis[slot]], 1 if sign[slot] == 0 else -1)
-
-        record, trace = run_memory_cycle_traced(seq, chan, source, noise, rng)
-        heralds += trace.heralds
-        if trace.discarded:
-            discarded += 1
-            continue
-        if record is None:
-            continue
-
-        labels = []
-        for slot in (record.slot_i, record.slot_j):
-            b, s = BASES[basis[slot]], 1 if sign[slot] == 0 else -1
-            if frame_correction and seq.window_of(slot) % 2 == 1:
-                b, s = conjugate_label(b, s)
-            labels.append((b, s))
-        (b1, s1), (b2, s2) = labels
-        p1, p2 = int(party[record.slot_i]), int(party[record.slot_j])
-
-        eligible = parties.assignment == "single" or p1 != p2
-        if eligible and p1 == 1:
-            (b1, s1), (b2, s2) = (b2, s2), (b1, s1)
-        target = tally.counts if eligible else tally.excluded
-        target[
-            _BASIS_INDEX[b1],
-            0 if s1 == 1 else 1,
-            _BASIS_INDEX[b2],
-            0 if s2 == 1 else 1,
-            0 if record.parity == 1 else 1,
-        ] += 1
-
-    return tally, heralds, discarded
+            # One sender plays both parties: every record is Alice's, then Bob's.
+            party = np.broadcast_to([0, 1], slots.shape)
+        # Orient cross-party records so the first label is Alice's photon.
+        swap = party[:, 0] > party[:, 1]
+        alice = np.where(swap, labels[:, 1], labels[:, 0])
+        bob = np.where(swap, labels[:, 0], labels[:, 1])
+        same_party = party[:, 0] == party[:, 1]
+        parity = m.prod(axis=1) == -1
+        # Flat cell of the (excluded, basisA, signA, basisB, signB, parity) tally.
+        cells += np.bincount(
+            128 * same_party + 16 * alice + 2 * bob + parity, minlength=256
+        )
+    counts, excluded = cells.reshape(2, 4, 2, 4, 2, 2)
+    return CoincidenceTally(counts=counts, excluded=excluded), heralds, discarded
 
 
 def simulate_session(
@@ -534,9 +514,9 @@ def simulate_session(
 ) -> tuple[CoincidenceTally, SessionReport]:
     """Run `cycles` independent memory cycles and tally coincidences.
 
-    Deterministic for fixed (seed, engine). The fast engine makes two
-    multinomial draws from a generator seeded with `seed`; the reference
-    engine seeds cycle `idx` from (seed, idx).
+    Deterministic for fixed (seed, engine): either engine draws from one
+    generator seeded with `seed`. The fast engine makes two multinomial
+    draws; the reference engine runs blocks of cycles slot by slot.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be at least 1, got {cycles}")

@@ -5,14 +5,16 @@ import pytest
 
 import oracles
 from memqkd.bsm import (
-    BSMRecord,
+    BASES,
+    CONJ_LABEL,
+    LABEL_PHASE,
     ChannelConfig,
     SequenceConfig,
     classify_bell_state,
     conjugate_label,
     expected_parity,
     ideal_parity,
-    run_memory_cycle_traced,
+    run_memory_cycles,
     truth_table_rows,
 )
 from memqkd.qubits import NoiseParams, TimeBinQubit
@@ -132,20 +134,38 @@ class TestTruthTable:
         assert expected_parity(qa, qb, 1) == 1
 
 
-def _const_source(qubit):
-    return lambda slot: qubit
+def label(qubit):
+    """Photon label 2 * basis index + sign index (sign +1 -> 0)."""
+    return 2 * BASES.index(qubit.basis) + (qubit.sign == -1)
+
+
+def photons(source):
+    """The block's photon source for a per-slot qubit source."""
+    return lambda slot, k: np.full(k, label(source(slot)))
+
+
+def frame_parity(seq, block):
+    return (seq.window_of(block.slots[:, 1]) - seq.window_of(block.slots[:, 0])) % 2
+
+
+class TestPhotonLabels:
+    def test_labels_index_phase_and_conjugate(self):
+        for basis in BASES:
+            for sign in (1, -1):
+                qubit = TimeBinQubit(basis, sign)
+                assert LABEL_PHASE[label(qubit)] == qubit.phase
+                assert CONJ_LABEL[label(qubit)] == label(TimeBinQubit(*conjugate_label(basis, sign)))
 
 
 class TestMemoryCycle:
     def test_zero_photons_never_heralds(self):
         seq = SequenceConfig(n_pi=4, n_sub=2)
         chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            record, _ = run_memory_cycle_traced(
-                seq, chan, _const_source(TimeBinQubit("X")), NoiseParams.ideal(), rng
-            )
-            assert record is None
+        block = run_memory_cycles(
+            seq, chan, NoiseParams.ideal(), 200, np.random.default_rng(0),
+            photons(lambda slot: TimeBinQubit("X")),
+        )
+        assert not block.heralds.any() and not block.scatters.any() and not block.m.any()
 
     @pytest.mark.parametrize(
         "basis,sign_b,parity",
@@ -155,73 +175,65 @@ class TestMemoryCycle:
         # Slots (0, 1) share the first free-precession window: even frame.
         seq = SequenceConfig(n_pi=4, n_sub=2)
         chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
-        rng = np.random.default_rng(1)
         qubits = {0: TimeBinQubit(basis, 1), 1: TimeBinQubit(basis, sign_b)}
-        for _ in range(100):
-            record, _ = run_memory_cycle_traced(
-                seq,
-                chan,
-                lambda slot: qubits[slot],
-                NoiseParams.ideal(),
-                rng,
-                forced_slots=(0, 1),
-            )
-            assert record is not None
-            assert record.frame_parity == 0
-            assert record.parity == parity
+        block = run_memory_cycles(
+            seq, chan, NoiseParams.ideal(), 100, np.random.default_rng(1),
+            photons(qubits.get), forced_slots=(0, 1),
+        )
+        assert (block.heralds == 2).all()
+        assert (block.slots == [0, 1]).all()
+        assert (frame_parity(seq, block) == 0).all()
+        assert (block.m.prod(axis=1) == parity).all()
 
     def test_forced_heralds_odd_frame(self):
         seq = SequenceConfig(n_pi=4, n_sub=2)
         chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
-        rng = np.random.default_rng(2)
         qubits = {0: TimeBinQubit("Y", 1), 2: TimeBinQubit("Y", 1)}
-        for _ in range(100):
-            record, _ = run_memory_cycle_traced(
-                seq,
-                chan,
-                lambda slot: qubits[slot],
-                NoiseParams.ideal(),
-                rng,
-                forced_slots=(0, 2),
-            )
-            assert record.frame_parity == 1
-            assert record.parity == 1  # odd frame flips the Y-Y row
-            assert record.bell_label == "Psi+"
+        block = run_memory_cycles(
+            seq, chan, NoiseParams.ideal(), 100, np.random.default_rng(2),
+            photons(qubits.get), forced_slots=(0, 2),
+        )
+        frame = frame_parity(seq, block)
+        parity = block.m.prod(axis=1)
+        assert (frame == 1).all()
+        assert (parity == 1).all()  # odd frame flips the Y-Y row
+        assert {classify_bell_state(int(p), int(f)) for p, f in zip(parity, frame)} == {"Psi+"}
 
     def test_third_herald_discards_cycle(self):
         seq = SequenceConfig(n_pi=2, n_sub=2)
         chan = ChannelConfig.from_mean_photons(4.0, seq.n_qubits)  # every slot heralds
-        rng = np.random.default_rng(3)
-        record, trace = run_memory_cycle_traced(
-            seq, chan, _const_source(TimeBinQubit("X")), NoiseParams.ideal(), rng
+        block = run_memory_cycles(
+            seq, chan, NoiseParams.ideal(), 5, np.random.default_rng(3),
+            photons(lambda slot: TimeBinQubit("X")),
         )
-        assert record is None
-        assert trace.discarded
-        assert trace.heralds == 4
+        assert (block.heralds == 4).all()
+        assert not block.m[:, 2].any()  # no record, so no readout
 
     def test_shared_generator_stream_is_pinned(self):
-        # Records of 50 random cycles and one forced-slot cycle drawn from
-        # one generator, then the generator's next value, as the slot-by-slot
-        # scalar draws produce them. Block drawing must not move any of it.
+        # 50 blocks of one random cycle and one forced-slot block drawn from
+        # one generator, then the generator's next value. A block of one
+        # takes one value per slot, one per herald outcome and two for the
+        # readout, in slot order.
         seq = SequenceConfig(n_pi=4, n_sub=2)
         chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
         labels = [TimeBinQubit(b, s) for b in "XYAB" for s in (1, -1)]
-        source = lambda slot: labels[(3 * slot) % 8]
+        source = photons(lambda slot: labels[(3 * slot) % 8])
         rng = np.random.default_rng(2024)
 
-        def summary(record, trace):
-            fields = (trace.heralds, trace.scatters, trace.discarded)
-            if record is None:
+        def summary(block):
+            heralds = int(block.heralds[0])
+            fields = (heralds, int(block.scatters[0]), heralds > 2)
+            if heralds != 2:
                 return fields
-            return fields + (record.slot_i, record.slot_j, record.m1, record.m2,
-                             record.m3, record.frame_parity)
+            return fields + (*block.slots[0].tolist(), *block.m[0].tolist(),
+                             int(frame_parity(seq, block)[0]))
 
         observed = [
-            summary(*run_memory_cycle_traced(seq, chan, source, NoiseParams(), rng))
+            summary(run_memory_cycles(seq, chan, NoiseParams(), 1, rng, source))
             for _ in range(50)
         ]
-        observed.append(summary(*run_memory_cycle_traced(
-            seq, chan, source, NoiseParams(), rng, forced_slots=(1, 6)
+        observed.append(summary(run_memory_cycles(
+            seq, chan, NoiseParams(), 1, rng, source, forced_slots=(1, 6)
         )))
         assert observed == [
             (1, 2, False), (2, 1, False, 3, 4, -1, 1, 1, 1), (0, 1, False),
@@ -253,23 +265,15 @@ class TestMemoryCycle:
             qb = TimeBinQubit(row["bob"][1].upper(), 1 if row["bob"][0] == "+" else -1)
             slots = (0, 1) if row["frame"] == "even" else (0, 2)
             qubits = {slots[0]: qa, slots[1]: qb}
-            for _ in range(25):
-                record, _ = run_memory_cycle_traced(
-                    seq,
-                    chan,
-                    lambda slot: qubits[slot],
-                    NoiseParams.ideal(),
-                    rng,
-                    forced_slots=slots,
-                )
-                assert record.parity == row["parity"]
-                assert record.bell_label == row["bell_state"]
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            BSMRecord(slot_i=3, slot_j=1, m1=1, m2=1, m3=1, frame_parity=0)
-        with pytest.raises(ValueError):
-            BSMRecord(slot_i=0, slot_j=1, m1=2, m2=1, m3=1, frame_parity=0)
+            block = run_memory_cycles(
+                seq, chan, NoiseParams.ideal(), 25, rng, photons(qubits.get),
+                forced_slots=slots,
+            )
+            frame = frame_parity(seq, block)
+            assert (block.m.prod(axis=1) == row["parity"]).all()
+            assert {classify_bell_state(row["parity"], int(f)) for f in frame} == {
+                row["bell_state"]
+            }
 
 
 class TestInformationHiding:

@@ -100,6 +100,21 @@ class TestSimulate:
         assert proc.returncode == 0
         assert b"Traceback" not in err
 
+    def test_import_loads_no_test_only_module(self):
+        # scipy, mpmath and hypothesis are test oracles, not dependencies,
+        # and every module the CLI imports adds to each run's start-up time.
+        env = dict(os.environ, PYTHONPATH=str(Path(memqkd.__file__).parents[1]))
+        code = (
+            "import sys, memqkd.cli; "
+            "print(sorted({name.split('.')[0] for name in sys.modules}"
+            " & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_identical_seeds_identical_bytes(self, qkd_config, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(["simulate", "--config", qkd_config, "--out", str(out1)]) == 0
@@ -256,6 +271,16 @@ class TestSweep:
     def test_empty_values_error(self, qkd_config):
         assert run(["sweep", "--config", qkd_config, "--axis", "N",
                     "--values", ""]) == 2
+
+    @pytest.mark.parametrize("values", ["0.6,,1.2", "0.6,1.2,", ",0.6", "0.6, ,1.2"])
+    def test_empty_field_is_config_error(self, qkd_config, values, tmp_path, capsys):
+        # Dropping the field would give every later point another seed.
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", qkd_config, "--axis", "n_m",
+                    "--values", values, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "empty field" in err
+        assert not out.exists()
 
     def test_indivisible_n_error(self, qkd_config):
         assert run(["sweep", "--config", qkd_config, "--axis", "N",

@@ -124,41 +124,43 @@ def near_threshold_matrix(
     return rho
 
 
+NEAR_THRESHOLD = dict(
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2 * math.pi),
+    smallest=st.floats(-3e-9, 1e-9) | st.floats(0.0, 0.5),
+    trace_shift=st.just(0.0) | st.floats(-3e-9, 3e-9),
+    trace_imag=st.just(0.0) | st.floats(-3e-9, 3e-9),
+    diag_skew=st.just(0.0) | st.floats(-2.0, 2.0),
+    offdiag_skew=st.just(0.0) | st.floats(0.0, 2.0),
+    skew_phase=st.floats(0.0, 2 * math.pi),
+)
+
+EDGES = [
+    lambda d: {"trace_shift": 1e-9 + d},
+    lambda d: {"trace_shift": -1e-9 - d},
+    lambda d: {"trace_imag": 1e-9 + d},
+    lambda d: {"trace_imag": -1e-9 - d},
+    lambda d: {"smallest": -1e-9 - d},
+    lambda d: {"smallest": -1e-9 - d, "theta": 0.0},
+    # Hermiticity tolerances 1e-9 + 1e-5 |entry|: the smaller diagonal
+    # is d = 0.2 at theta = 0 and a = 0.2 at theta = pi, |c| = 0.3 at
+    # the default theta and c = 0 at theta = 0.
+    lambda d: {"diag_skew": 1.0 + d / 2e-6, "theta": 0.0},
+    lambda d: {"diag_skew": 1.0 + d / 2e-6, "theta": math.pi},
+    lambda d: {"offdiag_skew": 1.0 + d / 3e-6},
+    lambda d: {"offdiag_skew": 1.0 + d / 1e-9, "theta": 0.0},
+]
+
+
 class TestPhysicalityCheck:
     @settings(max_examples=300, deadline=None)
-    @given(
-        theta=st.floats(0.0, math.pi),
-        phi=st.floats(0.0, 2 * math.pi),
-        smallest=st.floats(-3e-9, 1e-9) | st.floats(0.0, 0.5),
-        trace_shift=st.just(0.0) | st.floats(-3e-9, 3e-9),
-        trace_imag=st.just(0.0) | st.floats(-3e-9, 3e-9),
-        diag_skew=st.just(0.0) | st.floats(-2.0, 2.0),
-        offdiag_skew=st.just(0.0) | st.floats(0.0, 2.0),
-        skew_phase=st.floats(0.0, 2 * math.pi),
-    )
+    @given(**NEAR_THRESHOLD)
     def test_closed_form_agrees_with_eigvalsh_oracle(self, **params):
         rho = near_threshold_matrix(**params)
         assume(min(abs(m) for m in oracle_margins(rho)) > 1e-12)
         assert rejection(SpinState, rho) == rejection(check_physical_oracle, rho)
 
-    @pytest.mark.parametrize(
-        "edge",
-        [
-            lambda d: {"trace_shift": 1e-9 + d},
-            lambda d: {"trace_shift": -1e-9 - d},
-            lambda d: {"trace_imag": 1e-9 + d},
-            lambda d: {"trace_imag": -1e-9 - d},
-            lambda d: {"smallest": -1e-9 - d},
-            lambda d: {"smallest": -1e-9 - d, "theta": 0.0},
-            # Hermiticity tolerances 1e-9 + 1e-5 |entry|: the smaller diagonal
-            # is d = 0.2 at theta = 0 and a = 0.2 at theta = pi, |c| = 0.3 at
-            # the default theta and c = 0 at theta = 0.
-            lambda d: {"diag_skew": 1.0 + d / 2e-6, "theta": 0.0},
-            lambda d: {"diag_skew": 1.0 + d / 2e-6, "theta": math.pi},
-            lambda d: {"offdiag_skew": 1.0 + d / 3e-6},
-            lambda d: {"offdiag_skew": 1.0 + d / 1e-9, "theta": 0.0},
-        ],
-    )
+    @pytest.mark.parametrize("edge", EDGES)
     def test_each_threshold_just_outside_the_band(self, edge):
         # 2e-12 inside the threshold is accepted and 2e-12 beyond it is
         # rejected, by both forms.
@@ -168,6 +170,29 @@ class TestPhysicalityCheck:
         assert rejection(check_physical_oracle, beyond) is not None
         for rho in (inside, beyond):
             assert rejection(SpinState, rho) == rejection(check_physical_oracle, rho)
+
+    @settings(max_examples=150, deadline=None)
+    @given(lanes=st.lists(st.fixed_dictionaries(NEAR_THRESHOLD), min_size=1, max_size=6))
+    def test_block_check_agrees_with_oracle_lane_by_lane(self, lanes):
+        # A block fails the first test (in check order) that any lane fails.
+        block = np.array([near_threshold_matrix(**params) for params in lanes])
+        assume(min(abs(m) for rho in block for m in oracle_margins(rho)) > 1e-12)
+        failed = [rejection(check_physical_oracle, rho) for rho in block]
+        failed = [verdict for verdict in failed if verdict is not None]
+        expected = min(failed, key=REJECTIONS.index) if failed else None
+        assert rejection(SpinState, block) == expected
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_one_bad_lane_in_a_block_raises_its_own_message(self, edge):
+        rng = np.random.default_rng(7)
+        physical = [random_state(rng).rho for _ in range(5)]
+        bad = near_threshold_matrix(**edge(2e-12))
+        with pytest.raises(NonPhysicalStateError) as lone:
+            SpinState(bad)
+        with pytest.raises(NonPhysicalStateError) as batched:
+            SpinState(np.array(physical[:2] + [bad] + physical[2:]))
+        assert str(batched.value) == str(lone.value)
+        SpinState(np.array(physical + [near_threshold_matrix(**edge(-2e-12))]))
 
 
 class TestTimeBinQubit:
@@ -216,29 +241,27 @@ class TestHeraldedGate:
         rng = np.random.default_rng(3)
         noise = NoiseParams.ideal()
         for phase in (0.0, math.pi / 2, 1.234):
-            counts = {1: 0, -1: 0}
-            for _ in range(400):
-                m, _ = reflect_and_herald(
-                    prepare_superposition(), TimeBinQubit("X"), noise, rng
-                )
-                counts[m] += 1
+            m, _ = reflect_and_herald(prepare_superposition(lanes=(400,)), phase, noise, rng)
             # exact 1/2 Born probability, so a 4-sigma band around 200
-            assert abs(counts[1] - 200) < 4 * 10
+            assert abs(np.count_nonzero(m == 1) - 200) < 4 * 10
 
     def test_herald_marginal_uniform_chisquare(self):
         # The outcome distribution must be uniform and phase independent.
         rng = np.random.default_rng(11)
         noise = NoiseParams.ideal()
+        n = 10_000
         for basis in ("X", "Y", "A", "B"):
-            plus = 0
-            n = 10_000
-            for _ in range(n):
-                m, _ = reflect_and_herald(
-                    prepare_superposition(), TimeBinQubit(basis), noise, rng
-                )
-                plus += m == 1
+            spins = prepare_superposition(lanes=(n,))
+            m, _ = reflect_and_herald(spins, TimeBinQubit(basis).phase, noise, rng)
+            plus = np.count_nonzero(m == 1)
             _, p_value = stats.chisquare([plus, n - plus])
             assert p_value > 0.01
+
+    def test_single_state_outcome_is_a_scalar(self):
+        rng = np.random.default_rng(4)
+        m, spin = reflect_and_herald(prepare_superposition(), 0.0, NoiseParams.ideal(), rng)
+        assert m in (1, -1) and np.ndim(m) == 0
+        assert spin.bloch_vector() == pytest.approx((m, 0.0, 0.0), abs=1e-12)
 
     def test_phase_composition_law(self):
         # Two heralds compose to a single herald with the summed phase.
@@ -271,9 +294,15 @@ class TestHeraldedGate:
 
     def test_rejects_nonphysical_input(self):
         rng = np.random.default_rng(0)
-        bad = SpinState(np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex), validate=False)
-        with pytest.raises(NonPhysicalStateError):
-            reflect_and_herald(bad, TimeBinQubit("X"), NoiseParams.ideal(), rng)
+        rho = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
+        with pytest.raises(NonPhysicalStateError, match="negative eigenvalue") as lone:
+            SpinState(rho)
+        # The same matrix as the middle lane of a block, set on the entry arrays.
+        rhos = np.array([np.eye(2) / 2, rho, np.eye(2) / 2])
+        block = SpinState._from_entries(*(rhos[:, i, j] for i in (0, 1) for j in (0, 1)))
+        with pytest.raises(NonPhysicalStateError) as herald:
+            reflect_and_herald(block, np.zeros(3), NoiseParams.ideal(), rng)
+        assert str(herald.value) == str(lone.value)
 
 
 class TestChannels:
@@ -305,6 +334,29 @@ class TestChannels:
             assert np.allclose(dephased.rho, dephase(state.rho, p), rtol=0, atol=1e-14)
             assert not np.shares_memory(pulsed.rho, state.rho)
             assert not np.shares_memory(dephased.rho, state.rho)
+
+    def test_block_maps_act_lane_by_lane(self):
+        # One call on a block equals the single-state call on each lane, up to
+        # the last bit numpy's vector and scalar loops may round differently.
+        rng = np.random.default_rng(13)
+        states = [random_state(rng) for _ in range(6)]
+        block = SpinState(np.array([state.rho for state in states]))
+        p = rng.random(6)
+        phase = rng.uniform(0, 2 * math.pi, size=6)
+        m = rng.choice([1, -1], size=6)
+        maps = [
+            lambda spin, i: apply_pi_pulse(spin, p[i]),
+            lambda spin, i: apply_dephasing(spin, p[i]),
+            lambda spin, i: apply_herald(spin, phase[i], m[i], 0.24114),
+        ]
+        for f in maps:
+            mapped = f(block, slice(None)).rho
+            for i, state in enumerate(states):
+                assert np.allclose(mapped[i], f(state, i).rho, rtol=0, atol=1e-15)
+        probs = herald_probability(block, phase, m, 0.24114)
+        for i, state in enumerate(states):
+            single = herald_probability(state, phase[i], m[i], 0.24114)
+            assert probs[i] == pytest.approx(single, rel=0, abs=1e-15)
 
     def test_all_maps_preserve_trace_and_positivity(self):
         rng = np.random.default_rng(99)

@@ -10,6 +10,7 @@ import oracles
 from memqkd.bsm import ChannelConfig, SequenceConfig
 from memqkd.qubits import NoiseParams
 from memqkd.session import (
+    _BLOCK_UNIFORMS,
     CoincidenceTally,
     EmptyCellError,
     PartyConfig,
@@ -61,10 +62,10 @@ class TestEngineEquivalence:
         seq, chan, noise = small_setup()
         parties = PartyConfig(assignment="random")
         ref_tally, ref = simulate_session(
-            seq, chan, parties, noise, 40_000, seed=17, engine="reference"
+            seq, chan, parties, noise, 1_000_000, seed=17, engine="reference"
         )
         _, fast = simulate_session(
-            seq, chan, parties, noise, 4_000_000, seed=17, engine="fast"
+            seq, chan, parties, noise, 10**10, seed=17, engine="fast"
         )
 
         for attr in ("coincidences", "discarded_multi"):
@@ -102,17 +103,17 @@ class TestEngineEquivalence:
     def test_paths_agree_at_full_sequence_layout(self):
         # Same cross-check at the 62-window, 124-slot layout with the
         # calibrated noise, heavy scattering and both frame parities in
-        # play. The photon load is raised so the slow reference path
+        # play. The photon load is raised so the reference path
         # accumulates coincidences quickly.
         seq = SEQ124
         chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
         parties = PartyConfig(assignment="single")
         noise = NoiseParams()
         _, ref = simulate_session(
-            seq, chan, parties, noise, 2_500, seed=77, engine="reference"
+            seq, chan, parties, noise, 25_000, seed=77, engine="reference"
         )
         _, fast = simulate_session(
-            seq, chan, parties, noise, 1_000_000, seed=77, engine="fast"
+            seq, chan, parties, noise, 10**10, seed=77, engine="fast"
         )
         r_ref = ref.coincidences / ref.cycles
         r_fast = fast.coincidences / fast.cycles
@@ -139,7 +140,7 @@ def report_counts(report):
 
 
 class TestReferenceStream:
-    """Reference tallies pinned to their values under one scalar draw per slot.
+    """Reference tallies pinned to their values under the block engine's draws.
 
     Any change to the reference engine's random stream fails here, where
     the statistical equivalence tests would let it pass.
@@ -153,20 +154,18 @@ class TestReferenceStream:
             engine="reference",
         )
         assert report_counts(report) == {
-            "heralds": 282, "coincidences": 55, "discarded_multi": 21, "same_party": 0,
-            "sifted_xx": 14, "errors_xx": 3, "sifted_yy": 14, "errors_yy": 6,
+            "heralds": 262, "coincidences": 50, "discarded_multi": 16, "same_party": 0,
+            "sifted_xx": 15, "errors_xx": 2, "sifted_yy": 12, "errors_yy": 1,
         }
         assert nonzero_cells(tally) == {
-            (0, 0, 0, 0, 0, 0): 2, (0, 0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 1, 1): 4,
-            (0, 0, 0, 1, 0, 0): 2, (0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 1, 1, 0): 1,
-            (0, 0, 0, 1, 1, 1): 2, (0, 0, 1, 0, 0, 0): 2, (0, 0, 1, 0, 0, 1): 3,
-            (0, 0, 1, 0, 1, 0): 2, (0, 0, 1, 1, 0, 0): 3, (0, 0, 1, 1, 0, 1): 2,
-            (0, 0, 1, 1, 1, 0): 1, (0, 0, 1, 1, 1, 1): 1, (0, 1, 0, 0, 0, 0): 6,
-            (0, 1, 0, 0, 0, 1): 1, (0, 1, 0, 0, 1, 1): 2, (0, 1, 0, 1, 0, 0): 2,
-            (0, 1, 0, 1, 0, 1): 1, (0, 1, 0, 1, 1, 0): 5, (0, 1, 0, 1, 1, 1): 1,
-            (0, 1, 1, 0, 0, 0): 2, (0, 1, 1, 0, 0, 1): 1, (0, 1, 1, 0, 1, 0): 2,
-            (0, 1, 1, 1, 0, 0): 1, (0, 1, 1, 1, 0, 1): 1, (0, 1, 1, 1, 1, 0): 2,
-            (0, 1, 1, 1, 1, 1): 1,
+            (0, 0, 0, 0, 0, 0): 4, (0, 0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 1, 1): 5,
+            (0, 0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 1, 1, 0): 1,
+            (0, 0, 0, 1, 1, 1): 2, (0, 0, 1, 0, 0, 1): 4, (0, 0, 1, 0, 1, 1): 1,
+            (0, 0, 1, 1, 0, 0): 1, (0, 0, 1, 1, 0, 1): 1, (0, 0, 1, 1, 1, 0): 3,
+            (0, 0, 1, 1, 1, 1): 2, (0, 1, 0, 0, 0, 1): 2, (0, 1, 0, 0, 1, 0): 1,
+            (0, 1, 0, 0, 1, 1): 2, (0, 1, 0, 1, 1, 0): 5, (0, 1, 1, 0, 0, 0): 1,
+            (0, 1, 1, 0, 0, 1): 1, (0, 1, 1, 0, 1, 0): 2, (0, 1, 1, 0, 1, 1): 2,
+            (0, 1, 1, 1, 0, 0): 3, (0, 1, 1, 1, 0, 1): 1, (0, 1, 1, 1, 1, 1): 3,
         }
 
     def test_eight_slot_chsh_layout(self):
@@ -177,18 +176,63 @@ class TestReferenceStream:
             seed=5, engine="reference",
         )
         assert report_counts(report) == {
-            "heralds": 175, "coincidences": 21, "discarded_multi": 5, "same_party": 11,
-            "sifted_xx": 0, "errors_xx": 0, "sifted_yy": 3, "errors_yy": 1,
+            "heralds": 211, "coincidences": 32, "discarded_multi": 7, "same_party": 18,
+            "sifted_xx": 2, "errors_xx": 1, "sifted_yy": 1, "errors_yy": 1,
         }
         assert nonzero_cells(tally) == {
-            (0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 3, 0, 1): 1, (0, 1, 0, 1, 0, 1): 2,
-            (0, 1, 0, 1, 1, 1): 1, (0, 1, 0, 2, 0, 0): 1, (0, 2, 0, 3, 0, 1): 1,
-            (0, 2, 0, 3, 1, 0): 1, (0, 2, 1, 3, 0, 0): 1, (0, 3, 1, 0, 0, 0): 1,
-            (1, 0, 0, 2, 0, 1): 1, (1, 0, 0, 2, 1, 1): 1, (1, 0, 0, 3, 1, 1): 1,
-            (1, 0, 1, 0, 1, 0): 1, (1, 1, 0, 2, 0, 1): 1, (1, 1, 1, 1, 1, 1): 1,
-            (1, 2, 0, 0, 1, 1): 1, (1, 2, 0, 1, 0, 1): 1, (1, 2, 1, 2, 1, 0): 1,
-            (1, 3, 0, 2, 1, 0): 1, (1, 3, 1, 2, 1, 1): 1,
+            (0, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 1, 0): 1, (0, 1, 0, 0, 0, 1): 1,
+            (0, 1, 0, 1, 0, 0): 1, (0, 1, 0, 2, 0, 0): 1, (0, 1, 0, 2, 0, 1): 1,
+            (0, 1, 1, 0, 1, 1): 1, (0, 1, 1, 3, 1, 1): 2, (0, 2, 0, 1, 1, 0): 1,
+            (0, 2, 0, 3, 1, 0): 1, (0, 2, 1, 3, 1, 1): 1, (0, 3, 1, 2, 0, 1): 1,
+            (0, 3, 1, 2, 1, 1): 1, (1, 0, 0, 3, 0, 0): 1, (1, 0, 0, 3, 1, 0): 1,
+            (1, 0, 1, 1, 0, 0): 1, (1, 0, 1, 1, 1, 1): 2, (1, 1, 0, 0, 0, 0): 1,
+            (1, 1, 0, 0, 0, 1): 1, (1, 1, 0, 3, 1, 0): 1, (1, 1, 0, 3, 1, 1): 1,
+            (1, 1, 1, 2, 0, 0): 1, (1, 1, 1, 3, 0, 0): 1, (1, 2, 0, 0, 1, 1): 1,
+            (1, 2, 1, 0, 1, 1): 1, (1, 2, 1, 2, 0, 1): 1, (1, 3, 0, 3, 0, 0): 1,
+            (1, 3, 0, 3, 0, 1): 1, (1, 3, 0, 3, 1, 1): 1, (1, 3, 1, 3, 1, 0): 1,
         }
+
+
+class TestReferenceBlocks:
+    """Exact counts over one full block of cycles plus one more."""
+
+    def test_every_slot_heralds_across_a_block_boundary(self):
+        # n_p = 1 and eta_detect = 1: every slot of every cycle heralds, so
+        # every cycle is discarded, in both blocks.
+        seq = SEQ124
+        cycles = _BLOCK_UNIFORMS // seq.n_qubits + 1
+        noise = NoiseParams(eta_detect=1.0)
+        tally, report = simulate_session(
+            seq, ChannelConfig(n_p=1.0), PartyConfig(), noise, cycles, seed=3,
+            engine="reference",
+        )
+        assert report.heralds == cycles * seq.n_qubits
+        assert report.discarded_multi == cycles
+        assert report.coincidences == tally.total() == 0
+
+    def test_no_photons_no_heralds_across_a_block_boundary(self):
+        seq = SEQ124
+        cycles = _BLOCK_UNIFORMS // seq.n_qubits + 1
+        tally, report = simulate_session(
+            seq, ChannelConfig(n_p=0.0), PartyConfig(), NoiseParams(), cycles, seed=3,
+            engine="reference",
+        )
+        assert report.heralds == report.discarded_multi == tally.total() == 0
+
+    @pytest.mark.parametrize("n_sub", [1, 2])
+    def test_two_slots_pair_every_cycle(self, n_sub):
+        # N = 2 at n_p = 1: both slots herald in every cycle, so each cycle
+        # is one record, across the pulse (n_sub = 1) or in one window. The
+        # noiseless node corrects the frame, so no sifted record is an error.
+        seq = SequenceConfig(n_pi=2 // n_sub, n_sub=n_sub)
+        cycles = _BLOCK_UNIFORMS // seq.n_qubits + 1
+        _, report = simulate_session(
+            seq, ChannelConfig(n_p=1.0), PartyConfig(assignment="single"),
+            NoiseParams.ideal(), cycles, seed=4, engine="reference",
+        )
+        assert report.heralds == 2 * cycles
+        assert report.coincidences == cycles
+        assert report.sifted > 0 and report.errors == 0
 
 
 class TestReferenceFollowsExactProbabilities:
@@ -201,7 +245,7 @@ class TestReferenceFollowsExactProbabilities:
         return abs(observed - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
 
     # No shrinking: a 5-sigma miss is not made clearer by a smaller layout,
-    # and each example runs 2,000 reference cycles.
+    # and each example runs 50,000 reference cycles.
     @settings(derandomize=True, max_examples=8, deadline=None, phases=[Phase.generate])
     @given(
         n_pi=st.integers(3, 6),
@@ -215,7 +259,7 @@ class TestReferenceFollowsExactProbabilities:
     def test_random_small_layouts(
         self, n_pi, n_sub, mode, assignment, frame_correction, heralds_per_cycle, seed
     ):
-        cycles = 2_000
+        cycles = 50_000
         seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
         # Few undetected scatters, so the spin keeps enough coherence for the
         # error rate to depend on the frame and the pulse noise.
