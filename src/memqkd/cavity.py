@@ -47,10 +47,6 @@ class CavityParams:
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
-    def detuned(self, delta_c: float) -> "CavityParams":
-        """Same device probed at a different detuning."""
-        return CavityParams(self.g, self.kappa, self.kappa_wg, self.gamma, delta_c)
-
     def uncoupled(self) -> "CavityParams":
         """Same cavity with the emitter decoupled (g = 0)."""
         return CavityParams(0.0, self.kappa, self.kappa_wg, self.gamma, self.delta_c)

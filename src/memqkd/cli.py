@@ -156,8 +156,8 @@ def _print_summary(cfg: ScenarioConfig, report, row, rates: KeyRateReport) -> No
         print(f"  QBER ML={rates.qber_ml:.4f}  "
               f"68.2% interval [{rates.qber_low:.4f}, {rates.qber_high:.4f}]  "
               f"r_s={rates.r_s:.4f}")
-    print(f"  sifted rate: {report.sifted_rate_per_use():.4e}/use  "
-          f"{report.sifted_rate_per_occupancy():.4e}/occupancy")
+    print(f"  sifted rate: {rates.sifted_per_use:.4e}/use  "
+          f"{rates.sifted_per_occupancy:.4e}/occupancy")
     print(f"  secure rate: {row['secure_per_use']:.4e}/use  "
           f"R/Rmax={row['R_over_Rmax']:.3f}  R/(1.44p)={row['R_over_PLOB']:.3f}")
     if rates.confidence_vs_plob is not None:

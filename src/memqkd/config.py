@@ -167,8 +167,8 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 def load_config(path: Union[str, Path]) -> ScenarioConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 

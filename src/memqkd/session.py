@@ -17,8 +17,12 @@ with the cycle count:
    probability (`coincidence_cell_probabilities`), and the tally is one
    draw from Multinomial(coincidences, pi).
 
-Both paths are deterministic for a fixed (seed, engine): each draws from
-one generator seeded with `seed`.
+Both paths track the measurement frame and map a record to its tally
+cell by one rule (`_tally_cell`): a photon sent in an odd window is
+relabelled by phase conjugation, and Alice's photon comes first. Both
+are deterministic for a fixed (seed, engine): each draws from one
+generator seeded with `seed`. Drills with heralds forced at given slots
+run through `run_memory_cycles` directly.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .bsm import (
     SequenceConfig,
     run_memory_cycles,
 )
-from .qubits import NoiseParams, TimeBinQubit
+from .qubits import NoiseParams
 
 _BASIS_INDEX = {b: i for i, b in enumerate(BASES)}
 # Parity index (0 for +1) of each outcome (m1, m2, m3) in C order.
@@ -45,26 +49,25 @@ _OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
 _BLOCK_UNIFORMS = 2**17
 
 
-def _cell_index(frame_correction: bool) -> np.ndarray:
-    """Flat tally cell of each (w_lo, w_hi, party pair, label1, label2, parity).
+def _tally_cell(w1, w2, p1, p2, l1, l2, parity):
+    """Flat tally cell of each record, elementwise over array arguments.
 
-    w_lo and w_hi are the window parities of the first and second herald,
-    and a party pair is 2 * p1 + p2 with Alice as 0. Cells 0..127 are
-    `counts` and 128..255 `excluded`, both in C order of the tally layout.
+    w1 and w2 are the window parities of the first and second herald, p1
+    and p2 their parties (Alice 0, Bob 1), l1 and l2 their photon labels,
+    and parity is 1 for a total parity of -1. Cells 0..127 are `counts`
+    and 128..255 `excluded`, both in C order of the tally layout.
     """
-    w_lo, w_hi, pair, l1, l2, parity = np.indices((2, 2, 4, 8, 8, 2))
-    if frame_correction:
-        # Photons sent in odd windows are read out in the conjugated frame.
-        l1 = np.where(w_lo == 1, CONJ_LABEL[l1], l1)
-        l2 = np.where(w_hi == 1, CONJ_LABEL[l2], l2)
-    p1, p2 = pair // 2, pair % 2
+    # Photons sent in odd windows are read out in the conjugated frame.
+    l1 = np.where(w1 == 1, CONJ_LABEL[l1], l1)
+    l2 = np.where(w2 == 1, CONJ_LABEL[l2], l2)
     # Orient cross-party records so the first index is Alice's photon.
     swap = p1 > p2
     alice, bob = np.where(swap, l2, l1), np.where(swap, l1, l2)
-    return (128 * (p1 == p2) + 16 * alice + 2 * bob + parity).ravel()
+    return 128 * (p1 == p2) + 16 * alice + 2 * bob + parity
 
 
-_CELL_INDEX = (_cell_index(False), _cell_index(True))
+# Tally cell of each (w1, w2, p1, p2, label1, label2, parity).
+_CELL_INDEX = _tally_cell(*np.indices((2, 2, 2, 2, 8, 8, 2))).ravel()
 
 
 class EmptyCellError(RuntimeError):
@@ -98,10 +101,6 @@ class PartyConfig:
                 "assignment must be 'random', 'alternating' or 'single', "
                 f"got {self.assignment!r}"
             )
-
-    @property
-    def state_set(self) -> tuple[str, ...]:
-        return ("X", "Y") if self.mode == "qkd" else ("X", "Y", "A", "B")
 
 
 @dataclass
@@ -165,12 +164,10 @@ class ChannelAccounting:
     """Channel-use bookkeeping for one session.
 
     A full channel use corresponds to one photon from each party, i.e.
-    two qubit slots; each slot on its own occupies one half-link, so the
-    rate per occupancy is half the rate per use.
+    two qubit slots.
     """
 
     uses: float
-    occupancies: float
     wall_clock_s: float
     clock_rate_hz: float
 
@@ -189,7 +186,6 @@ def channel_accounting(
     rate = (n * cycles / wall) if wall > 0 else 0.0
     return ChannelAccounting(
         uses=n * cycles / 2.0,
-        occupancies=float(n * cycles),
         wall_clock_s=wall,
         clock_rate_hz=rate,
     )
@@ -210,7 +206,6 @@ class SessionReport:
     sifted_yy: int
     errors_yy: int
     channel_uses: float
-    channel_occupancies: float
     wall_clock_s: float
     clock_rate_hz: float
 
@@ -224,9 +219,6 @@ class SessionReport:
 
     def sifted_rate_per_use(self) -> float:
         return self.sifted / self.channel_uses if self.channel_uses else 0.0
-
-    def sifted_rate_per_occupancy(self) -> float:
-        return self.sifted / self.channel_occupancies if self.channel_occupancies else 0.0
 
 
 # Truth-table rule for a same-basis record (basis X/Y, signA, signB,
@@ -374,7 +366,6 @@ def coincidence_cell_probabilities(
     chan: ChannelConfig,
     parties: PartyConfig,
     noise: NoiseParams,
-    frame_correction: bool = True,
 ) -> np.ndarray:
     """Probability of each coincidence cell, given that a cycle heralded twice.
 
@@ -401,34 +392,8 @@ def coincidence_cell_probabilities(
     w = np.arange(2)
     by_windows = labels[w[:, None] ^ w]  # (w_lo, w_hi, l1 * l2 * q)
     weights = _pair_weights(seq, parties.assignment)[..., None] * by_windows[:, :, None]
-    pi = np.bincount(_CELL_INDEX[frame_correction], weights.ravel(), minlength=256)
+    pi = np.bincount(_CELL_INDEX, weights.ravel(), minlength=256)
     return (pi / pi.sum()).reshape(2, 4, 2, 4, 2, 2)
-
-
-def forced_coincidence_outcomes(
-    seq: SequenceConfig,
-    noise: NoiseParams,
-    qubit_a: TimeBinQubit,
-    qubit_b: TimeBinQubit,
-    slots: tuple[int, int],
-    trials: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Monte Carlo drill with heralds forced at a fixed slot pair.
-
-    Returns trial-wise (m1, m2, m3) and the frame parity implied by the
-    slot positions. Random photon arrivals (and hence scatter dephasing)
-    are suppressed, exactly like run_memory_cycles with forced slots.
-    """
-    slot_i, slot_j = slots
-    if not 0 <= slot_i < slot_j < seq.n_qubits:
-        raise ValueError(f"forced slots {slots} out of range")
-    frame_parity = (seq.window_of(slot_j) - seq.window_of(slot_i)) % 2
-    deph = (1.0 - 2.0 * noise.p_mw) ** seq.n_pi
-    kernel = _born_kernel(qubit_a.phase, qubit_b.phase, frame_parity, deph, noise)
-    outcome = np.random.default_rng(seed).choice(8, size=trials, p=kernel.ravel())
-    m1, m2, m3 = 1 - 2 * np.array(np.unravel_index(outcome, (2, 2, 2)))
-    return m1, m2, m3, frame_parity
 
 
 def _run_fast(
@@ -438,7 +403,6 @@ def _run_fast(
     noise: NoiseParams,
     cycles: int,
     seed: int,
-    frame_correction: bool,
 ) -> tuple[CoincidenceTally, int, int]:
     """Tally, total heralds and cycles discarded by a third herald."""
     rng = np.random.default_rng(seed)
@@ -447,7 +411,7 @@ def _run_fast(
     heralds = int(by_heralds @ np.arange(len(by_heralds)))
     tally = CoincidenceTally()
     if len(by_heralds) > 2 and by_heralds[2] > 0:
-        pi = coincidence_cell_probabilities(seq, chan, parties, noise, frame_correction)
+        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
         cells = rng.multinomial(by_heralds[2], pi.ravel()).reshape(pi.shape)
         tally = CoincidenceTally(counts=cells[0], excluded=cells[1])
     return tally, heralds, int(by_heralds[3:].sum())
@@ -460,7 +424,6 @@ def _run_reference(
     noise: NoiseParams,
     cycles: int,
     seed: int,
-    frame_correction: bool,
 ) -> tuple[CoincidenceTally, int, int]:
     """Tally, total heralds and cycles discarded by a third herald."""
     rng = np.random.default_rng(seed)
@@ -476,9 +439,6 @@ def _run_reference(
         discarded += int((run.heralds > 2).sum())
         record = run.heralds == 2
         slots, labels, m = run.slots[record], run.labels[record], run.m[record]
-        if frame_correction:
-            # Photons sent in odd windows are read out in the conjugated frame.
-            labels = np.where(seq.window_of(slots) % 2 == 1, CONJ_LABEL[labels], labels)
         if parties.assignment == "random":
             party = rng.integers(0, 2, size=slots.shape)
         elif parties.assignment == "alternating":
@@ -486,16 +446,9 @@ def _run_reference(
         else:
             # One sender plays both parties: every record is Alice's, then Bob's.
             party = np.broadcast_to([0, 1], slots.shape)
-        # Orient cross-party records so the first label is Alice's photon.
-        swap = party[:, 0] > party[:, 1]
-        alice = np.where(swap, labels[:, 1], labels[:, 0])
-        bob = np.where(swap, labels[:, 0], labels[:, 1])
-        same_party = party[:, 0] == party[:, 1]
-        parity = m.prod(axis=1) == -1
-        # Flat cell of the (excluded, basisA, signA, basisB, signB, parity) tally.
-        cells += np.bincount(
-            128 * same_party + 16 * alice + 2 * bob + parity, minlength=256
-        )
+        window = seq.window_of(slots) % 2
+        cell = _tally_cell(*window.T, *party.T, *labels.T, m.prod(axis=1) == -1)
+        cells += np.bincount(cell, minlength=256)
     counts, excluded = cells.reshape(2, 4, 2, 4, 2, 2)
     return CoincidenceTally(counts=counts, excluded=excluded), heralds, discarded
 
@@ -510,7 +463,6 @@ def simulate_session(
     *,
     overheads: TimingOverheads | None = None,
     engine: str = "fast",
-    frame_correction: bool = True,
 ) -> tuple[CoincidenceTally, SessionReport]:
     """Run `cycles` independent memory cycles and tally coincidences.
 
@@ -524,7 +476,7 @@ def simulate_session(
         raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
 
     run = _run_fast if engine == "fast" else _run_reference
-    tally, heralds, discarded = run(seq, chan, parties, noise, cycles, seed, frame_correction)
+    tally, heralds, discarded = run(seq, chan, parties, noise, cycles, seed)
 
     accounting = channel_accounting(seq, cycles, overheads)
     report = SessionReport(
@@ -536,7 +488,6 @@ def simulate_session(
         same_party=int(tally.excluded.sum()),
         **sift(tally),
         channel_uses=accounting.uses,
-        channel_occupancies=accounting.occupancies,
         wall_clock_s=accounting.wall_clock_s,
         clock_rate_hz=accounting.clock_rate_hz,
     )

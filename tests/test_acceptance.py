@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 import oracles
-from memqkd.bsm import SequenceConfig
+from memqkd.bsm import BASES, ChannelConfig, SequenceConfig, run_memory_cycles
 from memqkd.cavity import CavityParams, EfficiencyBudget, cooperativity, total_heralding_efficiency
 from memqkd.config import load_preset
 from memqkd.qubits import NoiseParams, TimeBinQubit, spin_photon_fidelity
@@ -25,7 +25,6 @@ from memqkd.rates import (
 from memqkd.session import (
     PartyConfig,
     chsh_statistic,
-    forced_coincidence_outcomes,
     simulate_session,
 )
 
@@ -57,8 +56,17 @@ def test_criterion_02_efficiency_budget():
     )
 
 
+def _forced_photons(qubits):
+    """Photon source of a forced-slot block: each slot sends its qubit."""
+    labels = {slot: 2 * BASES.index(q.basis) + (q.sign == -1) for slot, q in qubits.items()}
+    return lambda slot, k: np.full(k, labels[slot])
+
+
 def test_criterion_03_truth_table():
+    # Each row runs through the density-matrix engine with the heralds
+    # forced at a fixed slot pair and no random arrivals.
     seq = SequenceConfig(n_pi=62, n_sub=2)
+    chan = ChannelConfig(n_p=0.0)
     noise = NoiseParams.ideal()
     trials = 10_000
     violations = 0
@@ -74,16 +82,18 @@ def test_criterion_03_truth_table():
                 # pi pulse (odd frame)
                 for slots, frame in (((0, 1), 0), ((0, 2), 1)):
                     want = oracles.deterministic_parity(input_state, frame)
-                    m1, m2, m3, got_frame = forced_coincidence_outcomes(
-                        seq, noise, qa, qb, slots, trials, seed=300 + checked
+                    block = run_memory_cycles(
+                        seq, chan, noise, trials, np.random.default_rng(300 + checked),
+                        _forced_photons({slots[0]: qa, slots[1]: qb}), forced_slots=slots,
                     )
-                    assert got_frame == frame
-                    violations += int(np.sum(m1 * m2 * m3 != want))
+                    windows = seq.window_of(block.slots)
+                    assert ((windows[:, 1] - windows[:, 0]) % 2 == frame).all()
+                    violations += int(np.sum(block.m.prod(axis=1) != want))
                     checked += 1
     _check(
         3,
         "all 8 truth-table rows and 8 frame-odd variants, zero violations "
-        f"over {trials} forced trials each, against the state-vector oracle",
+        f"over {trials} forced density-matrix cycles each, against the state-vector oracle",
         checked == 16 and violations == 0,
         f"violations = {violations}",
     )
@@ -197,7 +207,7 @@ def test_criterion_08_monte_carlo_vs_enhancement_formula():
     )
     assert cycles >= 1_000_000
     chan = cfg.channel()
-    mc_rate = report.sifted / report.channel_occupancies
+    mc_rate = report.sifted_rate_per_use() / 2
     target = sifted_enhancement(cfg.noise.eta_detect, 62, 2) * rate_direct_bound(
         chan.p_ab, 0.5
     )

@@ -18,7 +18,6 @@ from memqkd.bsm import (
     truth_table_rows,
 )
 from memqkd.qubits import NoiseParams, TimeBinQubit
-from memqkd.session import forced_coincidence_outcomes
 
 
 class TestConfigs:
@@ -256,24 +255,38 @@ class TestMemoryCycle:
         assert rng.random() == 0.9747810885761651
 
     def test_noiseless_truth_table_through_reference_engine(self):
-        # Spot check: the density-matrix path reproduces the table rows.
+        # Every label pair with a deterministic parity at its frame runs
+        # through the density-matrix path: the 16 truth-table rows and the
+        # diagonal pairs the CHSH rounds rely on, such as A+/B- at even
+        # frame and A+/A+ at odd frame.
         seq = SequenceConfig(n_pi=2, n_sub=2)
         chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
         rng = np.random.default_rng(4)
+        qubits = [TimeBinQubit(b, s) for b in BASES for s in (1, -1)]
+        observed = {}
+        for qa in qubits:
+            for qb in qubits:
+                for frame, slots in ((0, (0, 1)), (1, (0, 2))):
+                    try:
+                        want = expected_parity(qa, qb, frame)
+                    except ValueError:
+                        continue  # this pair has no deterministic parity here
+                    block = run_memory_cycles(
+                        seq, chan, NoiseParams.ideal(), 25, rng,
+                        photons({slots[0]: qa, slots[1]: qb}.get), forced_slots=slots,
+                    )
+                    assert (frame_parity(seq, block) == frame).all()
+                    assert (block.m.prod(axis=1) == want).all()
+                    observed[qa, qb, frame] = want
+        assert len(observed) == 32  # two partners per label and frame
+        assert observed[TimeBinQubit("A", 1), TimeBinQubit("B", -1), 0] == 1
+        assert observed[TimeBinQubit("A", 1), TimeBinQubit("A", 1), 1] == 1
         for row in truth_table_rows():
             qa = TimeBinQubit(row["alice"][1].upper(), 1 if row["alice"][0] == "+" else -1)
             qb = TimeBinQubit(row["bob"][1].upper(), 1 if row["bob"][0] == "+" else -1)
-            slots = (0, 1) if row["frame"] == "even" else (0, 2)
-            qubits = {slots[0]: qa, slots[1]: qb}
-            block = run_memory_cycles(
-                seq, chan, NoiseParams.ideal(), 25, rng, photons(qubits.get),
-                forced_slots=slots,
-            )
-            frame = frame_parity(seq, block)
-            assert (block.m.prod(axis=1) == row["parity"]).all()
-            assert {classify_bell_state(row["parity"], int(f)) for f in frame} == {
-                row["bell_state"]
-            }
+            frame = 0 if row["frame"] == "even" else 1
+            assert observed[qa, qb, frame] == row["parity"]
+            assert classify_bell_state(row["parity"], frame) == row["bell_state"]
 
 
 class TestInformationHiding:
@@ -283,6 +296,7 @@ class TestInformationHiding:
         from scipy import stats
 
         seq = SequenceConfig(n_pi=62, n_sub=2)
+        chan = ChannelConfig(n_p=0.0)
         noise = NoiseParams.ideal()
         pairs = [
             (TimeBinQubit("X", 1), TimeBinQubit("X", 1)),
@@ -291,9 +305,11 @@ class TestInformationHiding:
             (TimeBinQubit("A", 1), TimeBinQubit("B", -1)),
         ]
         for idx, (qa, qb) in enumerate(pairs):
-            m1, m2, _, _ = forced_coincidence_outcomes(
-                seq, noise, qa, qb, (0, 1), trials=20_000, seed=100 + idx
+            block = run_memory_cycles(
+                seq, chan, noise, 20_000, np.random.default_rng(100 + idx),
+                photons({0: qa, 1: qb}.get), forced_slots=(0, 1),
             )
+            m1, m2 = block.m[:, 0], block.m[:, 1]
             joint = np.zeros(4)
             for v1 in (1, -1):
                 for v2 in (1, -1):

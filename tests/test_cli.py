@@ -164,21 +164,22 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "text",
         [
-            "[channel]\nn_m = 500\n",
-            "[noise]\neps_leak = nan\n",
-            "[sequence]\nn_pi = 1e300\n",
-            "[timing]\nreadout_s = nan\n",
-            "[timing]\nlock_s = inf\n",
-            "[sequence]\npi_time_ns = -1\n",
-            "[sequence]\ndelta_t_ns = inf\n",
-            "[cavity]\neta_c = 0.93\n",
+            b"[channel]\nn_m = 500\n",
+            b"[noise]\neps_leak = nan\n",
+            b"[sequence]\nn_pi = 1e300\n",
+            b"[timing]\nreadout_s = nan\n",
+            b"[timing]\nlock_s = inf\n",
+            b"[sequence]\npi_time_ns = -1\n",
+            b"[sequence]\ndelta_t_ns = inf\n",
+            b"[cavity]\neta_c = 0.93\n",
+            b"\xff\xfe[noise]",
         ],
         ids=["n_m-above-N", "eps_leak-nan", "n_pi-huge", "readout_s-nan", "lock_s-inf",
-             "pi_time-negative", "delta_t-inf", "cavity-section"],
+             "pi_time-negative", "delta_t-inf", "cavity-section", "undecodable"],
     )
     def test_unusable_config_value_is_config_error(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
-        path.write_text(text)
+        path.write_bytes(text)
         assert run(["simulate", "--config", str(path)]) == 2
 
     def test_internal_value_error_is_not_a_config_error(self, qkd_config, monkeypatch):

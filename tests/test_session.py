@@ -252,12 +252,11 @@ class TestReferenceFollowsExactProbabilities:
         n_sub=st.sampled_from([1, 2, 4]),
         mode=st.sampled_from(["qkd", "chsh"]),
         assignment=st.sampled_from(["random", "alternating", "single"]),
-        frame_correction=st.booleans(),
         heralds_per_cycle=st.floats(1.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_small_layouts(
-        self, n_pi, n_sub, mode, assignment, frame_correction, heralds_per_cycle, seed
+        self, n_pi, n_sub, mode, assignment, heralds_per_cycle, seed
     ):
         cycles = 50_000
         seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
@@ -270,10 +269,7 @@ class TestReferenceFollowsExactProbabilities:
         pmf = _herald_count_pmf(seq.n_qubits, chan.n_p * noise.eta_detect)
         assert cycles * pmf[2] >= 200
 
-        _, ref = simulate_session(
-            seq, chan, parties, noise, cycles, seed, engine="reference",
-            frame_correction=frame_correction,
-        )
+        _, ref = simulate_session(seq, chan, parties, noise, cycles, seed, engine="reference")
 
         k = np.arange(len(pmf))
         mean, var = pmf @ k, pmf @ k**2 - (pmf @ k) ** 2
@@ -281,7 +277,7 @@ class TestReferenceFollowsExactProbabilities:
         assert self.within_5_sigma(ref.coincidences, cycles, pmf[2])
         assert self.within_5_sigma(ref.discarded_multi, cycles, pmf[3:].sum())
 
-        pi = coincidence_cell_probabilities(seq, chan, parties, noise, frame_correction)
+        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
         same = pi[0][[0, 1], :, [0, 1]]
         p_sifted = same.sum()
         p_error = same[self.ERROR].sum()
@@ -341,26 +337,23 @@ class TestCellProbabilities:
         assignment=st.sampled_from(["random", "alternating", "single"]),
         bias=st.floats(0.0, 1.0),
         load=st.floats(0.0, 1.0),
-        frame_correction=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_cells_and_tally_are_conserved(
-        self, n_pi, n_sub, mode, assignment, bias, load, frame_correction, seed
+        self, n_pi, n_sub, mode, assignment, bias, load, seed
     ):
         seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
         chan = ChannelConfig.from_mean_photons(load * seq.n_qubits, seq.n_qubits)
         parties = PartyConfig(mode=mode, basis_bias=bias, assignment=assignment)
         noise = NoiseParams()
-        tally, report = simulate_session(
-            seq, chan, parties, noise, 10_000, seed, frame_correction=frame_correction
-        )
+        tally, report = simulate_session(seq, chan, parties, noise, 10_000, seed)
         assert tally.total() == report.coincidences
         assert report.same_party == tally.excluded.sum()
         assert report.heralds >= 2 * report.coincidences + 3 * report.discarded_multi
         if seq.n_qubits < 2:
             assert report.coincidences == 0
             return
-        pi = coincidence_cell_probabilities(seq, chan, parties, noise, frame_correction)
+        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
         assert pi.shape == (2, 4, 2, 4, 2, 2)
         assert (pi >= 0).all()
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -403,22 +396,6 @@ class TestSifting:
             observed = report.sifted / report.coincidences
             sigma = math.sqrt(expected * (1 - expected) / report.coincidences)
             assert abs(observed - expected) < 4 * sigma
-
-    def test_frame_correction_disabled_breaks_yy_only(self):
-        seq, chan, _ = small_setup()
-        parties = PartyConfig(assignment="single")
-        tally, report = simulate_session(
-            seq,
-            chan,
-            parties,
-            NoiseParams.ideal(),
-            100_000,
-            seed=41,
-            frame_correction=False,
-        )
-        assert report.errors_xx == 0
-        e_yy = report.errors_yy / report.sifted_yy
-        assert 0.4 < e_yy < 0.6  # odd frames wreck half of the Y-Y pairs
 
     def test_sift_drops_cross_basis(self):
         tally = CoincidenceTally()
@@ -487,10 +464,6 @@ class TestChannelAccounting:
         acct = channel_accounting(SEQ124, 1000, no_overheads)
         expected = SEQ124.n_qubits / SEQ124.cycle_duration_s()
         assert acct.clock_rate_hz == pytest.approx(expected, rel=1e-12)
-
-    def test_occupancy_is_twice_uses(self):
-        acct = channel_accounting(SEQ124, 12345)
-        assert acct.occupancies == pytest.approx(2 * acct.uses, rel=1e-15)
 
     def test_n248_clock_rate_near_observed(self):
         seq = SequenceConfig(n_pi=124, n_sub=2)
