@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from memqkd.bsm import ChannelConfig, SequenceConfig
+from memqkd.bsm import BASES, CONJ_LABEL, ChannelConfig, SequenceConfig
 from memqkd.qubits import NoiseParams
 from memqkd.session import (
     _BLOCK_UNIFORMS,
@@ -16,6 +16,7 @@ from memqkd.session import (
     PartyConfig,
     TimingOverheads,
     _herald_count_pmf,
+    _tally_cell,
     channel_accounting,
     chsh_statistic,
     coincidence_cell_probabilities,
@@ -372,6 +373,18 @@ class TestSifting:
         assert report.sifted > 1000
         assert report.errors == 0
 
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_frame_tracking_keeps_yy_error_free(self, engine):
+        # Odd frames flip the Y-Y parity; with the frame tracked, a
+        # noiseless session has no error in either basis.
+        seq, chan, _ = small_setup()
+        parties = PartyConfig(assignment="single")
+        _, report = simulate_session(
+            seq, chan, parties, NoiseParams.ideal(), 20_000, seed=41, engine=engine
+        )
+        assert report.sifted_xx > 100 and report.sifted_yy > 100
+        assert report.errors_xx == report.errors_yy == 0
+
     def test_basis_bias_fraction(self):
         seq, chan, _ = small_setup()
         bias = 0.8
@@ -408,6 +421,18 @@ class TestSifting:
         tally.counts[0, 0, 0, 0, 1] = 3  # +x,+x with parity -1: errors
         tally.counts[1, 0, 1, 1, 0] = 5  # +y,-y with parity +1: correct
         assert sift(tally) == {"sifted_xx": 3, "errors_xx": 3, "sifted_yy": 5, "errors_yy": 0}
+
+
+class TestTallyCell:
+    def test_odd_window_is_conjugated_and_alice_first(self):
+        labels = np.arange(2 * len(BASES))
+        la, lb = np.meshgrid(labels, labels, indexing="ij")
+        # Bob heralds first in an odd window, Alice second in an even one.
+        cell = _tally_cell(1, 0, 1, 0, lb, la, 1)
+        assert (cell == 16 * la + 2 * CONJ_LABEL[lb] + 1).all()
+        # Two photons of one party land in `excluded`, in herald order.
+        cell = _tally_cell(0, 1, 1, 1, la, lb, 0)
+        assert (cell == 128 + 16 * la + 2 * CONJ_LABEL[lb]).all()
 
 
 class TestPartyAssignment:
