@@ -44,14 +44,12 @@ from .qubits import (
 )
 from .rates import (
     QBER_INDIVIDUAL_LIMIT,
-    QBER_UNCONDITIONAL_LIMIT,
     BoundsConfig,
     KeyRateReport,
-    QberPosterior,
+    TruncatedBeta,
     binary_entropy,
     build_report,
     plob_bound,
-    qber_posterior,
     rate_direct_bound,
     secret_fraction,
     sifted_enhancement,

@@ -35,8 +35,6 @@ from .qubits import (
     reflect_and_herald,
 )
 
-BELL_LABELS = ("Phi+", "Phi-", "Psi+", "Psi-")
-
 
 @dataclass(frozen=True)
 class SequenceConfig:

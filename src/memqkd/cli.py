@@ -19,7 +19,6 @@ import contextlib
 import csv
 import dataclasses
 import io
-import math
 import os
 import sys
 from pathlib import Path
@@ -34,7 +33,7 @@ from .config import (
     load_config,
     load_preset,
 )
-from .rates import BoundsConfig, KeyRateReport, build_report, qber_posterior
+from .rates import BoundsConfig, KeyRateReport, build_report
 from .session import EmptyCellError, chsh_statistic, simulate_session
 
 _FLOAT_FMT = "%.9g"
@@ -50,6 +49,8 @@ SWEEP_COLUMNS = [
     "N", "n_m", "n_p", "p_AB", "sifted_rate", "qber_ml", "qber_lo",
     "qber_hi", "r_s", "R", "R_over_Rmax", "R_over_PLOB", "seed",
 ]
+# The simulate column each sweep column copies, where the names differ.
+_SWEEP_SOURCE = {"sifted_rate": "sifted_per_use", "R": "secure_per_use"}
 
 CHSH_COLUMNS = ["parity", "term", "value", "coincidences", "S"]
 
@@ -106,9 +107,6 @@ def _run_session(cfg: ScenarioConfig):
 
 def _session_row(cfg: ScenarioConfig, report) -> tuple[dict, KeyRateReport]:
     chan = cfg.channel()
-    # Without a sifted key the error rate, and every secure rate built on
-    # it, is unknown (nan) rather than perfect.
-    qber = qber_posterior(report.errors, report.sifted) if report.sifted else math.nan
     bounds = BoundsConfig(
         eta=cfg.noise.eta_detect,
         n_pi=cfg.sequence.n_pi,
@@ -116,7 +114,7 @@ def _session_row(cfg: ScenarioConfig, report) -> tuple[dict, KeyRateReport]:
         p_ab=chan.p_ab,
         basis_bias=cfg.parties.basis_bias,
     )
-    rates = build_report(qber, bounds, report)
+    rates = build_report(report, bounds)
     row = {
         "N": cfg.sequence.n_qubits,
         "n_m": cfg.n_m,
@@ -207,23 +205,7 @@ def _cmd_sweep(args) -> int:
             point = point.replace(n_m=value)
         _, report = _run_session(point)
         row, _ = _session_row(point, report)
-        rows.append(
-            {
-                "N": row["N"],
-                "n_m": row["n_m"],
-                "n_p": row["n_p"],
-                "p_AB": row["p_AB"],
-                "sifted_rate": row["sifted_per_use"],
-                "qber_ml": row["qber_ml"],
-                "qber_lo": row["qber_lo"],
-                "qber_hi": row["qber_hi"],
-                "r_s": row["r_s"],
-                "R": row["secure_per_use"],
-                "R_over_Rmax": row["R_over_Rmax"],
-                "R_over_PLOB": row["R_over_PLOB"],
-                "seed": point.seed,
-            }
-        )
+        rows.append({c: row[_SWEEP_SOURCE.get(c, c)] for c in SWEEP_COLUMNS})
     _write_csv(args.out, SWEEP_COLUMNS, rows)
     return 0
 

@@ -1,11 +1,11 @@
 """Analytic layer: QBER inference, secret fraction, key-rate bounds.
 
 The QBER posterior is the truncated Beta of the pooled sifted counts,
-Beta(errors + 1, sifted - errors + 1) on [0, 1/2]. Each rate ratio has
-one definition, in `build_report`: the secure rate over the bound, with
-the measured sifted rate when a session is given and the analytic one
-otherwise; its confidence levels integrate that same ratio over the
-posterior.
+Beta(errors + 1, sifted - errors + 1) on [0, 1/2], with an exact CDF.
+Each rate ratio has one definition, in `build_report`: the secure rate
+over the bound, with the measured sifted rate when a session is given and
+the analytic one otherwise; its confidence level is the posterior
+probability that this same ratio exceeds one.
 
 Rate conventions. A full channel use is one photon from each party (two
 qubit slots); a channel occupancy is a single half-link slot, so rates
@@ -19,128 +19,163 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
-
-import numpy as np
+from typing import Callable, Optional, Union
 
 from .session import SessionReport
 
-# Error-rate thresholds of the sifted key: security against individual
-# attacks is lost at the secret-fraction zero crossing (1 - 1/sqrt(2))/2,
-# unconditional security at 0.110.
+# Error rate at which the secret fraction under individual attacks
+# reaches zero: (1 - 1/sqrt(2))/2.
 QBER_INDIVIDUAL_LIMIT = (1.0 - 1.0 / math.sqrt(2.0)) / 2.0
-QBER_UNCONDITIONAL_LIMIT = 0.110
-
-_GRID_STEP = 1e-4
 
 
-def binary_entropy(x):
-    """Shannon entropy h(x) of a binary variable, in bits."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+def binary_entropy(x: float) -> float:
+    """Shannon entropy h(x) of a binary variable, in bits (nan for nan)."""
+    if x < 0 or x > 1:
         raise ValueError("binary_entropy requires arguments in [0, 1]")
-    # 0 at the end points, nan (unknown) for a nan argument.
-    out = np.where(np.isnan(arr), np.nan, 0.0)
-    interior = (arr > 0) & (arr < 1)
-    xi = arr[interior]
-    out[interior] = -xi * np.log2(xi) - (1.0 - xi) * np.log2(1.0 - xi)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    if x == 0 or x == 1:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def secret_fraction(qber):
+def secret_fraction(qber: float) -> float:
     """Distillable fraction of the sifted key under individual attacks.
 
     r_s = max(0, h(1/2 + sqrt(E(1-E))) - h(E)). The eavesdropper term is
     the standard individual-attack information bound; the expression
-    crosses zero at E = (1 - 1/sqrt(2))/2 ~= 0.1464. A nan QBER (unknown)
-    gives nan, not 0.
+    decreases strictly to its zero crossing at E = (1 - 1/sqrt(2))/2
+    ~= 0.1464. A nan QBER (unknown) gives nan, not 0.
     """
-    arr = np.asarray(qber, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 0.5):
+    if qber < 0 or qber > 0.5:
         raise ValueError("secret_fraction requires QBER in [0, 1/2]")
-    eve = binary_entropy(0.5 + np.sqrt(arr * (1.0 - arr)))
-    r = np.maximum(0.0, eve - binary_entropy(arr))
-    return float(r) if np.isscalar(qber) or arr.ndim == 0 else r
+    r = binary_entropy(0.5 + math.sqrt(qber * (1.0 - qber))) - binary_entropy(qber)
+    return 0.0 if r < 0 else r
 
 
-@dataclass(frozen=True)
-class QberPosterior:
-    """Posterior density of the average QBER on a uniform prior over [0, 1/2]."""
-
-    grid: np.ndarray
-    density: np.ndarray  # normalized so sum(density) * step = 1
-    ml: float
-    interval_low: float
-    interval_high: float
-
-    @property
-    def step(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
-    def integrated_below(self, threshold: float) -> float:
-        """Posterior probability that the QBER lies below `threshold`."""
-        mass = float(self.density[self.grid <= threshold].sum() * self.step)
-        return min(1.0, mass)
-
-    def std(self) -> float:
-        mean = float((self.grid * self.density).sum() * self.step)
-        var = float(((self.grid - mean) ** 2 * self.density).sum() * self.step)
-        return math.sqrt(max(var, 0.0))
+def _secret_fraction_slope(qber: float) -> float:
+    """d r_s / dE below QBER_INDIVIDUAL_LIMIT, from h'(x) = log2((1 - x) / x)."""
+    root = math.sqrt(qber * (1.0 - qber))
+    return (math.log2((0.5 - root) / (0.5 + root)) * (0.5 - qber) / root
+            - math.log2((1.0 - qber) / qber))
 
 
-def qber_posterior(errors: int, sifted: int) -> QberPosterior:
-    """Posterior of the average QBER from pooled error counts.
+def _solve(fn: Callable, target: float, x: float, lo: float, hi: float, tol: float) -> float:
+    """The x in [lo, hi] where the increasing fn(x) equals target.
+
+    fn(x) returns (value, slope, bend), bend being the slope's logarithmic
+    derivative. Steps are Halley's (Newton's for bend 0); one that would
+    leave the shrinking bracket bisects it. The first x whose value lies
+    within `tol` of the target returns after one more step.
+    """
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    while True:
+        value, slope, bend = fn(x)
+        lo, hi = (x, hi) if value < target else (lo, x)
+        step = (target - value) / slope if slope > 0 else math.nan
+        new = x + step / (1.0 + 0.5 * step * bend)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        elif abs(target - value) <= tol:
+            return new
+        if new == x:
+            return x
+        x = new
+
+
+def _log_front(x: float, a: int, b: int) -> float:
+    """log(x^a (1 - x)^b / B(a, b)) for integers a, b >= 1.
+
+    1 / B(a, b) = (a + b - 1) C(a + b - 2, a - 1) exactly when a or b is
+    small. Otherwise Stirling's series pairs each power with its lgamma
+    terms, so that the O(a + b) parts cancel before rounding.
+    """
+    if min(a, b) <= 20:
+        return (a * math.log(x) + b * math.log1p(-x)
+                + math.log((a + b - 1) * math.comb(a + b - 2, a - 1)))
+
+    def tail(z: float) -> float:  # lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2
+        w = 1.0 / (z * z)
+        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
+
+    t = x * (a + b) - a  # t / a rounds to -1 for x below about eps a / (a + b)
+    head = a * math.log1p(t / a) if 2.0 * t > -a else a * (math.log(x) + math.log1p(b / a))
+    return (head + b * math.log1p(-t / b) + tail(a + b) - tail(a) - tail(b)
+            + 0.5 * math.log(a * b / (2.0 * math.pi * (a + b))))
+
+
+def _log_ibeta(x: float, a: int, b: int) -> float:
+    """log I_x(a, b), the regularized incomplete beta, for 0 < x < 1.
+
+    I_x(a, b) = front * cf / a, with the continued fraction cf summed by
+    the modified Lentz method; it converges in O(sqrt(a + b)) steps at
+    worst for x < (a + 1) / (a + b + 2), so above that point the upper
+    tail 1 - I_x(a, b) = I_(1-x)(b, a) is summed instead.
+    """
+    upper = x >= (a + 1.0) / (a + b + 2.0)
+    front = _log_front(x, a, b)
+    # Float (not integer) arithmetic makes the loop about 40% faster.
+    x, a, b = (1.0 - x, float(b), float(a)) if upper else (x, float(a), float(b))
+    tiny = 1e-300  # stands in for an exactly zero denominator
+    c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or tiny)
+    cf, m = d, 0.0
+    while abs(d * c - 1.0) >= 1e-15:
+        m += 1.0
+        k = a + 2.0 * m
+        num = m * (b - m) * x / ((k - 1) * k)
+        d = 1.0 / ((1.0 + num * d) or tiny)
+        c = (1.0 + num / c) or tiny
+        cf *= d * c
+        num = -(a + m) * (a + b + m) * x / (k * (k + 1))
+        d = 1.0 / ((1.0 + num * d) or tiny)
+        c = (1.0 + num / c) or tiny
+        cf *= d * c
+    log_tail = front + math.log(cf / a)
+    return math.log1p(-math.exp(log_tail)) if upper else log_tail
+
+
+class TruncatedBeta:
+    """Posterior of the average QBER on a uniform prior over [0, 1/2].
 
     A product of per-cell binomial likelihoods in one error rate E is the
-    binomial likelihood of the pooled counts, so on a uniform prior the
-    posterior is Beta(errors + 1, sifted - errors + 1) truncated to
-    [0, 1/2]. It is evaluated on a uniform grid over that range. The
-    credible interval integrates 34.1% of posterior mass on each side of
-    the maximum-likelihood point, spilling to the other side at a domain
-    edge.
+    binomial likelihood of the pooled counts, so the posterior is
+    Beta(errors + 1, sifted - errors + 1) truncated to [0, 1/2], with ML
+    point min(errors / sifted, 1/2). The CDF I_x(a, b) / I_1/2(a, b) is
+    formed in log space, so it also holds where I_1/2 underflows.
     """
-    if not 0 <= errors <= sifted:
-        raise ValueError(f"invalid counts: {errors} errors of {sifted}")
-    if sifted == 0:
-        raise ValueError("qber_posterior requires at least one sifted coincidence")
 
-    grid = np.arange(0.0, 0.5 + _GRID_STEP / 2.0, _GRID_STEP)
-    loglik = np.zeros_like(grid)
-    with np.errstate(divide="ignore"):
-        if errors > 0:
-            loglik += errors * np.log(grid)
-        if sifted > errors:
-            loglik += (sifted - errors) * np.log1p(-grid)
-    loglik -= loglik.max()
-    density = np.exp(loglik)
-    density /= density.sum() * _GRID_STEP
+    def __init__(self, errors: int, sifted: int) -> None:
+        if not 0 <= errors <= sifted or sifted == 0:
+            raise ValueError(f"the QBER posterior needs 0 <= errors <= sifted and "
+                             f"sifted > 0, got {errors} errors of {sifted}")
+        self.a, self.b = errors + 1, sifted - errors + 1
+        self.ml = min(errors / sifted, 0.5)
+        self._log_mass = _log_ibeta(0.5, self.a, self.b)
 
-    ml_idx = int(np.argmax(density))
-    low_idx, high_idx = _central_interval(density, ml_idx, _GRID_STEP, 0.341)
-    return QberPosterior(
-        grid=grid,
-        density=density,
-        ml=float(grid[ml_idx]),
-        interval_low=float(grid[low_idx]),
-        interval_high=float(grid[high_idx]),
-    )
+    def cdf(self, x: float) -> float:
+        """Posterior probability that the QBER lies below x."""
+        if not 0 < x < 0.5:
+            return 0.0 if x <= 0 else 1.0
+        return min(math.exp(_log_ibeta(x, self.a, self.b) - self._log_mass), 1.0)
 
+    def quantile(self, p: float, guess: float = 0.25) -> float:
+        """The QBER below which the posterior holds probability p; the
+        search for it starts at `guess`."""
+        if not 0 < p < 1:
+            return 0.0 if p <= 0 else 0.5
+        a, b, log_mass = self.a, self.b, self._log_mass
 
-def _central_interval(
-    density: np.ndarray, ml_idx: int, step: float, side_mass: float
-) -> tuple[int, int]:
-    cdf = np.cumsum(density) * step
-    total = cdf[-1]
-    at_ml = cdf[ml_idx]
-    below = min(side_mass, at_ml)
-    above = min(side_mass, total - at_ml)
-    # Spill unreachable mass to the other side so the interval always
-    # holds 2 * side_mass when possible.
-    below += side_mass - above if above < side_mass else 0.0
-    above += side_mass - min(side_mass, at_ml) if at_ml < side_mass else 0.0
-    low_idx = int(np.searchsorted(cdf, max(at_ml - below, 0.0)))
-    high_idx = int(np.searchsorted(cdf, min(at_ml + above, total - step * 1e-9)))
-    return min(low_idx, ml_idx), max(min(high_idx, len(density) - 1), ml_idx)
+        def cdf_density_bend(x: float) -> tuple[float, float, float]:
+            log_density = _log_front(x, a, b) - math.log(x) - math.log1p(-x) - log_mass
+            return self.cdf(x), math.exp(log_density), (a - 1) / x - (b - 1) / (1.0 - x)
+
+        return _solve(cdf_density_bend, p, guess, 0.0, 0.5, 1e-4 * min(p, 1.0 - p))
+
+    def interval(self) -> tuple[float, float]:
+        """68.2% credible interval: 34.1% each side of the ML point, any
+        mass a domain edge cuts off one side spilling to the other."""
+        low = min(max(self.cdf(self.ml) - 0.341, 0.0), 1.0 - 0.682)
+        sigma = math.sqrt(self.a * self.b / (self.a + self.b + 1.0)) / (self.a + self.b)
+        return self.quantile(low, self.ml - sigma), self.quantile(low + 0.682, self.ml + sigma)
 
 
 def rate_direct_bound(p_ab: float, bias: float = 0.5) -> float:
@@ -203,23 +238,13 @@ class BoundsConfig:
     p_ab: float
     basis_bias: float = 0.5
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.p_ab < 1:
-            raise ValueError(f"p_ab must lie in [0, 1), got {self.p_ab}")
-        if not 0 <= self.basis_bias <= 1:
-            raise ValueError(f"basis_bias must lie in [0, 1], got {self.basis_bias}")
-
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Secret-key rates, bound ratios and confidence levels.
+    """Secret-key rates, bound ratios and confidence levels, stored per
+    channel use; each per-occupancy value is half of it, against the same
+    per-use bounds."""
 
-    Rates and ratios are stored per channel use; each per-occupancy value
-    is half of it, against the same per-use bounds.
-    """
-
-    p_ab: float
-    basis_bias: float
     qber_ml: float
     qber_low: float
     qber_high: float
@@ -251,61 +276,58 @@ class KeyRateReport:
         return self.ratio_plob_per_use / 2.0
 
 
-def build_report(
-    qber: Union[float, QberPosterior],
-    bounds: BoundsConfig,
-    session: Optional[SessionReport] = None,
-) -> KeyRateReport:
+def _confidence(posterior: TruncatedBeta, rs_needed: float) -> float:
+    """Posterior probability that the secret fraction exceeds rs_needed.
+
+    r_s falls strictly from 1 at E = 0 to 0 at QBER_INDIVIDUAL_LIMIT, so
+    r_s(E) > rs_needed exactly below the E* where r_s(E*) = rs_needed.
+    """
+    if not 0 < rs_needed < 1:
+        return 0.0
+
+    def rising(e: float) -> tuple[float, float, float]:
+        return -secret_fraction(e), -_secret_fraction_slope(e), 0.0
+
+    return posterior.cdf(
+        _solve(rising, -rs_needed, posterior.ml, 0.0, QBER_INDIVIDUAL_LIMIT, 1e-13))
+
+
+def build_report(source: Union[float, SessionReport], bounds: BoundsConfig) -> KeyRateReport:
     """Assemble the rate report; the only definition of each rate ratio.
 
-    The sifted rate per use is the session's measured rate when a session
-    report is given, and otherwise the analytic rate: per occupancy,
-    sifted_enhancement times the direct bound. The secure rate is r_s
-    times the sifted rate, and R/Rmax and R/PLOB divide it by
-    `rate_direct_bound` and by the linear PLOB bound, both per use (nan
-    against a zero bound). In the analytic case this is the identity
-    ratio_rmax_per_use = 2 * sifted_enhancement * r_s. The confidence
-    against each bound is the posterior mass of error rates at which that
-    same ratio exceeds one. A nan `qber` (no sifted key) makes every
-    secure rate and ratio nan.
+    `source` is an error rate (the analytic report) or a session report,
+    whose sifted counts give the QBER posterior: its ML point, 68.2%
+    interval and confidence levels. The sifted rate per use is the
+    session's, or else the analytic one, sifted_enhancement times the
+    direct bound per occupancy. The secure rate is r_s times the sifted
+    rate; R/Rmax and R/PLOB divide it by `rate_direct_bound` and by the
+    linear PLOB bound, both per use (nan against a zero bound), so the
+    analytic ratio_rmax_per_use is 2 * sifted_enhancement * r_s. The
+    confidence against a bound is the posterior probability that this
+    same ratio exceeds one. Without sifted key the error rate, and every
+    secure rate built on it, is unknown (nan) rather than perfect.
     """
-    if isinstance(qber, QberPosterior):
-        e_ml, e_low, e_high = qber.ml, qber.interval_low, qber.interval_high
-        posterior: Optional[QberPosterior] = qber
-    else:
-        e_ml = e_low = e_high = float(qber)
-        posterior = None
-
-    r_s = secret_fraction(e_ml)
     r_max = rate_direct_bound(bounds.p_ab, bounds.basis_bias)
     plob = plob_bound(bounds.p_ab).linear
-    if session is not None:
-        sifted_use = session.sifted_rate_per_use()
-    else:
-        enhancement = sifted_enhancement(bounds.eta, bounds.n_pi, bounds.n_sub)
-        sifted_use = 2.0 * enhancement * r_max
-
-    def ratio(rs, bound: float):
-        # `rs * nan` keeps the shape of a grid of secret fractions.
-        return rs * sifted_use / bound if bound > 0 else rs * math.nan
-
     conf_rmax = conf_plob = None
-    if posterior is not None:
-        rs_grid = secret_fraction(posterior.grid)
-        weight = posterior.density * posterior.step
-        conf_rmax = float(weight[ratio(rs_grid, r_max) > 1.0].sum())
-        conf_plob = float(weight[ratio(rs_grid, plob) > 1.0].sum())
+    if isinstance(source, SessionReport):
+        sifted_use = source.sifted_rate_per_use()
+        e_ml = e_low = e_high = math.nan
+        if source.sifted:
+            posterior = TruncatedBeta(source.errors, source.sifted)
+            e_ml, (e_low, e_high) = posterior.ml, posterior.interval()
+            conf_rmax = _confidence(posterior, r_max / sifted_use)
+            conf_plob = _confidence(posterior, plob / sifted_use)
+    else:
+        sifted_use = 2.0 * sifted_enhancement(bounds.eta, bounds.n_pi, bounds.n_sub) * r_max
+        e_ml = e_low = e_high = float(source)
+    r_s = secret_fraction(e_ml)
+
+    def ratio(bound: float) -> float:
+        return r_s * sifted_use / bound if bound > 0 else math.nan
 
     return KeyRateReport(
-        p_ab=bounds.p_ab,
-        basis_bias=bounds.basis_bias,
-        qber_ml=e_ml,
-        qber_low=e_low,
-        qber_high=e_high,
-        r_s=r_s,
-        sifted_per_use=sifted_use,
-        ratio_rmax_per_use=ratio(r_s, r_max),
-        ratio_plob_per_use=ratio(r_s, plob),
-        confidence_vs_rmax=conf_rmax,
-        confidence_vs_plob=conf_plob,
+        qber_ml=e_ml, qber_low=e_low, qber_high=e_high, r_s=r_s, sifted_per_use=sifted_use,
+        ratio_rmax_per_use=ratio(r_max), ratio_plob_per_use=ratio(plob),
+        confidence_vs_rmax=conf_rmax, confidence_vs_plob=conf_plob,
     )

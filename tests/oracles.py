@@ -4,7 +4,8 @@ The Bell-measurement oracle builds the protocol's measurement operators
 by brute force on the spin x photon1 x photon2 state vector, using only
 projectors and bras (no parity shortcuts), and reduces them to a POVM on
 the 4-dimensional two-photon input space. The herald-count oracle sums
-the binomial head in 50-digit arithmetic.
+the binomial head in 50-digit arithmetic. The QBER-posterior oracle takes
+its incomplete beta from scipy and mpmath.
 """
 
 from __future__ import annotations
@@ -115,3 +116,74 @@ def herald_tail_probability(n_slots: int, p: float) -> float:
             mpmath.binomial(n_slots, k) * q**k * (1 - q) ** (n_slots - k) for k in range(3)
         )
         return float(1 - head)
+
+
+class TruncatedBetaOracle:
+    """The QBER posterior Beta(k + 1, n - k + 1) on [0, 1/2], from outside memqkd.
+
+    The CDF is I_x(a, b) / I_1/2(a, b): mpmath.betainc at 50 digits for
+    n <= 200, scipy.special.betainc where I_1/2 is a normal double, and
+    otherwise (k / n far above 1/2, where I_1/2 underflows) the 50-digit
+    power series I_x = x^a (1-x)^b / (a B(a, b)) * 2F1(a + b, 1; a + 1; x),
+    whose terms shrink geometrically below the mode. Quantiles come from
+    scipy.special.betaincinv, or from mpmath.findroot on the series.
+    """
+
+    def __init__(self, k: int, n: int):
+        from scipy.special import betainc
+
+        self.a, self.b = k + 1, n - k + 1
+        self.ml = min(k / n, 0.5)
+        self.small = n <= 200
+        self.mass = float(betainc(self.a, self.b, 0.5))
+        self.series = not self.small and self.mass < 1e-250
+
+    def _log_series(self, x):
+        import mpmath
+
+        a, b = mpmath.mpf(self.a), mpmath.mpf(self.b)
+        term = total = mpmath.mpf(1)
+        j = 0
+        while term > total * mpmath.mpf(10) ** -45:
+            term *= (a + b + j) * x / (a + 1 + j)
+            total += term
+            j += 1
+        log_beta = mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+        return a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a) - log_beta + mpmath.log(total)
+
+    def cdf(self, x: float) -> float:
+        import mpmath
+        from scipy.special import betainc
+
+        if x <= 0 or x >= 0.5:
+            return 0.0 if x <= 0 else 1.0
+        with mpmath.workdps(50):
+            if self.small:
+                inc = lambda t: mpmath.betainc(self.a, self.b, 0, t, regularized=True)
+                return float(inc(mpmath.mpf(x)) / inc(mpmath.mpf(0.5)))
+            if self.series:
+                half = self._log_series(mpmath.mpf(0.5))
+                return float(mpmath.exp(self._log_series(mpmath.mpf(x)) - half))
+        return float(betainc(self.a, self.b, x)) / self.mass
+
+    def quantile(self, p: float) -> float:
+        import mpmath
+        from scipy.special import betaincinv
+
+        if p <= 0 or p >= 1:
+            return 0.0 if p <= 0 else 0.5
+        if not self.series:
+            return float(betaincinv(self.a, self.b, p * self.mass))
+        # Below 1/2 the log density falls at least at the rate
+        # 2 (a - b) it has at 1/2, so all but e^-80 of the mass lies within
+        # 40 / (a - b) of 1/2.
+        with mpmath.workdps(50):
+            half = self._log_series(mpmath.mpf(0.5))
+            width = mpmath.mpf(40) / (self.a - self.b)
+            gap = lambda t: self._log_series(t) - half - mpmath.log(p)
+            return float(mpmath.findroot(gap, (0.5 - width, 0.5 - width / 1e6), solver="anderson"))
+
+    def interval(self) -> tuple[float, float]:
+        """The 68.2% rule: 34.1% each side of the ML, spilling at an edge."""
+        low = min(max(self.cdf(self.ml) - 0.341, 0.0), 1.0 - 0.682)
+        return self.quantile(low), self.quantile(low + 0.682)

@@ -16,8 +16,8 @@ from memqkd.config import load_preset
 from memqkd.qubits import NoiseParams, TimeBinQubit, spin_photon_fidelity
 from memqkd.rates import (
     BoundsConfig,
+    TruncatedBeta,
     build_report,
-    qber_posterior,
     rate_direct_bound,
     secret_fraction,
     sifted_enhancement,
@@ -27,6 +27,15 @@ from memqkd.session import (
     chsh_statistic,
     simulate_session,
 )
+
+
+def _rates(cfg, report):
+    """The rate report of a session, with the bounds of its scenario."""
+    bounds = BoundsConfig(
+        eta=cfg.noise.eta_detect, n_pi=cfg.sequence.n_pi, n_sub=cfg.sequence.n_sub,
+        p_ab=cfg.channel().p_ab, basis_bias=cfg.parties.basis_bias,
+    )
+    return build_report(report, bounds)
 
 
 def _check(num: int, description: str, condition: bool, detail: str = "") -> None:
@@ -166,7 +175,7 @@ def test_criterion_06_chsh():
         cfg.cycles,
         cfg.seed,
     )
-    qber = qber_posterior(report.errors, report.sifted).ml
+    qber = _rates(cfg, report).qber_ml
     assert abs(qber - 0.11) < 0.005
     _check(
         6,
@@ -183,11 +192,12 @@ def test_criterion_06_chsh():
 def test_criterion_07_posterior_confidence():
     n = 2433  # gives ML 0.097 with posterior sigma 0.006
     k = round(0.097 * n)
-    post = qber_posterior(k, n)
-    conf = post.integrated_below(0.110)
+    post = TruncatedBeta(k, n)
+    low, high = post.interval()
+    conf = post.cdf(0.110)
     ok = (
         abs(post.ml - 0.097) < 1e-3
-        and abs(post.std() - 0.006) < 5e-4
+        and abs((high - low) / 2 - 0.006) < 5e-4
         and abs(conf - 0.985) < 0.01
     )
     _check(
@@ -195,7 +205,7 @@ def test_criterion_07_posterior_confidence():
         "posterior with ML 0.097 and sigma 0.006 has confidence 0.985 +/- 0.01 "
         "below the 0.110 threshold",
         ok,
-        f"ML = {post.ml:.4f}, sigma = {post.std():.4f}, confidence = {conf:.4f}",
+        f"ML = {post.ml:.4f}, half-width = {(high - low) / 2:.4f}, confidence = {conf:.4f}",
     )
 
 
@@ -246,7 +256,7 @@ def test_criterion_10_qualitative_trends():
         _, report = simulate_session(
             cfg.sequence, cfg.channel(), cfg.parties, cfg.noise, cycles, cfg.seed
         )
-        qber_by_nm.append(qber_posterior(report.errors, report.sifted).ml)
+        qber_by_nm.append(_rates(cfg, report).qber_ml)
     trend_nm = qber_by_nm[0] < qber_by_nm[1] < qber_by_nm[2]
 
     # (b) error rate grows with N at fixed n_m once heating is enabled
@@ -257,7 +267,7 @@ def test_criterion_10_qualitative_trends():
         _, report = simulate_session(
             seq, cfg.channel(), cfg.parties, cfg.noise, 1_000_000_000, cfg.seed
         )
-        qber_by_n.append(qber_posterior(report.errors, report.sifted).ml)
+        qber_by_n.append(_rates(cfg, report).qber_ml)
     trend_n = all(b > a for a, b in zip(qber_by_n, qber_by_n[1:]))
 
     # (c) secure rate beats the direct-transmission p/2 line by > 3x at N=124
@@ -265,9 +275,7 @@ def test_criterion_10_qualitative_trends():
         base.sequence, base.channel(), base.parties, base.noise,
         4_000_000_000, base.seed,
     )
-    post = qber_posterior(report.errors, report.sifted)
-    r_s = secret_fraction(post.ml)
-    secure_per_use = r_s * report.sifted_rate_per_use()
+    secure_per_use = _rates(base, report).secure_per_use
     advantage = secure_per_use / rate_direct_bound(base.channel().p_ab, 0.5)
     _check(
         10,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -11,6 +12,8 @@ import pytest
 
 import memqkd
 from memqkd.cli import CHSH_COLUMNS, SIMULATE_COLUMNS, SWEEP_COLUMNS, run
+from memqkd.config import load_preset, serialize_config
+from oracles import TruncatedBetaOracle
 
 FAST_QKD = textwrap.dedent(
     """
@@ -238,6 +241,36 @@ class TestPresetBenchmark:
         gain = [float(r["sifted_rate"]) / (float(r["p_AB"]) / 2) for r in rows]
         assert all(b < a for a, b in zip(sifted, sifted[1:]))
         assert all(b > a for a, b in zip(gain, gain[1:]))
+
+
+    def test_posterior_is_exact_at_1e12_cycles(self):
+        # At 1e12 cycles the posterior sigma (7.6e-5) is below any fixed
+        # grid step: the row must carry K/N itself and the interval of the
+        # truncated Beta, here by scipy's betainc/betaincinv.
+        cfg = load_preset("fig4-point-N124").replace(cycles=10**12)
+        _, report = memqkd.cli._run_session(cfg)
+        row, _ = memqkd.cli._session_row(cfg, report)
+        assert report.sifted > 10**7
+        assert row["qber_ml"] == report.errors / report.sifted
+        low, high = TruncatedBetaOracle(report.errors, report.sifted).interval()
+        assert row["qber_lo"] == pytest.approx(low, abs=1e-10)
+        assert row["qber_hi"] == pytest.approx(high, abs=1e-10)
+
+    def test_error_rate_above_one_half(self, tmp_path):
+        # f_readout = 0 flips every readout, so K/N is near 0.88 and the
+        # posterior's mass below 1/2 underflows a double.
+        base = load_preset("fig4-point-N124")
+        cfg = base.replace(noise=dataclasses.replace(base.noise, f_readout=0.0),
+                           cycles=10**11)
+        path, out = tmp_path / "flipped.cfg", tmp_path / "flipped.csv"
+        path.write_text(serialize_config(cfg))
+        assert run(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        header, row = out.read_text().splitlines()
+        values = dict(zip(header.split(","), row.split(",")))
+        assert int(values["errors"]) > 0.8 * int(values["sifted"])
+        assert values["qber_ml"] == values["qber_hi"] == "0.5"
+        assert float(values["qber_lo"]) <= 0.5
+        assert values["r_s"] == "0"
 
 
 class TestSweep:
