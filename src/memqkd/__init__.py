@@ -3,11 +3,7 @@
 from .bsm import (
     ChannelConfig,
     SequenceConfig,
-    classify_bell_state,
-    expected_parity,
-    ideal_parity,
     run_memory_cycles,
-    truth_table_rows,
 )
 from .cavity import (
     CavityParams,
@@ -33,7 +29,6 @@ from .config import (
 from .qubits import (
     NoiseParams,
     SpinState,
-    TimeBinQubit,
     apply_dephasing,
     apply_herald,
     apply_pi_pulse,
@@ -65,6 +60,7 @@ from .session import (
     coincidence_cell_probabilities,
     sift,
     simulate_session,
+    truth_table_rows,
 )
 
 __version__ = "0.1.0"

@@ -12,6 +12,11 @@ with an even number the node resolves the {Phi+-} pair, with an odd
 number the {Psi+-} pair. Only the parity of that count enters the
 algebra, so the pulse axes of the XY8 pattern are not tracked.
 
+A photon is an integer label 0..7 (`LABEL_NAMES`) with the phase
+`LABEL_PHASE`; a photon sent in an odd window is read out as its phase
+conjugate `CONJ_LABEL`. `session.truth_table_rows` reads the truth table
+off the ideal-noise Born kernel.
+
 `run_memory_cycles` advances a block of independent cycles in lockstep:
 one slot loop whose maps act on all the block's spins at once. A drill
 that needs one cycle runs a block of one.
@@ -27,7 +32,6 @@ import numpy as np
 
 from .qubits import (
     NoiseParams,
-    TimeBinQubit,
     apply_dephasing,
     apply_pi_pulse,
     measure_x,
@@ -102,91 +106,14 @@ class ChannelConfig:
         return cls(n_p=n_m / n_qubits)
 
 
-def classify_bell_state(parity: int, frame_parity: int) -> str:
-    """Bell state heralded by a given total parity and frame parity."""
-    if parity not in (1, -1):
-        raise ValueError(f"parity must be +1 or -1, got {parity}")
-    if frame_parity not in (0, 1):
-        raise ValueError(f"frame_parity must be 0 or 1, got {frame_parity}")
-    if frame_parity == 0:
-        return "Phi+" if parity == 1 else "Phi-"
-    return "Psi+" if parity == 1 else "Psi-"
-
-
-def conjugate_label(basis: str, sign: int) -> tuple[str, int]:
-    """State label under phase conjugation phi -> -phi.
-
-    Photons sent during an odd-numbered free-precession window are read
-    out in the conjugated frame. X states are fixed points, Y states flip
-    sign, and the two diagonal bases map into each other with a sign flip.
-    """
-    if basis == "X":
-        return basis, sign
-    if basis == "Y":
-        return basis, -sign
-    if basis == "A":
-        return "B", -sign
-    if basis == "B":
-        return "A", -sign
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-BASES = ("X", "Y", "A", "B")
-
-
-def _label(basis: str, sign: int) -> int:
-    """Photon label 2 * basis index + sign index (sign +1 -> 0, -1 -> 1)."""
-    return 2 * BASES.index(basis) + (sign == -1)
-
-
-# Phase of each photon label, and the label of its phase conjugate.
-LABEL_PHASE = np.array([TimeBinQubit(b, s).phase for b in BASES for s in (1, -1)])
-CONJ_LABEL = np.array([_label(*conjugate_label(b, s)) for b in BASES for s in (1, -1)])
-
-
-def ideal_parity(phi1: float, phi2: float) -> int:
-    """Deterministic parity for a valid input pair (phase sum 0 or pi)."""
-    total = (phi1 + phi2) % (2.0 * math.pi)
-    if min(total, 2.0 * math.pi - total) < 1e-9:
-        return 1
-    if abs(total - math.pi) < 1e-9:
-        return -1
-    raise ValueError(
-        f"phase sum {total:.6f} is neither 0 nor pi; not a valid input pair"
-    )
-
-
-def expected_parity(
-    qubit_a: TimeBinQubit, qubit_b: TimeBinQubit, frame_parity: int = 0
-) -> int:
-    """Truth-table parity for a pair of inputs at a given frame parity.
-
-    On odd frames the second photon's phase enters conjugated.
-    """
-    phi2 = qubit_b.phase if frame_parity == 0 else -qubit_b.phase
-    return ideal_parity(qubit_a.phase, phi2)
-
-
-def truth_table_rows() -> list[dict]:
-    """All 16 classifications: 8 input pairs times even/odd frame."""
-    rows = []
-    for basis in ("X", "Y"):
-        for sign_a in (1, -1):
-            for sign_b in (1, -1):
-                qa = TimeBinQubit(basis, sign_a)
-                qb = TimeBinQubit(basis, sign_b)
-                for frame in (0, 1):
-                    parity = expected_parity(qa, qb, frame)
-                    rows.append(
-                        {
-                            "alice": f"{'+' if sign_a == 1 else '-'}{basis.lower()}",
-                            "bob": f"{'+' if sign_b == 1 else '-'}{basis.lower()}",
-                            "frame": "even" if frame == 0 else "odd",
-                            "parity": parity,
-                            "bell_state": classify_bell_state(parity, frame),
-                        }
-                    )
-    return rows
+# Photon label 2 * basis index + sign index over the bases X, Y, A, B,
+# with sign + -> 0. Each label's phase is a whole number of eighth turns:
+# the bases lie 45 degrees apart on the equator and the minus sign adds pi.
+LABEL_NAMES = ("+x", "-x", "+y", "-y", "+a", "-a", "+b", "-b")
+_LABEL_EIGHTHS = (0, 4, 2, 6, 1, 5, 3, 7)
+LABEL_PHASE = math.pi / 4 * np.array(_LABEL_EIGHTHS)
+# Label of each label's phase conjugate phi -> -phi, read out in odd windows.
+CONJ_LABEL = np.array([_LABEL_EIGHTHS.index(-e % 8) for e in _LABEL_EIGHTHS])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bsm import truth_table_rows
 from .config import (
     ConfigError,
     ScenarioConfig,
@@ -34,7 +33,7 @@ from .config import (
     load_preset,
 )
 from .rates import BoundsConfig, KeyRateReport, build_report
-from .session import EmptyCellError, chsh_statistic, simulate_session
+from .session import EmptyCellError, chsh_statistic, simulate_session, truth_table_rows
 
 _FLOAT_FMT = "%.9g"
 
@@ -151,8 +150,8 @@ def _print_summary(cfg: ScenarioConfig, report, row, rates: KeyRateReport) -> No
     print(f"  sifted: XX {report.sifted_xx} ({report.errors_xx} err)  "
           f"YY {report.sifted_yy} ({report.errors_yy} err)")
     if report.sifted:
-        print(f"  QBER ML={rates.qber_ml:.4f}  "
-              f"68.2% interval [{rates.qber_low:.4f}, {rates.qber_high:.4f}]  "
+        print(f"  QBER ML={_fmt(rates.qber_ml)}  "
+              f"68.2% interval [{_fmt(rates.qber_low)}, {_fmt(rates.qber_high)}]  "
               f"r_s={rates.r_s:.4f}")
     print(f"  sifted rate: {rates.sifted_per_use:.4e}/use  "
           f"{rates.sifted_per_occupancy:.4e}/occupancy")

@@ -7,7 +7,8 @@ independent spins; a single state has 0-d entries. Its `rho` property
 returns a fresh array built from them, so no state shares memory with an
 array a caller holds. Photonic qubits are equal-amplitude superpositions
 of an early and a late time bin, (|e> + exp(i*phi)|l>)/sqrt(2), so a
-single phase phi fixes the state.
+single phase phi fixes the state; `bsm.LABEL_PHASE` holds the eight
+phases the parties send.
 
 Reflecting a photon off the node and detecting it behind the time-delay
 interferometer applies a heralded Kraus map to the spin,
@@ -43,34 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Azimuthal angle of the positive-sign state of each basis. The four
-# bases are separated by 45 degrees on the equator; the negative sign
-# adds pi.
-BASIS_ANGLE = {"X": 0.0, "Y": math.pi / 2.0, "A": math.pi / 4.0, "B": 3.0 * math.pi / 4.0}
-
 
 class NonPhysicalStateError(ValueError):
     """Raised when a density matrix violates trace/hermiticity/positivity."""
-
-
-@dataclass(frozen=True)
-class TimeBinQubit:
-    """One photonic time-bin qubit, identified by basis label and sign."""
-
-    basis: str
-    sign: int = 1
-
-    def __post_init__(self) -> None:
-        if self.basis not in BASIS_ANGLE:
-            raise ValueError(f"unknown basis {self.basis!r}, expected one of X, Y, A, B")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def phase(self) -> float:
-        """Relative phase between the early and late bins, in [0, 2*pi)."""
-        phi = BASIS_ANGLE[self.basis] + (0.0 if self.sign == 1 else math.pi)
-        return phi % (2.0 * math.pi)
 
 
 @dataclass(frozen=True)

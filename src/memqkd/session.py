@@ -23,6 +23,10 @@ relabelled by phase conjugation, and Alice's photon comes first. Both
 are deterministic for a fixed (seed, engine): each draws from one
 generator seeded with `seed`. Drills with heralds forced at given slots
 run through `run_memory_cycles` directly.
+
+The truth table (`truth_table_rows`) is the fast path's Born kernel at
+ideal noise, where every parity of an X/X or Y/Y pair has probability
+exactly 0 or 1.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsm import (
-    BASES,
     CONJ_LABEL,
+    LABEL_NAMES,
     LABEL_PHASE,
     ChannelConfig,
     SequenceConfig,
@@ -42,7 +46,6 @@ from .bsm import (
 )
 from .qubits import NoiseParams
 
-_BASIS_INDEX = {b: i for i, b in enumerate(BASES)}
 # Parity index (0 for +1) of each outcome (m1, m2, m3) in C order.
 _OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
 # Slot uniforms per reference block (1 MB); a block holds at least one cycle.
@@ -244,7 +247,8 @@ def sift(tally: CoincidenceTally) -> dict[str, int]:
     }
 
 
-_CHSH_TERMS = (("X", "A"), ("X", "B"), ("Y", "A"), ("Y", "B"))
+# Basis index pairs of the CHSH terms: XA, XB, YA, YB.
+_CHSH_TERMS = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 def chsh_statistic(
@@ -261,17 +265,16 @@ def chsh_statistic(
     p_idx = 0 if parity == 1 else 1
     terms: dict[str, float] = {}
     total = 0.0
-    for b1, b2 in _CHSH_TERMS:
-        i1, i2 = _BASIS_INDEX[b1], _BASIS_INDEX[b2]
+    for i1, i2 in _CHSH_TERMS:
+        key = LABEL_NAMES[2 * i1][1] + LABEL_NAMES[2 * i2][1]
         pooled = tally.counts[i1, :, i2, :, p_idx] + tally.counts[i2, :, i1, :, p_idx].T
         n = int(pooled.sum())
         if n == 0:
             raise EmptyCellError(
-                f"no coincidences in basis pair {b1}{b2} with parity {parity:+d}"
+                f"no coincidences in basis pair {key.upper()} with parity {parity:+d}"
             )
         signs = np.array([[1, -1], [-1, 1]])
         value = float((pooled * signs).sum() / n)
-        key = (b1 + b2).lower()
         terms[key] = value
         total += value if key == "xa" else -value
     return terms, abs(total)
@@ -335,6 +338,32 @@ def _born_kernel(phi1, phi2, frame, deph: float, noise: NoiseParams) -> np.ndarr
             f"Born probabilities outside [0, 1]: {kernel.min()}, {kernel.max()}"
         )
     return np.clip(kernel, 0.0, 1.0)
+
+
+def truth_table_rows() -> list[dict]:
+    """All 16 classifications: the X/X and Y/Y label pairs at even and odd frame.
+
+    Each row's parity is the one that the ideal-noise Born kernel gives
+    with probability 1. The frame names the resolved Bell pair, Phi at
+    even and Psi at odd, and the parity its member.
+    """
+    basis, sign_a, sign_b, frame = np.indices((2, 2, 2, 2)).reshape(4, -1)
+    alice, bob = 2 * basis + sign_a, 2 * basis + sign_b
+    kernel = _born_kernel(LABEL_PHASE[alice], LABEL_PHASE[bob], frame, 1.0, NoiseParams.ideal())
+    p_odd = kernel.reshape(-1, 8) @ _OUTCOME_PARITY  # P(parity -1) of each row
+    odd = np.round(p_odd).astype(int)
+    if np.abs(p_odd - odd).max() > 1e-12:
+        raise RuntimeError(f"ideal parities are not deterministic: {p_odd}")
+    return [
+        {
+            "alice": LABEL_NAMES[a],
+            "bob": LABEL_NAMES[b],
+            "frame": ("even", "odd")[f],
+            "parity": 1 - 2 * q,
+            "bell_state": ("Phi", "Psi")[f] + "+-"[q],
+        }
+        for a, b, f, q in zip(alice.tolist(), bob.tolist(), frame.tolist(), odd.tolist())
+    ]
 
 
 def _pair_weights(seq: SequenceConfig, assignment: str) -> np.ndarray:

@@ -10,10 +10,10 @@ import math
 import numpy as np
 
 import oracles
-from memqkd.bsm import BASES, ChannelConfig, SequenceConfig, run_memory_cycles
+from memqkd.bsm import LABEL_PHASE, ChannelConfig, SequenceConfig, run_memory_cycles
 from memqkd.cavity import CavityParams, EfficiencyBudget, cooperativity, total_heralding_efficiency
 from memqkd.config import load_preset
-from memqkd.qubits import NoiseParams, TimeBinQubit, spin_photon_fidelity
+from memqkd.qubits import NoiseParams, spin_photon_fidelity
 from memqkd.rates import (
     BoundsConfig,
     TruncatedBeta,
@@ -65,12 +65,6 @@ def test_criterion_02_efficiency_budget():
     )
 
 
-def _forced_photons(qubits):
-    """Photon source of a forced-slot block: each slot sends its qubit."""
-    labels = {slot: 2 * BASES.index(q.basis) + (q.sign == -1) for slot, q in qubits.items()}
-    return lambda slot, k: np.full(k, labels[slot])
-
-
 def test_criterion_03_truth_table():
     # Each row runs through the density-matrix engine with the heralds
     # forced at a fixed slot pair and no random arrivals.
@@ -80,12 +74,13 @@ def test_criterion_03_truth_table():
     trials = 10_000
     violations = 0
     checked = 0
-    for basis in ("X", "Y"):
-        for sign_a in (1, -1):
-            for sign_b in (1, -1):
-                qa, qb = TimeBinQubit(basis, sign_a), TimeBinQubit(basis, sign_b)
+    # Photon labels 2 * basis + sign index: the X/X and Y/Y pairs.
+    for basis in (0, 1):
+        for sign_a in (0, 1):
+            for sign_b in (0, 1):
+                la, lb = 2 * basis + sign_a, 2 * basis + sign_b
                 input_state = np.kron(
-                    oracles.time_bin_state(qa.phase), oracles.time_bin_state(qb.phase)
+                    oracles.time_bin_state(LABEL_PHASE[la]), oracles.time_bin_state(LABEL_PHASE[lb])
                 )
                 # slots (0, 1) share a window (even frame); (0, 2) span one
                 # pi pulse (odd frame)
@@ -93,7 +88,8 @@ def test_criterion_03_truth_table():
                     want = oracles.deterministic_parity(input_state, frame)
                     block = run_memory_cycles(
                         seq, chan, noise, trials, np.random.default_rng(300 + checked),
-                        _forced_photons({slots[0]: qa, slots[1]: qb}), forced_slots=slots,
+                        lambda slot, k: np.full(k, la if slot == slots[0] else lb),
+                        forced_slots=slots,
                     )
                     windows = seq.window_of(block.slots)
                     assert ((windows[:, 1] - windows[:, 0]) % 2 == frame).all()

@@ -5,19 +5,15 @@ import pytest
 
 import oracles
 from memqkd.bsm import (
-    BASES,
     CONJ_LABEL,
+    LABEL_NAMES,
     LABEL_PHASE,
     ChannelConfig,
     SequenceConfig,
-    classify_bell_state,
-    conjugate_label,
-    expected_parity,
-    ideal_parity,
     run_memory_cycles,
-    truth_table_rows,
 )
-from memqkd.qubits import NoiseParams, TimeBinQubit
+from memqkd.qubits import NoiseParams
+from memqkd.session import _born_kernel, truth_table_rows
 
 
 class TestConfigs:
@@ -50,17 +46,20 @@ class TestClassification:
         [(1, 0, "Phi+"), (-1, 0, "Phi-"), (1, 1, "Psi+"), (-1, 1, "Psi-")],
     )
     def test_classify(self, parity, frame, label):
-        assert classify_bell_state(parity, frame) == label
+        rows = [
+            r for r in truth_table_rows()
+            if r["parity"] == parity and r["frame"] == ("even", "odd")[frame]
+        ]
+        assert len(rows) == 4
+        assert {r["bell_state"] for r in rows} == {label}
 
     def test_classification_matches_state_vector_oracle(self):
         # The oracle resolves exactly one Bell pair per frame parity and
         # assigns each member a deterministic total parity.
+        for row in truth_table_rows():
+            frame = 0 if row["frame"] == "even" else 1
+            assert oracles.bell_state_resolved(row["bell_state"], frame) == row["parity"]
         for frame in (0, 1):
-            for label in ("Phi+", "Phi-", "Psi+", "Psi-"):
-                parity = oracles.bell_state_resolved(label, frame)
-                if parity == 0:
-                    continue  # inaccessible pair at this frame
-                assert classify_bell_state(parity, frame) == label
             resolved = [
                 lbl
                 for lbl in ("Phi+", "Phi-", "Psi+", "Psi-")
@@ -71,18 +70,12 @@ class TestClassification:
 
 class TestFrameCorrection:
     def test_conjugate_label_map(self):
-        assert conjugate_label("X", 1) == ("X", 1)
-        assert conjugate_label("Y", 1) == ("Y", -1)
-        assert conjugate_label("A", 1) == ("B", -1)
-        assert conjugate_label("B", -1) == ("A", 1)
-
-    def test_conjugate_label_matches_phase_negation(self):
-        for basis in ("X", "Y", "A", "B"):
-            for sign in (1, -1):
-                q = TimeBinQubit(basis, sign)
-                cb, cs = conjugate_label(basis, sign)
-                conj_phase = (-q.phase) % (2 * math.pi)
-                assert TimeBinQubit(cb, cs).phase == pytest.approx(conj_phase, abs=1e-12)
+        # X is fixed, Y flips sign, and A and B swap with a sign flip.
+        conj = {name: LABEL_NAMES[c] for name, c in zip(LABEL_NAMES, CONJ_LABEL)}
+        assert conj["+x"] == "+x"
+        assert conj["+y"] == "-y"
+        assert conj["+a"] == "-b"
+        assert conj["-b"] == "+a"
 
 
 class TestIdealParity:
@@ -96,11 +89,18 @@ class TestIdealParity:
         ],
     )
     def test_values(self, phi1, phi2, parity):
-        assert ideal_parity(phi1, phi2) == parity
+        # The ideal-noise Born kernel at even frame puts all weight on the
+        # outcomes (m1, m2, m3) whose product is the parity.
+        kernel = _born_kernel(phi1, phi2, 0, 1.0, NoiseParams.ideal())
+        m = np.array([1, -1])
+        product = m[:, None, None] * m[:, None] * m
+        assert kernel[product == parity].sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_invalid_pairs(self):
-        with pytest.raises(ValueError):
-            ideal_parity(0.0, math.pi / 2)
+    def test_rejects_invalid_pairs(self, monkeypatch):
+        # With noise no parity is certain, so no truth table can be read off.
+        monkeypatch.setattr(NoiseParams, "ideal", lambda: NoiseParams())
+        with pytest.raises(RuntimeError, match="not deterministic"):
+            truth_table_rows()
 
 
 class TestTruthTable:
@@ -116,31 +116,26 @@ class TestTruthTable:
 
     def test_rows_match_state_vector_oracle(self):
         for row in truth_table_rows():
-            phases = {
-                "alice": TimeBinQubit(row["alice"][1].upper(), 1 if row["alice"][0] == "+" else -1).phase,
-                "bob": TimeBinQubit(row["bob"][1].upper(), 1 if row["bob"][0] == "+" else -1).phase,
-            }
             state = np.kron(
-                oracles.time_bin_state(phases["alice"]),
-                oracles.time_bin_state(phases["bob"]),
+                oracles.time_bin_state(LABEL_PHASE[LABEL_NAMES.index(row["alice"])]),
+                oracles.time_bin_state(LABEL_PHASE[LABEL_NAMES.index(row["bob"])]),
             )
             frame = 0 if row["frame"] == "even" else 1
             assert oracles.deterministic_parity(state, frame) == row["parity"]
 
     def test_expected_parity_consistency(self):
-        qa, qb = TimeBinQubit("Y", 1), TimeBinQubit("Y", 1)
-        assert expected_parity(qa, qb, 0) == -1
-        assert expected_parity(qa, qb, 1) == 1
-
-
-def label(qubit):
-    """Photon label 2 * basis index + sign index (sign +1 -> 0)."""
-    return 2 * BASES.index(qubit.basis) + (qubit.sign == -1)
+        # An odd frame conjugates the first photon: X/X parities stay and
+        # Y/Y parities flip.
+        rows = {(r["alice"], r["bob"], r["frame"]): r["parity"] for r in truth_table_rows()}
+        for (alice, bob, frame), parity in rows.items():
+            if frame == "odd":
+                flip = -1 if alice[1] == "y" else 1
+                assert parity == flip * rows[alice, bob, "even"]
 
 
 def photons(source):
-    """The block's photon source for a per-slot qubit source."""
-    return lambda slot, k: np.full(k, label(source(slot)))
+    """The block's photon source for a per-slot label source."""
+    return lambda slot, k: np.full(k, source(slot))
 
 
 def frame_parity(seq, block):
@@ -148,12 +143,27 @@ def frame_parity(seq, block):
 
 
 class TestPhotonLabels:
+    @pytest.mark.parametrize(
+        "name,phase",
+        [
+            ("+x", 0.0),
+            ("-x", math.pi),
+            ("+y", math.pi / 2),
+            ("-y", 3 * math.pi / 2),
+            ("+a", math.pi / 4),
+            ("-a", 5 * math.pi / 4),
+            ("+b", 3 * math.pi / 4),
+            ("-b", 7 * math.pi / 4),
+        ],
+    )
+    def test_phase_map(self, name, phase):
+        assert LABEL_PHASE[LABEL_NAMES.index(name)] == pytest.approx(phase)
+
     def test_labels_index_phase_and_conjugate(self):
-        for basis in BASES:
-            for sign in (1, -1):
-                qubit = TimeBinQubit(basis, sign)
-                assert LABEL_PHASE[label(qubit)] == qubit.phase
-                assert CONJ_LABEL[label(qubit)] == label(TimeBinQubit(*conjugate_label(basis, sign)))
+        # Phase conjugation fixes X, flips the sign of Y and swaps A and B
+        # with a sign flip, exactly on the stored phases.
+        assert LABEL_PHASE.shape == CONJ_LABEL.shape == (len(LABEL_NAMES),)
+        assert (LABEL_PHASE[CONJ_LABEL] == (-LABEL_PHASE) % (2 * math.pi)).all()
 
 
 class TestMemoryCycle:
@@ -162,22 +172,22 @@ class TestMemoryCycle:
         chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
         block = run_memory_cycles(
             seq, chan, NoiseParams.ideal(), 200, np.random.default_rng(0),
-            photons(lambda slot: TimeBinQubit("X")),
+            photons(lambda slot: 0),
         )
         assert not block.heralds.any() and not block.scatters.any() and not block.m.any()
 
     @pytest.mark.parametrize(
-        "basis,sign_b,parity",
-        [("X", 1, 1), ("Y", 1, -1), ("Y", -1, 1)],
+        "alice,bob,parity",
+        [("+x", "+x", 1), ("+y", "+y", -1), ("+y", "-y", 1)],
     )
-    def test_forced_heralds_same_window(self, basis, sign_b, parity):
+    def test_forced_heralds_same_window(self, alice, bob, parity):
         # Slots (0, 1) share the first free-precession window: even frame.
         seq = SequenceConfig(n_pi=4, n_sub=2)
         chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
-        qubits = {0: TimeBinQubit(basis, 1), 1: TimeBinQubit(basis, sign_b)}
+        labels = {0: LABEL_NAMES.index(alice), 1: LABEL_NAMES.index(bob)}
         block = run_memory_cycles(
             seq, chan, NoiseParams.ideal(), 100, np.random.default_rng(1),
-            photons(qubits.get), forced_slots=(0, 1),
+            photons(labels.get), forced_slots=(0, 1),
         )
         assert (block.heralds == 2).all()
         assert (block.slots == [0, 1]).all()
@@ -187,23 +197,22 @@ class TestMemoryCycle:
     def test_forced_heralds_odd_frame(self):
         seq = SequenceConfig(n_pi=4, n_sub=2)
         chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
-        qubits = {0: TimeBinQubit("Y", 1), 2: TimeBinQubit("Y", 1)}
+        y_plus = LABEL_NAMES.index("+y")
         block = run_memory_cycles(
             seq, chan, NoiseParams.ideal(), 100, np.random.default_rng(2),
-            photons(qubits.get), forced_slots=(0, 2),
+            photons(lambda slot: y_plus), forced_slots=(0, 2),
         )
         frame = frame_parity(seq, block)
         parity = block.m.prod(axis=1)
         assert (frame == 1).all()
-        assert (parity == 1).all()  # odd frame flips the Y-Y row
-        assert {classify_bell_state(int(p), int(f)) for p, f in zip(parity, frame)} == {"Psi+"}
+        assert (parity == 1).all()  # odd frame flips the Y-Y row: Psi+
 
     def test_third_herald_discards_cycle(self):
         seq = SequenceConfig(n_pi=2, n_sub=2)
         chan = ChannelConfig.from_mean_photons(4.0, seq.n_qubits)  # every slot heralds
         block = run_memory_cycles(
             seq, chan, NoiseParams.ideal(), 5, np.random.default_rng(3),
-            photons(lambda slot: TimeBinQubit("X")),
+            photons(lambda slot: 0),
         )
         assert (block.heralds == 4).all()
         assert not block.m[:, 2].any()  # no record, so no readout
@@ -215,8 +224,7 @@ class TestMemoryCycle:
         # readout, in slot order.
         seq = SequenceConfig(n_pi=4, n_sub=2)
         chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
-        labels = [TimeBinQubit(b, s) for b in "XYAB" for s in (1, -1)]
-        source = photons(lambda slot: labels[(3 * slot) % 8])
+        source = photons(lambda slot: (3 * slot) % 8)
         rng = np.random.default_rng(2024)
 
         def summary(block):
@@ -262,31 +270,30 @@ class TestMemoryCycle:
         seq = SequenceConfig(n_pi=2, n_sub=2)
         chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
         rng = np.random.default_rng(4)
-        qubits = [TimeBinQubit(b, s) for b in BASES for s in (1, -1)]
         observed = {}
-        for qa in qubits:
-            for qb in qubits:
+        for la in range(len(LABEL_NAMES)):
+            for lb in range(len(LABEL_NAMES)):
+                state = np.kron(
+                    oracles.time_bin_state(LABEL_PHASE[la]),
+                    oracles.time_bin_state(LABEL_PHASE[lb]),
+                )
                 for frame, slots in ((0, (0, 1)), (1, (0, 2))):
-                    try:
-                        want = expected_parity(qa, qb, frame)
-                    except ValueError:
+                    if max(oracles.parity_distribution(state, frame).values()) < 1 - 1e-9:
                         continue  # this pair has no deterministic parity here
+                    want = oracles.deterministic_parity(state, frame)
                     block = run_memory_cycles(
                         seq, chan, NoiseParams.ideal(), 25, rng,
-                        photons({slots[0]: qa, slots[1]: qb}.get), forced_slots=slots,
+                        photons({slots[0]: la, slots[1]: lb}.get), forced_slots=slots,
                     )
                     assert (frame_parity(seq, block) == frame).all()
                     assert (block.m.prod(axis=1) == want).all()
-                    observed[qa, qb, frame] = want
+                    observed[LABEL_NAMES[la], LABEL_NAMES[lb], frame] = want
         assert len(observed) == 32  # two partners per label and frame
-        assert observed[TimeBinQubit("A", 1), TimeBinQubit("B", -1), 0] == 1
-        assert observed[TimeBinQubit("A", 1), TimeBinQubit("A", 1), 1] == 1
+        assert observed["+a", "-b", 0] == 1
+        assert observed["+a", "+a", 1] == 1
         for row in truth_table_rows():
-            qa = TimeBinQubit(row["alice"][1].upper(), 1 if row["alice"][0] == "+" else -1)
-            qb = TimeBinQubit(row["bob"][1].upper(), 1 if row["bob"][0] == "+" else -1)
             frame = 0 if row["frame"] == "even" else 1
-            assert observed[qa, qb, frame] == row["parity"]
-            assert classify_bell_state(row["parity"], frame) == row["bell_state"]
+            assert observed[row["alice"], row["bob"], frame] == row["parity"]
 
 
 class TestInformationHiding:
@@ -298,16 +305,12 @@ class TestInformationHiding:
         seq = SequenceConfig(n_pi=62, n_sub=2)
         chan = ChannelConfig(n_p=0.0)
         noise = NoiseParams.ideal()
-        pairs = [
-            (TimeBinQubit("X", 1), TimeBinQubit("X", 1)),
-            (TimeBinQubit("X", -1), TimeBinQubit("X", -1)),
-            (TimeBinQubit("Y", 1), TimeBinQubit("Y", -1)),
-            (TimeBinQubit("A", 1), TimeBinQubit("B", -1)),
-        ]
-        for idx, (qa, qb) in enumerate(pairs):
+        pairs = [("+x", "+x"), ("-x", "-x"), ("+y", "-y"), ("+a", "-b")]
+        for idx, (alice, bob) in enumerate(pairs):
+            labels = {0: LABEL_NAMES.index(alice), 1: LABEL_NAMES.index(bob)}
             block = run_memory_cycles(
                 seq, chan, noise, 20_000, np.random.default_rng(100 + idx),
-                photons({0: qa, 1: qb}.get), forced_slots=(0, 1),
+                photons(labels.get), forced_slots=(0, 1),
             )
             m1, m2 = block.m[:, 0], block.m[:, 1]
             joint = np.zeros(4)

@@ -256,6 +256,17 @@ class TestPresetBenchmark:
         assert row["qber_lo"] == pytest.approx(low, abs=1e-10)
         assert row["qber_hi"] == pytest.approx(high, abs=1e-10)
 
+    def test_summary_prints_the_csv_qber_digits(self, tmp_path, capsys):
+        # The ideal preset has no errors, so its interval is [0, 3.3e-5]:
+        # the summary must show the CSV's numbers, not four decimals.
+        out = tmp_path / "ideal.csv"
+        assert run(["simulate", "--preset", "fig3-chsh-ideal", "--out", str(out)]) == 0
+        summary = capsys.readouterr().out
+        row = next(csv.DictReader(out.read_text().splitlines()))
+        assert float(row["qber_hi"]) > 0
+        assert f"ML={row['qber_ml']} " in summary
+        assert f"[{row['qber_lo']}, {row['qber_hi']}]" in summary
+
     def test_error_rate_above_one_half(self, tmp_path):
         # f_readout = 0 flips every readout, so K/N is near 0.88 and the
         # posterior's mass below 1/2 underflows a double.
@@ -326,15 +337,36 @@ class TestSweep:
                     "--values", values]) == 2
 
 
+TRUTH_TABLE = """\
+ alice    bob  frame  parity  bell state
+    +x     +x   even      +1        Phi+
+    +x     +x    odd      +1        Psi+
+    +x     -x   even      -1        Phi-
+    +x     -x    odd      -1        Psi-
+    -x     +x   even      -1        Phi-
+    -x     +x    odd      -1        Psi-
+    -x     -x   even      +1        Phi+
+    -x     -x    odd      +1        Psi+
+    +y     +y   even      -1        Phi-
+    +y     +y    odd      +1        Psi+
+    +y     -y   even      +1        Phi+
+    +y     -y    odd      -1        Psi-
+    -y     +y   even      +1        Phi+
+    -y     +y    odd      -1        Psi-
+    -y     -y   even      -1        Phi-
+    -y     -y    odd      +1        Psi+
+"""
+
+
 class TestTruthTable:
     def test_prints_sixteen_classifications(self, capsys):
         assert run(["truth-table"]) == 0
         out = capsys.readouterr().out
-        body = [line for line in out.splitlines() if line and "alice" not in line]
+        assert out == TRUTH_TABLE
+        body = out.splitlines()[1:]
         assert len(body) == 16
         for label in ("Phi+", "Phi-", "Psi+", "Psi-"):
             assert sum(label in line for line in body) == 4
-        assert any("+x" in line and "even" in line and "Phi+" in line for line in body)
 
 
 class TestChsh:

@@ -6,11 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from memqkd.bsm import LABEL_PHASE
 from memqkd.qubits import (
     NoiseParams,
     NonPhysicalStateError,
     SpinState,
-    TimeBinQubit,
     apply_dephasing,
     apply_herald,
     apply_pi_pulse,
@@ -195,30 +195,6 @@ class TestPhysicalityCheck:
         SpinState(np.array(physical + [near_threshold_matrix(**edge(-2e-12))]))
 
 
-class TestTimeBinQubit:
-    @pytest.mark.parametrize(
-        "basis,sign,phase",
-        [
-            ("X", 1, 0.0),
-            ("X", -1, math.pi),
-            ("Y", 1, math.pi / 2),
-            ("Y", -1, 3 * math.pi / 2),
-            ("A", 1, math.pi / 4),
-            ("A", -1, 5 * math.pi / 4),
-            ("B", 1, 3 * math.pi / 4),
-            ("B", -1, 7 * math.pi / 4),
-        ],
-    )
-    def test_phase_map(self, basis, sign, phase):
-        assert TimeBinQubit(basis, sign).phase == pytest.approx(phase)
-
-    def test_rejects_unknown_labels(self):
-        with pytest.raises(ValueError):
-            TimeBinQubit("Z", 1)
-        with pytest.raises(ValueError):
-            TimeBinQubit("X", 0)
-
-
 class TestHeraldedGate:
     def test_identity_teleport(self):
         spin = prepare_superposition()
@@ -250,9 +226,9 @@ class TestHeraldedGate:
         rng = np.random.default_rng(11)
         noise = NoiseParams.ideal()
         n = 10_000
-        for basis in ("X", "Y", "A", "B"):
+        for phase in LABEL_PHASE[::2]:  # +x, +y, +a, +b
             spins = prepare_superposition(lanes=(n,))
-            m, _ = reflect_and_herald(spins, TimeBinQubit(basis).phase, noise, rng)
+            m, _ = reflect_and_herald(spins, phase, noise, rng)
             plus = np.count_nonzero(m == 1)
             _, p_value = stats.chisquare([plus, n - plus])
             assert p_value > 0.01

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from memqkd.bsm import BASES, CONJ_LABEL, ChannelConfig, SequenceConfig
+from memqkd.bsm import CONJ_LABEL, LABEL_NAMES, ChannelConfig, SequenceConfig
 from memqkd.qubits import NoiseParams
 from memqkd.session import (
     _BLOCK_UNIFORMS,
@@ -425,7 +425,7 @@ class TestSifting:
 
 class TestTallyCell:
     def test_odd_window_is_conjugated_and_alice_first(self):
-        labels = np.arange(2 * len(BASES))
+        labels = np.arange(len(LABEL_NAMES))
         la, lb = np.meshgrid(labels, labels, indexing="ij")
         # Bob heralds first in an odd window, Alice second in an even one.
         cell = _tally_cell(1, 0, 1, 0, lb, la, 1)
