@@ -77,6 +77,15 @@ class TestFrameCorrection:
         assert conj["+a"] == "-b"
         assert conj["-b"] == "+a"
 
+    def test_conjugate_label_matches_phase_negation(self):
+        # The conjugate label's time-bin state is the complex conjugate of
+        # the label's own state, for every label.
+        for label, conj in enumerate(CONJ_LABEL):
+            state = oracles.time_bin_state(LABEL_PHASE[label])
+            assert oracles.time_bin_state(LABEL_PHASE[conj]) == pytest.approx(
+                np.conj(state), abs=1e-12
+            )
+
 
 class TestIdealParity:
     @pytest.mark.parametrize(
