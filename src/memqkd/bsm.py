@@ -17,16 +17,16 @@ A photon is an integer label 0..7 (`LABEL_NAMES`) with the phase
 conjugate `CONJ_LABEL`. `session.truth_table_rows` reads the truth table
 off the ideal-noise Born kernel.
 
-`run_memory_cycles` advances a block of independent cycles in lockstep:
-one slot loop whose maps act on all the block's spins at once. A drill
-that needs one cycle runs a block of one.
+`run_memory_cycles` runs a block of independent cycles whose two herald
+slots and photon labels are given: one slot loop whose maps act on all
+the block's spins at once. `session` draws which cycles herald twice and
+where; a drill passes its own slots and labels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -116,86 +116,49 @@ LABEL_PHASE = math.pi / 4 * np.array(_LABEL_EIGHTHS)
 CONJ_LABEL = np.array([_LABEL_EIGHTHS.index(-e % 8) for e in _LABEL_EIGHTHS])
 
 
-@dataclass(frozen=True)
-class CycleBlock:
-    """Outcomes of a block of independent memory cycles, one row per cycle.
-
-    heralds and scatters count each cycle's heralds and undetected
-    scatters. The first two heralds fill `slots` and `labels` (photon
-    labels) and m[:, :2]; m[:, 2] is the readout. Only cycles with exactly
-    two heralds hold a record, and a third herald discards a cycle. Entries
-    a cycle did not reach are 0.
-    """
-
-    heralds: np.ndarray
-    scatters: np.ndarray
-    slots: np.ndarray
-    labels: np.ndarray
-    m: np.ndarray
-
-
 def run_memory_cycles(
     seq: SequenceConfig,
     chan: ChannelConfig,
     noise: NoiseParams,
-    cycles: int,
+    slots: np.ndarray,
+    labels: np.ndarray,
     rng: np.random.Generator,
-    photons: Callable[[int, int], np.ndarray],
-    forced_slots: Optional[tuple[int, int]] = None,
-) -> CycleBlock:
-    """Simulate `cycles` independent memory cycles slot by slot, in lockstep.
+) -> np.ndarray:
+    """Run memory cycles that herald at given slots, slot by slot, in lockstep.
 
-    Each slot heralds a reflection with probability n_p * eta_detect, or
-    scatters an undetected photon with probability n_p * (1 - eta_detect),
-    which dephases the spin. The first two heralds of a cycle build its
-    record; a third herald discards it, and later heralds are only counted.
+    Row i of the (n, 2) arrays `slots` and `labels` holds cycle i's two
+    herald slots lo < hi and the labels of the photons they reflect. Every
+    other slot of a cycle scatters an undetected photon, which dephases the
+    spin, with the probability r = n_p (1 - eta) / (1 - n_p eta) of a
+    scatter given no herald. Returns the outcomes (m1, m2, m3), shape
+    (n, 3): the two heralds and the readout.
 
-    The block draws from `rng` in this order. At each slot: one uniform
-    per cycle, then the photon labels `photons(slot, k)` of the k cycles
-    that herald for the first or second time, then their detector
-    outcomes. At the end, two uniforms per record for the readout.
-    forced_slots injects heralds deterministically at the given pair of
-    slots in every cycle and suppresses random arrivals (no slot draws),
-    which is how truth-table and tomography-style drills are run.
+    The cycles draw from `rng` in this order. At each slot: one uniform
+    per cycle, then the detector outcomes of the cycles that herald there.
+    At the end, two uniforms per cycle for the readout.
     """
-    p_herald = chan.n_p * noise.eta_detect
-    p_event = p_herald + chan.n_p * (1.0 - noise.eta_detect)
-    if forced_slots is not None:
-        i, j = forced_slots
-        if not 0 <= i < j < seq.n_qubits:
-            raise ValueError(f"forced slots {forced_slots} out of range")
-    lanes = np.arange(cycles)
+    lo, hi = slots.T
+    if not ((0 <= lo) & (lo < hi) & (hi < seq.n_qubits)).all():
+        raise ValueError(f"herald slots must satisfy 0 <= lo < hi < {seq.n_qubits}")
+    # At n_p eta = 1 every slot heralds, so only N = 2 has such cycles.
+    a = chan.n_p * noise.eta_detect
+    r = chan.n_p * (1.0 - noise.eta_detect) / (1.0 - a) if a < 1.0 else 0.0
 
-    spin = prepare_superposition(noise.f_init, (cycles,))
-    heralds = np.zeros(cycles, dtype=np.int64)
-    scatters = np.zeros(cycles, dtype=np.int64)
-    slots = np.zeros((cycles, 2), dtype=np.int64)
-    labels = np.zeros((cycles, 2), dtype=np.int64)
-    m = np.zeros((cycles, 3), dtype=np.int64)
+    n = len(slots)
+    spin = prepare_superposition(noise.f_init, (n,))
+    m = np.zeros((n, 3), dtype=np.int64)
     slot = 0
     for _ in range(seq.n_pi):
         for _ in range(seq.n_sub):
-            if forced_slots is None:
-                u = rng.random(cycles)
-                hit = np.flatnonzero(u < p_herald)
-                scatter = (p_herald <= u) & (u < p_event)
-                scatters += scatter
-                spin = apply_dephasing(spin, scatter * noise.p_scatter_dephase)
-            else:
-                hit = lanes if slot in forced_slots else lanes[:0]
-            heralds[hit] += 1
-            live = hit[heralds[hit] <= 2]
-            if live.size:
-                nth = heralds[live] - 1
-                label = photons(slot, live.size)
-                m[live, nth], spin[live] = reflect_and_herald(
-                    spin[live], LABEL_PHASE[label], noise, rng
+            hit, nth = np.nonzero(slots == slot)
+            scatter = rng.random(n) < r
+            scatter[hit] = False
+            spin = apply_dephasing(spin, scatter * noise.p_scatter_dephase)
+            if hit.size:
+                m[hit, nth], spin[hit] = reflect_and_herald(
+                    spin[hit], LABEL_PHASE[labels[hit, nth]], noise, rng
                 )
-                slots[live, nth] = slot
-                labels[live, nth] = label
             slot += 1
         spin = apply_pi_pulse(spin, noise.p_mw)
-
-    record = heralds == 2
-    m[record, 2] = measure_x(spin[record], noise.f_readout, rng)
-    return CycleBlock(heralds, scatters, slots, labels, m)
+    m[:, 2] = measure_x(spin, noise.f_readout, rng)
+    return m

@@ -1,11 +1,12 @@
 """Orchestration of many memory cycles into a QKD or CHSH session.
 
 Two execution paths sample the same distribution. The reference path
-runs the cycles slot by slot on density matrices (`run_memory_cycles`),
-in blocks of up to 2**17 slot uniforms that advance in lockstep, and is
-the ground truth; it never reads the fast path's cell probabilities.
-The fast path is two exact multinomial draws, so its cost does not grow
-with the cycle count:
+is the ground truth and never reads the fast path's pmf or cells. It
+draws each cycle's herald count, then a uniform slot pair and two photon
+labels for each cycle with exactly two heralds, and runs only those
+cycles slot by slot on density matrices (`run_memory_cycles`). The fast
+path is two exact multinomial draws, so its cost does not grow with the
+cycle count:
 
 1. Cycles are independent, so the herald counts of all cycles are one
    draw over the Binomial(N, n_p * eta_detect) pmf of heralds per cycle.
@@ -21,8 +22,8 @@ Both paths track the measurement frame and map a record to its tally
 cell by one rule (`_tally_cell`): a photon sent in an odd window is
 relabelled by phase conjugation, and Alice's photon comes first. Both
 are deterministic for a fixed (seed, engine): each draws from one
-generator seeded with `seed`. Drills with heralds forced at given slots
-run through `run_memory_cycles` directly.
+generator seeded with `seed`. Drills with heralds at given slots call
+`run_memory_cycles` directly.
 
 The truth table (`truth_table_rows`) is the fast path's Born kernel at
 ideal noise, where every parity of an X/X or Y/Y pair has probability
@@ -48,8 +49,10 @@ from .qubits import NoiseParams
 
 # Parity index (0 for +1) of each outcome (m1, m2, m3) in C order.
 _OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
-# Slot uniforms per reference block (1 MB); a block holds at least one cycle.
-_BLOCK_UNIFORMS = 2**17
+# Reference engine: cycles per herald-count block (1 MB of counts), and
+# two-herald cycles per slot-loop block, which share each herald call's cost.
+_BLOCK = 2**17
+_LANES = 2**13
 
 
 def _tally_cell(w1, w2, p1, p2, l1, l2, parity):
@@ -293,9 +296,9 @@ def _herald_count_pmf(n_slots: int, p: float) -> np.ndarray:
     return np.exp(log_comb + k * math.log(p) + (n_slots - k) * math.log1p(-p))
 
 
-def _draw_labels(rng: np.random.Generator, parties: PartyConfig, size: int) -> np.ndarray:
-    """Photon labels 2 * basis index + sign index of `size` photons."""
-    u = rng.random((2, size))
+def _draw_labels(rng: np.random.Generator, parties: PartyConfig, shape: tuple) -> np.ndarray:
+    """Photon labels 2 * basis index + sign index, an array of `shape`."""
+    u = rng.random((2, *shape))
     if parties.mode == "qkd":
         basis = u[0] >= parties.basis_bias  # X (0) with the bias, else Y
     else:
@@ -456,28 +459,31 @@ def _run_reference(
 ) -> tuple[CoincidenceTally, int, int]:
     """Tally, total heralds and cycles discarded by a third herald."""
     rng = np.random.default_rng(seed)
-    block = max(1, _BLOCK_UNIFORMS // seq.n_qubits)
+    n = seq.n_qubits
     cells = np.zeros(256, dtype=np.int64)
     heralds = discarded = 0
-    for start in range(0, cycles, block):
-        run = run_memory_cycles(
-            seq, chan, noise, min(block, cycles - start), rng,
-            lambda slot, k: _draw_labels(rng, parties, k),
-        )
-        heralds += int(run.heralds.sum())
-        discarded += int((run.heralds > 2).sum())
-        record = run.heralds == 2
-        slots, labels, m = run.slots[record], run.labels[record], run.m[record]
-        if parties.assignment == "random":
-            party = rng.integers(0, 2, size=slots.shape)
-        elif parties.assignment == "alternating":
-            party = slots % 2
-        else:
-            # One sender plays both parties: every record is Alice's, then Bob's.
-            party = np.broadcast_to([0, 1], slots.shape)
-        window = seq.window_of(slots) % 2
-        cell = _tally_cell(*window.T, *party.T, *labels.T, m.prod(axis=1) == -1)
-        cells += np.bincount(cell, minlength=256)
+    for start in range(0, cycles, _BLOCK):
+        k = rng.binomial(n, chan.n_p * noise.eta_detect, min(_BLOCK, cycles - start))
+        heralds += int(k.sum())
+        discarded += int((k > 2).sum())
+        pairs = int((k == 2).sum())
+        for done in range(0, pairs, _LANES):
+            size = min(_LANES, pairs - done)
+            # A uniform pair of distinct slots: the second draw skips the first.
+            first, second = rng.integers(0, n, size), rng.integers(0, n - 1, size)
+            slots = np.sort(np.stack([first, second + (second >= first)], axis=1), axis=1)
+            labels = _draw_labels(rng, parties, (size, 2))
+            m = run_memory_cycles(seq, chan, noise, slots, labels, rng)
+            if parties.assignment == "random":
+                party = rng.integers(0, 2, size=slots.shape)
+            elif parties.assignment == "alternating":
+                party = slots % 2
+            else:
+                # One sender plays both parties: every record is Alice's, then Bob's.
+                party = np.broadcast_to([0, 1], slots.shape)
+            window = seq.window_of(slots) % 2
+            cell = _tally_cell(*window.T, *party.T, *labels.T, m.prod(axis=1) == -1)
+            cells += np.bincount(cell, minlength=256)
     counts, excluded = cells.reshape(2, 4, 2, 4, 2, 2)
     return CoincidenceTally(counts=counts, excluded=excluded), heralds, discarded
 
@@ -497,7 +503,7 @@ def simulate_session(
 
     Deterministic for fixed (seed, engine): either engine draws from one
     generator seeded with `seed`. The fast engine makes two multinomial
-    draws; the reference engine runs blocks of cycles slot by slot.
+    draws; the reference engine runs the two-herald cycles slot by slot.
     """
     if cycles < 1:
         raise ValueError(f"cycles must be at least 1, got {cycles}")

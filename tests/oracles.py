@@ -4,11 +4,15 @@ The Bell-measurement oracle builds the protocol's measurement operators
 by brute force on the spin x photon1 x photon2 state vector, using only
 projectors and bras (no parity shortcuts), and reduces them to a POVM on
 the 4-dimensional two-photon input space. The herald-count oracle sums
-the binomial head in 50-digit arithmetic. The QBER-posterior oracle takes
+the binomial head in 50-digit arithmetic, and the per-slot oracle sums
+every outcome string of a short cycle. The QBER-posterior oracle takes
 its incomplete beta from scipy and mpmath.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -84,7 +88,10 @@ def parity_distribution(state: np.ndarray, frame_parity: int) -> dict[int, float
 
 def deterministic_parity(state: np.ndarray, frame_parity: int) -> int:
     """Parity of a state that the protocol resolves deterministically."""
-    probs = parity_distribution(state, frame_parity)
+    return _certain_parity(parity_distribution(state, frame_parity))
+
+
+def _certain_parity(probs: dict[int, float]) -> int:
     if probs[1] > 1.0 - 1e-9:
         return 1
     if probs[-1] > 1.0 - 1e-9:
@@ -94,16 +101,32 @@ def deterministic_parity(state: np.ndarray, frame_parity: int) -> int:
 
 def bell_state_resolved(label: str, frame_parity: int) -> int:
     """Parity assigned to a Bell state, or 0 if the protocol cannot see it."""
-    state = BELL_STATES[label]
-    probs_unnorm = {}
-    for parity in (1, -1):
-        povm = parity_povm(parity, frame_parity)
-        probs_unnorm[parity] = float(np.real(state.conj() @ povm @ state))
-    total = probs_unnorm[1] + probs_unnorm[-1]
-    if total < 1e-12:
+    try:
+        probs = parity_distribution(BELL_STATES[label], frame_parity)
+    except ValueError:  # never heralded at this frame parity
         return 0
-    probs = {p: v / total for p, v in probs_unnorm.items()}
-    return deterministic_parity(state, frame_parity)
+    return _certain_parity(probs)
+
+
+def per_slot_two_herald_statistics(n_slots: int, n_p: float, eta: float) -> tuple:
+    """P(two heralds) of a cycle and, given two heralds, P(same slot parity), P(no scatter).
+
+    The unconditional per-slot process, enumerated exactly: each slot
+    draws one uniform u and heralds if u < n_p * eta, scatters an undetected
+    photon if n_p * eta <= u < n_p, and stays dark otherwise, independently
+    of the other slots. All 3^n_slots outcome strings are summed.
+    """
+    outcome_p = {"herald": n_p * eta, "scatter": n_p * (1.0 - eta), "dark": 1.0 - n_p}
+    two = same = clean = 0.0
+    for outcome in itertools.product(outcome_p, repeat=n_slots):
+        heralds = [slot for slot, o in enumerate(outcome) if o == "herald"]
+        if len(heralds) != 2:
+            continue
+        p = math.prod(outcome_p[o] for o in outcome)
+        two += p
+        same += p * (heralds[0] % 2 == heralds[1] % 2)
+        clean += p * ("scatter" not in outcome)
+    return two, same / two, clean / two
 
 
 def herald_tail_probability(n_slots: int, p: float) -> float:

@@ -142,13 +142,13 @@ class TestTruthTable:
                 assert parity == flip * rows[alice, bob, "even"]
 
 
-def photons(source):
-    """The block's photon source for a per-slot label source."""
-    return lambda slot, k: np.full(k, source(slot))
+def fixed_heralds(cycles, slots, labels):
+    """(slots, labels) arrays of `cycles` cycles that all herald alike."""
+    return np.tile(slots, (cycles, 1)), np.tile(labels, (cycles, 1))
 
 
-def frame_parity(seq, block):
-    return (seq.window_of(block.slots[:, 1]) - seq.window_of(block.slots[:, 0])) % 2
+def frame_parity(seq, slots):
+    return (seq.window_of(slots[1]) - seq.window_of(slots[0])) % 2
 
 
 class TestPhotonLabels:
@@ -176,15 +176,6 @@ class TestPhotonLabels:
 
 
 class TestMemoryCycle:
-    def test_zero_photons_never_heralds(self):
-        seq = SequenceConfig(n_pi=4, n_sub=2)
-        chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
-        block = run_memory_cycles(
-            seq, chan, NoiseParams.ideal(), 200, np.random.default_rng(0),
-            photons(lambda slot: 0),
-        )
-        assert not block.heralds.any() and not block.scatters.any() and not block.m.any()
-
     @pytest.mark.parametrize(
         "alice,bob,parity",
         [("+x", "+x", 1), ("+y", "+y", -1), ("+y", "-y", 1)],
@@ -192,84 +183,50 @@ class TestMemoryCycle:
     def test_forced_heralds_same_window(self, alice, bob, parity):
         # Slots (0, 1) share the first free-precession window: even frame.
         seq = SequenceConfig(n_pi=4, n_sub=2)
-        chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
-        labels = {0: LABEL_NAMES.index(alice), 1: LABEL_NAMES.index(bob)}
-        block = run_memory_cycles(
-            seq, chan, NoiseParams.ideal(), 100, np.random.default_rng(1),
-            photons(labels.get), forced_slots=(0, 1),
+        labels = (LABEL_NAMES.index(alice), LABEL_NAMES.index(bob))
+        m = run_memory_cycles(
+            seq, ChannelConfig(n_p=0.0), NoiseParams.ideal(),
+            *fixed_heralds(100, (0, 1), labels), np.random.default_rng(1),
         )
-        assert (block.heralds == 2).all()
-        assert (block.slots == [0, 1]).all()
-        assert (frame_parity(seq, block) == 0).all()
-        assert (block.m.prod(axis=1) == parity).all()
+        assert frame_parity(seq, (0, 1)) == 0
+        assert m.shape == (100, 3) and (abs(m) == 1).all()
+        assert (m.prod(axis=1) == parity).all()
 
     def test_forced_heralds_odd_frame(self):
         seq = SequenceConfig(n_pi=4, n_sub=2)
-        chan = ChannelConfig.from_mean_photons(0.0, seq.n_qubits)
         y_plus = LABEL_NAMES.index("+y")
-        block = run_memory_cycles(
-            seq, chan, NoiseParams.ideal(), 100, np.random.default_rng(2),
-            photons(lambda slot: y_plus), forced_slots=(0, 2),
+        m = run_memory_cycles(
+            seq, ChannelConfig(n_p=0.0), NoiseParams.ideal(),
+            *fixed_heralds(100, (0, 2), (y_plus, y_plus)), np.random.default_rng(2),
         )
-        frame = frame_parity(seq, block)
-        parity = block.m.prod(axis=1)
-        assert (frame == 1).all()
-        assert (parity == 1).all()  # odd frame flips the Y-Y row: Psi+
+        assert frame_parity(seq, (0, 2)) == 1
+        assert (m.prod(axis=1) == 1).all()  # odd frame flips the Y-Y row: Psi+
 
-    def test_third_herald_discards_cycle(self):
-        seq = SequenceConfig(n_pi=2, n_sub=2)
-        chan = ChannelConfig.from_mean_photons(4.0, seq.n_qubits)  # every slot heralds
-        block = run_memory_cycles(
-            seq, chan, NoiseParams.ideal(), 5, np.random.default_rng(3),
-            photons(lambda slot: 0),
-        )
-        assert (block.heralds == 4).all()
-        assert not block.m[:, 2].any()  # no record, so no readout
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (-1, 3), (0, 8)])
+    def test_rejects_slots_outside_an_ordered_pair(self, pair):
+        seq = SequenceConfig(n_pi=4, n_sub=2)
+        slots = np.array([(0, 1), pair])
+        with pytest.raises(ValueError):
+            run_memory_cycles(
+                seq, ChannelConfig(n_p=0.0), NoiseParams.ideal(), slots,
+                np.zeros_like(slots), np.random.default_rng(0),
+            )
 
     def test_shared_generator_stream_is_pinned(self):
-        # 50 blocks of one random cycle and one forced-slot block drawn from
-        # one generator, then the generator's next value. A block of one
-        # takes one value per slot, one per herald outcome and two for the
-        # readout, in slot order.
+        # One block of twelve cycles with scatters in play, then the
+        # generator's next value. The block takes one value per cycle at
+        # each slot, then the outcomes of that slot's heralds, and two
+        # values per cycle for the readout.
         seq = SequenceConfig(n_pi=4, n_sub=2)
         chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
-        source = photons(lambda slot: (3 * slot) % 8)
+        slots = np.array([(lo, hi) for lo in range(4) for hi in (lo + 1, 7 - lo, 6)])
         rng = np.random.default_rng(2024)
-
-        def summary(block):
-            heralds = int(block.heralds[0])
-            fields = (heralds, int(block.scatters[0]), heralds > 2)
-            if heralds != 2:
-                return fields
-            return fields + (*block.slots[0].tolist(), *block.m[0].tolist(),
-                             int(frame_parity(seq, block)[0]))
-
-        observed = [
-            summary(run_memory_cycles(seq, chan, NoiseParams(), 1, rng, source))
-            for _ in range(50)
+        m = run_memory_cycles(seq, chan, NoiseParams(), slots, (3 * slots) % 8, rng)
+        assert m.tolist() == [
+            [1, 1, 1], [1, 1, -1], [1, 1, -1], [1, -1, 1], [1, 1, -1], [1, -1, -1],
+            [-1, -1, -1], [-1, 1, 1], [-1, -1, 1], [-1, 1, 1], [-1, -1, 1], [-1, 1, -1],
         ]
-        observed.append(summary(run_memory_cycles(
-            seq, chan, NoiseParams(), 1, rng, source, forced_slots=(1, 6)
-        )))
-        assert observed == [
-            (1, 2, False), (2, 1, False, 3, 4, -1, 1, 1, 1), (0, 1, False),
-            (1, 0, False), (1, 1, False), (1, 1, False), (0, 1, False),
-            (4, 0, True), (1, 1, False), (1, 3, False), (1, 2, False),
-            (1, 2, False), (0, 2, False), (0, 3, False), (1, 2, False),
-            (1, 4, False), (1, 2, False), (0, 0, False),
-            (2, 1, False, 1, 4, 1, 1, -1, 0), (1, 2, False),
-            (2, 2, False, 2, 5, -1, 1, -1, 1), (0, 2, False), (1, 0, False),
-            (1, 1, False), (0, 0, False), (0, 3, False), (0, 1, False),
-            (1, 5, False), (0, 3, False), (0, 0, False), (1, 0, False),
-            (2, 1, False, 1, 6, 1, 1, 1, 1), (1, 0, False), (0, 1, False),
-            (1, 1, False), (2, 2, False, 2, 6, -1, -1, 1, 0), (1, 2, False),
-            (1, 2, False), (0, 2, False), (1, 2, False), (1, 2, False),
-            (2, 0, False, 0, 5, 1, 1, 1, 0), (2, 1, False, 0, 4, 1, 1, 1, 0),
-            (1, 2, False), (1, 1, False), (0, 0, False),
-            (2, 1, False, 0, 3, -1, -1, 1, 1), (1, 0, False), (0, 2, False),
-            (1, 0, False), (2, 0, False, 1, 6, 1, 1, -1, 1),
-        ]
-        assert rng.random() == 0.9747810885761651
+        assert rng.random() == 0.9481525827350313
 
     def test_noiseless_truth_table_through_reference_engine(self):
         # Every label pair with a deterministic parity at its frame runs
@@ -290,12 +247,12 @@ class TestMemoryCycle:
                     if max(oracles.parity_distribution(state, frame).values()) < 1 - 1e-9:
                         continue  # this pair has no deterministic parity here
                     want = oracles.deterministic_parity(state, frame)
-                    block = run_memory_cycles(
-                        seq, chan, NoiseParams.ideal(), 25, rng,
-                        photons({slots[0]: la, slots[1]: lb}.get), forced_slots=slots,
+                    m = run_memory_cycles(
+                        seq, chan, NoiseParams.ideal(),
+                        *fixed_heralds(25, slots, (la, lb)), rng,
                     )
-                    assert (frame_parity(seq, block) == frame).all()
-                    assert (block.m.prod(axis=1) == want).all()
+                    assert frame_parity(seq, slots) == frame
+                    assert (m.prod(axis=1) == want).all()
                     observed[LABEL_NAMES[la], LABEL_NAMES[lb], frame] = want
         assert len(observed) == 32  # two partners per label and frame
         assert observed["+a", "-b", 0] == 1
@@ -316,12 +273,12 @@ class TestInformationHiding:
         noise = NoiseParams.ideal()
         pairs = [("+x", "+x"), ("-x", "-x"), ("+y", "-y"), ("+a", "-b")]
         for idx, (alice, bob) in enumerate(pairs):
-            labels = {0: LABEL_NAMES.index(alice), 1: LABEL_NAMES.index(bob)}
-            block = run_memory_cycles(
-                seq, chan, noise, 20_000, np.random.default_rng(100 + idx),
-                photons(labels.get), forced_slots=(0, 1),
+            labels = (LABEL_NAMES.index(alice), LABEL_NAMES.index(bob))
+            m = run_memory_cycles(
+                seq, chan, noise, *fixed_heralds(20_000, (0, 1), labels),
+                np.random.default_rng(100 + idx),
             )
-            m1, m2 = block.m[:, 0], block.m[:, 1]
+            m1, m2 = m[:, 0], m[:, 1]
             joint = np.zeros(4)
             for v1 in (1, -1):
                 for v2 in (1, -1):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import oracles
 from memqkd.bsm import CONJ_LABEL, LABEL_NAMES, ChannelConfig, SequenceConfig
 from memqkd.qubits import NoiseParams
 from memqkd.session import (
-    _BLOCK_UNIFORMS,
+    _BLOCK,
     CoincidenceTally,
     EmptyCellError,
     PartyConfig,
@@ -25,6 +26,9 @@ from memqkd.session import (
 )
 
 SEQ124 = SequenceConfig(n_pi=62, n_sub=2)
+# Truth-table error rule over (basis X/Y, sign A, sign B, parity) indices:
+# X pairs correlate with the sign product, Y pairs anticorrelate.
+SIFT_ERROR = np.indices((2, 2, 2, 2)).sum(axis=0) % 2 == 1
 
 
 def small_setup(n_m=1.2, eta=0.6):
@@ -89,41 +93,93 @@ class TestEngineEquivalence:
             sigma = math.sqrt(e_fast * (1 - e_fast) / n_ref)
             assert abs(e_ref - e_fast) < 5 * sigma, attr_n
 
-        # Every cell of the reference tally follows the fast engine's cell
-        # probabilities.
-        observed = np.stack([ref_tally.counts, ref_tally.excluded]).ravel()
-        expected = ref.coincidences * coincidence_cell_probabilities(
-            seq, chan, parties, noise
-        ).ravel()
-        possible = expected > 0
-        assert observed[~possible].sum() == 0
-        assert expected[possible].min() >= 5
-        _, p_value = stats.chisquare(observed[possible], expected[possible])
-        assert p_value > 1e-3
+        assert_cells_follow(coincidence_cell_probabilities(seq, chan, parties, noise), ref_tally)
 
-    def test_paths_agree_at_full_sequence_layout(self):
-        # Same cross-check at the 62-window, 124-slot layout with the
-        # calibrated noise, heavy scattering and both frame parities in
-        # play. The photon load is raised so the reference path
-        # accumulates coincidences quickly.
-        seq = SEQ124
+    @staticmethod
+    def assert_paths_agree(seq, cycles, seed):
+        # The calibrated noise, heavy scattering and both frame parities in
+        # play. The photon load is raised so the reference path accumulates
+        # coincidences quickly.
         chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
         parties = PartyConfig(assignment="single")
         noise = NoiseParams()
-        _, ref = simulate_session(
-            seq, chan, parties, noise, 25_000, seed=77, engine="reference"
+        ref_tally, ref = simulate_session(
+            seq, chan, parties, noise, cycles, seed, engine="reference"
         )
-        _, fast = simulate_session(
-            seq, chan, parties, noise, 10**10, seed=77, engine="fast"
-        )
+        _, fast = simulate_session(seq, chan, parties, noise, 10**10, seed, engine="fast")
         r_ref = ref.coincidences / ref.cycles
         r_fast = fast.coincidences / fast.cycles
         sigma = math.sqrt(r_fast * (1 - r_fast) / ref.cycles)
         assert abs(r_ref - r_fast) < 5 * sigma
-        e_ref = ref.errors / ref.sifted
-        e_fast = fast.errors / fast.sifted
-        sigma = math.sqrt(e_fast * (1 - e_fast) / ref.sifted)
-        assert abs(e_ref - e_fast) < 5 * sigma
+
+        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
+        assert_cells_follow(pi, ref_tally)
+        same = pi[0][[0, 1], :, [0, 1]]
+        assert within_5_sigma(ref.errors, ref.sifted, same[SIFT_ERROR].sum() / same.sum())
+
+    def test_paths_agree_at_full_sequence_layout(self):
+        # The 62-window, 124-slot layout: about 2e5 coincidences.
+        self.assert_paths_agree(SEQ124, 1_300_000, seed=77)
+
+    def test_paths_agree_at_504_slots(self):
+        # About 46,000 coincidences.
+        self.assert_paths_agree(SequenceConfig(n_pi=252, n_sub=2), 300_000, seed=78)
+
+
+def assert_cells_follow(pi, tally):
+    """Every cell of a reference tally follows the fast engine's cell probabilities.
+
+    A 256-cell chi-square: no count outside pi's support, p > 1e-3.
+    """
+    observed = np.stack([tally.counts, tally.excluded]).ravel()
+    expected = tally.total() * pi.ravel()
+    possible = expected > 0
+    assert observed[~possible].sum() == 0
+    assert expected[possible].min() >= 5
+    _, p_value = stats.chisquare(observed[possible], expected[possible])
+    assert p_value > 1e-3
+
+
+def within_5_sigma(observed, trials, p):
+    return abs(observed - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+
+
+class TestReferenceDecomposition:
+    """The reference engine against the unconditional per-slot process.
+
+    The engine draws herald counts, then a slot pair, then scatters given
+    no herald; the oracle runs every slot alike. At n_m = 3 on the 8-slot
+    layout over half a million cycles, a scatter rate n_p (1 - eta) that
+    forgets the conditioning, or a lower slot drawn before the upper one,
+    fails by more than 20 sigma.
+    """
+
+    SEQ = SequenceConfig(n_pi=4, n_sub=2)
+    CHAN = ChannelConfig.from_mean_photons(3.0, SEQ.n_qubits)
+    NOISE = dataclasses.replace(NoiseParams.ideal(), eta_detect=0.5, p_scatter_dephase=0.5)
+    CYCLES = 500_000
+
+    def run(self, assignment, seed):
+        _, report = simulate_session(
+            self.SEQ, self.CHAN, PartyConfig(assignment=assignment), self.NOISE,
+            self.CYCLES, seed, engine="reference",
+        )
+        two, same_parity, no_scatter = oracles.per_slot_two_herald_statistics(
+            self.SEQ.n_qubits, self.CHAN.n_p, self.NOISE.eta_detect
+        )
+        assert within_5_sigma(report.coincidences, report.cycles, two)
+        return report, same_parity, no_scatter
+
+    def test_same_party_share_follows_slot_parity(self):
+        # Alternating senders: a pair is same-party when its slots share a parity.
+        report, same_parity, _ = self.run("alternating", seed=51)
+        assert within_5_sigma(report.same_party, report.coincidences, same_parity)
+
+    def test_error_rate_follows_scatter_free_share(self):
+        # One undetected scatter fully dephases the spin, and nothing else
+        # errs, so a sifted record errs with probability 1/2 after a scatter.
+        report, _, no_scatter = self.run("single", seed=52)
+        assert within_5_sigma(report.errors, report.sifted, (1 - no_scatter) / 2)
 
 
 def nonzero_cells(tally):
@@ -141,7 +197,7 @@ def report_counts(report):
 
 
 class TestReferenceStream:
-    """Reference tallies pinned to their values under the block engine's draws.
+    """Reference tallies pinned to their values under the two-stage engine's draws.
 
     Any change to the reference engine's random stream fails here, where
     the statistical equivalence tests would let it pass.
@@ -155,18 +211,20 @@ class TestReferenceStream:
             engine="reference",
         )
         assert report_counts(report) == {
-            "heralds": 262, "coincidences": 50, "discarded_multi": 16, "same_party": 0,
-            "sifted_xx": 15, "errors_xx": 2, "sifted_yy": 12, "errors_yy": 1,
+            "heralds": 295, "coincidences": 59, "discarded_multi": 23, "same_party": 0,
+            "sifted_xx": 12, "errors_xx": 5, "sifted_yy": 19, "errors_yy": 10,
         }
         assert nonzero_cells(tally) == {
-            (0, 0, 0, 0, 0, 0): 4, (0, 0, 0, 0, 0, 1): 1, (0, 0, 0, 0, 1, 1): 5,
-            (0, 0, 0, 1, 0, 0): 1, (0, 0, 0, 1, 0, 1): 1, (0, 0, 0, 1, 1, 0): 1,
-            (0, 0, 0, 1, 1, 1): 2, (0, 0, 1, 0, 0, 1): 4, (0, 0, 1, 0, 1, 1): 1,
-            (0, 0, 1, 1, 0, 0): 1, (0, 0, 1, 1, 0, 1): 1, (0, 0, 1, 1, 1, 0): 3,
-            (0, 0, 1, 1, 1, 1): 2, (0, 1, 0, 0, 0, 1): 2, (0, 1, 0, 0, 1, 0): 1,
-            (0, 1, 0, 0, 1, 1): 2, (0, 1, 0, 1, 1, 0): 5, (0, 1, 1, 0, 0, 0): 1,
-            (0, 1, 1, 0, 0, 1): 1, (0, 1, 1, 0, 1, 0): 2, (0, 1, 1, 0, 1, 1): 2,
-            (0, 1, 1, 1, 0, 0): 3, (0, 1, 1, 1, 0, 1): 1, (0, 1, 1, 1, 1, 1): 3,
+            (0, 0, 0, 0, 1, 0): 2, (0, 0, 0, 0, 1, 1): 3, (0, 0, 0, 1, 0, 0): 1,
+            (0, 0, 0, 1, 0, 1): 3, (0, 0, 0, 1, 1, 0): 1, (0, 0, 0, 1, 1, 1): 3,
+            (0, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1): 3, (0, 0, 1, 0, 1, 0): 1,
+            (0, 0, 1, 0, 1, 1): 2, (0, 0, 1, 1, 0, 0): 1, (0, 0, 1, 1, 0, 1): 1,
+            (0, 0, 1, 1, 1, 0): 1, (0, 0, 1, 1, 1, 1): 5, (0, 1, 0, 0, 0, 0): 4,
+            (0, 1, 0, 0, 0, 1): 1, (0, 1, 0, 0, 1, 0): 2, (0, 1, 0, 0, 1, 1): 2,
+            (0, 1, 0, 1, 0, 0): 4, (0, 1, 0, 1, 0, 1): 4, (0, 1, 0, 1, 1, 1): 3,
+            (0, 1, 1, 0, 0, 0): 1, (0, 1, 1, 0, 0, 1): 1, (0, 1, 1, 0, 1, 1): 1,
+            (0, 1, 1, 1, 0, 0): 1, (0, 1, 1, 1, 0, 1): 1, (0, 1, 1, 1, 1, 0): 2,
+            (0, 1, 1, 1, 1, 1): 4,
         }
 
     def test_eight_slot_chsh_layout(self):
@@ -177,31 +235,35 @@ class TestReferenceStream:
             seed=5, engine="reference",
         )
         assert report_counts(report) == {
-            "heralds": 211, "coincidences": 32, "discarded_multi": 7, "same_party": 18,
-            "sifted_xx": 2, "errors_xx": 1, "sifted_yy": 1, "errors_yy": 1,
+            "heralds": 177, "coincidences": 33, "discarded_multi": 6, "same_party": 14,
+            "sifted_xx": 1, "errors_xx": 0, "sifted_yy": 0, "errors_yy": 0,
         }
         assert nonzero_cells(tally) == {
-            (0, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 1, 0): 1, (0, 1, 0, 0, 0, 1): 1,
-            (0, 1, 0, 1, 0, 0): 1, (0, 1, 0, 2, 0, 0): 1, (0, 1, 0, 2, 0, 1): 1,
-            (0, 1, 1, 0, 1, 1): 1, (0, 1, 1, 3, 1, 1): 2, (0, 2, 0, 1, 1, 0): 1,
-            (0, 2, 0, 3, 1, 0): 1, (0, 2, 1, 3, 1, 1): 1, (0, 3, 1, 2, 0, 1): 1,
-            (0, 3, 1, 2, 1, 1): 1, (1, 0, 0, 3, 0, 0): 1, (1, 0, 0, 3, 1, 0): 1,
-            (1, 0, 1, 1, 0, 0): 1, (1, 0, 1, 1, 1, 1): 2, (1, 1, 0, 0, 0, 0): 1,
-            (1, 1, 0, 0, 0, 1): 1, (1, 1, 0, 3, 1, 0): 1, (1, 1, 0, 3, 1, 1): 1,
-            (1, 1, 1, 2, 0, 0): 1, (1, 1, 1, 3, 0, 0): 1, (1, 2, 0, 0, 1, 1): 1,
-            (1, 2, 1, 0, 1, 1): 1, (1, 2, 1, 2, 0, 1): 1, (1, 3, 0, 3, 0, 0): 1,
-            (1, 3, 0, 3, 0, 1): 1, (1, 3, 0, 3, 1, 1): 1, (1, 3, 1, 3, 1, 0): 1,
+            (0, 0, 0, 2, 0, 0): 1, (0, 0, 0, 3, 0, 1): 2, (0, 0, 1, 0, 1, 0): 1,
+            (0, 1, 0, 0, 0, 1): 1, (0, 1, 1, 2, 0, 0): 1, (0, 2, 0, 0, 1, 0): 1,
+            (0, 2, 0, 2, 1, 0): 1, (0, 2, 0, 3, 0, 0): 1, (0, 2, 1, 0, 1, 0): 1,
+            (0, 2, 1, 3, 0, 0): 1, (0, 2, 1, 3, 1, 0): 1, (0, 3, 0, 0, 0, 1): 1,
+            (0, 3, 0, 1, 1, 0): 1, (0, 3, 0, 3, 0, 0): 1, (0, 3, 0, 3, 0, 1): 1,
+            (0, 3, 0, 3, 1, 1): 1, (0, 3, 1, 1, 1, 1): 1, (0, 3, 1, 2, 1, 0): 1,
+            (1, 0, 0, 1, 1, 1): 1, (1, 0, 0, 3, 1, 0): 1, (1, 0, 0, 3, 1, 1): 1,
+            (1, 0, 1, 1, 0, 0): 2, (1, 1, 0, 1, 0, 1): 1, (1, 1, 0, 3, 1, 0): 2,
+            (1, 1, 1, 0, 1, 1): 1, (1, 1, 1, 1, 0, 1): 1, (1, 2, 1, 3, 1, 0): 1,
+            (1, 3, 0, 0, 1, 0): 1, (1, 3, 0, 2, 0, 1): 1, (1, 3, 0, 3, 1, 0): 1,
         }
 
 
 class TestReferenceBlocks:
-    """Exact counts over one full block of cycles plus one more."""
+    """Exact counts over one full herald-count block of cycles plus one more.
+
+    At N = 2 every cycle is a coincidence, so the slot loop crosses its
+    block boundaries as well.
+    """
 
     def test_every_slot_heralds_across_a_block_boundary(self):
         # n_p = 1 and eta_detect = 1: every slot of every cycle heralds, so
         # every cycle is discarded, in both blocks.
         seq = SEQ124
-        cycles = _BLOCK_UNIFORMS // seq.n_qubits + 1
+        cycles = _BLOCK + 1
         noise = NoiseParams(eta_detect=1.0)
         tally, report = simulate_session(
             seq, ChannelConfig(n_p=1.0), PartyConfig(), noise, cycles, seed=3,
@@ -213,7 +275,7 @@ class TestReferenceBlocks:
 
     def test_no_photons_no_heralds_across_a_block_boundary(self):
         seq = SEQ124
-        cycles = _BLOCK_UNIFORMS // seq.n_qubits + 1
+        cycles = _BLOCK + 1
         tally, report = simulate_session(
             seq, ChannelConfig(n_p=0.0), PartyConfig(), NoiseParams(), cycles, seed=3,
             engine="reference",
@@ -226,7 +288,7 @@ class TestReferenceBlocks:
         # is one record, across the pulse (n_sub = 1) or in one window. The
         # noiseless node corrects the frame, so no sifted record is an error.
         seq = SequenceConfig(n_pi=2 // n_sub, n_sub=n_sub)
-        cycles = _BLOCK_UNIFORMS // seq.n_qubits + 1
+        cycles = _BLOCK + 1
         _, report = simulate_session(
             seq, ChannelConfig(n_p=1.0), PartyConfig(assignment="single"),
             NoiseParams.ideal(), cycles, seed=4, engine="reference",
@@ -237,14 +299,6 @@ class TestReferenceBlocks:
 
 
 class TestReferenceFollowsExactProbabilities:
-    # Truth-table error rule over (basis X/Y, sign A, sign B, parity) indices:
-    # X pairs correlate with the sign product, Y pairs anticorrelate.
-    ERROR = np.indices((2, 2, 2, 2)).sum(axis=0) % 2 == 1
-
-    @staticmethod
-    def within_5_sigma(observed, trials, p):
-        return abs(observed - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
-
     # No shrinking: a 5-sigma miss is not made clearer by a smaller layout,
     # and each example runs 50,000 reference cycles.
     @settings(derandomize=True, max_examples=8, deadline=None, phases=[Phase.generate])
@@ -275,15 +329,15 @@ class TestReferenceFollowsExactProbabilities:
         k = np.arange(len(pmf))
         mean, var = pmf @ k, pmf @ k**2 - (pmf @ k) ** 2
         assert abs(ref.heralds - cycles * mean) <= 5 * math.sqrt(cycles * var)
-        assert self.within_5_sigma(ref.coincidences, cycles, pmf[2])
-        assert self.within_5_sigma(ref.discarded_multi, cycles, pmf[3:].sum())
+        assert within_5_sigma(ref.coincidences, cycles, pmf[2])
+        assert within_5_sigma(ref.discarded_multi, cycles, pmf[3:].sum())
 
         pi = coincidence_cell_probabilities(seq, chan, parties, noise)
         same = pi[0][[0, 1], :, [0, 1]]
         p_sifted = same.sum()
-        p_error = same[self.ERROR].sum()
-        assert self.within_5_sigma(ref.sifted, ref.coincidences, p_sifted)
-        assert self.within_5_sigma(ref.errors, ref.sifted, p_error / p_sifted)
+        p_error = same[SIFT_ERROR].sum()
+        assert within_5_sigma(ref.sifted, ref.coincidences, p_sifted)
+        assert within_5_sigma(ref.errors, ref.sifted, p_error / p_sifted)
 
 
 class TestHeraldStatistics:
