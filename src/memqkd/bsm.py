@@ -18,9 +18,11 @@ conjugate `CONJ_LABEL`. `session.truth_table_rows` reads the truth table
 off the ideal-noise Born kernel.
 
 `run_memory_cycles` runs a block of independent cycles whose two herald
-slots and photon labels are given: one slot loop whose maps act on all
-the block's spins at once. `session` draws which cycles herald twice and
-where; a drill passes its own slots and labels.
+slots and photon labels are given as integer (n, 2) arrays: one slot
+loop whose maps act on the Bloch pairs (z, b) of all the block's spins at
+once. A herald turns only b by a unit phase, so at a herald slot the loop
+writes just the heralded lanes' b. `session` draws which cycles herald
+twice and where; a drill passes its own slots and labels.
 """
 
 from __future__ import annotations
@@ -137,9 +139,15 @@ def run_memory_cycles(
     per cycle, then the detector outcomes of the cycles that herald there.
     At the end, two uniforms per cycle for the readout.
     """
+    slots, labels = np.asarray(slots), np.asarray(labels)
+    if not (slots.shape[1:] == (2,) and labels.shape == slots.shape
+            and slots.dtype.kind in "iu" and labels.dtype.kind in "iu"):
+        raise ValueError("slots and labels must be integer arrays of one shape (n, 2)")
     lo, hi = slots.T
     if not ((0 <= lo) & (lo < hi) & (hi < seq.n_qubits)).all():
         raise ValueError(f"herald slots must satisfy 0 <= lo < hi < {seq.n_qubits}")
+    if not ((0 <= labels) & (labels < len(LABEL_PHASE))).all():
+        raise ValueError(f"photon labels must lie in 0..{len(LABEL_PHASE) - 1}")
     # At n_p eta = 1 every slot heralds, so only N = 2 has such cycles.
     a = chan.n_p * noise.eta_detect
     r = chan.n_p * (1.0 - noise.eta_detect) / (1.0 - a) if a < 1.0 else 0.0
@@ -155,9 +163,10 @@ def run_memory_cycles(
             scatter[hit] = False
             spin = apply_dephasing(spin, scatter * noise.p_scatter_dephase)
             if hit.size:
-                m[hit, nth], spin[hit] = reflect_and_herald(
+                m[hit, nth], heralded = reflect_and_herald(
                     spin[hit], LABEL_PHASE[labels[hit, nth]], noise, rng
                 )
+                spin.b[hit] = heralded.b
             slot += 1
         spin = apply_pi_pulse(spin, noise.p_mw)
     m[:, 2] = measure_x(spin, noise.f_readout, rng)

@@ -202,7 +202,7 @@ class TestMemoryCycle:
         assert frame_parity(seq, (0, 2)) == 1
         assert (m.prod(axis=1) == 1).all()  # odd frame flips the Y-Y row: Psi+
 
-    @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (-1, 3), (0, 8)])
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (-1, 3), (0, 8), (0.5, 3)])
     def test_rejects_slots_outside_an_ordered_pair(self, pair):
         seq = SequenceConfig(n_pi=4, n_sub=2)
         slots = np.array([(0, 1), pair])
@@ -210,6 +210,17 @@ class TestMemoryCycle:
             run_memory_cycles(
                 seq, ChannelConfig(n_p=0.0), NoiseParams.ideal(), slots,
                 np.zeros_like(slots), np.random.default_rng(0),
+            )
+
+    @pytest.mark.parametrize(
+        "labels", [[(0, 0), (0, -1)], [(0, 0), (8, 0)], [(0, 0), (0, 0), (9, 9)], [(0, 0), (0, 1.0)]]
+    )
+    def test_rejects_labels_that_are_not_one_per_herald_in_0_to_7(self, labels):
+        seq = SequenceConfig(n_pi=4, n_sub=2)
+        with pytest.raises(ValueError):
+            run_memory_cycles(
+                seq, ChannelConfig(n_p=0.0), NoiseParams.ideal(), np.array([(0, 1), (2, 3)]),
+                np.array(labels), np.random.default_rng(0),
             )
 
     def test_shared_generator_stream_is_pinned(self):

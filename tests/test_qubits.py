@@ -208,10 +208,8 @@ class TestHeraldedGate:
 
     def test_born_probability_exactly_half_without_leakage(self):
         rng = np.random.default_rng(8)
-        for _ in range(30):
-            state = random_state(rng)
-            phase = rng.uniform(0, 2 * math.pi)
-            assert herald_probability(state, phase, 1, 0.0) == pytest.approx(0.5, abs=1e-12)
+        for phase in rng.uniform(0, 2 * math.pi, size=30):
+            assert herald_probability(phase, 1, 0.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_outcomes_equiprobable_without_leakage(self):
         rng = np.random.default_rng(3)
@@ -264,7 +262,7 @@ class TestHeraldedGate:
             assert np.allclose(
                 apply_herald(state, phase, m, eps).rho, mapped / norm, rtol=0, atol=1e-14
             )
-            assert herald_probability(state, phase, m, eps) == pytest.approx(
+            assert herald_probability(phase, m, eps) == pytest.approx(
                 norm / (2.0 * (1.0 + eps**2)), rel=0, abs=1e-14
             )
 
@@ -273,12 +271,18 @@ class TestHeraldedGate:
         rho = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
         with pytest.raises(NonPhysicalStateError, match="negative eigenvalue") as lone:
             SpinState(rho)
-        # The same matrix as the middle lane of a block, set on the entry arrays.
-        rhos = np.array([np.eye(2) / 2, rho, np.eye(2) / 2])
-        block = SpinState._from_entries(*(rhos[:, i, j] for i in (0, 1) for j in (0, 1)))
+        # The same matrix as the middle lane of a block, set on the Bloch pair.
+        z = (rho[0, 0] - rho[1, 1]).real
+        block = SpinState._from_pair(np.array([0.0, z, 0.0]), np.zeros(3, dtype=complex))
         with pytest.raises(NonPhysicalStateError) as herald:
             reflect_and_herald(block, np.zeros(3), NoiseParams.ideal(), rng)
         assert str(herald.value) == str(lone.value)
+
+    @pytest.mark.parametrize("z,b", [(math.nan, 0j), (0.0, complex(math.nan, 0.0))])
+    def test_herald_rejects_a_nan_lane(self, z, b):
+        block = SpinState._from_pair(np.array([0.0, z]), np.array([0.5, b]))
+        with pytest.raises(NonPhysicalStateError, match="negative eigenvalue nan"):
+            reflect_and_herald(block, np.zeros(2), NoiseParams.ideal(), np.random.default_rng(0))
 
 
 class TestChannels:
@@ -329,9 +333,9 @@ class TestChannels:
             mapped = f(block, slice(None)).rho
             for i, state in enumerate(states):
                 assert np.allclose(mapped[i], f(state, i).rho, rtol=0, atol=1e-15)
-        probs = herald_probability(block, phase, m, 0.24114)
-        for i, state in enumerate(states):
-            single = herald_probability(state, phase[i], m[i], 0.24114)
+        probs = herald_probability(phase, m, 0.24114)
+        for i in range(len(states)):
+            single = herald_probability(phase[i], m[i], 0.24114)
             assert probs[i] == pytest.approx(single, rel=0, abs=1e-15)
 
     def test_all_maps_preserve_trace_and_positivity(self):
@@ -364,6 +368,17 @@ class TestReadout:
             measure_x(prepare_superposition(), 0.0, rng) == -1 for _ in range(100)
         )
         assert flips == 100  # f_readout = 0 always flips
+
+    def test_born_rule_on_a_mixed_block(self):
+        # Bloch (0.6, 0.3, 0.5): P(+x) = (1 + 0.6) / 2 = 0.8, and readout
+        # flips with probability 0.1, so +1 has probability 0.74.
+        x, y, z = 0.6, 0.3, 0.5
+        rho = np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]]) / 2
+        n = 100_000
+        block = SpinState(np.broadcast_to(rho, (n, 2, 2)))
+        plus = np.count_nonzero(measure_x(block, 0.9, np.random.default_rng(6)) == 1)
+        p = 0.8 * 0.9 + 0.2 * 0.1
+        assert abs(plus - n * p) < 5 * math.sqrt(n * p * (1 - p))
 
 
 class TestSpinPhotonFidelity:
