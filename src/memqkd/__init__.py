@@ -28,7 +28,6 @@ from .config import (
 )
 from .qubits import (
     NoiseParams,
-    SpinState,
     apply_dephasing,
     apply_herald,
     apply_pi_pulse,

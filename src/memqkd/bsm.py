@@ -19,10 +19,10 @@ off the ideal-noise Born kernel.
 
 `run_memory_cycles` runs a block of independent cycles whose two herald
 slots and photon labels are given as integer (n, 2) arrays: one slot
-loop whose maps act on the Bloch pairs (z, b) of all the block's spins at
-once. A herald turns only b by a unit phase, so at a herald slot the loop
-writes just the heralded lanes' b. `session` draws which cycles herald
-twice and where; a drill passes its own slots and labels.
+loop whose maps act on the coherences b of all the block's spins at
+once (`qubits` says why b is the whole state). At a herald slot the
+loop writes just the heralded lanes' b. `session` draws which cycles
+herald twice and where; a drill passes its own slots and labels.
 """
 
 from __future__ import annotations
@@ -153,21 +153,24 @@ def run_memory_cycles(
     r = chan.n_p * (1.0 - noise.eta_detect) / (1.0 - a) if a < 1.0 else 0.0
 
     n = len(slots)
-    spin = prepare_superposition(noise.f_init, (n,))
+    b = prepare_superposition(noise.f_init, (n,))
     m = np.zeros((n, 3), dtype=np.int64)
+    # Herald lanes by slot: a stable sort of the flat (row, column) indices
+    # keeps each slot's lanes in row-major order.
+    order = np.argsort(slots, axis=None, kind="stable")
+    bounds = np.searchsorted(slots.ravel()[order], np.arange(seq.n_qubits + 1))
     slot = 0
     for _ in range(seq.n_pi):
         for _ in range(seq.n_sub):
-            hit, nth = np.nonzero(slots == slot)
+            hit, nth = divmod(order[bounds[slot]:bounds[slot + 1]], 2)
             scatter = rng.random(n) < r
             scatter[hit] = False
-            spin = apply_dephasing(spin, scatter * noise.p_scatter_dephase)
+            b = apply_dephasing(b, scatter * noise.p_scatter_dephase)
             if hit.size:
-                m[hit, nth], heralded = reflect_and_herald(
-                    spin[hit], LABEL_PHASE[labels[hit, nth]], noise, rng
+                m[hit, nth], b[hit] = reflect_and_herald(
+                    b[hit], LABEL_PHASE[labels[hit, nth]], noise, rng
                 )
-                spin.b[hit] = heralded.b
             slot += 1
-        spin = apply_pi_pulse(spin, noise.p_mw)
-    m[:, 2] = measure_x(spin, noise.f_readout, rng)
+        b = apply_pi_pulse(b, noise.p_mw)
+    m[:, 2] = measure_x(b, noise.f_readout, rng)
     return m

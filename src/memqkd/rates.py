@@ -191,18 +191,11 @@ def rate_direct_bound(p_ab: float, bias: float = 0.5) -> float:
     return (bias**2 + (1.0 - bias) ** 2) * p_ab
 
 
-@dataclass(frozen=True)
-class PlobBound:
-    """Repeaterless secret-key capacity per channel use."""
-
-    linear: float  # 1.44 * p, the small-p linearization
-    exact: float   # -log2(1 - p)
-
-
-def plob_bound(p_ab: float) -> PlobBound:
-    if not 0 <= p_ab < 1:
-        raise ValueError(f"p_ab must lie in [0, 1), got {p_ab}")
-    return PlobBound(linear=1.44 * p_ab, exact=-math.log2(1.0 - p_ab))
+def plob_bound(p_ab: float) -> float:
+    """Repeaterless secret-key capacity per channel use, linearized: 1.44 p."""
+    if not 0 <= p_ab <= 1:
+        raise ValueError(f"p_ab must lie in [0, 1], got {p_ab}")
+    return 1.44 * p_ab
 
 
 def sifted_enhancement(eta: float, n_pi: int, n_sub: int) -> float:
@@ -308,7 +301,7 @@ def build_report(source: Union[float, SessionReport], bounds: BoundsConfig) -> K
     secure rate built on it, is unknown (nan) rather than perfect.
     """
     r_max = rate_direct_bound(bounds.p_ab, bounds.basis_bias)
-    plob = plob_bound(bounds.p_ab).linear
+    plob = plob_bound(bounds.p_ab)
     conf_rmax = conf_plob = None
     if isinstance(source, SessionReport):
         sifted_use = source.sifted_rate_per_use()

@@ -4,7 +4,7 @@ Two execution paths sample the same distribution. The reference path
 is the ground truth and never reads the fast path's pmf or cells. It
 draws each cycle's herald count, then a uniform slot pair and two photon
 labels for each cycle with exactly two heralds, and runs only those
-cycles slot by slot on density matrices (`run_memory_cycles`). The fast
+cycles slot by slot on the spins' coherences (`run_memory_cycles`). The fast
 path is two exact multinomial draws, so its cost does not grow with the
 cycle count:
 

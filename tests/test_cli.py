@@ -68,9 +68,13 @@ def chsh_config(tmp_path):
 
 
 class TestSimulate:
-    def test_smoke_and_header(self, qkd_config, tmp_path, capsys):
+    # n_m = N = 8 is the overdriven limit: n_p = 1 and p_AB = 1.
+    @pytest.mark.parametrize("n_m", ["1.2", "8"], ids=["fast", "n_m-equals-N"])
+    def test_smoke_and_header(self, n_m, tmp_path, capsys):
+        cfg = tmp_path / "qkd.cfg"
+        cfg.write_text(FAST_QKD.replace("n_m = 1.2", f"n_m = {n_m}"))
         out = tmp_path / "result.csv"
-        code = run(["simulate", "--config", qkd_config, "--out", str(out)])
+        code = run(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(SIMULATE_COLUMNS)

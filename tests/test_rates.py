@@ -228,20 +228,14 @@ class TestBounds:
         assert rate_direct_bound(p, 0.99) == pytest.approx(0.98 * p, rel=1e-3)
 
     def test_plob_values(self):
-        bound = plob_bound(0.01)
-        assert bound.linear == pytest.approx(1.44e-2)
-        assert bound.exact == pytest.approx(-math.log2(0.99), rel=1e-12)
-        assert bound.exact == pytest.approx(1.4500e-2, abs=1e-6)
-
-    def test_plob_small_p_limit(self):
-        for p in (1e-4, 1e-6, 1e-8):
-            bound = plob_bound(p)
-            assert bound.exact / bound.linear == pytest.approx(1.0, abs=2e-3)
-        assert plob_bound(1e-7).linear == pytest.approx(1.44e-7)
+        assert plob_bound(0.01) == pytest.approx(1.44e-2)
+        assert plob_bound(1e-7) == pytest.approx(1.44e-7)
 
     def test_plob_domain(self):
-        with pytest.raises(ValueError):
-            plob_bound(1.0)
+        for p in (1.0 + 1e-12, -1e-12, math.nan):
+            with pytest.raises(ValueError):
+                plob_bound(p)
+        assert plob_bound(1.0) == 1.44
 
 
 class TestSiftedEnhancement:
@@ -322,19 +316,19 @@ class TestKeyRateReport:
         assert report.qber_ml == session.errors / session.sifted
         oracle = TruncatedBetaOracle(session.errors, session.sifted)
         for confidence, bound in ((report.confidence_vs_rmax, rate_direct_bound(p_ab)),
-                                  (report.confidence_vs_plob, plob_bound(p_ab).linear)):
+                                  (report.confidence_vs_plob, plob_bound(p_ab))):
             margin = lambda e: secret_fraction(e) * report.sifted_per_use / bound - 1.0
             e_star = brentq(margin, 0.0, QBER_INDIVIDUAL_LIMIT, xtol=1e-16, rtol=1e-15)
             assert confidence == pytest.approx(oracle.cdf(e_star), abs=1e-9)
         assert report.ratio_plob_per_use == pytest.approx(
-            report.secure_per_use / plob_bound(p_ab).linear, rel=1e-12
+            report.secure_per_use / plob_bound(p_ab), rel=1e-12
         )
 
     @pytest.mark.parametrize("errors,sifted", [(2079, 17746), (2_027_128, 17_604_014)])
     def test_confidence_in_the_posterior_bulk(self, errors, sifted):
         # A sifted rate at which R equals the PLOB bound at the ML point puts
         # E* where the posterior density peaks, so an error in E* shows most.
-        plob = plob_bound(BENCHMARK_BOUNDS.p_ab).linear
+        plob = plob_bound(BENCHMARK_BOUNDS.p_ab)
         rate = plob / secret_fraction(errors / sifted) * (1 + 1e-4)
         report = build_report(session_with(errors, sifted, rate), BENCHMARK_BOUNDS)
         e_star = brentq(lambda e: secret_fraction(e) * rate / plob - 1.0,
