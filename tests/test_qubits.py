@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from memqkd.bsm import LABEL_PHASE
@@ -43,6 +45,36 @@ def dephase(rho: np.ndarray, p: float) -> np.ndarray:
     return (1 - p) * rho + p * (SZ @ rho @ SZ)
 
 
+def oracle_smallest(b) -> np.ndarray:
+    """The smaller eigenvalue of each lane's density matrix, by eigvalsh."""
+    return np.array([np.linalg.eigvalsh(rho_of(lane)).min() for lane in np.ravel(b)])
+
+
+def rejection(b):
+    """None if a herald accepts the coherence b, else the error message."""
+    try:
+        reflect_and_herald(b, np.zeros(np.shape(b)), NoiseParams.ideal(),
+                           np.random.default_rng(0))
+    except NonPhysicalStateError as exc:
+        return str(exc)
+    return None
+
+
+def edge_coherence(phase: float, d: float) -> complex:
+    """A coherence d beyond the positivity threshold |b| = 1/2 + 1e-9."""
+    return (0.5 + 1e-9 + d) * np.exp(1j * phase)
+
+
+# Directions on the equator: the eight label phases a herald turns b by,
+# and two that no herald reaches from b = 1/2.
+EDGE_PHASES = [*LABEL_PHASE, 1.0, 4.0]
+
+NEAR_THRESHOLD = st.tuples(
+    st.floats(0.5 - 3e-9, 0.5 + 3e-9) | st.floats(0.0, 0.5),
+    st.floats(0.0, 2 * math.pi),
+).map(lambda polar: polar[0] * np.exp(1j * polar[1]))
+
+
 class TestStatePreparation:
     def test_superposition_points_along_x(self):
         b = prepare_superposition()
@@ -60,6 +92,82 @@ class TestStatePreparation:
     def test_imperfect_superposition_shortens_x(self):
         b = prepare_superposition(0.998)
         assert 2 * b.real == pytest.approx(2 * 0.998 - 1, abs=1e-12)
+
+    def test_nonphysical_initialization_rejected(self):
+        # f_init outside [0, 1] would start the cycle at |b| > 1/2.
+        for f_init in (1.0 + 1e-12, -1e-12, math.nan):
+            with pytest.raises(ValueError, match="f_init must lie in"):
+                prepare_superposition(f_init)
+        for f_init in (0.0, 1.0):
+            assert abs(prepare_superposition(f_init)) == 0.5
+
+    def test_state_does_not_alias_the_callers_array(self):
+        # Every map returns a new array and leaves the caller's lanes as
+        # they were; run_memory_cycles writes only the lanes it maps.
+        rng = np.random.default_rng(17)
+        block = prepare_superposition(lanes=(4,))
+        block[1:] = [random_coherence(rng) for _ in range(3)]
+        before = block.copy()
+        assert not np.shares_memory(prepare_superposition(lanes=(4,)), block)
+        _, heralded = reflect_and_herald(block, np.zeros(4), NoiseParams(), rng)
+        for mapped in (
+            heralded,
+            apply_herald(block, 0.3, 1, 0.24114),
+            apply_pi_pulse(block, 0.0011),
+            apply_dephasing(block, 0.0),
+        ):
+            assert not np.shares_memory(mapped, block)
+        measure_x(block, 0.9998, rng)
+        assert np.array_equal(block, before)
+
+
+class TestPhysicalityCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(b=NEAR_THRESHOLD)
+    def test_closed_form_agrees_with_eigvalsh_oracle(self, b):
+        smallest = oracle_smallest(b)[0]
+        assume(abs(smallest + 1e-9) > 1e-12)
+        verdict = rejection(b)
+        assert (verdict is not None) == (smallest < -1e-9)
+        if verdict is not None:
+            value = float(verdict.removeprefix("negative eigenvalue "))
+            assert value == pytest.approx(smallest, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("phase", EDGE_PHASES)
+    def test_each_threshold_just_outside_the_band(self, phase):
+        # 2e-12 inside the threshold is accepted and 2e-12 beyond it is
+        # rejected, by both forms.
+        inside, beyond = edge_coherence(phase, -2e-12), edge_coherence(phase, 2e-12)
+        assert oracle_smallest(inside)[0] >= -1e-9
+        assert oracle_smallest(beyond)[0] < -1e-9
+        assert rejection(inside) is None
+        assert rejection(beyond).startswith("negative eigenvalue")
+
+    @settings(max_examples=150, deadline=None)
+    @given(lanes=st.lists(NEAR_THRESHOLD, min_size=1, max_size=6))
+    def test_block_check_agrees_with_oracle_lane_by_lane(self, lanes):
+        # A block fails with the eigenvalue of its first lane the oracle
+        # rejects, up to the last bits numpy's vector and scalar loops may
+        # round differently.
+        block = np.array(lanes)
+        smallest = oracle_smallest(block)
+        assume(np.abs(smallest + 1e-9).min() > 1e-12)
+        bad = np.flatnonzero(smallest < -1e-9)
+        verdict = rejection(block)
+        assert (verdict is not None) == bool(bad.size)
+        if verdict is not None:
+            value = float(verdict.removeprefix("negative eigenvalue "))
+            assert value == pytest.approx(smallest[bad[0]], rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("phase", EDGE_PHASES)
+    def test_one_bad_lane_in_a_block_raises_its_own_message(self, phase):
+        rng = np.random.default_rng(7)
+        physical = [random_coherence(rng) for _ in range(5)]
+        lone = rejection(edge_coherence(phase, 2e-12))
+        assert lone is not None
+        assert rejection(np.array(physical[:2] + [edge_coherence(phase, 2e-12)]
+                                  + physical[2:])) == lone
+        assert rejection(np.array(physical + [edge_coherence(phase, -2e-12)])) is None
 
 
 class TestHeraldedGate:

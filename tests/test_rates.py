@@ -231,6 +231,11 @@ class TestBounds:
         assert plob_bound(0.01) == pytest.approx(1.44e-2)
         assert plob_bound(1e-7) == pytest.approx(1.44e-7)
 
+    def test_plob_small_p_limit(self):
+        # 1.44 p is the small-p linearization of the capacity -log2(1 - p).
+        for p in (1e-4, 1e-6, 1e-8):
+            assert -math.log2(1.0 - p) / plob_bound(p) == pytest.approx(1.0, abs=2e-3)
+
     def test_plob_domain(self):
         for p in (1.0 + 1e-12, -1e-12, math.nan):
             with pytest.raises(ValueError):
