@@ -6,7 +6,9 @@ projectors and bras (no parity shortcuts), and reduces them to a POVM on
 the 4-dimensional two-photon input space. The herald-count oracle sums
 the binomial head in 50-digit arithmetic, and the per-slot oracle sums
 every outcome string of a short cycle. The QBER-posterior oracle takes
-its incomplete beta from scipy and mpmath.
+its incomplete beta from scipy and mpmath. The slot-pair oracle walks
+every pair of slots, and the cell-probability oracle builds each point
+from a fresh Born kernel at its own dephasing factor.
 """
 
 from __future__ import annotations
@@ -210,3 +212,58 @@ class TruncatedBetaOracle:
         """The 68.2% rule: 34.1% each side of the ML, spilling at an edge."""
         low = min(max(self.cdf(self.ml) - 0.341, 0.0), 1.0 - 0.682)
         return self.quantile(low), self.quantile(low + 0.682)
+
+
+def slot_pair_classes(n_pi: int, n_sub: int) -> np.ndarray:
+    """Slot pairs lo < hi by (class of lo, class of hi), a 4 x 4 integer array.
+
+    A slot's class is 2 * (window parity) + slot parity. Every pair of the
+    n_pi * n_sub slots is visited once.
+    """
+    counts = np.zeros((4, 4), dtype=np.int64)
+    for lo, hi in itertools.combinations(range(n_pi * n_sub), 2):
+        counts[2 * (lo // n_sub % 2) + lo % 2, 2 * (hi // n_sub % 2) + hi % 2] += 1
+    return counts
+
+
+def cell_probabilities_per_point(seq, chan, parties, noise) -> np.ndarray:
+    """`session.coincidence_cell_probabilities` built afresh for one point.
+
+    The Born kernel is evaluated at the point's own dephasing factor, and
+    the slot-pair classes are tallied with a prefix sum over all N slots.
+    """
+    from memqkd.bsm import LABEL_PHASE
+    from memqkd.session import _CELL_INDEX, _OUTCOME_PARITY, _born_kernel
+
+    n = seq.n_qubits
+    a_h = chan.n_p * noise.eta_detect
+    r = chan.n_p * (1.0 - noise.eta_detect) / (1.0 - a_h) if a_h < 1.0 else 0.0
+    deph = (1.0 - 2.0 * noise.p_mw) ** seq.n_pi
+    deph *= (1.0 - 2.0 * noise.p_scatter_dephase * r) ** (n - 2)
+    frame = np.arange(2)[:, None, None]
+    kernel = _born_kernel(LABEL_PHASE[:, None], LABEL_PHASE, frame, deph, noise)
+    parity = kernel.reshape(2, 8, 8, 8) @ np.eye(2)[_OUTCOME_PARITY]  # (frame, l1, l2, q)
+    basis = [parties.basis_bias, 1.0 - parties.basis_bias, 0.0, 0.0]
+    prior = np.repeat(basis if parties.mode == "qkd" else [0.25] * 4, 2) / 2.0
+    labels = (parity * (prior[:, None] * prior)[..., None]).reshape(2, 128)
+    w = np.arange(2)
+    by_windows = labels[w[:, None] ^ w]  # (w_lo, w_hi, l1 * l2 * q)
+
+    slot = np.arange(n)
+    onehot = np.eye(4)[2 * (seq.window_of(slot) % 2) + slot % 2]
+    before = np.cumsum(onehot, axis=0) - onehot
+    classes = (before.T @ onehot).reshape(2, 2, 2, 2, 1)  # (w_lo, s_lo, w_hi, s_hi)
+    party = np.zeros((2, 2, 2, 2, 4))  # party pair 2 * p1 + p2, Alice 0
+    if parties.assignment == "random":
+        party[...] = 0.25
+    elif parties.assignment == "alternating":
+        s = np.arange(2)
+        party[:, s[:, None], :, s, 2 * s[:, None] + s] = 1.0
+    else:
+        party[..., 1] = 1.0
+    pair_weights = (classes * party).sum(axis=(1, 3))
+    pair_weights /= pair_weights.sum()
+
+    weights = pair_weights[..., None] * by_windows[:, :, None]
+    pi = np.bincount(_CELL_INDEX, weights.ravel(), minlength=256)
+    return (pi / pi.sum()).reshape(2, 4, 2, 4, 2, 2)

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
 from memqkd.bsm import CONJ_LABEL, LABEL_NAMES, ChannelConfig, SequenceConfig
+from memqkd.config import load_preset
 from memqkd.qubits import NoiseParams
 from memqkd.session import (
     _BLOCK,
@@ -17,6 +18,9 @@ from memqkd.session import (
     PartyConfig,
     TimingOverheads,
     _herald_count_pmf,
+    _label_tensors,
+    _pair_classes,
+    _period_classes,
     _tally_cell,
     channel_accounting,
     chsh_statistic,
@@ -416,6 +420,78 @@ class TestCellProbabilities:
             assert pi[:, 2:].sum() == 0 and pi[:, :, :, 2:].sum() == 0
         if assignment == "single":
             assert pi[1].sum() == 0
+
+
+class TestPairClasses:
+    @settings(max_examples=60, deadline=None)
+    @given(n_pi=st.integers(1, 64), n_sub=st.sampled_from([1, 2, 4]))
+    @example(n_pi=1, n_sub=1)
+    @example(n_pi=1, n_sub=4)
+    @example(n_pi=2, n_sub=2)
+    @example(n_pi=63, n_sub=2)
+    def test_counts_match_enumeration(self, n_pi, n_sub):
+        counts = _pair_classes(SequenceConfig(n_pi=n_pi, n_sub=n_sub))
+        exact = oracles.slot_pair_classes(n_pi, n_sub)
+        assert np.array_equal(counts, exact)
+        assert counts.sum() == math.comb(n_pi * n_sub, 2)
+
+
+class TestCellProbabilitiesMatchPerPointOracle:
+    # p_mw above 1/2 with odd n_pi gives a negative dephasing factor.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_pi=st.integers(1, 64),
+        n_sub=st.sampled_from([1, 2, 4]),
+        mode=st.sampled_from(["qkd", "chsh"]),
+        assignment=st.sampled_from(["random", "alternating", "single"]),
+        bias=st.floats(0.0, 1.0),
+        load=st.floats(0.0, 1.0),
+        eps_leak=st.floats(0.0, 1.0),
+        p_mw=st.floats(0.0, 1.0),
+    )
+    @example(n_pi=3, n_sub=2, mode="qkd", assignment="random", bias=0.7, load=0.01,
+             eps_leak=0.24, p_mw=0.9)
+    @example(n_pi=1, n_sub=2, mode="chsh", assignment="alternating", bias=0.5, load=0.5,
+             eps_leak=0.0, p_mw=1.0)
+    def test_matches_oracle(self, n_pi, n_sub, mode, assignment, bias, load, eps_leak, p_mw):
+        seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
+        assume(seq.n_qubits >= 2)
+        chan = ChannelConfig(n_p=load)
+        parties = PartyConfig(mode=mode, basis_bias=bias, assignment=assignment)
+        noise = NoiseParams(eps_leak=eps_leak, p_mw=p_mw)
+        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
+        expected = oracles.cell_probabilities_per_point(seq, chan, parties, noise)
+        assert np.abs(pi - expected).max() <= 1e-15
+
+    def test_negative_dephasing_factor_flips_the_error_rate(self):
+        seq = SequenceConfig(n_pi=3, n_sub=2)
+        flipped = NoiseParams(p_mw=0.9)
+        assert (1.0 - 2.0 * flipped.p_mw) ** seq.n_pi < 0
+        pi = coincidence_cell_probabilities(seq, ChannelConfig(n_p=0.01), PartyConfig(), flipped)
+        # The sign of the dephasing factor swaps the error rate about 1/2.
+        same = pi[0][[0, 1], :, [0, 1]]
+        assert same[SIFT_ERROR].sum() / same.sum() > 0.5
+
+    def test_cached_arrays_are_read_only(self):
+        tensors = _label_tensors(NoiseParams(), "qkd", 0.5)
+        with pytest.raises(ValueError):
+            tensors[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            _period_classes(2)[0, 0] = 1.0
+
+    def test_noise_models_differing_in_eps_leak_do_not_share_tensors(self):
+        cfg = load_preset("fig4-point-N124")
+        args = (cfg.sequence, cfg.channel(), cfg.parties)
+        pi = coincidence_cell_probabilities(*args, cfg.noise)
+        other = coincidence_cell_probabilities(*args, dataclasses.replace(cfg.noise, eps_leak=0.1))
+        assert np.abs(pi - other).max() > 1e-3
+
+    def test_born_range_check_survives_the_cache(self):
+        cfg = load_preset("fig4-point-N124")
+        noise = NoiseParams()
+        object.__setattr__(noise, "f_init", 1.5)  # skips __post_init__
+        with pytest.raises(RuntimeError, match=r"Born probabilities outside \[0, 1\]"):
+            coincidence_cell_probabilities(cfg.sequence, cfg.channel(), cfg.parties, noise)
 
 
 class TestSifting:
