@@ -17,8 +17,9 @@ the headline enhancement ratios are defined.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .session import SessionReport
@@ -103,8 +104,9 @@ def _log_front(x: float, a: int, b: int) -> float:
             + 0.5 * math.log(a * b / (2.0 * math.pi * (a + b))))
 
 
-def _log_ibeta(x: float, a: int, b: int) -> float:
-    """log I_x(a, b), the regularized incomplete beta, for 0 < x < 1.
+def _log_ibeta(x: float, a: int, b: int) -> tuple[float, float]:
+    """log I_x(a, b), the regularized incomplete beta, for 0 < x < 1, and
+    the log front, `_log_front(x, a, b)`.
 
     I_x(a, b) = front * cf / a, with the continued fraction cf summed by
     the modified Lentz method; it converges in O(sqrt(a + b)) steps at
@@ -130,7 +132,7 @@ def _log_ibeta(x: float, a: int, b: int) -> float:
         c = (1.0 + num / c) or tiny
         cf *= d * c
     log_tail = front + math.log(cf / a)
-    return math.log1p(-math.exp(log_tail)) if upper else log_tail
+    return (math.log1p(-math.exp(log_tail)) if upper else log_tail), front
 
 
 class TruncatedBeta:
@@ -149,13 +151,13 @@ class TruncatedBeta:
                              f"sifted > 0, got {errors} errors of {sifted}")
         self.a, self.b = errors + 1, sifted - errors + 1
         self.ml = min(errors / sifted, 0.5)
-        self._log_mass = _log_ibeta(0.5, self.a, self.b)
+        self._log_mass = _log_ibeta(0.5, self.a, self.b)[0]
 
     def cdf(self, x: float) -> float:
         """Posterior probability that the QBER lies below x."""
         if not 0 < x < 0.5:
             return 0.0 if x <= 0 else 1.0
-        return min(math.exp(_log_ibeta(x, self.a, self.b) - self._log_mass), 1.0)
+        return min(math.exp(_log_ibeta(x, self.a, self.b)[0] - self._log_mass), 1.0)
 
     def quantile(self, p: float, guess: float = 0.25) -> float:
         """The QBER below which the posterior holds probability p; the
@@ -165,8 +167,11 @@ class TruncatedBeta:
         a, b, log_mass = self.a, self.b, self._log_mass
 
         def cdf_density_bend(x: float) -> tuple[float, float, float]:
-            log_density = _log_front(x, a, b) - math.log(x) - math.log1p(-x) - log_mass
-            return self.cdf(x), math.exp(log_density), (a - 1) / x - (b - 1) / (1.0 - x)
+            # `cdf` on the bracket (0, 1/2], sharing its front with the density.
+            log_ibeta, front = _log_ibeta(x, a, b)
+            log_density = front - math.log(x) - math.log1p(-x) - log_mass
+            return (min(math.exp(log_ibeta - log_mass), 1.0), math.exp(log_density),
+                    (a - 1) / x - (b - 1) / (1.0 - x))
 
         return _solve(cdf_density_bend, p, guess, 0.0, 0.5, 1e-4 * min(p, 1.0 - p))
 
@@ -236,7 +241,8 @@ class BoundsConfig:
 class KeyRateReport:
     """Secret-key rates, bound ratios and confidence levels, stored per
     channel use; each per-occupancy value is half of it, against the same
-    per-use bounds."""
+    per-use bounds. A confidence level is computed on its first read, from
+    the posterior and the per-use bound, and is None without a posterior."""
 
     qber_ml: float
     qber_low: float
@@ -245,8 +251,21 @@ class KeyRateReport:
     sifted_per_use: float
     ratio_rmax_per_use: float
     ratio_plob_per_use: float
-    confidence_vs_rmax: Optional[float]
-    confidence_vs_plob: Optional[float]
+    r_max: float
+    plob: float
+    posterior: Optional[TruncatedBeta] = field(repr=False, compare=False)
+
+    def _confidence_vs(self, bound: float) -> Optional[float]:
+        posterior = self.posterior
+        return None if posterior is None else _confidence(posterior, bound / self.sifted_per_use)
+
+    @functools.cached_property
+    def confidence_vs_rmax(self) -> Optional[float]:
+        return self._confidence_vs(self.r_max)
+
+    @functools.cached_property
+    def confidence_vs_plob(self) -> Optional[float]:
+        return self._confidence_vs(self.plob)
 
     @property
     def secure_per_use(self) -> float:
@@ -289,10 +308,11 @@ def build_report(source: Union[float, SessionReport], bounds: BoundsConfig) -> K
     """Assemble the rate report; the only definition of each rate ratio.
 
     `source` is an error rate (the analytic report) or a session report,
-    whose sifted counts give the QBER posterior: its ML point, 68.2%
-    interval and confidence levels. The sifted rate per use is the
-    session's, or else the analytic one, sifted_enhancement times the
-    direct bound per occupancy. The secure rate is r_s times the sifted
+    whose sifted counts give the QBER posterior: its ML point and 68.2%
+    interval here, and the confidence levels only when they are read
+    (`KeyRateReport`), since no CSV row holds one. The sifted rate per use
+    is the session's, or else the analytic one, sifted_enhancement times
+    the direct bound per occupancy. The secure rate is r_s times the sifted
     rate; R/Rmax and R/PLOB divide it by `rate_direct_bound` and by the
     linear PLOB bound, both per use (nan against a zero bound), so the
     analytic ratio_rmax_per_use is 2 * sifted_enhancement * r_s. The
@@ -302,15 +322,13 @@ def build_report(source: Union[float, SessionReport], bounds: BoundsConfig) -> K
     """
     r_max = rate_direct_bound(bounds.p_ab, bounds.basis_bias)
     plob = plob_bound(bounds.p_ab)
-    conf_rmax = conf_plob = None
+    posterior = None
     if isinstance(source, SessionReport):
         sifted_use = source.sifted_rate_per_use()
         e_ml = e_low = e_high = math.nan
         if source.sifted:
             posterior = TruncatedBeta(source.errors, source.sifted)
             e_ml, (e_low, e_high) = posterior.ml, posterior.interval()
-            conf_rmax = _confidence(posterior, r_max / sifted_use)
-            conf_plob = _confidence(posterior, plob / sifted_use)
     else:
         sifted_use = 2.0 * sifted_enhancement(bounds.eta, bounds.n_pi, bounds.n_sub) * r_max
         e_ml = e_low = e_high = float(source)
@@ -322,5 +340,5 @@ def build_report(source: Union[float, SessionReport], bounds: BoundsConfig) -> K
     return KeyRateReport(
         qber_ml=e_ml, qber_low=e_low, qber_high=e_high, r_s=r_s, sifted_per_use=sifted_use,
         ratio_rmax_per_use=ratio(r_max), ratio_plob_per_use=ratio(plob),
-        confidence_vs_rmax=conf_rmax, confidence_vs_plob=conf_plob,
+        r_max=r_max, plob=plob, posterior=posterior,
     )

@@ -7,8 +7,10 @@ the 4-dimensional two-photon input space. The herald-count oracle sums
 the binomial head in 50-digit arithmetic, and the per-slot oracle sums
 every outcome string of a short cycle. The QBER-posterior oracle takes
 its incomplete beta from scipy and mpmath. The slot-pair oracle walks
-every pair of slots, and the cell-probability oracle builds each point
-from a fresh Born kernel at its own dephasing factor.
+every pair of slots, the party table and the pair weights are built
+afresh at every call, the cell-probability oracle builds each point from
+a fresh Born kernel at its own dephasing factor, and the sift oracle
+picks the same-basis cells by fancy indexing.
 """
 
 from __future__ import annotations
@@ -226,6 +228,47 @@ def slot_pair_classes(n_pi: int, n_sub: int) -> np.ndarray:
     return counts
 
 
+def party_table(assignment: str) -> np.ndarray:
+    """P(party pair | w_lo, s_lo, w_hi, s_hi), a (2, 2, 2, 2, 4) array built afresh.
+
+    A party pair is 2 * p1 + p2 with Alice as 0.
+    """
+    party = np.zeros((2, 2, 2, 2, 4))
+    if assignment == "random":
+        party[...] = 0.25
+    elif assignment == "alternating":
+        s = np.arange(2)
+        party[:, s[:, None], :, s, 2 * s[:, None] + s] = 1.0
+    else:
+        party[..., 1] = 1.0
+    return party
+
+
+def pair_weights(n_pi: int, n_sub: int, assignment: str) -> np.ndarray:
+    """P(w_lo, w_hi, party pair) of a uniform herald pair, from every slot pair."""
+    classes = slot_pair_classes(n_pi, n_sub).reshape(2, 2, 2, 2, 1)
+    weights = (classes * party_table(assignment)).sum(axis=(1, 3))
+    return weights / weights.sum()
+
+
+# Truth-table error rule over (basis X/Y, sign A, sign B, parity) indices:
+# X pairs correlate with the sign product, Y pairs anticorrelate.
+SIFT_ERROR = np.indices((2, 2, 2, 2)).sum(axis=0) % 2 == 1
+
+
+def sift_counts(counts: np.ndarray) -> dict[str, int]:
+    """`session.sift` of a tally's (4, 2, 4, 2, 2) counts, by fancy indexing."""
+    same = counts[[0, 1], :, [0, 1]]  # (basis X/Y, signA, signB, parity)
+    sifted = same.sum(axis=(1, 2, 3))
+    errors = (same * SIFT_ERROR).sum(axis=(1, 2, 3))
+    return {
+        "sifted_xx": int(sifted[0]),
+        "errors_xx": int(errors[0]),
+        "sifted_yy": int(sifted[1]),
+        "errors_yy": int(errors[1]),
+    }
+
+
 def cell_probabilities_per_point(seq, chan, parties, noise) -> np.ndarray:
     """`session.coincidence_cell_probabilities` built afresh for one point.
 
@@ -253,17 +296,9 @@ def cell_probabilities_per_point(seq, chan, parties, noise) -> np.ndarray:
     onehot = np.eye(4)[2 * (seq.window_of(slot) % 2) + slot % 2]
     before = np.cumsum(onehot, axis=0) - onehot
     classes = (before.T @ onehot).reshape(2, 2, 2, 2, 1)  # (w_lo, s_lo, w_hi, s_hi)
-    party = np.zeros((2, 2, 2, 2, 4))  # party pair 2 * p1 + p2, Alice 0
-    if parties.assignment == "random":
-        party[...] = 0.25
-    elif parties.assignment == "alternating":
-        s = np.arange(2)
-        party[:, s[:, None], :, s, 2 * s[:, None] + s] = 1.0
-    else:
-        party[..., 1] = 1.0
-    pair_weights = (classes * party).sum(axis=(1, 3))
-    pair_weights /= pair_weights.sum()
+    by_pairs = (classes * party_table(parties.assignment)).sum(axis=(1, 3))
+    by_pairs /= by_pairs.sum()
 
-    weights = pair_weights[..., None] * by_windows[:, :, None]
+    weights = by_pairs[..., None] * by_windows[:, :, None]
     pi = np.bincount(_CELL_INDEX, weights.ravel(), minlength=256)
     return (pi / pi.sum()).reshape(2, 4, 2, 4, 2, 2)

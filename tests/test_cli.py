@@ -53,6 +53,60 @@ FAST_CHSH = textwrap.dedent(
 )
 
 
+# The exact text of two runs: a change to any written digit shows here.
+PINNED_SWEEP = textwrap.dedent(
+    """\
+    N,n_m,n_p,p_AB,sifted_rate,qber_ml,qber_lo,qber_hi,r_s,R,R_over_Rmax,R_over_PLOB,seed
+    60,0.02,0.000333333333,1.11111111e-07,9.66666667e-07,0.103448276,0.042125476,0.15764888,0.232915512,2.25151661e-07,4.0527299,1.40719788,7
+    62,0.02,0.000322580645,1.04058273e-07,6.4516129e-07,0,0,0.0530957311,1,6.4516129e-07,12.4,4.30555556,8
+    124,0.02,0.000161290323,2.60145682e-08,2.58064516e-07,0.0625,0,0.133175546,0.486329576,1.25504407e-07,9.64877878,3.35027041,9
+    126,0.02,0.000158730159,2.51952633e-08,2.53968254e-07,0.125,0.0338408449,0.2026132,0.11249312,2.85696812e-08,2.26786129,0.787451838,10
+    504,0.02,3.96825397e-05,1.57470396e-09,8.73015873e-08,0.0909090909,0.0180321281,0.149540098,0.306775511,2.67819891e-08,34.0152687,11.8108572,11
+    """
+)
+PINNED_SWEEP_ARGV = ["sweep", "--preset", "fig4-point-N124", "--axis", "N",
+                     "--values", "60,62,124,126,504", "--cycles", "1000000", "--seed", "7"]
+PINNED_SIMULATE_CSV = textwrap.dedent(
+    """\
+    N,n_m,n_p,p_AB,cycles,heralds,coincidences,discarded,same_party,sifted,errors,qber_ml,qber_lo,qber_hi,r_s,sifted_per_use,sifted_per_occupancy,secure_per_use,R_over_Rmax,R_over_PLOB,clock_rate_hz,seed
+    124,0.02,0.000161290323,2.60145682e-08,1000000,8330,36,0,0,17,0,0,0,0.0616664179,1,2.74193548e-07,1.37096774e-07,2.74193548e-07,21.08,7.31944444,760027.459,41
+    """
+)
+PINNED_SIMULATE_SUMMARY = textwrap.dedent(
+    """\
+    session: N=124 slots/cycle, n_m=0.02, p_AB=2.601e-08, cycles=1,000,000
+      heralding efficiency: eta_detect=0.423
+      heralds=8,330  coincidences=36  discarded=0  same-party=0
+      sifted: XX 9 (0 err)  YY 8 (0 err)
+      QBER ML=0  68.2% interval [0, 0.0616664179]  r_s=1.0000
+      sifted rate: 2.7419e-07/use  1.3710e-07/occupancy
+      secure rate: 2.7419e-07/use  R/Rmax=21.080  R/(1.44p)=7.319
+      confidence above bounds: Rmax 0.9299  PLOB 0.9010
+      modeled wall clock: 163.2 s  clock rate 0.760 MHz
+    """
+)
+
+
+def test_pinned_sweep_text(capsys):
+    assert run(PINNED_SWEEP_ARGV) == 0
+    assert capsys.readouterr() == (PINNED_SWEEP, "")
+
+
+def test_pinned_simulate_text(capsys):
+    assert run(["simulate", "--preset", "fig4-point-N124", "--cycles", "1000000"]) == 0
+    assert capsys.readouterr() == (PINNED_SIMULATE_CSV, PINNED_SIMULATE_SUMMARY)
+
+
+def test_sweep_computes_no_confidence_level(monkeypatch, capsys):
+    # No sweep column holds a confidence level, so a sweep never solves for one.
+    def unused(*args):
+        raise AssertionError("a sweep computed a confidence level")
+
+    monkeypatch.setattr(memqkd.rates, "_confidence", unused)
+    assert run(PINNED_SWEEP_ARGV) == 0
+    assert capsys.readouterr() == (PINNED_SWEEP, "")
+
+
 @pytest.fixture
 def qkd_config(tmp_path):
     path = tmp_path / "qkd.cfg"

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import betainc
 
+from memqkd import rates
 from memqkd.config import load_preset
 from memqkd.rates import (
     QBER_INDIVIDUAL_LIMIT,
@@ -291,6 +292,17 @@ class TestKeyRateReport:
         report = build_report(session_with(440, 4000, analytic), BENCHMARK_BOUNDS)
         assert report.confidence_vs_rmax > 0.99
         assert 0.5 < report.confidence_vs_plob < 1.0
+
+    def test_confidence_levels_are_computed_once_on_read(self, monkeypatch):
+        analytic = build_report(0.11, BENCHMARK_BOUNDS).sifted_per_use
+        report = build_report(session_with(440, 4000, analytic), BENCHMARK_BOUNDS)
+        expected = [rates._confidence(report.posterior, bound / report.sifted_per_use)
+                    for bound in (report.r_max, report.plob)]
+        calls, solve = [], rates._confidence
+        monkeypatch.setattr(rates, "_confidence", lambda *args: calls.append(args) or solve(*args))
+        for _ in range(2):
+            assert [report.confidence_vs_rmax, report.confidence_vs_plob] == expected
+        assert len(calls) == 2 and 0 < expected[1] < expected[0] < 1
 
     def test_analytic_report_has_no_confidence(self):
         report = build_report(0.11, BENCHMARK_BOUNDS)

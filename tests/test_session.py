@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 import oracles
@@ -20,6 +21,8 @@ from memqkd.session import (
     _herald_count_pmf,
     _label_tensors,
     _pair_classes,
+    _pair_weights,
+    _party_table,
     _period_classes,
     _tally_cell,
     channel_accounting,
@@ -30,9 +33,6 @@ from memqkd.session import (
 )
 
 SEQ124 = SequenceConfig(n_pi=62, n_sub=2)
-# Truth-table error rule over (basis X/Y, sign A, sign B, parity) indices:
-# X pairs correlate with the sign product, Y pairs anticorrelate.
-SIFT_ERROR = np.indices((2, 2, 2, 2)).sum(axis=0) % 2 == 1
 
 
 def small_setup(n_m=1.2, eta=0.6):
@@ -119,7 +119,7 @@ class TestEngineEquivalence:
         pi = coincidence_cell_probabilities(seq, chan, parties, noise)
         assert_cells_follow(pi, ref_tally)
         same = pi[0][[0, 1], :, [0, 1]]
-        assert within_5_sigma(ref.errors, ref.sifted, same[SIFT_ERROR].sum() / same.sum())
+        assert within_5_sigma(ref.errors, ref.sifted, same[oracles.SIFT_ERROR].sum() / same.sum())
 
     def test_paths_agree_at_full_sequence_layout(self):
         # The 62-window, 124-slot layout: about 2e5 coincidences.
@@ -339,7 +339,7 @@ class TestReferenceFollowsExactProbabilities:
         pi = coincidence_cell_probabilities(seq, chan, parties, noise)
         same = pi[0][[0, 1], :, [0, 1]]
         p_sifted = same.sum()
-        p_error = same[SIFT_ERROR].sum()
+        p_error = same[oracles.SIFT_ERROR].sum()
         assert within_5_sigma(ref.sifted, ref.coincidences, p_sifted)
         assert within_5_sigma(ref.errors, ref.sifted, p_error / p_sifted)
 
@@ -435,6 +435,18 @@ class TestPairClasses:
         assert np.array_equal(counts, exact)
         assert counts.sum() == math.comb(n_pi * n_sub, 2)
 
+    # The CI edge layouts: n_sub 1, 2 and 4, odd n_pi, and q = n_pi // 2 = 0.
+    @pytest.mark.parametrize("n_pi,n_sub", [
+        (2, 1), (3, 1), (61, 1), (124, 1),
+        (1, 2), (2, 2), (3, 2), (31, 2), (63, 2), (252, 2),
+        (1, 4), (2, 4), (3, 4), (31, 4), (125, 4),
+    ])
+    def test_pair_weights_match_oracle(self, n_pi, n_sub):
+        seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
+        for assignment in ("random", "alternating", "single"):
+            expected = oracles.pair_weights(n_pi, n_sub, assignment)
+            np.testing.assert_array_equal(_pair_weights(seq, assignment), expected)
+
 
 class TestCellProbabilitiesMatchPerPointOracle:
     # p_mw above 1/2 with odd n_pi gives a negative dephasing factor.
@@ -470,7 +482,7 @@ class TestCellProbabilitiesMatchPerPointOracle:
         pi = coincidence_cell_probabilities(seq, ChannelConfig(n_p=0.01), PartyConfig(), flipped)
         # The sign of the dephasing factor swaps the error rate about 1/2.
         same = pi[0][[0, 1], :, [0, 1]]
-        assert same[SIFT_ERROR].sum() / same.sum() > 0.5
+        assert same[oracles.SIFT_ERROR].sum() / same.sum() > 0.5
 
     def test_cached_arrays_are_read_only(self):
         tensors = _label_tensors(NoiseParams(), "qkd", 0.5)
@@ -478,6 +490,10 @@ class TestCellProbabilitiesMatchPerPointOracle:
             tensors[0, 0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             _period_classes(2)[0, 0] = 1.0
+        for assignment in ("random", "alternating", "single"):
+            np.testing.assert_array_equal(_party_table(assignment), oracles.party_table(assignment))
+            with pytest.raises(ValueError):
+                _party_table(assignment)[0, 0, 0, 0, 0] = 1.0
 
     def test_noise_models_differing_in_eps_leak_do_not_share_tensors(self):
         cfg = load_preset("fig4-point-N124")
@@ -551,6 +567,11 @@ class TestSifting:
         tally.counts[0, 0, 0, 0, 1] = 3  # +x,+x with parity -1: errors
         tally.counts[1, 0, 1, 1, 0] = 5  # +y,-y with parity +1: correct
         assert sift(tally) == {"sifted_xx": 3, "errors_xx": 3, "sifted_yy": 5, "errors_yy": 0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=arrays(np.int64, (4, 2, 4, 2, 2), elements=st.integers(0, 2**40)))
+    def test_sift_matches_fancy_index_oracle(self, counts):
+        assert sift(CoincidenceTally(counts=counts)) == oracles.sift_counts(counts)
 
 
 class TestTallyCell:
