@@ -8,12 +8,7 @@ from .bsm import (
 from .cavity import (
     CavityParams,
     EfficiencyBudget,
-    SpinReflectances,
-    average_reflectivity,
     cooperativity,
-    model_reflectances,
-    reflection_coefficient,
-    reflectivity,
     total_heralding_efficiency,
 )
 from .config import (

@@ -312,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--bias", type=float, default=scenario.parties.basis_bias)
     p_rates.add_argument("--p-ab", dest="p_ab", type=float,
                          default=scenario.channel().p_ab,
-                         help="effective channel transmission")
+                         help="effective channel transmission; the sifted rate is "
+                              "the paper's low-load formula, linear in p_AB with no "
+                              "two-herald saturation")
     p_rates.set_defaults(func=_cmd_rates)
     return parser
 

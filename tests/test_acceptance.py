@@ -66,8 +66,8 @@ def test_criterion_02_efficiency_budget():
 
 
 def test_criterion_03_truth_table():
-    # Each row runs through the density-matrix engine with the heralds
-    # at a fixed slot pair and no photons in the other slots.
+    # Each row runs through the reference engine with the heralds at a
+    # fixed slot pair and no photons in the other slots.
     seq = SequenceConfig(n_pi=62, n_sub=2)
     chan = ChannelConfig(n_p=0.0)
     noise = NoiseParams.ideal()
@@ -96,7 +96,7 @@ def test_criterion_03_truth_table():
     _check(
         3,
         "all 8 truth-table rows and 8 frame-odd variants, zero violations "
-        f"over {trials} forced density-matrix cycles each, against the state-vector oracle",
+        f"over {trials} forced reference-engine cycles each, against the state-vector oracle",
         checked == 16 and violations == 0,
         f"violations = {violations}",
     )

@@ -241,7 +241,7 @@ class TestMemoryCycle:
 
     def test_noiseless_truth_table_through_reference_engine(self):
         # Every label pair with a deterministic parity at its frame runs
-        # through the density-matrix path: the 16 truth-table rows and the
+        # through the reference engine: the 16 truth-table rows and the
         # diagonal pairs the CHSH rounds rely on, such as A+/B- at even
         # frame and A+/A+ at odd frame.
         seq = SequenceConfig(n_pi=2, n_sub=2)
