@@ -52,7 +52,6 @@ from .session import (
     channel_accounting,
     chsh_statistic,
     coincidence_cell_probabilities,
-    sift,
     simulate_session,
     truth_table_rows,
 )

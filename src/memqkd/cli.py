@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .config import (
     ConfigError,
     ScenarioConfig,
+    _parse_int,
     default_config,
     list_presets,
     load_config,
@@ -189,7 +190,6 @@ def _cmd_sweep(args) -> int:
 
     rows = []
     for index, value in enumerate(values):
-        point = cfg.replace(seed=cfg.seed + index)
         if args.axis == "N":
             if not value.is_integer() or value <= 0:
                 raise ConfigError(f"N values must be positive integers, got {value}")
@@ -197,11 +197,12 @@ def _cmd_sweep(args) -> int:
             seq = cfg.sequence
             if n % seq.n_sub != 0:
                 raise ConfigError(f"N={n} is not a multiple of n_sub={seq.n_sub}")
-            point = point.replace(sequence=dataclasses.replace(seq, n_pi=n // seq.n_sub))
+            swept = {"sequence": dataclasses.replace(seq, n_pi=n // seq.n_sub)}
         else:
             if value <= 0:
                 raise ConfigError(f"n_m values must be positive, got {value}")
-            point = point.replace(n_m=value)
+            swept = {"n_m": value}
+        point = cfg.replace(seed=cfg.seed + index, **swept)
         _, report = _run_session(point)
         row, _ = _session_row(point, report)
         rows.append({c: row[_SWEEP_SOURCE.get(c, c)] for c in SWEEP_COLUMNS})
@@ -277,10 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Memory-assisted MDI-QKD simulator and rate calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    presets = ", ".join(list_presets())
 
     def add_scenario_flags(p):
+        # Integer flags take the literals a config file accepts, 2e6 among them.
+        p.register("type", int, _parse_int)
         p.add_argument("--config", help="path to a scenario config file")
-        p.add_argument("--preset", help=f"named preset ({', '.join(list_presets())})")
+        p.add_argument("--preset", help=f"named preset ({presets})")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--cycles", type=int, help="override the cycle count")
         p.add_argument("--out", help="write the CSV here instead of stdout")

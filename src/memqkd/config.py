@@ -102,6 +102,8 @@ def _parse_int(raw: str) -> int:
         raise ValueError(f"invalid literal for int(): {raw!r}") from None
     if not value.is_finite() or value != value.to_integral_value():
         raise ValueError(f"{raw!r} is not an integer")
+    if value.adjusted() >= 4300:  # int()'s own digit limit; longer ones convert slowly
+        raise ValueError(f"{raw!r} has more than 4300 digits")
     return int(value)
 
 

@@ -16,9 +16,9 @@ cycle count:
    undetected scatters enters only through a mean dephasing factor that
    has a closed form. Each coincidence cell therefore has a fixed
    probability (`coincidence_cell_probabilities`), and the tally is one
-   draw from Multinomial(coincidences, pi). The noise-only Born tensors
-   are built once per (noise, mode, bias), and a point is affine in the
-   dephasing factor between them: about 21 us on a 2-core Xeon.
+   draw from Multinomial(coincidences, pi). pi is linear in eight numbers
+   of a point (slot-pair counts times the two dephasing ends), so a map
+   cached per (n_sub, noise, parties) gives it: about 8 us on a 2-core Xeon.
 
 Both paths track the measurement frame and map a record to its tally
 cell by one rule (`_tally_cell`): a photon sent in an odd window is
@@ -231,26 +231,17 @@ class SessionReport:
         return self.sifted / self.channel_uses if self.channel_uses else 0.0
 
 
-# Each `counts` cell's (C order) share of the `_SIFT_FIELDS`: an X/X (Y/Y)
-# cell is sifted_xx (sifted_yy), and an error too when its basis, sign and
-# parity indices sum to odd, as X pairs correlate with the sign product and
-# Y pairs anticorrelate. Plain Python: numpy here would add 0.1 MB of RSS.
-_SIFT_FIELDS = ("sifted_xx", "errors_xx", "sifted_yy", "errors_yy")
-_SIFT_TABLE = np.array([
-    [ba == bb == f // 2 and (ba + sa + sb + q) % 2 >= f % 2 for f in range(4)]
-    for ba, sa, bb, sb, q in itertools.product(range(4), range(2), range(4), range(2), range(2))
+# Each flat tally cell's share of the `_COUNTERS`: a coincidence, same-party
+# if `excluded`. A `counts` X/X (Y/Y) cell is sifted_xx (sifted_yy), and an
+# error too when its basis, sign and parity indices sum to odd, as X pairs
+# correlate with the sign product and Y pairs anticorrelate. Plain Python:
+# numpy here would add 0.1 MB of RSS.
+_COUNTERS = ("coincidences", "same_party", "sifted_xx", "errors_xx", "sifted_yy", "errors_yy")
+_COUNTER_TABLE = np.array([
+    [1, p] + [p == 0 and ba == bb == f // 2 and (ba + sa + sb + q) % 2 >= f % 2 for f in range(4)]
+    for p, ba, sa, bb, sb, q in itertools.product(*map(range, (2, 4, 2, 4, 2, 2)))
 ], dtype=np.int64)
-_SIFT_TABLE.flags.writeable = False
-
-
-def sift(tally: CoincidenceTally) -> dict[str, int]:
-    """Keep XX and YY coincidences and count truth-table violations.
-
-    Returns the `SessionReport` fields sifted_xx, errors_xx, sifted_yy
-    and errors_yy.
-    """
-    # np.dot, not @: the int64 matmul loop would add 0.1 MB to the reference engine's RSS.
-    return dict(zip(_SIFT_FIELDS, np.dot(tally.counts.reshape(-1), _SIFT_TABLE).tolist()))
+_COUNTER_TABLE.flags.writeable = False
 
 
 # Basis index pairs of the CHSH terms: XA, XB, YA, YB.
@@ -292,11 +283,13 @@ def _herald_count_pmf(n_slots: int, p: float) -> np.ndarray:
     Each term is evaluated in log space, so the tail P(k >= 3) is a sum
     of accurate terms even when it is far below the rounding error of 1.
     """
-    k = np.arange(n_slots + 1)
+    k = np.arange(n_slots + 1.0)
     if p == 0.0 or p == 1.0:
         return (k == round(p * n_slots)).astype(float)
-    log_comb = np.concatenate(([0.0], np.cumsum(np.log((n_slots - k[:-1]) / k[1:]))))
-    return np.exp(log_comb + k * math.log(p) + (n_slots - k) * math.log1p(-p))
+    log_pmf = k * math.log(p)
+    log_pmf[1:] += np.cumsum(np.log((n_slots - k[:-1]) / k[1:]))  # log C(n_slots, k)
+    log_pmf += (n_slots - k) * math.log1p(-p)
+    return np.exp(log_pmf, out=log_pmf)
 
 
 def _draw_labels(rng: np.random.Generator, parties: PartyConfig, shape: tuple) -> np.ndarray:
@@ -373,35 +366,9 @@ def truth_table_rows() -> list[dict]:
     ]
 
 
-@functools.lru_cache(maxsize=4)
-def _period_classes(n_sub: int) -> np.ndarray:
-    """The pieces v v^T, W, v u^T and W_half of `_pair_classes`, a (4, 16) array."""
-    slot = np.arange(2 * n_sub)
-    onehot = np.eye(4)[2 * (slot // n_sub % 2) + slot % 2]
-    before = np.cumsum(onehot, axis=0) - onehot
-    v, u, head = onehot.sum(0), onehot[:n_sub].sum(0), before[:n_sub].T @ onehot[:n_sub]
-    pieces = np.stack([np.outer(v, v), before.T @ onehot, np.outer(v, u), head]).reshape(4, 16)
-    pieces.flags.writeable = False
-    return pieces
-
-
-def _pair_classes(seq: SequenceConfig) -> np.ndarray:
-    """Slot pairs lo < hi by (class of lo, class of hi), a 4 x 4 array.
-
-    A slot's class 2 * (window parity) + slot parity repeats every pulse
-    period of two windows. With class counts v and u, and pair counts W and
-    W_half, of a period and of its first window, q = n_pi // 2 periods and
-    an odd n_pi's last window hold C(q, 2) v v^T + q W + odd (q v u^T + W_half).
-    """
-    q, odd = divmod(seq.n_pi, 2)
-    counts = np.array([q * (q - 1) / 2, q, odd * q, odd]) @ _period_classes(seq.n_sub)
-    return counts.reshape(4, 4)
-
-
-@functools.lru_cache(maxsize=4)
 def _party_table(assignment: str) -> np.ndarray:
-    """P(party pair | w_lo, s_lo, w_hi, s_hi), a read-only (2, 2, 2, 2, 4)
-    array; a party pair is 2 * p1 + p2 with Alice as 0."""
+    """P(party pair | w_lo, s_lo, w_hi, s_hi), a (2, 2, 2, 2, 4) array; a
+    party pair is 2 * p1 + p2 with Alice as 0."""
     parties = np.zeros((2, 2, 2, 2, 4))
     if assignment == "random":
         parties[...] = 0.25
@@ -411,22 +378,33 @@ def _party_table(assignment: str) -> np.ndarray:
     else:
         # One sender plays both parties: every record is Alice's, then Bob's.
         parties[..., 1] = 1.0
-    parties.flags.writeable = False
     return parties
 
 
-def _pair_weights(seq: SequenceConfig, assignment: str) -> np.ndarray:
-    """P(window parity of lo, window parity of hi, party pair) of a herald pair.
+def _period_counts(n_pi: int) -> tuple:
+    """How often n_pi windows hold each piece of `_period_classes`.
 
-    The herald slots lo < hi are a uniform pair, counted by slot class
-    (`_pair_classes`), and each class pair's parties are `_party_table`'s.
+    A slot's class 2 * (window parity) + slot parity repeats every pulse
+    period of two windows. With class counts v and u, and pair counts W and
+    W_half, of a period and of its first window, q = n_pi // 2 periods and
+    an odd n_pi's last window hold C(q, 2) v v^T + q W + odd (q v u^T + W_half).
     """
-    classes = _pair_classes(seq).reshape(2, 2, 2, 2, 1)  # (w_lo, s_lo, w_hi, s_hi)
-    weights = (classes * _party_table(assignment)).sum(axis=(1, 3))
-    return weights / weights.sum()
+    q, odd = divmod(n_pi, 2)
+    return q * (q - 1) / 2, q, odd * q, odd
 
 
-@functools.lru_cache(maxsize=16)
+def _period_classes(n_sub: int, assignment: str) -> np.ndarray:
+    """Slot pairs of one pulse period in the four pieces of `_period_counts`, by
+    (w_lo, w_hi, party pair) with `_party_table`'s parties: a (4, 2, 2, 4) array."""
+    slot = np.arange(2 * n_sub)
+    onehot = np.eye(4)[2 * (slot // n_sub % 2) + slot % 2]
+    before = np.cumsum(onehot, axis=0) - onehot
+    v, u, head = onehot.sum(0), onehot[:n_sub].sum(0), before[:n_sub].T @ onehot[:n_sub]
+    pieces = np.stack([np.outer(v, v), before.T @ onehot, np.outer(v, u), head])
+    pieces = pieces.reshape(4, 2, 2, 2, 2, 1)  # (w_lo, s_lo, w_hi, s_hi)
+    return (pieces * _party_table(assignment)).sum(axis=(2, 4))
+
+
 def _label_tensors(noise: NoiseParams, mode: str, basis_bias: float) -> np.ndarray:
     """P(w_lo, w_hi, l1 * l2 * q) at deph = +1 and -1, a (2, 2, 2, 128) array.
 
@@ -440,9 +418,22 @@ def _label_tensors(noise: NoiseParams, mode: str, basis_bias: float) -> np.ndarr
     prior = np.repeat(basis if mode == "qkd" else [0.25] * 4, 2) / 2.0
     labels = (parity * (prior[:, None] * prior)[..., None]).reshape(2, 2, 128)
     w = np.arange(2)  # the frame is the window parities' XOR
-    tensors = labels[:, w[:, None] ^ w]
-    tensors.flags.writeable = False
-    return tensors
+    return labels[:, w[:, None] ^ w]
+
+
+@functools.lru_cache(maxsize=16)
+def _cell_map(n_sub: int, noise: NoiseParams, parties: PartyConfig) -> np.ndarray:
+    """Unnormalised pi of `_period_classes` piece k at `_label_tensors` end e
+    in row 2 k + e, a read-only (8, 256) array. Built row by row, so that no
+    temporary outgrows one row's 16 KB of weights."""
+    ends = _label_tensors(noise, parties.mode, parties.basis_bias)
+    cell_map = np.empty((8, 256))
+    for k, by_windows in enumerate(_period_classes(n_sub, parties.assignment)):
+        for e, labels in enumerate(ends):
+            weights = by_windows[..., None] * labels[:, :, None]
+            cell_map[2 * k + e] = np.bincount(_CELL_INDEX, weights.ravel(), minlength=256)
+    cell_map.flags.writeable = False
+    return cell_map
 
 
 def coincidence_cell_probabilities(
@@ -468,10 +459,10 @@ def coincidence_cell_probabilities(
     deph = (1.0 - 2.0 * noise.p_mw) ** seq.n_pi
     deph *= (1.0 - 2.0 * noise.p_scatter_dephase * r) ** (n - 2)
     # Exact at either end, so deph = 1 gives the pi of a kernel built at the point.
-    plus, minus = _label_tensors(noise, parties.mode, parties.basis_bias)
-    by_windows = (1.0 + deph) / 2.0 * plus + (1.0 - deph) / 2.0 * minus
-    weights = _pair_weights(seq, parties.assignment)[..., None] * by_windows[:, :, None]
-    pi = np.bincount(_CELL_INDEX, weights.ravel(), minlength=256)
+    ends = (1.0 + deph) / 2.0, (1.0 - deph) / 2.0
+    weights = np.array([c * e for c in _period_counts(seq.n_pi) for e in ends])
+    # einsum runs no BLAS call: np.dot here read about 0.03 MB more peak RSS.
+    pi = np.einsum("i,ij->j", weights, _cell_map(seq.n_sub, noise, parties))
     return (pi / pi.sum()).reshape(2, 4, 2, 4, 2, 2)
 
 
@@ -482,18 +473,17 @@ def _run_fast(
     noise: NoiseParams,
     cycles: int,
     seed: int,
-) -> tuple[CoincidenceTally, int, int]:
-    """Tally, total heralds and cycles discarded by a third herald."""
+) -> tuple[np.ndarray, int, int]:
+    """The 256 flat tally cells, total heralds and cycles discarded by a third herald."""
     rng = np.random.default_rng(seed)
     pmf = _herald_count_pmf(seq.n_qubits, chan.n_p * noise.eta_detect)
     by_heralds = rng.multinomial(cycles, pmf / pmf.sum())
     heralds = int(by_heralds @ np.arange(len(by_heralds)))
-    tally = CoincidenceTally()
+    cells = np.zeros(256, dtype=np.int64)
     if len(by_heralds) > 2 and by_heralds[2] > 0:
         pi = coincidence_cell_probabilities(seq, chan, parties, noise)
-        cells = rng.multinomial(by_heralds[2], pi.ravel()).reshape(pi.shape)
-        tally = CoincidenceTally(counts=cells[0], excluded=cells[1])
-    return tally, heralds, int(by_heralds[3:].sum())
+        cells = rng.multinomial(by_heralds[2], pi.ravel())
+    return cells, heralds, int(by_heralds[3:].sum())
 
 
 def _run_reference(
@@ -503,8 +493,8 @@ def _run_reference(
     noise: NoiseParams,
     cycles: int,
     seed: int,
-) -> tuple[CoincidenceTally, int, int]:
-    """Tally, total heralds and cycles discarded by a third herald."""
+) -> tuple[np.ndarray, int, int]:
+    """The 256 flat tally cells, total heralds and cycles discarded by a third herald."""
     rng = np.random.default_rng(seed)
     n = seq.n_qubits
     cells = np.zeros(256, dtype=np.int64)
@@ -531,8 +521,7 @@ def _run_reference(
             window = seq.window_of(slots) % 2
             cell = _tally_cell(*window.T, *party.T, *labels.T, m.prod(axis=1) == -1)
             cells += np.bincount(cell, minlength=256)
-    counts, excluded = cells.reshape(2, 4, 2, 4, 2, 2)
-    return CoincidenceTally(counts=counts, excluded=excluded), heralds, discarded
+    return cells, heralds, discarded
 
 
 def simulate_session(
@@ -558,19 +547,19 @@ def simulate_session(
         raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
 
     run = _run_fast if engine == "fast" else _run_reference
-    tally, heralds, discarded = run(seq, chan, parties, noise, cycles, seed)
+    cells, heralds, discarded = run(seq, chan, parties, noise, cycles, seed)
+    # np.dot, not @: the int64 matmul loop would add 0.1 MB to the reference engine's RSS.
+    counters = np.dot(cells, _COUNTER_TABLE).tolist()
 
     accounting = channel_accounting(seq, cycles, overheads)
     report = SessionReport(
         cycles=cycles,
         n_slots=seq.n_qubits,
         heralds=heralds,
-        coincidences=tally.total(),
         discarded_multi=discarded,
-        same_party=int(tally.excluded.sum()),
-        **sift(tally),
+        **dict(zip(_COUNTERS, counters)),
         channel_uses=accounting.uses,
         wall_clock_s=accounting.wall_clock_s,
         clock_rate_hz=accounting.clock_rate_hz,
     )
-    return tally, report
+    return CoincidenceTally(*cells.reshape(2, 4, 2, 4, 2, 2)), report

@@ -257,7 +257,7 @@ SIFT_ERROR = np.indices((2, 2, 2, 2)).sum(axis=0) % 2 == 1
 
 
 def sift_counts(counts: np.ndarray) -> dict[str, int]:
-    """`session.sift` of a tally's (4, 2, 4, 2, 2) counts, by fancy indexing."""
+    """The `SessionReport` sift fields of a tally's (4, 2, 4, 2, 2) counts, by fancy indexing."""
     same = counts[[0, 1], :, [0, 1]]  # (basis X/Y, signA, signB, parity)
     sifted = same.sum(axis=(1, 2, 3))
     errors = (same * SIFT_ERROR).sum(axis=(1, 2, 3))

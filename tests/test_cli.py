@@ -107,6 +107,73 @@ def test_sweep_computes_no_confidence_level(monkeypatch, capsys):
     assert capsys.readouterr() == (PINNED_SWEEP, "")
 
 
+# The help text of the scenario subcommands at 80 columns.
+PINNED_HELP = {
+    "simulate": textwrap.dedent(
+        """\
+        usage: memqkd simulate [-h] [--config CONFIG] [--preset PRESET] [--seed SEED]
+                               [--cycles CYCLES] [--out OUT]
+
+        options:
+          -h, --help       show this help message and exit
+          --config CONFIG  path to a scenario config file
+          --preset PRESET  named preset (fig3-chsh-ideal, fig3-chsh-qber11,
+                           fig4-point-N124)
+          --seed SEED      override the config seed
+          --cycles CYCLES  override the cycle count
+          --out OUT        write the CSV here instead of stdout
+        """
+    ),
+    "sweep": textwrap.dedent(
+        """\
+        usage: memqkd sweep [-h] [--config CONFIG] [--preset PRESET] [--seed SEED]
+                            [--cycles CYCLES] [--out OUT] --axis {N,n_m} --values
+                            VALUES
+
+        options:
+          -h, --help       show this help message and exit
+          --config CONFIG  path to a scenario config file
+          --preset PRESET  named preset (fig3-chsh-ideal, fig3-chsh-qber11,
+                           fig4-point-N124)
+          --seed SEED      override the config seed
+          --cycles CYCLES  override the cycle count
+          --out OUT        write the CSV here instead of stdout
+          --axis {N,n_m}
+          --values VALUES  comma-separated list, e.g. 60,124,248,504
+        """
+    ),
+    "chsh": textwrap.dedent(
+        """\
+        usage: memqkd chsh [-h] [--config CONFIG] [--preset PRESET] [--seed SEED]
+                           [--cycles CYCLES] [--out OUT]
+
+        options:
+          -h, --help       show this help message and exit
+          --config CONFIG  path to a scenario config file
+          --preset PRESET  named preset (fig3-chsh-ideal, fig3-chsh-qber11,
+                           fig4-point-N124)
+          --seed SEED      override the config seed
+          --cycles CYCLES  override the cycle count
+          --out OUT        write the CSV here instead of stdout
+        """
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_HELP))
+def test_pinned_scenario_help(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run([command, "--help"]) == 0
+    assert capsys.readouterr() == (PINNED_HELP[command], "")
+
+
+def test_parser_scans_the_presets_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(memqkd.cli, "list_presets", lambda: calls.append(1) or ["a"])
+    memqkd.cli.build_parser()
+    assert len(calls) == 1
+
+
 @pytest.fixture
 def qkd_config(tmp_path):
     path = tmp_path / "qkd.cfg"
@@ -221,6 +288,20 @@ class TestSimulate:
     )
     def test_out_of_range_override_is_config_error(self, qkd_config, flags):
         assert run(["simulate", "--config", qkd_config, *flags]) == 2
+
+    def test_overrides_take_exponent_notation(self, qkd_config, tmp_path):
+        # The integer literals a config file accepts.
+        out = tmp_path / "exponent.csv"
+        argv = ["--cycles", "2e4", "--seed", "1E1", "--out", str(out)]
+        assert run(["simulate", "--config", qkd_config, *argv]) == 0
+        values = dict(zip(*csv.reader(out.read_text().splitlines())))
+        assert (values["cycles"], values["seed"]) == ("20000", "10")
+
+    @pytest.mark.parametrize("value", ["1.5", "1e-3", "abc", "1e5000"])
+    @pytest.mark.parametrize("flag", ["--cycles", "--seed"])
+    def test_non_integer_override_is_usage_error(self, qkd_config, flag, value, capsys):
+        assert run(["simulate", "--config", qkd_config, flag, value]) == 2
+        assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 import oracles
+from memqkd import session
 from memqkd.bsm import CONJ_LABEL, LABEL_NAMES, ChannelConfig, SequenceConfig
 from memqkd.config import load_preset
 from memqkd.qubits import NoiseParams
@@ -18,21 +19,34 @@ from memqkd.session import (
     EmptyCellError,
     PartyConfig,
     TimingOverheads,
+    _cell_map,
     _herald_count_pmf,
-    _label_tensors,
-    _pair_classes,
-    _pair_weights,
     _party_table,
     _period_classes,
+    _period_counts,
     _tally_cell,
     channel_accounting,
     chsh_statistic,
     coincidence_cell_probabilities,
-    sift,
     simulate_session,
 )
 
 SEQ124 = SequenceConfig(n_pi=62, n_sub=2)
+
+
+def sift_fields(report) -> dict:
+    return {f: getattr(report, f) for f in ("sifted_xx", "errors_xx", "sifted_yy", "errors_yy")}
+
+
+def sift(tally: CoincidenceTally) -> dict:
+    """The sift fields of the report that `simulate_session` makes of the tally's cells."""
+    cells = np.concatenate([tally.counts.ravel(), tally.excluded.ravel()])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session, "_run_fast", lambda *args: (cells, 0, 0))
+        _, report = simulate_session(
+            SEQ124, ChannelConfig(n_p=0.01), PartyConfig(), NoiseParams(), 1, seed=0
+        )
+    return sift_fields(report)
 
 
 def small_setup(n_m=1.2, eta=0.6):
@@ -422,6 +436,32 @@ class TestCellProbabilities:
             assert pi[1].sum() == 0
 
 
+class TestCounterProduct:
+    # The report's counters come from one product of the engine's cells.
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize("mode", ["qkd", "chsh"])
+    @pytest.mark.parametrize("assignment", ["random", "alternating", "single"])
+    @settings(max_examples=4, deadline=None)
+    @given(
+        n_pi=st.integers(1, 6),
+        n_sub=st.sampled_from([1, 2, 4]),
+        load=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_report_counters_match_the_tally(
+        self, engine, mode, assignment, n_pi, n_sub, load, seed
+    ):
+        seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
+        chan = ChannelConfig.from_mean_photons(load * seq.n_qubits, seq.n_qubits)
+        parties = PartyConfig(mode=mode, assignment=assignment)
+        tally, report = simulate_session(
+            seq, chan, parties, NoiseParams(), 2_000, seed, engine=engine
+        )
+        assert report.coincidences == tally.total()
+        assert report.same_party == tally.excluded.sum()
+        assert sift_fields(report) == oracles.sift_counts(tally.counts)
+
+
 class TestPairClasses:
     @settings(max_examples=60, deadline=None)
     @given(n_pi=st.integers(1, 64), n_sub=st.sampled_from([1, 2, 4]))
@@ -430,7 +470,9 @@ class TestPairClasses:
     @example(n_pi=2, n_sub=2)
     @example(n_pi=63, n_sub=2)
     def test_counts_match_enumeration(self, n_pi, n_sub):
-        counts = _pair_classes(SequenceConfig(n_pi=n_pi, n_sub=n_sub))
+        # With alternating senders a party pair 2 p_lo + p_hi names the slot parities.
+        by_parties = np.tensordot(_period_counts(n_pi), _period_classes(n_sub, "alternating"), 1)
+        counts = by_parties.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
         exact = oracles.slot_pair_classes(n_pi, n_sub)
         assert np.array_equal(counts, exact)
         assert counts.sum() == math.comb(n_pi * n_sub, 2)
@@ -442,10 +484,10 @@ class TestPairClasses:
         (1, 4), (2, 4), (3, 4), (31, 4), (125, 4),
     ])
     def test_pair_weights_match_oracle(self, n_pi, n_sub):
-        seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
         for assignment in ("random", "alternating", "single"):
+            weights = np.tensordot(_period_counts(n_pi), _period_classes(n_sub, assignment), 1)
             expected = oracles.pair_weights(n_pi, n_sub, assignment)
-            np.testing.assert_array_equal(_pair_weights(seq, assignment), expected)
+            np.testing.assert_array_equal(weights / weights.sum(), expected)
 
 
 class TestCellProbabilitiesMatchPerPointOracle:
@@ -485,15 +527,36 @@ class TestCellProbabilitiesMatchPerPointOracle:
         assert same[oracles.SIFT_ERROR].sum() / same.sum() > 0.5
 
     def test_cached_arrays_are_read_only(self):
-        tensors = _label_tensors(NoiseParams(), "qkd", 0.5)
-        with pytest.raises(ValueError):
-            tensors[0, 0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            _period_classes(2)[0, 0] = 1.0
         for assignment in ("random", "alternating", "single"):
             np.testing.assert_array_equal(_party_table(assignment), oracles.party_table(assignment))
+            cell_map = _cell_map(2, NoiseParams(), PartyConfig(assignment=assignment))
             with pytest.raises(ValueError):
-                _party_table(assignment)[0, 0, 0, 0, 0] = 1.0
+                cell_map[0, 0] = 1.0
+
+    # Consecutive calls that differ in one field of the map's cache key. Each
+    # call's pi differs from the last, so a map cached under a key without
+    # that field would give a wrong pi. Alternating senders tie the parties
+    # to the slot parity, so that pi depends on n_sub.
+    @pytest.mark.parametrize("field,values", [
+        ("n_sub", [1, 2, 4]),
+        ("assignment", ["random", "alternating", "single"]),
+        ("mode", ["qkd", "chsh"]),
+        ("basis_bias", [0.5, 0.8, 0.2]),
+    ])
+    def test_each_cache_key_field_gets_its_own_map(self, field, values):
+        noise, chan = NoiseParams(), ChannelConfig(n_p=0.05)
+        last = None
+        for value in values:
+            seq = SequenceConfig(n_pi=5, n_sub=value if field == "n_sub" else 2)
+            choice = {"assignment": "alternating"}
+            if field != "n_sub":
+                choice[field] = value
+            parties = PartyConfig(**choice)
+            pi = coincidence_cell_probabilities(seq, chan, parties, noise)
+            expected = oracles.cell_probabilities_per_point(seq, chan, parties, noise)
+            assert np.abs(pi - expected).max() <= 1e-15
+            assert last is None or np.abs(pi - last).max() > 1e-3
+            last = pi
 
     def test_noise_models_differing_in_eps_leak_do_not_share_tensors(self):
         cfg = load_preset("fig4-point-N124")
