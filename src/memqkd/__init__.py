@@ -26,6 +26,7 @@ from .qubits import (
     apply_dephasing,
     apply_herald,
     apply_pi_pulse,
+    herald_tables,
     measure_x,
     prepare_superposition,
     reflect_and_herald,

@@ -20,9 +20,13 @@ off the ideal-noise Born kernel.
 `run_memory_cycles` runs a block of independent cycles whose two herald
 slots and photon labels are given as integer (n, 2) arrays: one slot
 loop whose maps act on the coherences b of all the block's spins at
-once (`qubits` says why b is the whole state). At a herald slot the
-loop writes just the heralded lanes' b. `session` draws which cycles
-herald twice and where; a drill passes its own slots and labels.
+once (`qubits` says why b is the whole state). Every factor a map
+applies depends on the photon label and outcome alone, so the block
+builds them once from the `qubits` maps (`_slot_tables`) and each slot
+multiplies the scattered and heralded lanes by their entries. At a
+herald slot the loop writes just the heralded lanes' b. `session` draws
+which cycles herald twice and where; a drill passes its own slots and
+labels.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .qubits import (
     NoiseParams,
     apply_dephasing,
     apply_pi_pulse,
+    herald_tables,
     measure_x,
     prepare_superposition,
     reflect_and_herald,
@@ -156,21 +161,45 @@ def run_memory_cycles(
     b = prepare_superposition(noise.f_init, (n,))
     m = np.zeros((n, 3), dtype=np.int64)
     # Herald lanes by slot: a stable sort of the flat (row, column) indices
-    # keeps each slot's lanes in row-major order.
+    # keeps each slot's lanes in row-major order, so a slot's lanes are one
+    # slice of each sorted array.
     order = np.argsort(slots, axis=None, kind="stable")
-    bounds = np.searchsorted(slots.ravel()[order], np.arange(seq.n_qubits + 1))
+    bounds = np.searchsorted(slots.ravel()[order], np.arange(seq.n_qubits + 1)).tolist()
+    # Sorted like the lanes: each lane's cycle, the flat index of its
+    # outcome in m, and the factors of its photon's label.
+    row = order // 2
+    outcome = order + row
+    p_plus, turns, scatter_factor, pulse_factor = _slot_tables(noise)
+    label = labels.ravel()[order]
+    p_plus, turns = p_plus[label], turns[label]
     slot = 0
     for _ in range(seq.n_pi):
         for _ in range(seq.n_sub):
-            hit, nth = divmod(order[bounds[slot]:bounds[slot + 1]], 2)
+            here = slice(bounds[slot], bounds[slot + 1])
+            hit = row[here]
             scatter = rng.random(n) < r
             scatter[hit] = False
-            b = apply_dephasing(b, scatter * noise.p_scatter_dephase)
+            # An unscattered lane's factor is 1, so only scattered lanes are scaled.
+            np.multiply(b, scatter_factor, out=b, where=scatter)
             if hit.size:
-                m[hit, nth], b[hit] = reflect_and_herald(
-                    b[hit], LABEL_PHASE[labels[hit, nth]], noise, rng
+                m.flat[outcome[here]], b[hit] = reflect_and_herald(
+                    b[hit], p_plus[here], turns[here], rng
                 )
             slot += 1
-        b = apply_pi_pulse(b, noise.p_mw)
+        np.conjugate(b, out=b)
+        b *= pulse_factor
     m[:, 2] = measure_x(b, noise.f_readout, rng)
     return m
+
+
+def _slot_tables(noise: NoiseParams) -> tuple:
+    """The factors by which a block's maps scale b, from the maps themselves.
+
+    Returns P(m = +1) per photon label, shape (8,); the unit turns of b for
+    m = +1 and m = -1 per label, shape (8, 2); the factor 1 - 2 p of a
+    scattered lane, p = p_scatter_dephase; and the factor 1 - 2 p_mw of a
+    pi pulse, which also conjugates b.
+    """
+    p_plus, turns = herald_tables(LABEL_PHASE, noise.eps_leak)
+    scatter_factor = apply_dephasing(1.0, noise.p_scatter_dephase)
+    return p_plus, turns, scatter_factor, apply_pi_pulse(1.0, noise.p_mw)

@@ -188,7 +188,8 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad sweep values {args.values!r}: {exc}") from exc
 
-    rows = []
+    # Every point is built and checked before the first one runs.
+    points = []
     for index, value in enumerate(values):
         if args.axis == "N":
             if not value.is_integer() or value <= 0:
@@ -202,7 +203,9 @@ def _cmd_sweep(args) -> int:
             if value <= 0:
                 raise ConfigError(f"n_m values must be positive, got {value}")
             swept = {"n_m": value}
-        point = cfg.replace(seed=cfg.seed + index, **swept)
+        points.append(cfg.replace(seed=cfg.seed + index, **swept))
+    rows = []
+    for point in points:
         _, report = _run_session(point)
         row, _ = _session_row(point, report)
         rows.append({c: row[_SWEEP_SOURCE.get(c, c)] for c in SWEEP_COLUMNS})

@@ -25,7 +25,9 @@ K_m is diagonal, k_up = 1 + eps e and k_down = e + eps with e = m exp(i phi),
 and |e| = 1 gives |k_up|^2 = |k_down|^2 = 1 + eps^2 + 2 eps m cos(phi). So
 the outcome's probability does not depend on the state, and the herald
 keeps the populations and turns b by the unit phase
-k_up conj(k_down) / |k_up|^2.
+k_up conj(k_down) / |k_up|^2. Both depend on the photon phase and the
+outcome alone, so `herald_tables` computes them once per phase and
+`reflect_and_herald` reads them.
 
 Each microwave pi pulse that closes a free-precession window is one
 noisy map: the bit flip X rho X, b -> conj(b), then a phase flip with
@@ -135,22 +137,39 @@ def herald_probability(phase, m, eps_leak: float):
     return 0.5 + eps_leak * m * np.cos(phase) / (1.0 + eps_leak**2)
 
 
-def reflect_and_herald(b, phase, noise: NoiseParams, rng: np.random.Generator) -> tuple:
-    """Reflect one photonic qubit of the given phase off the node and detect it.
+def herald_tables(phase, eps_leak: float) -> tuple:
+    """The Born probability of m = +1 and the unit turns of b, per photon phase.
 
-    Checks that the state is positive, samples the detector outcome
-    m = +-1 from the Born probability and returns it with the heralded
-    coherence. With eps_leak = 0 and the spin prepared in
+    Returns P(m = +1) with the shape of `phase`, and the turns by which
+    `apply_herald` maps b for m = +1 and m = -1 along a new last axis.
+    At eps_leak = 1 the phases 0 and pi each have an outcome of
+    probability 0; it is never drawn, and its turn is left 0.
+    """
+    p_plus = herald_probability(phase, 1, eps_leak)
+    phase, m = np.broadcast_arrays(np.expand_dims(phase, -1), np.array([1, -1]))
+    drawable = np.stack([p_plus > 0, p_plus < 1], axis=-1)
+    turns = np.zeros(m.shape, dtype=complex)
+    turns[drawable] = apply_herald(1.0, phase[drawable], m[drawable], eps_leak)
+    return p_plus, turns
+
+
+def reflect_and_herald(b, p_plus, turns, rng: np.random.Generator) -> tuple:
+    """Reflect one photonic qubit off the node and detect it.
+
+    `p_plus` and `turns` are what `herald_tables` gives for the photon
+    phases. Checks that the state is positive, samples the detector
+    outcome m = +-1, which is +1 with probability p_plus, and returns it
+    with the heralded coherence: b turned by turns[..., 0] for m = +1 or
+    turns[..., 1] for m = -1. With eps_leak = 0 and the spin prepared in
     (|up>+|down>)/sqrt(2), the result is exactly
     (|up> + m exp(i phi) |down>)/sqrt(2).
     """
-    smallest = (1.0 - 2.0 * abs(b)) / 2.0
-    bad = np.logical_not(smallest >= -1e-9)  # a nan lane fails too
-    if bad.any():
-        raise NonPhysicalStateError(f"negative eigenvalue {np.extract(bad, smallest)[0]}")
-    p_plus = herald_probability(phase, 1, noise.eps_leak)
-    m = 1 - 2 * (rng.random(np.broadcast(p_plus, b).shape) >= p_plus)
-    return m, apply_herald(b, phase, m, noise.eps_leak)
+    smallest = 0.5 - abs(b)
+    physical = smallest >= -1e-9  # a nan lane fails too
+    if not physical.all():
+        raise NonPhysicalStateError(f"negative eigenvalue {np.extract(~physical, smallest)[0]}")
+    minus = rng.random(np.shape(b)) >= p_plus
+    return np.where(minus, -1, 1), np.where(minus, turns[..., 1], turns[..., 0]) * b
 
 
 def _in_unit_interval(name: str, p) -> None:

@@ -10,9 +10,16 @@ from memqkd.bsm import (
     LABEL_PHASE,
     ChannelConfig,
     SequenceConfig,
+    _slot_tables,
     run_memory_cycles,
 )
-from memqkd.qubits import NoiseParams
+from memqkd.qubits import (
+    NoiseParams,
+    apply_dephasing,
+    apply_herald,
+    apply_pi_pulse,
+    herald_probability,
+)
 from memqkd.session import _born_kernel, truth_table_rows
 
 
@@ -271,6 +278,52 @@ class TestMemoryCycle:
         for row in truth_table_rows():
             frame = 0 if row["frame"] == "even" else 1
             assert observed[row["alice"], row["bob"], frame] == row["parity"]
+
+
+# Coherences on the equator: pure states at two phases, mixed states and
+# the centre.
+COHERENCES = [0.5, -0.5j, 0.499 * np.exp(2.1j), 0.3 - 0.2j, -0.2519 + 0.4307j, 0.0]
+
+
+class TestSlotTables:
+    """The engine reads a lane's factors from tables built on all eight
+    labels at once. numpy's vector and scalar loops may round cos
+    differently with the array length, so each entry, applied as the engine
+    applies it, must equal the map on that lane alone: a one-lane array, as
+    when one cycle heralds at a slot."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.24114, 1.0])
+    def test_herald_entries_equal_the_single_lane_maps(self, eps):
+        p_plus, turns, *_ = _slot_tables(NoiseParams(eps_leak=eps))
+        never_drawn = []
+        for label in range(len(LABEL_PHASE)):
+            phase = LABEL_PHASE[[label]]
+            assert p_plus[[label]] == herald_probability(phase, 1, eps)
+            for column, m in enumerate((1, -1)):
+                if herald_probability(phase, m, eps) == 0:
+                    never_drawn.append((LABEL_NAMES[label], m))
+                    continue
+                for b in COHERENCES:
+                    lane = np.array([b])
+                    assert turns[[label], column] * lane == apply_herald(lane, phase, m, eps)
+        # Only full leakage has outcomes of probability 0. The engine draws
+        # neither (m = +1 needs u < p_plus, m = -1 needs u >= p_plus), and
+        # tabulating them must not raise.
+        assert never_drawn == ([("+x", -1), ("-x", 1)] if eps == 1.0 else [])
+
+    @pytest.mark.parametrize("p", [0.0, 0.0011, 0.5, 1.0])
+    def test_scatter_and_pulse_factors_equal_their_maps(self, p):
+        _, _, scatter, pulse = _slot_tables(NoiseParams(p_mw=p, p_scatter_dephase=p))
+        for b in COHERENCES:
+            for scattered in (False, True):
+                # The engine scales a scattered lane in place and leaves the others.
+                lane = np.array([b])
+                np.multiply(lane, scatter, out=lane, where=scattered)
+                assert lane == apply_dephasing(np.array([b]), np.array([scattered * p]))
+            lane = np.array([b])
+            np.conjugate(lane, out=lane)
+            lane *= pulse
+            assert lane == apply_pi_pulse(np.array([b]), p)
 
 
 class TestInformationHiding:

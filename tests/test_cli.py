@@ -475,6 +475,25 @@ class TestSweep:
         assert run(["sweep", "--config", qkd_config, "--axis", axis,
                     "--values", values]) == 2
 
+    @pytest.mark.parametrize("axis,values,message", [
+        ("N", "124,2000002", "N = 2000002 qubit slots exceeds the limit of 1000000"),
+        ("N", "124,125", "N=125 is not a multiple of n_sub=2"),
+        ("N", "124,1.5", "N values must be positive integers, got 1.5"),
+        ("n_m", "0.02,-1", "n_m values must be positive, got -1.0"),
+    ])
+    def test_bad_later_point_runs_no_session(self, axis, values, message, monkeypatch,
+                                             tmp_path, capsys):
+        # At 1e12 cycles each earlier point would run for real time first.
+        calls, session = [], memqkd.cli.simulate_session
+        monkeypatch.setattr(memqkd.cli, "simulate_session",
+                            lambda *a, **k: calls.append(a) or session(*a, **k))
+        out = tmp_path / "bad.csv"
+        assert run(["sweep", "--preset", "fig4-point-N124", "--axis", axis, "--values", values,
+                    "--cycles", "1e12", "--out", str(out)]) == 2
+        assert calls == []
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
 
 TRUTH_TABLE = """\
  alice    bob  frame  parity  bell state

@@ -14,6 +14,7 @@ from memqkd.qubits import (
     apply_herald,
     apply_pi_pulse,
     herald_probability,
+    herald_tables,
     measure_x,
     prepare_superposition,
     reflect_and_herald,
@@ -53,7 +54,7 @@ def oracle_smallest(b) -> np.ndarray:
 def rejection(b):
     """None if a herald accepts the coherence b, else the error message."""
     try:
-        reflect_and_herald(b, np.zeros(np.shape(b)), NoiseParams.ideal(),
+        reflect_and_herald(b, *herald_tables(np.zeros(np.shape(b)), NoiseParams.ideal().eps_leak),
                            np.random.default_rng(0))
     except NonPhysicalStateError as exc:
         return str(exc)
@@ -109,7 +110,9 @@ class TestStatePreparation:
         block[1:] = [random_coherence(rng) for _ in range(3)]
         before = block.copy()
         assert not np.shares_memory(prepare_superposition(lanes=(4,)), block)
-        _, heralded = reflect_and_herald(block, np.zeros(4), NoiseParams(), rng)
+        _, heralded = reflect_and_herald(
+            block, *herald_tables(np.zeros(4), NoiseParams().eps_leak), rng
+        )
         for mapped in (
             heralded,
             apply_herald(block, 0.3, 1, 0.24114),
@@ -188,7 +191,8 @@ class TestHeraldedGate:
         rng = np.random.default_rng(3)
         noise = NoiseParams.ideal()
         for phase in (0.0, math.pi / 2, 1.234):
-            m, _ = reflect_and_herald(prepare_superposition(lanes=(400,)), phase, noise, rng)
+            m, _ = reflect_and_herald(prepare_superposition(lanes=(400,)),
+                                      *herald_tables(phase, noise.eps_leak), rng)
             # exact 1/2 Born probability, so a 4-sigma band around 200
             assert abs(np.count_nonzero(m == 1) - 200) < 4 * 10
 
@@ -199,14 +203,15 @@ class TestHeraldedGate:
         n = 10_000
         for phase in LABEL_PHASE[::2]:  # +x, +y, +a, +b
             spins = prepare_superposition(lanes=(n,))
-            m, _ = reflect_and_herald(spins, phase, noise, rng)
+            m, _ = reflect_and_herald(spins, *herald_tables(phase, noise.eps_leak), rng)
             plus = np.count_nonzero(m == 1)
             _, p_value = stats.chisquare([plus, n - plus])
             assert p_value > 0.01
 
     def test_single_state_outcome_is_a_scalar(self):
         rng = np.random.default_rng(4)
-        m, b = reflect_and_herald(prepare_superposition(), 0.0, NoiseParams.ideal(), rng)
+        m, b = reflect_and_herald(prepare_superposition(),
+                                  *herald_tables(0.0, NoiseParams.ideal().eps_leak), rng)
         assert m in (1, -1) and np.ndim(m) == 0
         assert b == pytest.approx(m / 2, abs=1e-12)
 
@@ -242,29 +247,31 @@ class TestHeraldedGate:
         # |b| = 0.7 > 1/2: the smaller eigenvalue of rho is 1/2 - 0.7.
         rng = np.random.default_rng(0)
         with pytest.raises(NonPhysicalStateError, match="negative eigenvalue") as lone:
-            reflect_and_herald(np.array(0.7 + 0j), 0.0, NoiseParams.ideal(), rng)
+            reflect_and_herald(np.array(0.7 + 0j),
+                               *herald_tables(0.0, NoiseParams.ideal().eps_leak), rng)
         smallest = float(str(lone.value).removeprefix("negative eigenvalue "))
         assert smallest == pytest.approx(np.linalg.eigvalsh(rho_of(0.7)).min(), abs=1e-15)
         # A block names its first bad lane.
         block = np.array([0.0, 0.7, 0.9j])
         with pytest.raises(NonPhysicalStateError) as herald:
-            reflect_and_herald(block, np.zeros(3), NoiseParams.ideal(), rng)
+            reflect_and_herald(block, *herald_tables(np.zeros(3), NoiseParams.ideal().eps_leak), rng)
         assert str(herald.value) == str(lone.value)
 
     @pytest.mark.parametrize("b", [complex(math.nan, 0.0), complex(0.0, math.nan)])
     def test_herald_rejects_a_nan_lane(self, b):
         block = np.array([0.5, b])
         with pytest.raises(NonPhysicalStateError, match="negative eigenvalue nan"):
-            reflect_and_herald(block, np.zeros(2), NoiseParams.ideal(), np.random.default_rng(0))
+            reflect_and_herald(block, *herald_tables(np.zeros(2), NoiseParams.ideal().eps_leak),
+                               np.random.default_rng(0))
 
     def test_positivity_threshold(self):
         # |b| = 1/2 is a pure state and heralds; 1e-6 beyond it is rejected.
         rng = np.random.default_rng(0)
         turn = np.exp(0.7j)
-        reflect_and_herald(np.array([0.0, 0.5 * turn]), np.zeros(2), NoiseParams.ideal(), rng)
+        tables = herald_tables(np.zeros(2), NoiseParams.ideal().eps_leak)
+        reflect_and_herald(np.array([0.0, 0.5 * turn]), *tables, rng)
         with pytest.raises(NonPhysicalStateError, match="negative eigenvalue"):
-            reflect_and_herald(np.array([0.0, (0.5 + 1e-6) * turn]), np.zeros(2),
-                               NoiseParams.ideal(), rng)
+            reflect_and_herald(np.array([0.0, (0.5 + 1e-6) * turn]), *tables, rng)
 
 
 class TestChannels:

@@ -270,6 +270,35 @@ class TestReferenceStream:
         }
 
 
+    def test_full_leakage_never_draws_a_zero_probability_outcome(self):
+        # At eps_leak = 1 the outcomes (+x, m = -1) and (-x, m = +1) have
+        # probability 0 and no Kraus map; the engine tabulates them per block
+        # but never draws them.
+        cfg = load_preset("fig4-point-N124").replace(n_m=2.0, cycles=20_000, seed=5)
+        noise = dataclasses.replace(cfg.noise, eps_leak=1.0)
+        tally, report = simulate_session(
+            cfg.sequence, cfg.channel(), cfg.parties, noise, cfg.cycles, cfg.seed,
+            engine="reference",
+        )
+        assert report_counts(report) == {
+            "heralds": 16981, "coincidences": 3139, "discarded_multi": 1077, "same_party": 0,
+            "sifted_xx": 784, "errors_xx": 270, "sifted_yy": 765, "errors_yy": 375,
+        }
+        assert nonzero_cells(tally) == {
+            (0, 0, 0, 0, 0, 0): 134, (0, 0, 0, 0, 0, 1): 72, (0, 0, 0, 0, 1, 0): 67,
+            (0, 0, 0, 0, 1, 1): 121, (0, 0, 0, 1, 0, 0): 92, (0, 0, 0, 1, 0, 1): 116,
+            (0, 0, 0, 1, 1, 0): 114, (0, 0, 0, 1, 1, 1): 99, (0, 0, 1, 0, 0, 0): 64,
+            (0, 0, 1, 0, 0, 1): 126, (0, 0, 1, 0, 1, 0): 133, (0, 0, 1, 0, 1, 1): 67,
+            (0, 0, 1, 1, 0, 0): 84, (0, 0, 1, 1, 0, 1): 97, (0, 0, 1, 1, 1, 0): 91,
+            (0, 0, 1, 1, 1, 1): 109, (0, 1, 0, 0, 0, 0): 94, (0, 1, 0, 0, 0, 1): 106,
+            (0, 1, 0, 0, 1, 0): 90, (0, 1, 0, 0, 1, 1): 89, (0, 1, 0, 1, 0, 0): 96,
+            (0, 1, 0, 1, 0, 1): 102, (0, 1, 0, 1, 1, 0): 94, (0, 1, 0, 1, 1, 1): 89,
+            (0, 1, 1, 0, 0, 0): 99, (0, 1, 1, 0, 0, 1): 96, (0, 1, 1, 0, 1, 0): 105,
+            (0, 1, 1, 0, 1, 1): 109, (0, 1, 1, 1, 0, 0): 102, (0, 1, 1, 1, 0, 1): 90,
+            (0, 1, 1, 1, 1, 0): 100, (0, 1, 1, 1, 1, 1): 92,
+        }
+
+
 class TestReferenceBlocks:
     """Exact counts over one full herald-count block of cycles plus one more.
 
