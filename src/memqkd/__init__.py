@@ -23,9 +23,6 @@ from .config import (
 )
 from .qubits import (
     NoiseParams,
-    apply_dephasing,
-    apply_herald,
-    apply_pi_pulse,
     herald_tables,
     measure_x,
     prepare_superposition,

@@ -20,13 +20,13 @@ off the ideal-noise Born kernel.
 `run_memory_cycles` runs a block of independent cycles whose two herald
 slots and photon labels are given as integer (n, 2) arrays: one slot
 loop whose maps act on the coherences b of all the block's spins at
-once (`qubits` says why b is the whole state). Every factor a map
-applies depends on the photon label and outcome alone, so the block
-builds them once from the `qubits` maps (`_slot_tables`) and each slot
-multiplies the scattered and heralded lanes by their entries. At a
-herald slot the loop writes just the heralded lanes' b. `session` draws
-which cycles herald twice and where; a drill passes its own slots and
-labels.
+once (`qubits` says why b is the whole state). A herald's outcome
+probability and turn depend on the photon label and outcome alone, so
+the block reads them from one `qubits.herald_tables` call on the eight
+label phases. A scatter scales b by 1 - 2 p_scatter_dephase, and each pi
+pulse conjugates b and scales it by 1 - 2 p_mw. At a herald slot the
+loop writes just the heralded lanes' b. `session` draws which cycles
+herald twice and where; a drill passes its own slots and labels.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ import numpy as np
 
 from .qubits import (
     NoiseParams,
-    apply_dephasing,
-    apply_pi_pulse,
     herald_tables,
     measure_x,
     prepare_superposition,
@@ -166,12 +164,14 @@ def run_memory_cycles(
     order = np.argsort(slots, axis=None, kind="stable")
     bounds = np.searchsorted(slots.ravel()[order], np.arange(seq.n_qubits + 1)).tolist()
     # Sorted like the lanes: each lane's cycle, the flat index of its
-    # outcome in m, and the factors of its photon's label.
+    # outcome in m, and the herald tables of its photon's label.
     row = order // 2
     outcome = order + row
-    p_plus, turns, scatter_factor, pulse_factor = _slot_tables(noise)
+    p_plus, turns = herald_tables(LABEL_PHASE, noise.eps_leak)
     label = labels.ravel()[order]
     p_plus, turns = p_plus[label], turns[label]
+    # A phase flip with probability p scales b by 1 - 2p.
+    scatter_factor = 1.0 - 2.0 * noise.p_scatter_dephase
     slot = 0
     for _ in range(seq.n_pi):
         for _ in range(seq.n_sub):
@@ -186,20 +186,9 @@ def run_memory_cycles(
                     b[hit], p_plus[here], turns[here], rng
                 )
             slot += 1
+        # The pi pulse: X rho X conjugates b, then its phase flip scales it.
         np.conjugate(b, out=b)
-        b *= pulse_factor
+        b *= 1.0 - 2.0 * noise.p_mw
     m[:, 2] = measure_x(b, noise.f_readout, rng)
     return m
 
-
-def _slot_tables(noise: NoiseParams) -> tuple:
-    """The factors by which a block's maps scale b, from the maps themselves.
-
-    Returns P(m = +1) per photon label, shape (8,); the unit turns of b for
-    m = +1 and m = -1 per label, shape (8, 2); the factor 1 - 2 p of a
-    scattered lane, p = p_scatter_dephase; and the factor 1 - 2 p_mw of a
-    pi pulse, which also conjugates b.
-    """
-    p_plus, turns = herald_tables(LABEL_PHASE, noise.eps_leak)
-    scatter_factor = apply_dephasing(1.0, noise.p_scatter_dephase)
-    return p_plus, turns, scatter_factor, apply_pi_pulse(1.0, noise.p_mw)

@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .bsm import SequenceConfig
 from .config import (
     ConfigError,
     ScenarioConfig,
@@ -257,6 +258,7 @@ def _cmd_rates(args) -> int:
             basis_bias=args.bias,
         )
         rates = build_report(args.qber, bounds)
+        SequenceConfig(args.n_pi, args.n_sub)  # a layout a scenario file accepts
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     bias_label = f"{args.bias:.2f}:{1 - args.bias:.2f}"

@@ -23,20 +23,23 @@ leakage sqrt(r_down/r_up) from the residual reflection of the uncoupled
 spin state. With eps = 0 this teleports the photon phase onto the spin.
 K_m is diagonal, k_up = 1 + eps e and k_down = e + eps with e = m exp(i phi),
 and |e| = 1 gives |k_up|^2 = |k_down|^2 = 1 + eps^2 + 2 eps m cos(phi). So
-the outcome's probability does not depend on the state, and the herald
+the outcome's probability |k_up|^2 / (2 (1 + eps^2)) does not depend on
+the state (the two outcomes' weights sum to 2 (1 + eps^2)), and the herald
 keeps the populations and turns b by the unit phase
 k_up conj(k_down) / |k_up|^2. Both depend on the photon phase and the
 outcome alone, so `herald_tables` computes them once per phase and
 `reflect_and_herald` reads them.
 
-Each microwave pi pulse that closes a free-precession window is one
-noisy map: the bit flip X rho X, b -> conj(b), then a phase flip with
-the dephasing probability p_mw of the pulse, which scales b by
-1 - 2 p_mw. The X readout gives +1 with probability 1/2 + Re(b). Maps
-and readout are elementwise: phases, outcomes and probabilities may be
-scalars or arrays of the lanes' shape. `reflect_and_herald` checks
-positivity at every herald. The functions that sample take a numpy
-Generator and draw one uniform per lane for each random outcome.
+The other maps of a cycle are one line each of `bsm.run_memory_cycles`'
+slot loop: a phase flip with probability p scales b by 1 - 2p, and
+each microwave pi pulse that closes a free-precession window is the bit
+flip X rho X, b -> conj(b), followed by a phase flip with the pulse's
+dephasing probability p_mw. The X readout gives +1 with probability
+1/2 + Re(b). Herald and readout are elementwise: phases and
+probabilities may be scalars or arrays of the lanes' shape.
+`reflect_and_herald` checks positivity at every herald. The functions
+that sample take a numpy Generator and draw one uniform per lane for
+each random outcome.
 """
 
 from __future__ import annotations
@@ -48,8 +51,7 @@ import numpy as np
 
 
 class NonPhysicalStateError(ValueError):
-    """Raised when a spin state is not positive (|b| > 1/2) or a herald
-    outcome has zero probability."""
+    """Raised when a spin state at a herald is not positive (|b| > 1/2)."""
 
 
 @dataclass(frozen=True)
@@ -111,46 +113,21 @@ def prepare_superposition(f_init: float = 1.0, lanes: tuple[int, ...] = ()) -> n
     return np.full(lanes, complex(0.5 * (2.0 * f_init - 1.0)))
 
 
-def _check_outcome(m) -> None:
-    if not np.logical_or(m == 1, m == -1).all():
-        raise ValueError(f"herald outcome must be +1 or -1, got {m}")
-
-
-def apply_herald(b, phase, m, eps_leak: float):
-    """Post-selected heralded map K_m rho K_m^H / tr(.) for a known outcome m."""
-    _check_outcome(m)
-    e = m * np.exp(1j * phase)
-    turn = (1.0 + eps_leak * e) * (e + eps_leak).conjugate()
-    norm = abs(turn)  # |k_up conj(k_down)| = |k_up|^2
-    if not (norm > 0).all():
-        raise NonPhysicalStateError("herald outcome has zero probability")
-    return turn / norm * b
-
-
-def herald_probability(phase, m, eps_leak: float):
-    """Born probability of detector outcome m, conditioned on a herald.
-
-    It is |k_up|^2 / (2 (1 + eps^2)) for every state: |k_up| = |k_down|,
-    and the weights of the two outcomes sum to 2 (1 + eps^2).
-    """
-    _check_outcome(m)
-    return 0.5 + eps_leak * m * np.cos(phase) / (1.0 + eps_leak**2)
-
-
 def herald_tables(phase, eps_leak: float) -> tuple:
     """The Born probability of m = +1 and the unit turns of b, per photon phase.
 
-    Returns P(m = +1) with the shape of `phase`, and the turns by which
-    `apply_herald` maps b for m = +1 and m = -1 along a new last axis.
-    At eps_leak = 1 the phases 0 and pi each have an outcome of
-    probability 0; it is never drawn, and its turn is left 0.
+    Returns P(m = +1) = 1/2 + eps cos(phi) / (1 + eps^2) with the shape of
+    `phase`, and the turns k_up conj(k_down) / |k_up|^2 by which the herald
+    maps b for m = +1 and m = -1 along a new last axis. At eps_leak = 1 the
+    phases 0 and pi each have an outcome of probability 0; it is never
+    drawn, and its turn is left 0.
     """
-    p_plus = herald_probability(phase, 1, eps_leak)
-    phase, m = np.broadcast_arrays(np.expand_dims(phase, -1), np.array([1, -1]))
+    p_plus = 0.5 + eps_leak * np.cos(phase) / (1.0 + eps_leak**2)
+    e = np.array([1, -1]) * np.exp(1j * np.expand_dims(phase, -1))
+    turns = (1.0 + eps_leak * e) * (e + eps_leak).conjugate()
     drawable = np.stack([p_plus > 0, p_plus < 1], axis=-1)
-    turns = np.zeros(m.shape, dtype=complex)
-    turns[drawable] = apply_herald(1.0, phase[drawable], m[drawable], eps_leak)
-    return p_plus, turns
+    # |k_up conj(k_down)| = |k_up|^2, and 0 only where the outcome is never drawn.
+    return p_plus, np.divide(turns, abs(turns), out=np.zeros_like(turns), where=drawable)
 
 
 def reflect_and_herald(b, p_plus, turns, rng: np.random.Generator) -> tuple:
@@ -170,23 +147,6 @@ def reflect_and_herald(b, p_plus, turns, rng: np.random.Generator) -> tuple:
         raise NonPhysicalStateError(f"negative eigenvalue {np.extract(~physical, smallest)[0]}")
     minus = rng.random(np.shape(b)) >= p_plus
     return np.where(minus, -1, 1), np.where(minus, turns[..., 1], turns[..., 0]) * b
-
-
-def _in_unit_interval(name: str, p) -> None:
-    if not np.logical_and(0 <= p, p <= 1).all():
-        raise ValueError(f"{name} must lie in [0, 1], got {p}")
-
-
-def apply_pi_pulse(b, p_mw):
-    """Noisy microwave pi pulse: X rho X, then a phase flip with probability p_mw."""
-    _in_unit_interval("pi-pulse dephasing probability", p_mw)
-    return (1.0 - 2.0 * p_mw) * np.conjugate(b)
-
-
-def apply_dephasing(b, p):
-    """Phase-flip channel rho -> (1-p) rho + p Z rho Z."""
-    _in_unit_interval("dephasing probability", p)
-    return (1.0 - 2.0 * p) * b
 
 
 def measure_x(b, f_readout: float, rng: np.random.Generator):

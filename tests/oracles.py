@@ -3,9 +3,10 @@
 The Bell-measurement oracle builds the protocol's measurement operators
 by brute force on the spin x photon1 x photon2 state vector, using only
 projectors and bras (no parity shortcuts), and reduces them to a POVM on
-the 4-dimensional two-photon input space. The herald-count oracle sums
-the binomial head in 50-digit arithmetic, and the per-slot oracle sums
-every outcome string of a short cycle. The QBER-posterior oracle takes
+the 4-dimensional two-photon input space. The spin's channels act on
+its 2x2 density matrix. The herald-count oracle sums the binomial head
+in 50-digit arithmetic, and the per-slot oracle sums every outcome
+string of a short cycle. The QBER-posterior oracle takes
 its incomplete beta from scipy and mpmath. The slot-pair oracle walks
 every pair of slots, the party table and the pair weights are built
 afresh at every call, the cell-probability oracle builds each point from
@@ -34,6 +35,26 @@ BELL_STATES = {
 def time_bin_state(phase: float) -> np.ndarray:
     """(|e> + exp(i phase)|l>)/sqrt(2) as a 2-vector."""
     return np.array([1.0, np.exp(1j * phase)]) / _SQ2
+
+
+def rho_of(b) -> np.ndarray:
+    """The spin's density matrix of coherence b, with equal populations."""
+    return np.array([[0.5, b], [np.conj(b), 0.5]], dtype=complex)
+
+
+def coherence_of(rho: np.ndarray) -> complex:
+    """rho's coherence, after checking that rho lies on the equator."""
+    assert np.allclose(np.diag(rho), 0.5, rtol=0, atol=1e-14)
+    return rho[0, 1]
+
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def dephase(rho: np.ndarray, p: float) -> np.ndarray:
+    """The phase-flip channel (1 - p) rho + p Z rho Z."""
+    return (1 - p) * rho + p * (SZ @ rho @ SZ)
 
 
 def measurement_bra(m1: int, m2: int, m3: int, frame_parity: int) -> np.ndarray:

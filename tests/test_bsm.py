@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,16 +12,9 @@ from memqkd.bsm import (
     LABEL_PHASE,
     ChannelConfig,
     SequenceConfig,
-    _slot_tables,
     run_memory_cycles,
 )
-from memqkd.qubits import (
-    NoiseParams,
-    apply_dephasing,
-    apply_herald,
-    apply_pi_pulse,
-    herald_probability,
-)
+from memqkd.qubits import NoiseParams, herald_tables
 from memqkd.session import _born_kernel, truth_table_rows
 
 
@@ -209,6 +204,37 @@ class TestMemoryCycle:
         assert frame_parity(seq, (0, 2)) == 1
         assert (m.prod(axis=1) == 1).all()  # odd frame flips the Y-Y row: Psi+
 
+    @pytest.mark.parametrize(
+        "noise,n_p,flip",
+        [
+            # Five pi pulses, each scaling b by 1 - 2 p_mw = -1.
+            ({"p_mw": 1.0}, 0.0, True),
+            # r = 1: each of the N - 2 = 3 other slots scatters and scales b by -1.
+            ({"p_scatter_dephase": 1.0, "eta_detect": 0.0}, 1.0, True),
+            # r = 0: nothing scatters, and the herald lanes are never scaled.
+            ({"p_scatter_dephase": 1.0, "eta_detect": 0.0}, 0.0, False),
+        ],
+        ids=["pulses", "scatters", "no-scatter"],
+    )
+    def test_pulse_and_scatter_drills(self, noise, n_p, flip):
+        # Every truth-table row at every slot pair of its frame: a factor of
+        # -1 applied an odd number of times flips each parity exactly.
+        seq = SequenceConfig(n_pi=5, n_sub=1)
+        rows = truth_table_rows()
+        slots, labels, want = [], [], []
+        for pair in itertools.combinations(range(seq.n_qubits), 2):
+            for row in rows:
+                if ("even", "odd")[frame_parity(seq, pair)] == row["frame"]:
+                    slots.append(pair)
+                    labels.append((LABEL_NAMES.index(row["alice"]), LABEL_NAMES.index(row["bob"])))
+                    want.append(-row["parity"] if flip else row["parity"])
+        m = run_memory_cycles(
+            seq, ChannelConfig(n_p=n_p), dataclasses.replace(NoiseParams.ideal(), **noise),
+            *fixed_heralds(5, np.array(slots), np.array(labels)), np.random.default_rng(6),
+        )
+        assert len(slots) == 80
+        assert (m.prod(axis=1) == np.tile(want, 5)).all()
+
     @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (-1, 3), (0, 8), (0.5, 3)])
     def test_rejects_slots_outside_an_ordered_pair(self, pair):
         seq = SequenceConfig(n_pi=4, n_sub=2)
@@ -286,26 +312,28 @@ COHERENCES = [0.5, -0.5j, 0.499 * np.exp(2.1j), 0.3 - 0.2j, -0.2519 + 0.4307j, 0
 
 
 class TestSlotTables:
-    """The engine reads a lane's factors from tables built on all eight
-    labels at once. numpy's vector and scalar loops may round cos
-    differently with the array length, so each entry, applied as the engine
-    applies it, must equal the map on that lane alone: a one-lane array, as
-    when one cycle heralds at a slot."""
+    """The engine reads a lane's herald entries from tables built on all
+    eight labels at once, and scales b by 1 - 2p at each scatter and pulse.
+    numpy's vector and scalar loops may round cos differently with the
+    array length, so each entry, applied as the engine applies it, must
+    equal the table of that label alone: a one-lane array, as when one
+    cycle heralds at a slot."""
 
     @pytest.mark.parametrize("eps", [0.0, 0.24114, 1.0])
     def test_herald_entries_equal_the_single_lane_maps(self, eps):
-        p_plus, turns, *_ = _slot_tables(NoiseParams(eps_leak=eps))
+        p_plus, turns = herald_tables(LABEL_PHASE, eps)
         never_drawn = []
         for label in range(len(LABEL_PHASE)):
-            phase = LABEL_PHASE[[label]]
-            assert p_plus[[label]] == herald_probability(phase, 1, eps)
+            lone_p_plus, lone_turns = herald_tables(LABEL_PHASE[[label]], eps)
+            assert p_plus[[label]] == lone_p_plus
             for column, m in enumerate((1, -1)):
-                if herald_probability(phase, m, eps) == 0:
+                if (p_plus[label] if m == 1 else 1.0 - p_plus[label]) == 0:
                     never_drawn.append((LABEL_NAMES[label], m))
+                    assert turns[label, column] == 0
                     continue
                 for b in COHERENCES:
                     lane = np.array([b])
-                    assert turns[[label], column] * lane == apply_herald(lane, phase, m, eps)
+                    assert turns[[label], column] * lane == lone_turns[:, column] * lane
         # Only full leakage has outcomes of probability 0. The engine draws
         # neither (m = +1 needs u < p_plus, m = -1 needs u >= p_plus), and
         # tabulating them must not raise.
@@ -313,17 +341,29 @@ class TestSlotTables:
 
     @pytest.mark.parametrize("p", [0.0, 0.0011, 0.5, 1.0])
     def test_scatter_and_pulse_factors_equal_their_maps(self, p):
-        _, _, scatter, pulse = _slot_tables(NoiseParams(p_mw=p, p_scatter_dephase=p))
-        for b in COHERENCES:
-            for scattered in (False, True):
-                # The engine scales a scattered lane in place and leaves the others.
-                lane = np.array([b])
-                np.multiply(lane, scatter, out=lane, where=scattered)
-                assert lane == apply_dephasing(np.array([b]), np.array([scattered * p]))
-            lane = np.array([b])
-            np.conjugate(lane, out=lane)
-            lane *= pulse
-            assert lane == apply_pi_pulse(np.array([b]), p)
+        # Each pulse scales b by the factor f its matrix product gives, and
+        # so does each scatter: after k of them an ideal-noise cycle keeps its
+        # parity with probability (1 + f^k) / 2. The band is 5 sigma, and
+        # no width where that probability is 0 or 1.
+        seq = SequenceConfig(n_pi=62, n_sub=2)
+        b = COHERENCES[3]
+        rho, sx = oracles.rho_of(b), oracles.SX
+        pulse = oracles.coherence_of(oracles.dephase(sx @ rho @ sx, p)) / np.conj(b)
+        scatter = oracles.coherence_of(oracles.dephase(rho, p)) / b
+        ideal, n = NoiseParams.ideal(), 10_000
+        x_plus = LABEL_NAMES.index("+x")
+        for noise, chan, f in (
+            (dataclasses.replace(ideal, p_mw=p), ChannelConfig(n_p=0.0), pulse**seq.n_pi),
+            (dataclasses.replace(ideal, p_scatter_dephase=p, eta_detect=0.0),
+             ChannelConfig(n_p=1.0), scatter ** (seq.n_qubits - 2)),
+        ):
+            m = run_memory_cycles(
+                seq, chan, noise, *fixed_heralds(n, (0, 1), (x_plus, x_plus)),
+                np.random.default_rng(23),
+            )
+            q = (1.0 + f.real) / 2.0
+            kept = np.count_nonzero(m.prod(axis=1) == 1)
+            assert abs(kept - n * q) <= 5 * math.sqrt(max(n * q * (1.0 - q), 0.0)) + 1e-9
 
 
 class TestInformationHiding:

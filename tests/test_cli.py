@@ -588,7 +588,7 @@ class TestRates:
     @pytest.mark.parametrize(
         "flags",
         [["--bias", "1.5"], ["--n-pi", "2"], ["--eta", "2"],
-         ["--n-pi", "9" * 400], ["--n-sub", "9" * 400]],
+         ["--n-pi", "9" * 400], ["--n-sub", "9" * 400], ["--n-sub", "3"]],
     )
     def test_bad_layout_is_config_error(self, flags, capsys):
         assert run(["rates", "--qber", "0.1", *flags]) == 2

@@ -6,14 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import coherence_of, rho_of
 from memqkd.bsm import LABEL_PHASE
 from memqkd.qubits import (
     NoiseParams,
     NonPhysicalStateError,
-    apply_dephasing,
-    apply_herald,
-    apply_pi_pulse,
-    herald_probability,
     herald_tables,
     measure_x,
     prepare_superposition,
@@ -27,23 +24,17 @@ def random_coherence(rng) -> complex:
     return 0.5 * rng.random() * np.exp(1j * rng.uniform(0, 2 * math.pi))
 
 
-def rho_of(b) -> np.ndarray:
-    """The density matrix of coherence b, with equal populations."""
-    return np.array([[0.5, b], [np.conj(b), 0.5]], dtype=complex)
+def heralded(b, phase, m, eps):
+    """b after a herald of outcome m, turned by its herald-table entry as
+    `reflect_and_herald` turns it."""
+    _, turns = herald_tables(phase, eps)
+    return np.where(np.equal(m, 1), turns[..., 0], turns[..., 1]) * b
 
 
-def coherence_of(rho: np.ndarray) -> complex:
-    """rho's coherence, after checking that rho lies on the equator."""
-    assert np.allclose(np.diag(rho), 0.5, rtol=0, atol=1e-14)
-    return rho[0, 1]
-
-
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def dephase(rho: np.ndarray, p: float) -> np.ndarray:
-    return (1 - p) * rho + p * (SZ @ rho @ SZ)
+def outcome_probability(phase, m, eps):
+    """P(m) from the herald table: m = -1 is drawn when u >= P(m = +1)."""
+    p_plus, _ = herald_tables(phase, eps)
+    return np.where(np.equal(m, 1), p_plus, 1.0 - p_plus)
 
 
 def oracle_smallest(b) -> np.ndarray:
@@ -103,23 +94,17 @@ class TestStatePreparation:
             assert abs(prepare_superposition(f_init)) == 0.5
 
     def test_state_does_not_alias_the_callers_array(self):
-        # Every map returns a new array and leaves the caller's lanes as
+        # The herald returns a new array and leaves the caller's lanes as
         # they were; run_memory_cycles writes only the lanes it maps.
         rng = np.random.default_rng(17)
         block = prepare_superposition(lanes=(4,))
         block[1:] = [random_coherence(rng) for _ in range(3)]
         before = block.copy()
         assert not np.shares_memory(prepare_superposition(lanes=(4,)), block)
-        _, heralded = reflect_and_herald(
+        _, after = reflect_and_herald(
             block, *herald_tables(np.zeros(4), NoiseParams().eps_leak), rng
         )
-        for mapped in (
-            heralded,
-            apply_herald(block, 0.3, 1, 0.24114),
-            apply_pi_pulse(block, 0.0011),
-            apply_dephasing(block, 0.0),
-        ):
-            assert not np.shares_memory(mapped, block)
+        assert not np.shares_memory(after, block)
         measure_x(block, 0.9998, rng)
         assert np.array_equal(block, before)
 
@@ -175,17 +160,18 @@ class TestPhysicalityCheck:
 
 class TestHeraldedGate:
     def test_identity_teleport(self):
-        b = apply_herald(prepare_superposition(), phase=0.0, m=1, eps_leak=0.0)
+        b = heralded(prepare_superposition(), phase=0.0, m=1, eps=0.0)
         assert b == pytest.approx(0.5, abs=1e-12)
 
     def test_pi_phase_flip(self):
-        b = apply_herald(prepare_superposition(), phase=math.pi, m=1, eps_leak=0.0)
+        b = heralded(prepare_superposition(), phase=math.pi, m=1, eps=0.0)
         assert b == pytest.approx(-0.5, abs=1e-9)
 
     def test_born_probability_exactly_half_without_leakage(self):
         rng = np.random.default_rng(8)
         for phase in rng.uniform(0, 2 * math.pi, size=30):
-            assert herald_probability(phase, 1, 0.0) == pytest.approx(0.5, abs=1e-12)
+            p_plus, _ = herald_tables(phase, 0.0)
+            assert p_plus == pytest.approx(0.5, abs=1e-12)
 
     def test_outcomes_equiprobable_without_leakage(self):
         rng = np.random.default_rng(3)
@@ -222,8 +208,8 @@ class TestHeraldedGate:
             phi1, phi2 = rng.uniform(0, 2 * math.pi, size=2)
             m1, m2 = rng.choice([1, -1], size=2)
             b = prepare_superposition()
-            two_step = apply_herald(apply_herald(b, phi1, m1, 0.0), phi2, m2, 0.0)
-            one_step = apply_herald(b, phi1 + phi2, m1 * m2, 0.0)
+            two_step = heralded(heralded(b, phi1, m1, 0.0), phi2, m2, 0.0)
+            one_step = heralded(b, phi1 + phi2, m1 * m2, 0.0)
             assert two_step == pytest.approx(one_step, abs=1e-10)
 
     @pytest.mark.parametrize("eps", [0.0, 0.24114, 1.0])
@@ -237,9 +223,9 @@ class TestHeraldedGate:
             kraus = np.diag([1.0 + eps * e, e + eps])
             mapped = kraus @ rho_of(b) @ kraus.conj().T
             norm = np.trace(mapped).real
-            heralded = coherence_of(mapped / norm)
-            assert abs(apply_herald(b, phase, m, eps) - heralded) <= 1e-14
-            assert herald_probability(phase, m, eps) == pytest.approx(
+            coherence = coherence_of(mapped / norm)
+            assert abs(heralded(b, phase, m, eps) - coherence) <= 1e-14
+            assert outcome_probability(phase, m, eps) == pytest.approx(
                 norm / (2.0 * (1.0 + eps**2)), rel=0, abs=1e-14
             )
 
@@ -275,70 +261,40 @@ class TestHeraldedGate:
 
 
 class TestChannels:
-    def test_pi_pulse_is_involutive(self):
-        rng = np.random.default_rng(21)
-        for _ in range(20):
-            b = random_coherence(rng)
-            assert apply_pi_pulse(apply_pi_pulse(b, 0.0), 0.0) == pytest.approx(b, abs=1e-12)
-
-    def test_full_dephasing_kills_coherence(self):
-        assert apply_dephasing(prepare_superposition(), 0.5) == pytest.approx(0.0, abs=1e-12)
+    """The herald is the one map of `qubits` on b. The pi pulse and the
+    scatter dephasing are lines of `bsm.run_memory_cycles`' slot loop, and
+    tests/test_bsm.py checks them through the engine."""
 
     def test_dephasing_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            apply_dephasing(prepare_superposition(), 1.5)
-        with pytest.raises(ValueError):
-            apply_pi_pulse(prepare_superposition(), 1.5)
-
-    @pytest.mark.parametrize("p", [0.0, 0.0011, 0.5, 1.0])
-    def test_maps_equal_their_matrix_product_forms(self, p):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            b = random_coherence(rng)
-            pulsed = coherence_of(dephase(SX @ rho_of(b) @ SX, p))
-            dephased = coherence_of(dephase(rho_of(b), p))
-            assert abs(apply_pi_pulse(b, p) - pulsed) <= 1e-14
-            assert abs(apply_dephasing(b, p) - dephased) <= 1e-14
-        block = prepare_superposition(lanes=(3,))
-        assert not np.shares_memory(apply_pi_pulse(block, p), block)
-        assert not np.shares_memory(apply_dephasing(block, p), block)
+        # The loop's factors 1 - 2p take their p from NoiseParams, which
+        # holds each probability to [0, 1].
+        for name in ("p_mw", "p_scatter_dephase"):
+            with pytest.raises(ValueError, match=f"{name} must lie in"):
+                NoiseParams(**{name: 1.5})
 
     def test_block_maps_act_lane_by_lane(self):
-        # One call on a block equals the single-state call on each lane, up to
-        # the last bit numpy's vector and scalar loops may round differently.
+        # Tables on a block of phases equal the tables of each phase alone, up
+        # to the last bit numpy's vector and scalar loops may round differently.
         rng = np.random.default_rng(13)
         block = np.array([random_coherence(rng) for _ in range(6)])
-        p = rng.random(6)
         phase = rng.uniform(0, 2 * math.pi, size=6)
         m = rng.choice([1, -1], size=6)
-        maps = [
-            lambda b, i: apply_pi_pulse(b, p[i]),
-            lambda b, i: apply_dephasing(b, p[i]),
-            lambda b, i: apply_herald(b, phase[i], m[i], 0.24114),
-        ]
-        for f in maps:
-            mapped = f(block, slice(None))
-            for i, b in enumerate(block):
-                assert abs(mapped[i] - f(b, i)) <= 1e-15
-        probs = herald_probability(phase, m, 0.24114)
-        for i in range(len(block)):
-            single = herald_probability(phase[i], m[i], 0.24114)
+        mapped = heralded(block, phase, m, 0.24114)
+        probs = outcome_probability(phase, m, 0.24114)
+        for i, b in enumerate(block):
+            assert abs(mapped[i] - heralded(b, phase[i], m[i], 0.24114)) <= 1e-15
+            single = outcome_probability(phase[i], m[i], 0.24114)
             assert probs[i] == pytest.approx(single, rel=0, abs=1e-15)
 
     def test_all_maps_preserve_positivity(self):
         rng = np.random.default_rng(99)
         for _ in range(300):
             b = random_coherence(rng)
-            p = rng.random()
             phase = rng.uniform(0, 2 * math.pi)
             eps = rng.uniform(0, 0.5)
             m = int(rng.choice([1, -1]))
-            for mapped in (
-                apply_pi_pulse(b, 0.0),
-                apply_dephasing(b, p),
-                apply_herald(b, phase, m, eps),
-            ):
-                assert np.linalg.eigvalsh(rho_of(mapped)).min() > -1e-9
+            mapped = heralded(b, phase, m, eps)
+            assert np.linalg.eigvalsh(rho_of(mapped)).min() > -1e-9
 
 
 class TestReadout:
