@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import coherence_of, rho_of
-from memqkd.bsm import LABEL_PHASE
+from oracles import SX, coherence_of, dephase, rho_of
+from memqkd import bsm
+from memqkd.bsm import LABEL_PHASE, ChannelConfig, SequenceConfig, run_memory_cycles
 from memqkd.qubits import (
     NoiseParams,
     NonPhysicalStateError,
@@ -35,6 +38,42 @@ def outcome_probability(phase, m, eps):
     """P(m) from the herald table: m = -1 is drawn when u >= P(m = +1)."""
     p_plus, _ = herald_tables(phase, eps)
     return np.where(np.equal(m, 1), p_plus, 1.0 - p_plus)
+
+
+def engine_coherences(monkeypatch, noise, n_pi):
+    """b of each cycle right after its last herald and at its readout.
+
+    `run_memory_cycles` runs one cycle per pair of photon labels, all
+    heralding at slots 0 and 1 of a layout with two slots per window, at
+    n_p = 1: with eta_detect = 0 every later slot scatters (r = 1). The
+    engine's herald and readout calls are wrapped to record b.
+    """
+    seen = {}
+
+    def herald(*args):
+        m, b = reflect_and_herald(*args)
+        seen["heralded"] = b.copy()
+        return m, b
+
+    def readout(b, f_readout, rng):
+        seen["read"] = b.copy()
+        return measure_x(b, f_readout, rng)
+
+    monkeypatch.setattr(bsm, "reflect_and_herald", herald)
+    monkeypatch.setattr(bsm, "measure_x", readout)
+    labels = np.array(list(itertools.product(range(len(LABEL_PHASE)), repeat=2)))
+    slots = np.tile((0, 1), (len(labels), 1))
+    run_memory_cycles(
+        SequenceConfig(n_pi=n_pi, n_sub=2), ChannelConfig(n_p=1.0), noise, slots, labels,
+        np.random.default_rng(31),
+    )
+    return seen["heralded"], seen["read"]
+
+
+def scattering(**probabilities) -> NoiseParams:
+    """Ideal noise but for the given probabilities, with eta_detect = 0 so
+    that at n_p = 1 every slot that does not herald scatters."""
+    return dataclasses.replace(NoiseParams.ideal(), eta_detect=0.0, **probabilities)
 
 
 def oracle_smallest(b) -> np.ndarray:
@@ -262,8 +301,35 @@ class TestHeraldedGate:
 
 class TestChannels:
     """The herald is the one map of `qubits` on b. The pi pulse and the
-    scatter dephasing are lines of `bsm.run_memory_cycles`' slot loop, and
-    tests/test_bsm.py checks them through the engine."""
+    scatter dephasing are lines of `bsm.run_memory_cycles`' slot loop, so
+    these tests read b out of the engine."""
+
+    def test_pi_pulse_is_involutive(self, monkeypatch):
+        # Two noiseless pulses, with noiseless scatters between them, give
+        # every cycle back the b of its last herald.
+        heralded, read = engine_coherences(monkeypatch, scattering(), n_pi=2)
+        assert np.abs(heralded.imag).max() > 0.4
+        assert np.abs(read - heralded).max() <= 1e-12
+
+    def test_full_dephasing_kills_coherence(self, monkeypatch):
+        heralded, read = engine_coherences(
+            monkeypatch, scattering(p_scatter_dephase=0.5), n_pi=2
+        )
+        assert np.abs(heralded).min() == pytest.approx(0.5, abs=1e-12)
+        assert np.abs(read).max() <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.0, 0.0011, 0.5, 1.0])
+    def test_maps_equal_their_matrix_product_forms(self, p, monkeypatch):
+        # After its second herald, at slot 1, a cycle of three windows meets
+        # the first window's pulse, then two scatters and a pulse per window.
+        for noise in (scattering(p_mw=p), scattering(p_scatter_dephase=p)):
+            heralded, read = engine_coherences(monkeypatch, noise, n_pi=3)
+            for b, final in zip(heralded, read):
+                rho = dephase(SX @ rho_of(b) @ SX, noise.p_mw)
+                for _ in range(2):
+                    rho = dephase(dephase(rho, noise.p_scatter_dephase), noise.p_scatter_dephase)
+                    rho = dephase(SX @ rho @ SX, noise.p_mw)
+                assert abs(final - coherence_of(rho)) <= 1e-14
 
     def test_dephasing_rejects_bad_probability(self):
         # The loop's factors 1 - 2p take their p from NoiseParams, which
