@@ -31,7 +31,6 @@ from .qubits import (
 )
 from .rates import (
     QBER_INDIVIDUAL_LIMIT,
-    BoundsConfig,
     KeyRateReport,
     TruncatedBeta,
     binary_entropy,

@@ -19,12 +19,12 @@ import contextlib
 import csv
 import dataclasses
 import io
+import math
 import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bsm import SequenceConfig
 from .config import (
     ConfigError,
     ScenarioConfig,
@@ -34,7 +34,7 @@ from .config import (
     load_config,
     load_preset,
 )
-from .rates import BoundsConfig, KeyRateReport, build_report
+from .rates import KeyRateReport, build_report
 from .session import EmptyCellError, chsh_statistic, simulate_session, truth_table_rows
 
 _FLOAT_FMT = "%.9g"
@@ -108,14 +108,7 @@ def _run_session(cfg: ScenarioConfig):
 
 def _session_row(cfg: ScenarioConfig, report) -> tuple[dict, KeyRateReport]:
     chan = cfg.channel()
-    bounds = BoundsConfig(
-        eta=cfg.noise.eta_detect,
-        n_pi=cfg.sequence.n_pi,
-        n_sub=cfg.sequence.n_sub,
-        p_ab=chan.p_ab,
-        basis_bias=cfg.parties.basis_bias,
-    )
-    rates = build_report(report, bounds)
+    rates = build_report(report, cfg)
     row = {
         "N": cfg.sequence.n_qubits,
         "n_m": cfg.n_m,
@@ -248,17 +241,21 @@ def _cmd_chsh(args) -> int:
 def _cmd_rates(args) -> int:
     if not 0 <= args.qber <= 0.5:
         raise ConfigError(f"qber must lie in [0, 1/2], got {args.qber}")
-    # Every check that can fail here is on a command-line value.
+    if not 0 <= args.p_ab <= 1:
+        raise ConfigError(f"p_ab must lie in [0, 1], got {args.p_ab}")
+    # The default scenario with the flags' values, checked as a scenario file
+    # is. The layout goes in first, so an N past the slot limit fails there
+    # rather than overflowing n_m = N sqrt(p_AB). Every check that can fail
+    # here is on a command-line value.
+    base = default_config()
     try:
-        bounds = BoundsConfig(
-            eta=args.eta,
-            n_pi=args.n_pi,
-            n_sub=args.n_sub,
-            p_ab=args.p_ab,
-            basis_bias=args.bias,
+        cfg = base.replace(
+            noise=dataclasses.replace(base.noise, eta_detect=args.eta),
+            sequence=dataclasses.replace(base.sequence, n_pi=args.n_pi, n_sub=args.n_sub),
+            parties=dataclasses.replace(base.parties, basis_bias=args.bias),
         )
-        rates = build_report(args.qber, bounds)
-        SequenceConfig(args.n_pi, args.n_sub)  # a layout a scenario file accepts
+        cfg = cfg.replace(n_m=math.sqrt(args.p_ab) * cfg.sequence.n_qubits)
+        rates = build_report(args.qber, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     bias_label = f"{args.bias:.2f}:{1 - args.bias:.2f}"

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
+from .config import ScenarioConfig
 from .session import SessionReport
 
 # Error rate at which the secret fraction under individual attacks
@@ -227,17 +228,6 @@ def sifted_enhancement(eta: float, n_pi: int, n_sub: int) -> float:
 
 
 @dataclass(frozen=True)
-class BoundsConfig:
-    """Inputs of the analytic rate pipeline."""
-
-    eta: float
-    n_pi: int
-    n_sub: int
-    p_ab: float
-    basis_bias: float = 0.5
-
-
-@dataclass(frozen=True)
 class KeyRateReport:
     """Secret-key rates, bound ratios and confidence levels, stored per
     channel use; each per-occupancy value is half of it, against the same
@@ -304,24 +294,27 @@ def _confidence(posterior: TruncatedBeta, rs_needed: float) -> float:
         _solve(rising, -rs_needed, posterior.ml, 0.0, QBER_INDIVIDUAL_LIMIT, 1e-13))
 
 
-def build_report(source: Union[float, SessionReport], bounds: BoundsConfig) -> KeyRateReport:
+def build_report(source: Union[float, SessionReport], cfg: ScenarioConfig) -> KeyRateReport:
     """Assemble the rate report; the only definition of each rate ratio.
 
     `source` is an error rate (the analytic report) or a session report,
     whose sifted counts give the QBER posterior: its ML point and 68.2%
     interval here, and the confidence levels only when they are read
-    (`KeyRateReport`), since no CSV row holds one. The sifted rate per use
-    is the session's, or else the analytic one, sifted_enhancement times
-    the direct bound per occupancy. The secure rate is r_s times the sifted
-    rate; R/Rmax and R/PLOB divide it by `rate_direct_bound` and by the
-    linear PLOB bound, both per use (nan against a zero bound), so the
-    analytic ratio_rmax_per_use is 2 * sifted_enhancement * r_s. The
-    confidence against a bound is the posterior probability that this
-    same ratio exceeds one. Without sifted key the error rate, and every
-    secure rate built on it, is unknown (nan) rather than perfect.
+    (`KeyRateReport`), since no CSV row holds one. The bounds take p_AB from
+    the channel of scenario `cfg` and its basis bias. The sifted rate per
+    use is the session's, or else the analytic one, sifted_enhancement of
+    the scenario's eta_detect and pulse layout times the direct bound per
+    occupancy. The secure rate is r_s times the sifted rate; R/Rmax and
+    R/PLOB divide it by `rate_direct_bound` and by the linear PLOB bound,
+    both per use (nan against a zero bound), so the analytic
+    ratio_rmax_per_use is 2 * sifted_enhancement * r_s. The confidence
+    against a bound is the posterior probability that this same ratio
+    exceeds one. Without sifted key the error rate, and every secure rate
+    built on it, is unknown (nan) rather than perfect.
     """
-    r_max = rate_direct_bound(bounds.p_ab, bounds.basis_bias)
-    plob = plob_bound(bounds.p_ab)
+    p_ab = cfg.channel().p_ab
+    r_max = rate_direct_bound(p_ab, cfg.parties.basis_bias)
+    plob = plob_bound(p_ab)
     posterior = None
     if isinstance(source, SessionReport):
         sifted_use = source.sifted_rate_per_use()
@@ -330,7 +323,8 @@ def build_report(source: Union[float, SessionReport], bounds: BoundsConfig) -> K
             posterior = TruncatedBeta(source.errors, source.sifted)
             e_ml, (e_low, e_high) = posterior.ml, posterior.interval()
     else:
-        sifted_use = 2.0 * sifted_enhancement(bounds.eta, bounds.n_pi, bounds.n_sub) * r_max
+        seq = cfg.sequence
+        sifted_use = 2.0 * sifted_enhancement(cfg.noise.eta_detect, seq.n_pi, seq.n_sub) * r_max
         e_ml = e_low = e_high = float(source)
     r_s = secret_fraction(e_ml)
 

@@ -206,7 +206,6 @@ class SessionReport:
     """Summary counters of one session."""
 
     cycles: int
-    n_slots: int
     heralds: int
     coincidences: int          # cycles with exactly two heralds
     discarded_multi: int       # cycles spoiled by a third herald
@@ -554,7 +553,6 @@ def simulate_session(
     accounting = channel_accounting(seq, cycles, overheads)
     report = SessionReport(
         cycles=cycles,
-        n_slots=seq.n_qubits,
         heralds=heralds,
         discarded_multi=discarded,
         **dict(zip(_COUNTERS, counters)),

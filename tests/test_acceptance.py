@@ -12,10 +12,9 @@ import numpy as np
 import oracles
 from memqkd.bsm import LABEL_PHASE, ChannelConfig, SequenceConfig, run_memory_cycles
 from memqkd.cavity import CavityParams, EfficiencyBudget, cooperativity, total_heralding_efficiency
-from memqkd.config import load_preset
+from memqkd.config import default_config, load_preset
 from memqkd.qubits import NoiseParams, spin_photon_fidelity
 from memqkd.rates import (
-    BoundsConfig,
     TruncatedBeta,
     build_report,
     rate_direct_bound,
@@ -27,15 +26,6 @@ from memqkd.session import (
     chsh_statistic,
     simulate_session,
 )
-
-
-def _rates(cfg, report):
-    """The rate report of a session, with the bounds of its scenario."""
-    bounds = BoundsConfig(
-        eta=cfg.noise.eta_detect, n_pi=cfg.sequence.n_pi, n_sub=cfg.sequence.n_sub,
-        p_ab=cfg.channel().p_ab, basis_bias=cfg.parties.basis_bias,
-    )
-    return build_report(report, bounds)
 
 
 def _check(num: int, description: str, condition: bool, detail: str = "") -> None:
@@ -119,11 +109,10 @@ def test_criterion_04_secret_fraction():
 
 
 def test_criterion_05_key_rate_ratios():
-    p_ab = (0.02 / 124) ** 2
-    unbiased = build_report(0.110, BoundsConfig(eta=0.423, n_pi=62, n_sub=2, p_ab=p_ab))
-    biased = build_report(
-        0.110, BoundsConfig(eta=0.423, n_pi=62, n_sub=2, p_ab=p_ab, basis_bias=0.99)
-    )
+    # N = 124 slots as 62 x 2 at n_m = 0.02 and eta_detect = 0.423.
+    cfg = default_config()
+    unbiased = build_report(0.110, cfg)
+    biased = build_report(0.110, cfg.replace(parties=PartyConfig(basis_bias=0.99)))
     ok = (
         abs(unbiased.ratio_rmax_per_occupancy - 2.06) < 0.15
         and abs(unbiased.ratio_rmax_per_use - 4.13) < 0.3
@@ -169,7 +158,7 @@ def test_criterion_06_chsh():
         cfg.cycles,
         cfg.seed,
     )
-    qber = _rates(cfg, report).qber_ml
+    qber = build_report(report, cfg).qber_ml
     assert abs(qber - 0.11) < 0.005
     _check(
         6,
@@ -250,7 +239,7 @@ def test_criterion_10_qualitative_trends():
         _, report = simulate_session(
             cfg.sequence, cfg.channel(), cfg.parties, cfg.noise, cycles, cfg.seed
         )
-        qber_by_nm.append(_rates(cfg, report).qber_ml)
+        qber_by_nm.append(build_report(report, cfg).qber_ml)
     trend_nm = qber_by_nm[0] < qber_by_nm[1] < qber_by_nm[2]
 
     # (b) error rate grows with N at fixed n_m once heating is enabled
@@ -261,7 +250,7 @@ def test_criterion_10_qualitative_trends():
         _, report = simulate_session(
             seq, cfg.channel(), cfg.parties, cfg.noise, 1_000_000_000, cfg.seed
         )
-        qber_by_n.append(_rates(cfg, report).qber_ml)
+        qber_by_n.append(build_report(report, cfg).qber_ml)
     trend_n = all(b > a for a, b in zip(qber_by_n, qber_by_n[1:]))
 
     # (c) secure rate beats the direct-transmission p/2 line by > 3x at N=124
@@ -269,7 +258,7 @@ def test_criterion_10_qualitative_trends():
         base.sequence, base.channel(), base.parties, base.noise,
         4_000_000_000, base.seed,
     )
-    secure_per_use = _rates(base, report).secure_per_use
+    secure_per_use = build_report(report, base).secure_per_use
     advantage = secure_per_use / rate_direct_bound(base.channel().p_ab, 0.5)
     _check(
         10,

@@ -554,6 +554,47 @@ class TestRates:
         line = next(l for l in out.splitlines() if label in l)
         return [float(tok.split("/")[0]) for tok in line.split("=")[1].split()]
 
+    # The exact report of four flag sets: a change to any printed digit shows here.
+    PINNED_RATES = {
+        (): """\
+            rate report  (E=0.11, eta=0.423, n_pi=62, n_sub=2, bias=0.50:0.50, p_AB=2.601e-08)
+              secret fraction r_s        = 0.1955
+              sifted rate                = 2.7478e-07/use  1.3739e-07/occupancy
+              secure rate R              = 5.3712e-08/use  2.6856e-08/occupancy
+              R / Rmax                   = 4.129/use  2.065/occupancy
+              R / (1.44 p)               = 1.434/use  0.717/occupancy
+            """,
+        ("--bias", "0.99"): """\
+            rate report  (E=0.11, eta=0.423, n_pi=62, n_sub=2, bias=0.99:0.01, p_AB=2.601e-08)
+              secret fraction r_s        = 0.1955
+              sifted rate                = 5.3868e-07/use  2.6934e-07/occupancy
+              secure rate R              = 1.0530e-07/use  5.2648e-08/occupancy
+              R / Rmax                   = 4.129/use  2.065/occupancy
+              R / (1.44 p)               = 2.811/use  1.405/occupancy
+            """,
+        ("--n-pi", "125", "--n-sub", "4", "--eta", "0.3"): """\
+            rate report  (E=0.11, eta=0.3, n_pi=125, n_sub=4, bias=0.50:0.50, p_AB=2.601e-08)
+              secret fraction r_s        = 0.1955
+              sifted rate                = 5.7135e-07/use  2.8568e-07/occupancy
+              secure rate R              = 1.1168e-07/use  5.5842e-08/occupancy
+              R / Rmax                   = 8.586/use  4.293/occupancy
+              R / (1.44 p)               = 2.981/use  1.491/occupancy
+            """,
+        ("--p-ab", "1"): """\
+            rate report  (E=0.11, eta=0.423, n_pi=62, n_sub=2, bias=0.50:0.50, p_AB=1.000e+00)
+              secret fraction r_s        = 0.1955
+              sifted rate                = 1.0563e+01/use  5.2813e+00/occupancy
+              secure rate R              = 2.0647e+00/use  1.0323e+00/occupancy
+              R / Rmax                   = 4.129/use  2.065/occupancy
+              R / (1.44 p)               = 1.434/use  0.717/occupancy
+            """,
+    }
+
+    def test_pinned_rates_text(self, capsys):
+        for flags, text in self.PINNED_RATES.items():
+            assert run(["rates", "--qber", "0.11", *flags]) == 0
+            assert capsys.readouterr() == (textwrap.dedent(text), ""), flags
+
     def test_benchmark_point(self, capsys):
         code = run(["rates", "--qber", "0.110", "--eta", "0.423",
                     "--n-pi", "62", "--n-sub", "2", "--bias", "0.5"])
@@ -588,7 +629,8 @@ class TestRates:
     @pytest.mark.parametrize(
         "flags",
         [["--bias", "1.5"], ["--n-pi", "2"], ["--eta", "2"],
-         ["--n-pi", "9" * 400], ["--n-sub", "9" * 400], ["--n-sub", "3"]],
+         ["--n-pi", "9" * 400], ["--n-sub", "9" * 400], ["--n-sub", "3"],
+         ["--n-pi", "600000"]],
     )
     def test_bad_layout_is_config_error(self, flags, capsys):
         assert run(["rates", "--qber", "0.1", *flags]) == 2

@@ -7,10 +7,9 @@ from scipy.optimize import brentq
 from scipy.special import betainc
 
 from memqkd import rates
-from memqkd.config import load_preset
+from memqkd.config import default_config, load_preset
 from memqkd.rates import (
     QBER_INDIVIDUAL_LIMIT,
-    BoundsConfig,
     TruncatedBeta,
     binary_entropy,
     build_report,
@@ -19,17 +18,18 @@ from memqkd.rates import (
     secret_fraction,
     sifted_enhancement,
 )
-from memqkd.session import SessionReport, simulate_session
+from memqkd.session import PartyConfig, SessionReport, simulate_session
 from oracles import TruncatedBetaOracle
 
-# The benchmark operating point: N = 124 slots as 62 x 2 at n_m = 0.02.
-BENCHMARK_BOUNDS = BoundsConfig(eta=0.423, n_pi=62, n_sub=2, p_ab=(0.02 / 124) ** 2)
+# The benchmark operating point: N = 124 slots as 62 x 2 at n_m = 0.02, so
+# p_AB = (0.02 / 124) ** 2, with eta_detect = 0.423 and unbiased bases.
+BENCHMARK = default_config()
 
 
 def session_with(errors: int, sifted: int, sifted_per_use: float) -> SessionReport:
     """A session report carrying only the counts and rate that rates reads."""
     return SessionReport(
-        cycles=1, n_slots=124, heralds=0, coincidences=sifted, discarded_multi=0,
+        cycles=1, heralds=0, coincidences=sifted, discarded_multi=0,
         same_party=0, sifted_xx=sifted, errors_xx=errors, sifted_yy=0, errors_yy=0,
         channel_uses=sifted / sifted_per_use, wall_clock_s=0.0, clock_rate_hz=0.0,
     )
@@ -261,17 +261,15 @@ class TestSiftedEnhancement:
 
 class TestKeyRateReport:
     def test_benchmark_ratios_unbiased(self):
-        report = build_report(0.110, BENCHMARK_BOUNDS)
+        assert BENCHMARK.channel().p_ab == (0.02 / 124) ** 2
+        report = build_report(0.110, BENCHMARK)
         assert report.ratio_rmax_per_use == pytest.approx(4.13, abs=0.3)
         assert report.ratio_rmax_per_occupancy == pytest.approx(2.06, abs=0.15)
         assert report.ratio_plob_per_use == pytest.approx(1.43, abs=0.15)
         assert report.ratio_plob_per_occupancy == pytest.approx(0.71, abs=0.1)
 
     def test_benchmark_ratios_biased(self):
-        bounds = BoundsConfig(
-            eta=0.423, n_pi=62, n_sub=2, p_ab=(0.02 / 124) ** 2, basis_bias=0.99
-        )
-        report = build_report(0.110, bounds)
+        report = build_report(0.110, BENCHMARK.replace(parties=PartyConfig(basis_bias=0.99)))
         # Biasing leaves the direct-transmission comparison unchanged but
         # pushes the repeaterless ratio up by the extra sifting yield.
         assert report.ratio_rmax_per_use == pytest.approx(4.13, abs=0.3)
@@ -279,23 +277,22 @@ class TestKeyRateReport:
         assert report.ratio_plob_per_occupancy == pytest.approx(1.40, abs=0.2)
 
     def test_report_identity(self):
-        bounds = BENCHMARK_BOUNDS
-        report = build_report(0.09, bounds)
-        enh = sifted_enhancement(bounds.eta, bounds.n_pi, bounds.n_sub)
+        report = build_report(0.09, BENCHMARK)
+        enh = sifted_enhancement(0.423, 62, 2)
         rs = secret_fraction(0.09)
         assert report.ratio_rmax_per_occupancy == pytest.approx(enh * rs, rel=1e-12)
         assert report.ratio_rmax_per_use == pytest.approx(2 * enh * rs, rel=1e-12)
         assert report.secure_per_use == pytest.approx(rs * report.sifted_per_use, rel=1e-12)
 
     def test_confidence_levels_from_posterior(self):
-        analytic = build_report(0.11, BENCHMARK_BOUNDS).sifted_per_use
-        report = build_report(session_with(440, 4000, analytic), BENCHMARK_BOUNDS)
+        analytic = build_report(0.11, BENCHMARK).sifted_per_use
+        report = build_report(session_with(440, 4000, analytic), BENCHMARK)
         assert report.confidence_vs_rmax > 0.99
         assert 0.5 < report.confidence_vs_plob < 1.0
 
     def test_confidence_levels_are_computed_once_on_read(self, monkeypatch):
-        analytic = build_report(0.11, BENCHMARK_BOUNDS).sifted_per_use
-        report = build_report(session_with(440, 4000, analytic), BENCHMARK_BOUNDS)
+        analytic = build_report(0.11, BENCHMARK).sifted_per_use
+        report = build_report(session_with(440, 4000, analytic), BENCHMARK)
         expected = [rates._confidence(report.posterior, bound / report.sifted_per_use)
                     for bound in (report.r_max, report.plob)]
         calls, solve = [], rates._confidence
@@ -305,12 +302,12 @@ class TestKeyRateReport:
         assert len(calls) == 2 and 0 < expected[1] < expected[0] < 1
 
     def test_analytic_report_has_no_confidence(self):
-        report = build_report(0.11, BENCHMARK_BOUNDS)
+        report = build_report(0.11, BENCHMARK)
         assert report.confidence_vs_rmax is None and report.confidence_vs_plob is None
         assert report.qber_ml == report.qber_low == report.qber_high == 0.11
 
     def test_session_without_sifted_key_is_unknown(self):
-        report = build_report(session_with(0, 0, 1.0), BENCHMARK_BOUNDS)
+        report = build_report(session_with(0, 0, 1.0), BENCHMARK)
         assert math.isnan(report.qber_ml) and math.isnan(report.ratio_rmax_per_use)
         assert report.confidence_vs_rmax is None
 
@@ -324,11 +321,7 @@ class TestKeyRateReport:
             cfg.sequence, cfg.channel(), cfg.parties, cfg.noise, cycles, cfg.seed
         )
         p_ab = cfg.channel().p_ab
-        bounds = BoundsConfig(
-            eta=cfg.noise.eta_detect, n_pi=cfg.sequence.n_pi, n_sub=cfg.sequence.n_sub,
-            p_ab=p_ab,
-        )
-        report = build_report(session, bounds)
+        report = build_report(session, cfg)
         assert report.sifted_per_use == session.sifted_rate_per_use()
         assert report.qber_ml == session.errors / session.sifted
         oracle = TruncatedBetaOracle(session.errors, session.sifted)
@@ -345,9 +338,9 @@ class TestKeyRateReport:
     def test_confidence_in_the_posterior_bulk(self, errors, sifted):
         # A sifted rate at which R equals the PLOB bound at the ML point puts
         # E* where the posterior density peaks, so an error in E* shows most.
-        plob = plob_bound(BENCHMARK_BOUNDS.p_ab)
+        plob = plob_bound(BENCHMARK.channel().p_ab)
         rate = plob / secret_fraction(errors / sifted) * (1 + 1e-4)
-        report = build_report(session_with(errors, sifted, rate), BENCHMARK_BOUNDS)
+        report = build_report(session_with(errors, sifted, rate), BENCHMARK)
         e_star = brentq(lambda e: secret_fraction(e) * rate / plob - 1.0,
                         0.0, QBER_INDIVIDUAL_LIMIT, xtol=1e-16, rtol=1e-15)
         oracle = TruncatedBetaOracle(errors, sifted)
@@ -355,10 +348,10 @@ class TestKeyRateReport:
         assert report.confidence_vs_plob == pytest.approx(oracle.cdf(e_star), abs=1e-9)
 
     def test_confidence_is_zero_against_an_unbeatable_bound(self):
-        report = build_report(session_with(0, 100, 1e-12), BENCHMARK_BOUNDS)
+        report = build_report(session_with(0, 100, 1e-12), BENCHMARK)
         assert report.confidence_vs_rmax == report.confidence_vs_plob == 0.0
 
     def test_high_qber_kills_rate(self):
-        report = build_report(0.2, BENCHMARK_BOUNDS)
+        report = build_report(0.2, BENCHMARK)
         assert report.r_s == 0.0
         assert report.secure_per_use == 0.0
