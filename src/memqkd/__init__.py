@@ -46,7 +46,6 @@ from .session import (
     PartyConfig,
     SessionReport,
     TimingOverheads,
-    channel_accounting,
     chsh_statistic,
     coincidence_cell_probabilities,
     simulate_session,

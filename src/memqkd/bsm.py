@@ -21,9 +21,10 @@ off the ideal-noise Born kernel.
 slots and photon labels are given as integer (n, 2) arrays: one slot
 loop whose maps act on the coherences b of all the block's spins at
 once (`qubits` says why b is the whole state). A herald's outcome
-probability and turn depend on the photon label and outcome alone, so
-the block reads them from one `qubits.herald_tables` call on the eight
-label phases. A scatter scales b by 1 - 2 p_scatter_dephase, and each pi
+probability P and amplitude h depend on the photon label and outcome
+alone, so the block reads them from one `qubits.herald_tables` call on
+the eight label phases, the same tables the fast engine's Born kernel
+reads. A scatter scales b by 1 - 2 p_scatter_dephase, and each pi
 pulse conjugates b and scales it by 1 - 2 p_mw. At a herald slot the
 loop writes just the heralded lanes' b. `session` draws which cycles
 herald twice and where; a drill passes its own slots and labels.
@@ -167,9 +168,9 @@ def run_memory_cycles(
     # outcome in m, and the herald tables of its photon's label.
     row = order // 2
     outcome = order + row
-    p_plus, turns = herald_tables(LABEL_PHASE, noise.eps_leak)
+    probs, amps = herald_tables(LABEL_PHASE, noise.eps_leak)
     label = labels.ravel()[order]
-    p_plus, turns = p_plus[label], turns[label]
+    probs, amps = probs[label], amps[label]
     # A phase flip with probability p scales b by 1 - 2p.
     scatter_factor = 1.0 - 2.0 * noise.p_scatter_dephase
     slot = 0
@@ -183,7 +184,7 @@ def run_memory_cycles(
             np.multiply(b, scatter_factor, out=b, where=scatter)
             if hit.size:
                 m.flat[outcome[here]], b[hit] = reflect_and_herald(
-                    b[hit], p_plus[here], turns[here], rng
+                    b[hit], probs[here], amps[here], rng
                 )
             slot += 1
         # The pi pulse: X rho X conjugates b, then its phase flip scales it.

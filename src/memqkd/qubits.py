@@ -23,12 +23,13 @@ leakage sqrt(r_down/r_up) from the residual reflection of the uncoupled
 spin state. With eps = 0 this teleports the photon phase onto the spin.
 K_m is diagonal, k_up = 1 + eps e and k_down = e + eps with e = m exp(i phi),
 and |e| = 1 gives |k_up|^2 = |k_down|^2 = 1 + eps^2 + 2 eps m cos(phi). So
-the outcome's probability |k_up|^2 / (2 (1 + eps^2)) does not depend on
-the state (the two outcomes' weights sum to 2 (1 + eps^2)), and the herald
-keeps the populations and turns b by the unit phase
-k_up conj(k_down) / |k_up|^2. Both depend on the photon phase and the
-outcome alone, so `herald_tables` computes them once per phase and
-`reflect_and_herald` reads them.
+the outcome's probability P(m) = |k_up|^2 / (2 (1 + eps^2)) does not
+depend on the state (the two outcomes' weights sum to 2 (1 + eps^2)), and
+the herald keeps the populations and turns b by the unit phase g(m) of
+h(m) = k_up conj(k_down) / (2 (1 + eps^2)) = P(m) g(m). Both depend on the
+photon phase and the outcome alone. `herald_tables` is the one place that
+forms them, once per phase: `reflect_and_herald` draws m and turns b by
+h / |h|, and the fast engine's Born kernel reads P and h.
 
 The other maps of a cycle are one line each of `bsm.run_memory_cycles`'
 slot loop: a phase flip with probability p scales b by 1 - 2p, and
@@ -114,39 +115,40 @@ def prepare_superposition(f_init: float = 1.0, lanes: tuple[int, ...] = ()) -> n
 
 
 def herald_tables(phase, eps_leak: float) -> tuple:
-    """The Born probability of m = +1 and the unit turns of b, per photon phase.
+    """The Born probabilities P(m) and amplitudes h(m) = P(m) g(m) of a herald.
 
-    Returns P(m = +1) = 1/2 + eps cos(phi) / (1 + eps^2) with the shape of
-    `phase`, and the turns k_up conj(k_down) / |k_up|^2 by which the herald
-    maps b for m = +1 and m = -1 along a new last axis. At eps_leak = 1 the
-    phases 0 and pi each have an outcome of probability 0; it is never
-    drawn, and its turn is left 0.
+    Returns two arrays with the shape of `phase` and a new last axis for
+    m = +1, -1: P(m) = (1 + eps^2 + 2 eps m cos(phi)) / (2 (1 + eps^2)),
+    and h(m) = k_up conj(k_down) / (2 (1 + eps^2)), whose phase is the unit
+    turn g(m) of b and whose modulus is P(m). h is kept in product form:
+    expanded into a sum, its terms cancel near an outcome of probability 0
+    and its phase loses bits. At eps_leak = 1 the phases 0 and pi each have
+    an outcome of probability 0, which is never drawn.
     """
-    p_plus = 0.5 + eps_leak * np.cos(phase) / (1.0 + eps_leak**2)
-    e = np.array([1, -1]) * np.exp(1j * np.expand_dims(phase, -1))
-    turns = (1.0 + eps_leak * e) * (e + eps_leak).conjugate()
-    drawable = np.stack([p_plus > 0, p_plus < 1], axis=-1)
-    # |k_up conj(k_down)| = |k_up|^2, and 0 only where the outcome is never drawn.
-    return p_plus, np.divide(turns, abs(turns), out=np.zeros_like(turns), where=drawable)
+    one = 1.0 + eps_leak * eps_leak
+    e = np.array([1.0, -1.0]) * np.exp(1j * np.expand_dims(phase, -1))
+    probs = (one + 2.0 * eps_leak * e.real) / (2.0 * one)
+    return probs, (1.0 + eps_leak * e) * (e + eps_leak).conjugate() / (2.0 * one)
 
 
-def reflect_and_herald(b, p_plus, turns, rng: np.random.Generator) -> tuple:
+def reflect_and_herald(b, probs, amps, rng: np.random.Generator) -> tuple:
     """Reflect one photonic qubit off the node and detect it.
 
-    `p_plus` and `turns` are what `herald_tables` gives for the photon
+    `probs` and `amps` are what `herald_tables` gives for the photon
     phases. Checks that the state is positive, samples the detector
-    outcome m = +-1, which is +1 with probability p_plus, and returns it
-    with the heralded coherence: b turned by turns[..., 0] for m = +1 or
-    turns[..., 1] for m = -1. With eps_leak = 0 and the spin prepared in
-    (|up>+|down>)/sqrt(2), the result is exactly
-    (|up> + m exp(i phi) |down>)/sqrt(2).
+    outcome m = +-1, which is +1 with probability probs[..., 0], and
+    returns it with the heralded coherence: b turned by h / |h| of the
+    drawn outcome. An outcome of probability 0 is never drawn. With
+    eps_leak = 0 and the spin prepared in (|up>+|down>)/sqrt(2), the
+    result is exactly (|up> + m exp(i phi) |down>)/sqrt(2).
     """
     smallest = 0.5 - abs(b)
     physical = smallest >= -1e-9  # a nan lane fails too
     if not physical.all():
         raise NonPhysicalStateError(f"negative eigenvalue {np.extract(~physical, smallest)[0]}")
-    minus = rng.random(np.shape(b)) >= p_plus
-    return np.where(minus, -1, 1), np.where(minus, turns[..., 1], turns[..., 0]) * b
+    minus = rng.random(np.shape(b)) >= probs[..., 0]
+    h = np.where(minus, amps[..., 1], amps[..., 0])
+    return np.where(minus, -1, 1), h / abs(h) * b
 
 
 def measure_x(b, f_readout: float, rng: np.random.Generator):

@@ -219,12 +219,7 @@ def sifted_enhancement(eta: float, n_pi: int, n_sub: int) -> float:
         raise ValueError(f"n_pi must be at least 3, got {n_pi}")
     if n_sub < 1:
         raise ValueError(f"n_sub must be at least 1, got {n_sub}")
-    try:
-        return eta**2 * (n_pi - 1) * (n_pi - 2) * n_sub / (2.0 * n_pi)
-    except OverflowError:
-        raise ValueError(
-            "n_pi and n_sub must be representable as floats (below about 1.8e308)"
-        ) from None
+    return eta**2 * (n_pi - 1) * (n_pi - 2) * n_sub / (2.0 * n_pi)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .bsm import (
     SequenceConfig,
     run_memory_cycles,
 )
-from .qubits import NoiseParams
+from .qubits import NoiseParams, herald_tables
 
 # Parity index (0 for +1) of each outcome (m1, m2, m3) in C order.
 _OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
@@ -169,38 +169,6 @@ class TimingOverheads:
             raise ValueError("block_s must be positive when lock_s > 0")
 
 
-@dataclass(frozen=True)
-class ChannelAccounting:
-    """Channel-use bookkeeping for one session.
-
-    A full channel use corresponds to one photon from each party, i.e.
-    two qubit slots.
-    """
-
-    uses: float
-    wall_clock_s: float
-    clock_rate_hz: float
-
-
-def channel_accounting(
-    seq: SequenceConfig,
-    cycles: int,
-    overheads: TimingOverheads | None = None,
-) -> ChannelAccounting:
-    if cycles < 0:
-        raise ValueError(f"cycles must be non-negative, got {cycles}")
-    ov = overheads if overheads is not None else TimingOverheads()
-    n = seq.n_qubits
-    lock_factor = 1.0 + (ov.lock_s / ov.block_s if ov.lock_s > 0 else 0.0)
-    wall = cycles * (seq.cycle_duration_s() + ov.readout_s) * lock_factor / ov.duty_factor
-    rate = (n * cycles / wall) if wall > 0 else 0.0
-    return ChannelAccounting(
-        uses=n * cycles / 2.0,
-        wall_clock_s=wall,
-        clock_rate_hz=rate,
-    )
-
-
 @dataclass
 class SessionReport:
     """Summary counters of one session."""
@@ -306,8 +274,8 @@ def _born_kernel(phi1, phi2, frame, deph, noise: NoiseParams) -> np.ndarray:
 
     Outcome m of a herald has probability P(m | phi) and multiplies the
     spin coherence by a unit phase g(m | phi); a pi-pulse count of odd
-    parity between the heralds conjugates the first factor. With
-    h = P g = (m e^{-i phi} + 2 eps + eps^2 m e^{i phi}) / (2 (1 + eps^2)),
+    parity between the heralds conjugates the first factor. With P and
+    h = P g from `herald_tables`,
 
         P(m1, m2, m3) = P1 P2 / 2 + m3 kappa Re(h1 h2),
         kappa = (2 f_init - 1) (2 f_readout - 1) deph / 2,
@@ -316,16 +284,8 @@ def _born_kernel(phi1, phi2, frame, deph, noise: NoiseParams) -> np.ndarray:
     cycle. Dephasing is a real scalar and commutes with everything, so
     only its total enters. The four inputs broadcast like arrays.
     """
-    eps = noise.eps_leak
-    one = 1.0 + eps * eps
-    m = np.array([1.0, -1.0])
-
-    def herald(phi):
-        e = np.exp(1j * np.asarray(phi, dtype=float))[..., None]
-        p = (one + 2.0 * eps * m * e.real) / (2.0 * one)
-        return p, (m * e.conj() + 2.0 * eps + eps * eps * m * e) / (2.0 * one)
-
-    (p1, h1), (p2, h2) = herald(phi1), herald(phi2)
+    p1, h1 = herald_tables(phi1, noise.eps_leak)
+    p2, h2 = herald_tables(phi2, noise.eps_leak)
     h1 = np.where(np.asarray(frame)[..., None] == 1, h1.conj(), h1)
     kappa = 0.5 * (2.0 * noise.f_init - 1.0) * (2.0 * noise.f_readout - 1.0)
     kappa = kappa * np.asarray(deph, dtype=float)[..., None, None]
@@ -550,14 +510,18 @@ def simulate_session(
     # np.dot, not @: the int64 matmul loop would add 0.1 MB to the reference engine's RSS.
     counters = np.dot(cells, _COUNTER_TABLE).tolist()
 
-    accounting = channel_accounting(seq, cycles, overheads)
+    ov = overheads if overheads is not None else TimingOverheads()
+    n = seq.n_qubits
+    lock_factor = 1.0 + (ov.lock_s / ov.block_s if ov.lock_s > 0 else 0.0)
+    wall = cycles * (seq.cycle_duration_s() + ov.readout_s) * lock_factor / ov.duty_factor
     report = SessionReport(
         cycles=cycles,
         heralds=heralds,
         discarded_multi=discarded,
         **dict(zip(_COUNTERS, counters)),
-        channel_uses=accounting.uses,
-        wall_clock_s=accounting.wall_clock_s,
-        clock_rate_hz=accounting.clock_rate_hz,
+        # A channel use is one photon from each party: two qubit slots.
+        channel_uses=n * cycles / 2.0,
+        wall_clock_s=wall,
+        clock_rate_hz=(n * cycles / wall) if wall > 0 else 0.0,
     )
     return CoincidenceTally(*cells.reshape(2, 4, 2, 4, 2, 2)), report

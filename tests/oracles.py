@@ -10,8 +10,10 @@ string of a short cycle. The QBER-posterior oracle takes
 its incomplete beta from scipy and mpmath. The slot-pair oracle walks
 every pair of slots, the party table and the pair weights are built
 afresh at every call, the cell-probability oracle builds each point from
-a fresh Born kernel at its own dephasing factor, and the sift oracle
-picks the same-basis cells by fancy indexing.
+a fresh Born kernel at its own dephasing factor, the whole-cycle oracle
+evolves 2x2 density matrices through every slot of every slot pair
+without any of the engines' code, and the sift oracle picks the
+same-basis cells by fancy indexing.
 """
 
 from __future__ import annotations
@@ -323,3 +325,92 @@ def cell_probabilities_per_point(seq, chan, parties, noise) -> np.ndarray:
     weights = by_pairs[..., None] * by_windows[:, :, None]
     pi = np.bincount(_CELL_INDEX, weights.ravel(), minlength=256)
     return (pi / pi.sum()).reshape(2, 4, 2, 4, 2, 2)
+
+
+def exact_cell_probabilities(seq, chan, parties, noise) -> np.ndarray:
+    """`session.coincidence_cell_probabilities` by whole-cycle density matrices.
+
+    Given two heralds, every slot pair lo < hi is equally likely. For each
+    pair, every label pair and herald branch (m1, m2) evolves as a 2x2
+    density matrix, slot by slot through the whole cycle: initialization
+    and the pi/2 pulse; at lo and hi the Kraus operator K_m of the `qubits`
+    docstring, scaled so that K_+ and K_- complete to the identity; at every
+    other slot an undetected scatter with probability r given no herald,
+    each a phase flip with p_scatter_dephase; after every window the pi
+    pulse X rho X and its phase flip with p_mw. The trace is then the branch
+    probability, and the noisy X readout splits it by m3. A record's cell
+    follows the `CoincidenceTally` layout: a photon sent in an odd window is
+    read out as its phase conjugate, Alice's photon comes first in
+    `counts`, and a same-party record goes to `excluded` in slot order.
+    Only numpy and this module are used.
+    """
+    n = seq.n_qubits
+    # Labels 2 * basis + sign over the bases X, Y, A, B, which lie at 0, 90,
+    # 45 and 135 degrees on the equator; the minus sign adds pi.
+    phase = np.repeat([0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4], 2) + np.tile([0.0, np.pi], 4)
+    conj = np.array([np.argmin(abs(np.exp(1j * phase) - np.exp(-1j * p))) for p in phase])
+    basis = [parties.basis_bias, 1.0 - parties.basis_bias, 0.0, 0.0]
+    prior = np.repeat(basis if parties.mode == "qkd" else [0.25] * 4, 2) / 2.0
+
+    # K[label, m] = |up><up| + e |down><down| + eps (|down><down| + e |up><up|),
+    # e = m exp(i phi), over sqrt(2 (1 + eps^2)).
+    up, down = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    eps = noise.eps_leak
+    e = (np.array([1, -1]) * np.exp(1j * phase)[:, None])[..., None, None]
+    kraus = (up + e * down + eps * (down + e * up)) / math.sqrt(2.0 * (1.0 + eps**2))
+    k1 = kraus[:, None, :, None]  # (l1, l2, m1, m2, 2, 2)
+    k2 = kraus[None, :, None, :]
+
+    def apply(k, rho):
+        return k @ rho @ k.conj().swapaxes(-1, -2)
+
+    # Z rho Z negates the coherences and X rho X reverses both axes: the
+    # matrix products SZ @ rho @ SZ and SX @ rho @ SX, elementwise.
+    def phase_flip(rho, p):
+        return (1.0 - p) * rho + p * rho * np.outer(np.diag(SZ), np.diag(SZ))
+
+    # f |down><down| + (1 - f) |up><up|, turned by the pi/2 pulse that takes
+    # |down> to (|up> + |down>)/sqrt(2).
+    pulse = np.array([[1.0, 1.0], [-1.0, 1.0]]) / _SQ2
+    rho0 = pulse @ np.diag([1.0 - noise.f_init, noise.f_init]) @ pulse.T
+    lo, hi = np.array(list(itertools.combinations(range(n), 2))).T
+    rho = np.broadcast_to(rho0, (len(lo), 8, 8, 2, 2, 2, 2)).astype(complex)
+    scatter, dark = chan.n_p * (1.0 - noise.eta_detect), 1.0 - chan.n_p
+    r = scatter / (scatter + dark) if scatter + dark > 0 else 0.0
+    for slot in range(n):
+        # Every lane scatters but those that herald here.
+        first, second = lo == slot, hi == slot
+        heralded1, heralded2 = apply(k1, rho[first]), apply(k2, rho[second])
+        rho = (1.0 - r) * rho + r * phase_flip(rho, noise.p_scatter_dephase)
+        rho[first], rho[second] = heralded1, heralded2
+        if slot % seq.n_sub == seq.n_sub - 1:
+            rho = phase_flip(rho[..., ::-1, ::-1], noise.p_mw)
+    plus = np.einsum("...ij,ji->...", rho, (np.eye(2) + SX) / 2.0).real
+    minus = np.einsum("...ii->...", rho).real - plus
+    f = noise.f_readout
+    branch = np.stack([f * plus + (1 - f) * minus, f * minus + (1 - f) * plus], axis=-1)
+
+    # Party pair 2 * p1 + p2 of each slot pair, Alice 0.
+    party = np.zeros((len(lo), 4))
+    if parties.assignment == "random":
+        party[:] = 0.25
+    elif parties.assignment == "alternating":
+        party[np.arange(len(lo)), 2 * (lo % 2) + hi % 2] = 1.0
+    else:
+        party[:, 1] = 1.0  # Alice's photon, then Bob's
+    weights = (party[:, :, None, None, None, None, None] / len(lo)
+               * (prior[:, None] * prior)[..., None, None, None] * branch[:, None])
+
+    # Cell of each (pair, party pair, l1, l2, m1, m2, m3).
+    read1 = np.where((lo // seq.n_sub % 2 == 1)[:, None], conj, np.arange(8))
+    read2 = np.where((hi // seq.n_sub % 2 == 1)[:, None], conj, np.arange(8))
+    read1 = read1[:, None, :, None, None, None, None]
+    read2 = read2[:, None, None, :, None, None, None]
+    p1 = (np.arange(4) // 2)[:, None, None, None, None, None]
+    p2 = (np.arange(4) % 2)[:, None, None, None, None, None]
+    alice, bob = np.where(p1 > p2, read2, read1), np.where(p1 > p2, read1, read2)
+    m = np.array([1, -1])
+    odd = m[:, None, None] * m[:, None] * m == -1
+    cell = 128 * (p1 == p2) + 16 * alice + 2 * bob + odd
+    pi = np.bincount(np.broadcast_to(cell, weights.shape).ravel(), weights.ravel(), minlength=256)
+    return pi.reshape(2, 4, 2, 4, 2, 2)

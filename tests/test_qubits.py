@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,16 +29,17 @@ def random_coherence(rng) -> complex:
 
 
 def heralded(b, phase, m, eps):
-    """b after a herald of outcome m, turned by its herald-table entry as
-    `reflect_and_herald` turns it."""
-    _, turns = herald_tables(phase, eps)
-    return np.where(np.equal(m, 1), turns[..., 0], turns[..., 1]) * b
+    """b after a herald of outcome m, turned by h / |h| of its herald-table
+    entry as `reflect_and_herald` turns it."""
+    _, amps = herald_tables(phase, eps)
+    h = np.where(np.equal(m, 1), amps[..., 0], amps[..., 1])
+    return h / abs(h) * b
 
 
 def outcome_probability(phase, m, eps):
-    """P(m) from the herald table: m = -1 is drawn when u >= P(m = +1)."""
-    p_plus, _ = herald_tables(phase, eps)
-    return np.where(np.equal(m, 1), p_plus, 1.0 - p_plus)
+    """P(m) as `reflect_and_herald` draws it: m = -1 when u >= P(m = +1)."""
+    probs, _ = herald_tables(phase, eps)
+    return np.where(np.equal(m, 1), probs[..., 0], 1.0 - probs[..., 0])
 
 
 def engine_coherences(monkeypatch, noise, n_pi):
@@ -209,8 +211,8 @@ class TestHeraldedGate:
     def test_born_probability_exactly_half_without_leakage(self):
         rng = np.random.default_rng(8)
         for phase in rng.uniform(0, 2 * math.pi, size=30):
-            p_plus, _ = herald_tables(phase, 0.0)
-            assert p_plus == pytest.approx(0.5, abs=1e-12)
+            probs, _ = herald_tables(phase, 0.0)
+            assert probs == pytest.approx(0.5, abs=1e-12)
 
     def test_outcomes_equiprobable_without_leakage(self):
         rng = np.random.default_rng(3)
@@ -251,22 +253,32 @@ class TestHeraldedGate:
             one_step = heralded(b, phi1 + phi2, m1 * m2, 0.0)
             assert two_step == pytest.approx(one_step, abs=1e-10)
 
-    @pytest.mark.parametrize("eps", [0.0, 0.24114, 1.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.24114, 1.0, 0.999])
     @pytest.mark.parametrize("m", [1, -1])
     def test_herald_equals_its_matrix_product_form(self, m, eps):
+        # The product is formed at 30 digits from e = m exp(i phi) of modulus
+        # 1. In doubles |e| = 1 only to an ulp, which near an outcome of
+        # probability 0 moves the normalised state off the equator by 4e-14.
+        # At eps = 0.999 the phases lie within 0.05 rad of the one where
+        # outcome m is least likely, 0 for m = -1 and pi for m = +1: there
+        # the terms of a sum form of h cancel, and its turn loses bits.
         rng = np.random.default_rng(41)
-        for _ in range(50):
-            b = random_coherence(rng)
-            phase = rng.uniform(0, 2 * math.pi)
-            e = m * np.exp(1j * phase)
-            kraus = np.diag([1.0 + eps * e, e + eps])
-            mapped = kraus @ rho_of(b) @ kraus.conj().T
-            norm = np.trace(mapped).real
-            coherence = coherence_of(mapped / norm)
-            assert abs(heralded(b, phase, m, eps) - coherence) <= 1e-14
-            assert outcome_probability(phase, m, eps) == pytest.approx(
-                norm / (2.0 * (1.0 + eps**2)), rel=0, abs=1e-14
-            )
+        with mpmath.workdps(30):
+            for _ in range(50):
+                b = random_coherence(rng)
+                if eps == 0.999:
+                    phase = (m == 1) * math.pi + rng.uniform(-0.05, 0.05)
+                else:
+                    phase = rng.uniform(0, 2 * math.pi)
+                e = m * mpmath.expj(phase)
+                kraus = mpmath.diag([1 + eps * e, e + eps])
+                mapped = kraus * mpmath.matrix(rho_of(b).tolist()) * kraus.H
+                norm = mapped[0, 0].real + mapped[1, 1].real
+                coherence = coherence_of(np.array((mapped / norm).tolist(), dtype=complex))
+                assert abs(heralded(b, phase, m, eps) - coherence) <= 1e-14
+                assert outcome_probability(phase, m, eps) == pytest.approx(
+                    float(norm / (2 * (1 + mpmath.mpf(eps) ** 2))), rel=0, abs=1e-14
+                )
 
     def test_rejects_nonphysical_input(self):
         # |b| = 0.7 > 1/2: the smaller eigenvalue of rho is 1/2 - 0.7.

@@ -25,7 +25,6 @@ from memqkd.session import (
     _period_classes,
     _period_counts,
     _tally_cell,
-    channel_accounting,
     chsh_statistic,
     coincidence_cell_probabilities,
     simulate_session,
@@ -602,6 +601,46 @@ class TestCellProbabilitiesMatchPerPointOracle:
             coincidence_cell_probabilities(cfg.sequence, cfg.channel(), cfg.parties, noise)
 
 
+# A probability in [0, 1] that is 0 or 1 in about half the draws.
+UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestCellProbabilitiesMatchWholeCycleOracle:
+    # The oracle evolves density matrices through whole cycles and shares no
+    # code with either engine, so it also checks the herald tables that both
+    # engines read. n_pi = 4 is the first layout with two full pulse periods;
+    # at most 12 slots keep the oracle's slot pairs few.
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        n_pi=st.integers(1, 4),
+        n_sub=st.sampled_from([1, 2, 4]),
+        mode=st.sampled_from(["qkd", "chsh"]),
+        assignment=st.sampled_from(["random", "alternating", "single"]),
+        bias=UNIT,
+        n_p=UNIT,
+        noise=st.builds(NoiseParams, UNIT, UNIT, UNIT, UNIT, UNIT, UNIT),
+    )
+    @example(n_pi=1, n_sub=2, mode="qkd", assignment="random", bias=0.5, n_p=0.5,
+             noise=NoiseParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    @example(n_pi=4, n_sub=2, mode="chsh", assignment="alternating", bias=0.5, n_p=1.0,
+             noise=NoiseParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+    # Full leakage and full scatter dephasing, with every slot but the two
+    # heralds scattering (n_p = 1, eta_detect = 0).
+    @example(n_pi=3, n_sub=2, mode="qkd", assignment="single", bias=0.7, n_p=1.0,
+             noise=NoiseParams(eps_leak=1.0, p_scatter_dephase=1.0, eta_detect=0.0))
+    # n_p * eta_detect near 1, where r = n_p (1 - eta) / (1 - n_p eta) is 0.4995.
+    @example(n_pi=3, n_sub=4, mode="qkd", assignment="random", bias=0.3, n_p=0.999,
+             noise=NoiseParams(eta_detect=0.999))
+    def test_matches_oracle(self, n_pi, n_sub, mode, assignment, bias, n_p, noise):
+        seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
+        assume(2 <= seq.n_qubits <= 12)
+        chan = ChannelConfig(n_p=n_p)
+        parties = PartyConfig(mode=mode, basis_bias=bias, assignment=assignment)
+        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
+        expected = oracles.exact_cell_probabilities(seq, chan, parties, noise)
+        assert np.abs(pi - expected).max() <= 1e-13
+
+
 class TestSifting:
     def test_noiseless_qber_is_exactly_zero(self):
         seq, chan, _ = small_setup()
@@ -727,16 +766,21 @@ class TestChsh:
 
 
 class TestChannelAccounting:
+    @staticmethod
+    def clock_rate(seq, overheads=None):
+        """The clock rate that a 1,000-cycle fast session reports."""
+        _, report = simulate_session(seq, ChannelConfig(n_p=0.01), PartyConfig(), NoiseParams(),
+                                     1000, seed=0, overheads=overheads)
+        return report.clock_rate_hz
+
     def test_zero_overheads_clock_rate(self):
         no_overheads = TimingOverheads(lock_s=0.0, block_s=1.0, readout_s=0.0, duty_factor=1.0)
-        acct = channel_accounting(SEQ124, 1000, no_overheads)
         expected = SEQ124.n_qubits / SEQ124.cycle_duration_s()
-        assert acct.clock_rate_hz == pytest.approx(expected, rel=1e-12)
+        assert self.clock_rate(SEQ124, no_overheads) == pytest.approx(expected, rel=1e-12)
 
     def test_n248_clock_rate_near_observed(self):
         seq = SequenceConfig(n_pi=124, n_sub=2)
-        acct = channel_accounting(seq, 1000)
-        assert 1.2e6 / 1.5 <= acct.clock_rate_hz <= 1.2e6 * 1.5
+        assert 1.2e6 / 1.5 <= self.clock_rate(seq) <= 1.2e6 * 1.5
 
     def test_rejects_bad_overheads(self):
         with pytest.raises(ValueError):
