@@ -1,12 +1,13 @@
-"""Rewrite the digests of outputs.json from the current code.
+"""Rewrite the digests of outputs.json and reference.json from the current code.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Each entry's name, argv and input files are kept; its exit code and
-digests are replaced by what the command gives now. To add a command,
-append an entry with its name, argv and files and run this. A change
-that moves a recorded output on purpose runs this and says in its notes
-which outputs moved and why.
+Each entry's name, argv and input files (for a reference-engine session,
+its name and call) are kept; its exit code and digests are replaced by
+what the code gives now. To add a command or a session, append an entry
+with everything but its results and run this. A change that moves a
+recorded output on purpose runs this and says in its notes which outputs
+moved and why.
 """
 
 from __future__ import annotations
@@ -19,7 +20,23 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_golden import GOLDEN, decode_file, encode_file, replay  # noqa: E402
+from test_golden import (  # noqa: E402
+    GOLDEN,
+    REFERENCE,
+    decode_file,
+    encode_file,
+    replay,
+    replay_reference,
+)
+
+
+def write(path: Path, entries: list[dict]) -> None:
+    # One line per key, so a diff names the entries and streams that moved.
+    path.write_text("[\n" + ",\n".join(
+        " {" + ",\n  ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in entry.items()) + "}"
+        for entry in entries
+    ) + "\n]\n")
+    print(f"wrote {len(entries)} entries to {path}")
 
 
 def main() -> None:
@@ -32,12 +49,11 @@ def main() -> None:
                 if encode_file(decode_file(text)) != text:
                     raise SystemExit(f"{entry['name']}: input file text does not round-trip")
             entry.update(replay(entry, Path(tmp) / str(index)))
-    # One line per key, so a diff names the entries and streams that moved.
-    GOLDEN.write_text("[\n" + ",\n".join(
-        " {" + ",\n  ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in entry.items()) + "}"
-        for entry in entries
-    ) + "\n]\n")
-    print(f"wrote {len(entries)} entries to {GOLDEN}")
+    write(GOLDEN, entries)
+    sessions = json.loads(REFERENCE.read_text())
+    for entry in sessions:
+        entry["digest"] = replay_reference(entry["call"])
+    write(REFERENCE, sessions)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import numpy as np
 
 import oracles
 from memqkd.bsm import LABEL_PHASE, ChannelConfig, SequenceConfig, run_memory_cycles
-from memqkd.cavity import CavityParams, EfficiencyBudget, cooperativity, total_heralding_efficiency
+from memqkd.cavity import cooperativity, total_heralding_efficiency
 from memqkd.config import default_config, load_preset
 from memqkd.qubits import NoiseParams, spin_photon_fidelity
 from memqkd.rates import (
@@ -36,7 +36,7 @@ def _check(num: int, description: str, condition: bool, detail: str = "") -> Non
 
 
 def test_criterion_01_cooperativity():
-    c = cooperativity(CavityParams(g=8.38, kappa=21.6, gamma=0.123))
+    c = cooperativity(8.38, 21.6, 0.123)
     _check(
         1,
         "cooperativity(8.38, 21.6, 0.123) = 105.7 within 105 +/- 11",
@@ -46,7 +46,7 @@ def test_criterion_01_cooperativity():
 
 
 def test_criterion_02_efficiency_budget():
-    eta = total_heralding_efficiency(EfficiencyBudget(0.4925, 0.930, 0.934, 0.99))
+    eta = total_heralding_efficiency(0.4925, 0.930, 0.934, 0.99)
     _check(
         2,
         "total heralding efficiency in [0.418, 0.430]",

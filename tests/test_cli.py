@@ -630,7 +630,7 @@ class TestRates:
         "flags",
         [["--bias", "1.5"], ["--n-pi", "2"], ["--eta", "2"],
          ["--n-pi", "9" * 400], ["--n-sub", "9" * 400], ["--n-sub", "3"],
-         ["--n-pi", "600000"]],
+         ["--n-pi", "600000"], ["--p-ab", "-1"]],
     )
     def test_bad_layout_is_config_error(self, flags, capsys):
         assert run(["rates", "--qber", "0.1", *flags]) == 2

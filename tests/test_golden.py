@@ -1,15 +1,22 @@
-"""Golden outputs: every recorded command still prints and writes the same bytes.
+"""Golden outputs: every recorded command and session still gives the same bytes.
 
-`golden/outputs.json` holds, for each command, its argv, the input files it
-reads and the SHA-256 of its stdout, its stderr and each file it writes,
-with its exit code. The commands are those of the CI console-script step
-(less the two `| true` pipe checks), the presets at their own cycle counts
-and the benchmark's sweep and Bell-test argvs for workload seeds 1-12.
-Each one is replayed in-process through `memqkd.cli.run`.
+`golden/outputs.json` is the one list of CLI commands the project checks.
+It holds, for each command, its argv, the input files it reads and the
+SHA-256 of its stdout, its stderr and each file it writes, with its exit
+code. The commands are the CLI edge cases and exit-2 cases, the presets at
+their own cycle counts, `sweep` along both axes on each preset and the
+benchmark's sweep and Bell-test argvs for workload seeds 1-12. Each one is
+replayed in-process through `memqkd.cli.run`. A new CLI edge case is added
+here; CI's console-script step keeps only what an installed process alone
+shows: the entry point, the pipe closes and the exit status.
 
 In an argv and in every output, `{tmp}` stands for the run's temporary
 directory. An input file's text is stored with bytes outside ASCII
 hex-escaped (`\\xff`).
+
+`golden/reference.json` holds reference-engine sessions, which no command
+reaches: each one's call and the SHA-256 of its 256 tally cells and its
+report's fields.
 
 A change that moves an output on purpose runs `golden/regenerate.py` and
 says which outputs moved and why.
@@ -18,15 +25,20 @@ says which outputs moved and why.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import shlex
 from pathlib import Path
 
+from memqkd.bsm import ChannelConfig, SequenceConfig
 from memqkd.cli import run
+from memqkd.qubits import NoiseParams
+from memqkd.session import PartyConfig, simulate_session
 
 GOLDEN = Path(__file__).parent / "golden" / "outputs.json"
+REFERENCE = Path(__file__).parent / "golden" / "reference.json"
 TMP = "{tmp}"
 RESULT_KEYS = ("exit", "stdout", "stderr", "written")
 
@@ -70,3 +82,25 @@ def test_golden_outputs_unchanged(tmp_path):
             moved.append(f"{entry['name']}: {', '.join(keys)} of "
                          f"`memqkd {shlex.join(entry['argv'])}`")
     assert not moved, f"{len(moved)} of {len(entries)} outputs moved:\n" + "\n".join(moved)
+
+
+def replay_reference(call: dict) -> str:
+    """SHA-256 of the 256 tally cells and the report of one reference-engine session."""
+    seq = SequenceConfig(n_pi=call["n_pi"], n_sub=call["n_sub"])
+    tally, report = simulate_session(
+        seq,
+        ChannelConfig.from_mean_photons(call["n_m"], seq.n_qubits),
+        PartyConfig(mode=call["mode"], assignment=call["assignment"]),
+        NoiseParams(**call["noise"]),
+        call["cycles"],
+        call["seed"],
+        engine="reference",
+    )
+    cells = tally.counts.ravel().tolist() + tally.excluded.ravel().tolist()
+    return hashlib.sha256(json.dumps([cells, dataclasses.asdict(report)]).encode()).hexdigest()
+
+
+def test_reference_engine_tallies_unchanged():
+    entries = json.loads(REFERENCE.read_text())
+    moved = [entry["name"] for entry in entries if replay_reference(entry["call"]) != entry["digest"]]
+    assert not moved, f"{len(moved)} of {len(entries)} tallies moved:\n" + "\n".join(moved)
