@@ -105,6 +105,12 @@ class ChannelConfig:
     def p_ab(self) -> float:
         return self.n_p**2
 
+    def scatter_probability(self, eta_detect: float) -> float:
+        """r = n_p (1 - eta) / (1 - n_p eta): a slot's undetected scatter, given no herald."""
+        # At n_p eta = 1 every slot heralds, so only N = 2 has such cycles.
+        a = self.n_p * eta_detect
+        return self.n_p * (1.0 - eta_detect) / (1.0 - a) if a < 1.0 else 0.0
+
     @classmethod
     def from_mean_photons(cls, n_m: float, n_qubits: int) -> "ChannelConfig":
         if n_qubits <= 0:
@@ -152,9 +158,7 @@ def run_memory_cycles(
         raise ValueError(f"herald slots must satisfy 0 <= lo < hi < {seq.n_qubits}")
     if not ((0 <= labels) & (labels < len(LABEL_PHASE))).all():
         raise ValueError(f"photon labels must lie in 0..{len(LABEL_PHASE) - 1}")
-    # At n_p eta = 1 every slot heralds, so only N = 2 has such cycles.
-    a = chan.n_p * noise.eta_detect
-    r = chan.n_p * (1.0 - noise.eta_detect) / (1.0 - a) if a < 1.0 else 0.0
+    r = chan.scatter_probability(noise.eta_detect)
 
     n = len(slots)
     b = prepare_superposition(noise.f_init, (n,))

@@ -416,8 +416,7 @@ def coincidence_cell_probabilities(
     n = seq.n_qubits
     if n < 2:
         raise ValueError(f"a coincidence needs two slots, the sequence has {n}")
-    a_h = chan.n_p * noise.eta_detect
-    r = chan.n_p * (1.0 - noise.eta_detect) / (1.0 - a_h) if a_h < 1.0 else 0.0
+    r = chan.scatter_probability(noise.eta_detect)
     deph = (1.0 - 2.0 * noise.p_mw) ** seq.n_pi
     deph *= (1.0 - 2.0 * noise.p_scatter_dephase * r) ** (n - 2)
     # Exact at either end, so deph = 1 gives the pi of a kernel built at the point.

@@ -12,8 +12,9 @@ every pair of slots, the party table and the pair weights are built
 afresh at every call, the cell-probability oracle builds each point from
 a fresh Born kernel at its own dephasing factor, the whole-cycle oracle
 evolves 2x2 density matrices through every slot of every slot pair
-without any of the engines' code, and the sift oracle picks the
-same-basis cells by fancy indexing.
+without any of the engines' code, the fidelity oracle heralds one 2x2
+density matrix per outcome and takes its overlap with the ideal state,
+and the sift oracle picks the same-basis cells by fancy indexing.
 """
 
 from __future__ import annotations
@@ -414,3 +415,31 @@ def exact_cell_probabilities(seq, chan, parties, noise) -> np.ndarray:
     cell = 128 * (p1 == p2) + 16 * alice + 2 * bob + odd
     pi = np.bincount(np.broadcast_to(cell, weights.shape).ravel(), weights.ravel(), minlength=256)
     return pi.reshape(2, 4, 2, 4, 2, 2)
+
+
+def heralded_fidelity_by_density_matrix(noise, n_qubits: int, n_m: float, phase: float) -> float:
+    """P-weighted fidelity of the spin heralded by a photon of `phase`.
+
+    Starts from |+><+|, applies K_m = diag(1 + eps e, e + eps) /
+    sqrt(2 (1 + eps^2)) with e = m exp(i phase) for each detector m = +-1,
+    and dephases by the cycle's other n_qubits - 1 slots: each scatters an
+    undetected photon with probability r given no herald, and each scatter
+    is a phase flip with p_scatter_dephase. Their composition is one phase
+    flip with probability (1 - D)/2, D = (1 - 2 p_scatter_dephase r)^(N - 1).
+    Returns sum_m <psi_m|rho_m|psi_m> with psi_m = (|up> + e|down>)/sqrt(2)
+    and rho_m of trace P(m). Only numpy and this module are used.
+    """
+    eps = noise.eps_leak
+    n_p = n_m / n_qubits
+    scatter, dark = n_p * (1.0 - noise.eta_detect), 1.0 - n_p
+    r = scatter / (scatter + dark) if scatter + dark > 0 else 0.0
+    deph = (1.0 - 2.0 * noise.p_scatter_dephase * r) ** (n_qubits - 1)
+    rho = np.full((2, 2), 0.5, dtype=complex)
+    fidelity = 0.0
+    for m in (1, -1):
+        e = m * np.exp(1j * phase)
+        kraus = np.diag([1.0 + eps * e, e + eps]) / math.sqrt(2.0 * (1.0 + eps**2))
+        rho_m = dephase(kraus @ rho @ kraus.conj().T, (1.0 - deph) / 2.0)
+        psi = np.array([1.0, e]) / _SQ2
+        fidelity += (psi.conj() @ rho_m @ psi).real
+    return fidelity

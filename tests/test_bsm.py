@@ -36,6 +36,19 @@ class TestConfigs:
         assert chan.n_p == pytest.approx(0.02 / 124, rel=1e-15)
         assert chan.p_ab == pytest.approx((0.02 / 124) ** 2, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "n_p, eta", [(0.02 / 124, 0.423), (0.3, 0.5), (1.0, 0.423), (0.5, 0.0)]
+    )
+    def test_scatter_probability_is_an_unseen_scatter_given_no_herald(self, n_p, eta):
+        # A slot heralds with n_p eta, scatters unseen with n_p (1 - eta),
+        # and stays dark with 1 - n_p.
+        scatter, dark = n_p * (1.0 - eta), 1.0 - n_p
+        r = ChannelConfig(n_p=n_p).scatter_probability(eta)
+        assert r == pytest.approx(scatter / (scatter + dark), rel=1e-15)
+
+    def test_scatter_probability_where_every_slot_heralds(self):
+        assert ChannelConfig(n_p=1.0).scatter_probability(1.0) == 0.0
+
     @pytest.mark.parametrize("n_p", [1.5, -0.1, math.nan])
     def test_channel_rejects_slot_load_outside_unit_interval(self, n_p):
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import oracles
+from heralded import heralded_fidelity
 from oracles import SX, coherence_of, dephase, rho_of
 from memqkd import bsm
 from memqkd.bsm import LABEL_PHASE, ChannelConfig, SequenceConfig, run_memory_cycles
@@ -19,7 +21,6 @@ from memqkd.qubits import (
     measure_x,
     prepare_superposition,
     reflect_and_herald,
-    spin_photon_fidelity,
 )
 
 
@@ -400,28 +401,58 @@ class TestReadout:
 
 
 class TestSpinPhotonFidelity:
+    """The heralded fidelity of `heralded`, read on the Y basis as it is calibrated."""
+
+    # NoiseParams() is the noise of the fig4-point-N124 preset.
+    N = SequenceConfig().n_qubits
+
     def test_ideal_node_is_perfect(self):
-        assert spin_photon_fidelity(NoiseParams.ideal(), 0.0) == 1.0
-        assert spin_photon_fidelity(NoiseParams.ideal(), 0.5) == 1.0
+        for n_m in (0.0, 0.5):
+            values = heralded_fidelity(NoiseParams.ideal(), self.N, n_m, LABEL_PHASE)
+            assert values.tolist() == [1.0] * 8
 
     def test_calibrated_operating_point(self):
-        f = spin_photon_fidelity(NoiseParams(), 0.002)
+        f = heralded_fidelity(NoiseParams(), self.N, 0.002)
         assert f >= 0.944
         assert f == pytest.approx(0.944, abs=0.01)
 
     def test_monotone_decreasing_in_photon_load(self):
-        noise = NoiseParams()
         grid = [0.002, 0.01, 0.05, 0.1, 0.2]
-        values = [spin_photon_fidelity(noise, n) for n in grid]
+        values = [heralded_fidelity(NoiseParams(), self.N, n) for n in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_monotone_decreasing_in_leakage(self):
         values = [
-            spin_photon_fidelity(NoiseParams(eps_leak=e), 0.01)
+            heralded_fidelity(NoiseParams(eps_leak=e), self.N, 0.01)
             for e in (0.0, 0.1, 0.2, 0.4)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_rejects_negative_load(self):
-        with pytest.raises(ValueError):
-            spin_photon_fidelity(NoiseParams(), -0.1)
+    def test_fully_dephased_at_one_photon_per_slot(self):
+        # n_p = 1: every slot without a herald scatters, and each scatter
+        # fully dephases, so D = 0 and no basis keeps any fidelity.
+        values = heralded_fidelity(NoiseParams(), self.N, float(self.N), LABEL_PHASE)
+        assert values.tolist() == [0.5] * 8
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eps=st.floats(0.0, 1.0),
+        p=st.floats(0.0, 0.5),
+        eta=st.floats(0.0, 1.0),
+        n_pi=st.integers(1, 252),
+        load=st.floats(0.0, 1.0),
+    )
+    def test_lies_between_dephased_and_pure_on_every_basis(self, eps, p, eta, n_pi, load):
+        noise = NoiseParams(eps_leak=eps, p_scatter_dephase=p, eta_detect=eta)
+        n = SequenceConfig(n_pi=n_pi).n_qubits
+        values = heralded_fidelity(noise, n, load * n, LABEL_PHASE)
+        # The sum over m rounds: on the X basis F can land an ulp above 1.
+        assert ((0.5 - 1e-15 <= values) & (values <= 1.0 + 1e-15)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(eps=st.floats(0.0, 1.0), label=st.integers(0, 7), load=st.floats(0.0, 1.0))
+    def test_equals_the_density_matrix_oracle(self, eps, label, load):
+        noise, phase = NoiseParams(eps_leak=eps), LABEL_PHASE[label]
+        got = heralded_fidelity(noise, self.N, load * self.N, phase)
+        want = oracles.heralded_fidelity_by_density_matrix(noise, self.N, load * self.N, phase)
+        assert abs(got - want) <= 1e-13
