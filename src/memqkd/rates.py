@@ -2,7 +2,7 @@
 
 The QBER posterior is the truncated Beta of the pooled sifted counts,
 Beta(errors + 1, sifted - errors + 1) on [0, 1/2], with an exact CDF.
-Each rate ratio has one definition, in `build_report`: the secure rate
+Each rate ratio has one definition, on `KeyRateReport`: the secure rate
 over the bound, with the measured sifted rate when a session is given and
 the analytic one otherwise; its confidence level is the posterior
 probability that this same ratio exceeds one.
@@ -53,20 +53,14 @@ def secret_fraction(qber: float) -> float:
     return 0.0 if r < 0 else r
 
 
-def _secret_fraction_slope(qber: float) -> float:
-    """d r_s / dE below QBER_INDIVIDUAL_LIMIT, from h'(x) = log2((1 - x) / x)."""
-    root = math.sqrt(qber * (1.0 - qber))
-    return (math.log2((0.5 - root) / (0.5 + root)) * (0.5 - qber) / root
-            - math.log2((1.0 - qber) / qber))
-
-
-def _solve(fn: Callable, target: float, x: float, lo: float, hi: float, tol: float) -> float:
+def _solve(fn: Callable, target: float, x: float, lo: float, hi: float, tol: float = 0.0) -> float:
     """The x in [lo, hi] where the increasing fn(x) equals target.
 
     fn(x) returns (value, slope, bend), bend being the slope's logarithmic
     derivative. Steps are Halley's (Newton's for bend 0); one that would
     leave the shrinking bracket bisects it. The first x whose value lies
-    within `tol` of the target returns after one more step.
+    within `tol` of the target returns after one more step. A zero slope
+    bisects until the midpoint stops moving, to float resolution.
     """
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
@@ -224,18 +218,18 @@ def sifted_enhancement(eta: float, n_pi: int, n_sub: int) -> float:
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Secret-key rates, bound ratios and confidence levels, stored per
-    channel use; each per-occupancy value is half of it, against the same
-    per-use bounds. A confidence level is computed on its first read, from
-    the posterior and the per-use bound, and is None without a posterior."""
+    """Secret-key rates and the bounds they are held to, stored per channel
+    use; each per-occupancy value is half of it, against the same per-use
+    bounds. The ratios are derived, not stored: R/Rmax and R/PLOB are the
+    secure rate over `r_max` and over `plob` (nan against a zero bound). A
+    confidence level is computed on its first read, from the posterior and
+    the per-use bound, and is None without a posterior."""
 
     qber_ml: float
     qber_low: float
     qber_high: float
     r_s: float
     sifted_per_use: float
-    ratio_rmax_per_use: float
-    ratio_plob_per_use: float
     r_max: float
     plob: float
     posterior: Optional[TruncatedBeta] = field(repr=False, compare=False)
@@ -255,6 +249,14 @@ class KeyRateReport:
     @property
     def secure_per_use(self) -> float:
         return self.r_s * self.sifted_per_use
+
+    @property
+    def ratio_rmax_per_use(self) -> float:
+        return self.secure_per_use / self.r_max if self.r_max > 0 else math.nan
+
+    @property
+    def ratio_plob_per_use(self) -> float:
+        return self.secure_per_use / self.plob if self.plob > 0 else math.nan
 
     @property
     def sifted_per_occupancy(self) -> float:
@@ -283,29 +285,25 @@ def _confidence(posterior: TruncatedBeta, rs_needed: float) -> float:
         return 0.0
 
     def rising(e: float) -> tuple[float, float, float]:
-        return -secret_fraction(e), -_secret_fraction_slope(e), 0.0
+        return -secret_fraction(e), 0.0, 0.0
 
-    return posterior.cdf(
-        _solve(rising, -rs_needed, posterior.ml, 0.0, QBER_INDIVIDUAL_LIMIT, 1e-13))
+    return posterior.cdf(_solve(rising, -rs_needed, posterior.ml, 0.0, QBER_INDIVIDUAL_LIMIT))
 
 
 def build_report(source: Union[float, SessionReport], cfg: ScenarioConfig) -> KeyRateReport:
-    """Assemble the rate report; the only definition of each rate ratio.
+    """Assemble the rate report.
 
     `source` is an error rate (the analytic report) or a session report,
     whose sifted counts give the QBER posterior: its ML point and 68.2%
     interval here, and the confidence levels only when they are read
     (`KeyRateReport`), since no CSV row holds one. The bounds take p_AB from
-    the channel of scenario `cfg` and its basis bias. The sifted rate per
-    use is the session's, or else the analytic one, sifted_enhancement of
-    the scenario's eta_detect and pulse layout times the direct bound per
-    occupancy. The secure rate is r_s times the sifted rate; R/Rmax and
-    R/PLOB divide it by `rate_direct_bound` and by the linear PLOB bound,
-    both per use (nan against a zero bound), so the analytic
-    ratio_rmax_per_use is 2 * sifted_enhancement * r_s. The confidence
-    against a bound is the posterior probability that this same ratio
-    exceeds one. Without sifted key the error rate, and every secure rate
-    built on it, is unknown (nan) rather than perfect.
+    the channel of scenario `cfg` and its basis bias: `rate_direct_bound`
+    and the linear PLOB bound, both per use. The sifted rate per use is the
+    session's, or else the analytic one, sifted_enhancement of the
+    scenario's eta_detect and pulse layout times the direct bound per
+    occupancy, so the analytic ratio_rmax_per_use is
+    2 * sifted_enhancement * r_s. Without sifted key the error rate, and
+    every secure rate built on it, is unknown (nan) rather than perfect.
     """
     p_ab = cfg.channel().p_ab
     r_max = rate_direct_bound(p_ab, cfg.parties.basis_bias)
@@ -321,13 +319,7 @@ def build_report(source: Union[float, SessionReport], cfg: ScenarioConfig) -> Ke
         seq = cfg.sequence
         sifted_use = 2.0 * sifted_enhancement(cfg.noise.eta_detect, seq.n_pi, seq.n_sub) * r_max
         e_ml = e_low = e_high = float(source)
-    r_s = secret_fraction(e_ml)
-
-    def ratio(bound: float) -> float:
-        return r_s * sifted_use / bound if bound > 0 else math.nan
-
     return KeyRateReport(
-        qber_ml=e_ml, qber_low=e_low, qber_high=e_high, r_s=r_s, sifted_per_use=sifted_use,
-        ratio_rmax_per_use=ratio(r_max), ratio_plob_per_use=ratio(plob),
-        r_max=r_max, plob=plob, posterior=posterior,
+        qber_ml=e_ml, qber_low=e_low, qber_high=e_high, r_s=secret_fraction(e_ml),
+        sifted_per_use=sifted_use, r_max=r_max, plob=plob, posterior=posterior,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -18,7 +19,13 @@ from memqkd.rates import (
     secret_fraction,
     sifted_enhancement,
 )
-from memqkd.session import PartyConfig, SessionReport, simulate_session
+from memqkd.session import (
+    PartyConfig,
+    SessionReport,
+    _herald_count_pmf,
+    coincidence_cell_probabilities,
+    simulate_session,
+)
 from oracles import TruncatedBetaOracle
 
 # The benchmark operating point: N = 124 slots as 62 x 2 at n_m = 0.02, so
@@ -355,3 +362,50 @@ class TestKeyRateReport:
         report = build_report(0.2, BENCHMARK)
         assert report.r_s == 0.0
         assert report.secure_per_use == 0.0
+
+    def test_ratios_are_derived_from_the_stored_bounds(self):
+        report = build_report(0.09, BENCHMARK)
+        moved = dataclasses.replace(report, r_max=2 * report.r_max, plob=0.0)
+        assert moved.ratio_rmax_per_use == report.secure_per_use / (2 * report.r_max)
+        assert math.isnan(moved.ratio_plob_per_use) and math.isnan(moved.ratio_plob_per_occupancy)
+
+    def test_analytic_sifted_rate_against_the_exact_fig4_expectation(self):
+        # Exact: the two-herald share of cycles times the X/X + Y/Y mass of
+        # the coincidence cells, per use of the N/2 uses in a cycle. The
+        # paper's pair factor leaves some herald pairs out, so the analytic
+        # rate sits 3.3% low at the fig4 point.
+        cfg = load_preset("fig4-point-N124")
+        seq, chan = cfg.sequence, cfg.channel()
+        pmf = _herald_count_pmf(seq.n_qubits, chan.n_p * cfg.noise.eta_detect)
+        pi = coincidence_cell_probabilities(seq, chan, cfg.parties, cfg.noise)
+        sifted_mass = pi[0, 0, :, 0].sum() + pi[0, 1, :, 1].sum()
+        exact = pmf[2] / pmf.sum() * sifted_mass / (seq.n_qubits / 2)
+        analytic = build_report(0.11, cfg).sifted_per_use
+        assert exact == pytest.approx(2.8389e-7, rel=1e-4)
+        assert analytic == pytest.approx(2.7478e-7, rel=1e-4)
+        assert exact / analytic == pytest.approx(1.03317, abs=1e-4)
+
+
+def bisected_crossing(rs_needed: float) -> float:
+    """The E where secret_fraction falls through rs_needed, bisected until
+    the midpoint stops moving."""
+    lo, hi = 0.0, QBER_INDIVIDUAL_LIMIT
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        lo, hi = (mid, hi) if secret_fraction(mid) > rs_needed else (lo, mid)
+
+
+@pytest.mark.parametrize("errors,sifted", [
+    (20, 175), (207, 1760), (2079, 17746), (20276, 176040), (202765, 1760401),
+    (2_027_649, 17_604_014),
+])
+def test_confidence_crossing_reaches_float_resolution(errors, sifted):
+    # One ulp of E moves the CDF by the posterior density times about
+    # 1.4e-17, at most about 2e-15 on these points; a solve that stops at
+    # a tolerance on r_s or on E misses by far more.
+    post = TruncatedBeta(errors, sifted)
+    for rs_needed in (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7):
+        expected = post.cdf(bisected_crossing(rs_needed))
+        assert rates._confidence(post, rs_needed) == pytest.approx(expected, abs=1e-14), rs_needed
