@@ -123,7 +123,15 @@ def parse_config(text: str) -> ScenarioConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+        # configparser's own messages span lines and call the text '<string>'.
+        lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+        problem = {
+            configparser.MissingSectionHeaderError: "comes before any [section] header",
+            configparser.DuplicateSectionError: "repeats a section",
+            configparser.DuplicateOptionError: "repeats a key of its section",
+        }.get(type(exc), "is neither a [section] header nor a key = value line")
+        line = text.split("\n")[lineno - 1].strip()
+        raise ConfigError(f"malformed config: line {lineno} {line!r} {problem}") from exc
 
     # Each key's type is that of its default value.
     entries = _sections(default_config())

@@ -315,14 +315,22 @@ class TestSimulate:
             b"[sequence]\ndelta_t_ns = inf\n",
             b"[cavity]\neta_c = 0.93\n",
             b"\xff\xfe[noise]",
+            b"[noise\neps_leak = 0.1\n",
+            b"n_m = 0.1\n[channel]\n",
+            b"[noise]\neps_leak\n  = 0.1\n",
+            b"[noise]\np_mw = 0.1\np_mw = 0.2\n",
         ],
         ids=["n_m-above-N", "eps_leak-nan", "n_pi-huge", "readout_s-nan", "lock_s-inf",
-             "pi_time-negative", "delta_t-inf", "cavity-section", "undecodable"],
+             "pi_time-negative", "delta_t-inf", "cavity-section", "undecodable",
+             "unclosed-section", "key-before-section", "indented-continuation",
+             "duplicate-key"],
     )
-    def test_unusable_config_value_is_config_error(self, tmp_path, text):
+    def test_unusable_config_value_is_config_error(self, tmp_path, text, capsys):
         path = tmp_path / "bad.cfg"
         path.write_bytes(text)
         assert run(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     def test_internal_value_error_is_not_a_config_error(self, qkd_config, monkeypatch):
         def broken(*args, **kwargs):
@@ -480,6 +488,8 @@ class TestSweep:
         ("N", "124,125", "N=125 is not a multiple of n_sub=2"),
         ("N", "124,1.5", "N values must be positive integers, got 1.5"),
         ("n_m", "0.02,-1", "n_m values must be positive, got -1.0"),
+        ("n_m", "0.02,abc",
+         "bad sweep values '0.02,abc': could not convert string to float: 'abc'"),
     ])
     def test_bad_later_point_runs_no_session(self, axis, values, message, monkeypatch,
                                              tmp_path, capsys):

@@ -1,4 +1,6 @@
+import configparser
 import dataclasses
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -39,9 +41,42 @@ def test_expected_presets_exist():
     assert "fig3-chsh-qber11" in names
 
 
+def _entries(text: str) -> dict[tuple[str, str], str]:
+    """Each (section, key) a scenario text sets, with its raw value."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return {
+        (section, key): raw for section in parser.sections() for key, raw in parser.items(section)
+    }
+
+
+def _preset_text(name: str) -> str:
+    return resources.files("memqkd.presets").joinpath(f"{name}.cfg").read_text()
+
+
 def test_presets_carry_explicit_seeds():
     for name in list_presets():
-        assert load_preset(name).seed is not None
+        assert ("run", "seed") in _entries(_preset_text(name))
+
+
+@pytest.mark.parametrize("name", list_presets())
+def test_presets_set_only_what_differs_from_the_default(name):
+    # Every other key takes its value from default_config(), so a calibrated
+    # constant is written once. Serialization is canonical: two values are
+    # equal exactly when their serialized texts are.
+    default = _entries(serialize_config(default_config()))
+    preset = _entries(serialize_config(load_preset(name)))
+    restated = [key for key in _entries(_preset_text(name)) if preset[key] == default[key]]
+    assert restated == []
+
+
+def test_fig4_preset_is_the_default_scenario_with_one_transmitter():
+    default = default_config()
+    assert load_preset("fig4-point-N124") == default.replace(
+        parties=dataclasses.replace(default.parties, assignment="single"),
+        cycles=10**9,
+        seed=41,
+    )
 
 
 def test_unknown_section_rejected():
@@ -69,6 +104,21 @@ def test_downstream_invariants_revalidated():
         parse_config("[run]\ncycles = 0\n")
     with pytest.raises(ConfigError):
         parse_config("[parties]\nmode = banana\n")
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("[noise\neps_leak = 0.1\n", "line 1 '[noise' comes before any [section] header"),
+    ("n_m = 0.1\n[channel]\n", "line 1 'n_m = 0.1' comes before any [section] header"),
+    ("[noise]\neps_leak\n  = 0.1\n",
+     "line 2 'eps_leak' is neither a [section] header nor a key = value line"),
+    ("[noise]\np_mw = 0.1\np_mw = 0.2\n", "line 3 'p_mw = 0.2' repeats a key of its section"),
+    ("[run]\n\n[run]\n", "line 3 '[run]' repeats a section"),
+], ids=["unclosed-section", "key-before-section", "indented-continuation", "duplicate-key",
+        "duplicate-section"])
+def test_malformed_config_names_its_first_bad_line(text, problem):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == f"malformed config: {problem}"
 
 
 def test_cavity_section_rejected():

@@ -3,10 +3,11 @@
 `golden/outputs.json` is the one list of CLI commands the project checks.
 It holds, for each command, its argv, the input files it reads and the
 SHA-256 of its stdout, its stderr and each file it writes, with its exit
-code. The commands are the CLI edge cases and exit-2 cases, the presets at
-their own cycle counts, `sweep` along both axes on each preset and the
-benchmark's sweep and Bell-test argvs for workload seeds 1-12. Each one is
-replayed in-process through `memqkd.cli.run`. A new CLI edge case is added
+code. The commands are the CLI edge cases and exit-2 cases, `simulate` on
+the default scenario, the presets at their own cycle counts, `sweep` along
+both axes on each preset and the benchmark's sweep and Bell-test argvs for
+workload seeds 1-12. Each one is replayed in-process through
+`memqkd.cli.run`. A new CLI edge case is added
 here; CI's console-script step keeps only what an installed process alone
 shows: the entry point, the pipe closes and the exit status.
 
