@@ -119,7 +119,8 @@ def _convert(section: str, key: str, raw: str, kind: type):
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    # default_section="" makes [DEFAULT] an ordinary, and so unknown, section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -177,7 +178,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 def load_config(path: Union[str, Path]) -> ScenarioConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a byte-order mark
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)

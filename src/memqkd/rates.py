@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .config import ScenarioConfig
 from .session import SessionReport
@@ -51,31 +51,6 @@ def secret_fraction(qber: float) -> float:
         raise ValueError("secret_fraction requires QBER in [0, 1/2]")
     r = binary_entropy(0.5 + math.sqrt(qber * (1.0 - qber))) - binary_entropy(qber)
     return 0.0 if r < 0 else r
-
-
-def _solve(fn: Callable, target: float, x: float, lo: float, hi: float, tol: float = 0.0) -> float:
-    """The x in [lo, hi] where the increasing fn(x) equals target.
-
-    fn(x) returns (value, slope, bend), bend being the slope's logarithmic
-    derivative. Steps are Halley's (Newton's for bend 0); one that would
-    leave the shrinking bracket bisects it. The first x whose value lies
-    within `tol` of the target returns after one more step. A zero slope
-    bisects until the midpoint stops moving, to float resolution.
-    """
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    while True:
-        value, slope, bend = fn(x)
-        lo, hi = (x, hi) if value < target else (lo, x)
-        step = (target - value) / slope if slope > 0 else math.nan
-        new = x + step / (1.0 + 0.5 * step * bend)
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-        elif abs(target - value) <= tol:
-            return new
-        if new == x:
-            return x
-        x = new
 
 
 def _log_front(x: float, a: int, b: int) -> float:
@@ -155,20 +130,31 @@ class TruncatedBeta:
         return min(math.exp(_log_ibeta(x, self.a, self.b)[0] - self._log_mass), 1.0)
 
     def quantile(self, p: float, guess: float = 0.25) -> float:
-        """The QBER below which the posterior holds probability p; the
-        search for it starts at `guess`."""
+        """The QBER below which the posterior holds probability p: Halley
+        steps on the CDF from `guess` (1/4 if it lies outside the bracket
+        (0, 1/2)), each evaluated point shrinking the bracket and a step that
+        would leave it bisecting it instead. The step from the first point
+        whose CDF lies within 1e-4 min(p, 1 - p) of p is returned."""
         if not 0 < p < 1:
             return 0.0 if p <= 0 else 0.5
         a, b, log_mass = self.a, self.b, self._log_mass
-
-        def cdf_density_bend(x: float) -> tuple[float, float, float]:
-            # `cdf` on the bracket (0, 1/2], sharing its front with the density.
+        lo, hi = 0.0, 0.5
+        x = guess if lo < guess < hi else 0.25
+        while True:
             log_ibeta, front = _log_ibeta(x, a, b)
-            log_density = front - math.log(x) - math.log1p(-x) - log_mass
-            return (min(math.exp(log_ibeta - log_mass), 1.0), math.exp(log_density),
-                    (a - 1) / x - (b - 1) / (1.0 - x))
-
-        return _solve(cdf_density_bend, p, guess, 0.0, 0.5, 1e-4 * min(p, 1.0 - p))
+            cdf = min(math.exp(log_ibeta - log_mass), 1.0)
+            density = math.exp(front - math.log(x) - math.log1p(-x) - log_mass)
+            bend = (a - 1) / x - (b - 1) / (1.0 - x)  # the density's log-derivative
+            lo, hi = (x, hi) if cdf < p else (lo, x)
+            step = (p - cdf) / density if density > 0 else math.nan
+            new = x + step / (1.0 + 0.5 * step * bend)
+            if not lo < new < hi:
+                new = 0.5 * (lo + hi)
+            elif abs(p - cdf) <= 1e-4 * min(p, 1.0 - p):
+                return new
+            if new == x:
+                return x
+            x = new
 
     def interval(self) -> tuple[float, float]:
         """68.2% credible interval: 34.1% each side of the ML point, any
@@ -279,15 +265,18 @@ def _confidence(posterior: TruncatedBeta, rs_needed: float) -> float:
     """Posterior probability that the secret fraction exceeds rs_needed.
 
     r_s falls strictly from 1 at E = 0 to 0 at QBER_INDIVIDUAL_LIMIT, so
-    r_s(E) > rs_needed exactly below the E* where r_s(E*) = rs_needed.
+    r_s(E) > rs_needed exactly below the E* where r_s(E*) = rs_needed. E*
+    is bisected on [0, QBER_INDIVIDUAL_LIMIT] until the midpoint stops
+    moving, and the posterior CDF is read there.
     """
     if not 0 < rs_needed < 1:
         return 0.0
-
-    def rising(e: float) -> tuple[float, float, float]:
-        return -secret_fraction(e), 0.0, 0.0
-
-    return posterior.cdf(_solve(rising, -rs_needed, posterior.ml, 0.0, QBER_INDIVIDUAL_LIMIT))
+    lo, hi = 0.0, QBER_INDIVIDUAL_LIMIT
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return posterior.cdf(mid)
+        lo, hi = (mid, hi) if secret_fraction(mid) > rs_needed else (lo, mid)
 
 
 def build_report(source: Union[float, SessionReport], cfg: ScenarioConfig) -> KeyRateReport:

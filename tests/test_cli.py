@@ -319,11 +319,16 @@ class TestSimulate:
             b"n_m = 0.1\n[channel]\n",
             b"[noise]\neps_leak\n  = 0.1\n",
             b"[noise]\np_mw = 0.1\np_mw = 0.2\n",
+            b"[DEFAULT]\np_mw = 0.3\n",
+            b"[parties]\nassignment = both\n",
+            b"[sequence]\nn_pi = 0\n",
+            b"[timing]\nlock_s = 0.2\nblock_s = 0\n",
         ],
         ids=["n_m-above-N", "eps_leak-nan", "n_pi-huge", "readout_s-nan", "lock_s-inf",
              "pi_time-negative", "delta_t-inf", "cavity-section", "undecodable",
              "unclosed-section", "key-before-section", "indented-continuation",
-             "duplicate-key"],
+             "duplicate-key", "default-section", "assignment-both", "n_pi-zero",
+             "block_s-zero"],
     )
     def test_unusable_config_value_is_config_error(self, tmp_path, text, capsys):
         path = tmp_path / "bad.cfg"

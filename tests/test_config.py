@@ -12,6 +12,7 @@ from memqkd.config import (
     ScenarioConfig,
     default_config,
     list_presets,
+    load_config,
     load_preset,
     parse_config,
     serialize_config,
@@ -87,6 +88,14 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError):
         parse_config("[noise]\neps_leak = 0.1\nflux_capacitance = 3\n")
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    text = b"[noise]\np_mw = 0.1\n"
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "marked.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+    marked = load_config(tmp_path / "marked.cfg")
+    assert marked == load_config(tmp_path / "plain.cfg") and marked.noise.p_mw == 0.1
 
 
 def test_partial_config_keeps_defaults():

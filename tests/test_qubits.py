@@ -150,6 +150,10 @@ class TestStatePreparation:
         measure_x(block, 0.9998, rng)
         assert np.array_equal(block, before)
 
+    def test_readout_rejects_bad_fidelity(self):
+        with pytest.raises(ValueError, match="f_readout must lie in"):
+            measure_x(prepare_superposition(), 1.5, np.random.default_rng(0))
+
 
 class TestPhysicalityCheck:
     @settings(max_examples=300, deadline=None)

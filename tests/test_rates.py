@@ -244,6 +244,11 @@ class TestBounds:
         for p in (1e-4, 1e-6, 1e-8):
             assert -math.log2(1.0 - p) / plob_bound(p) == pytest.approx(1.0, abs=2e-3)
 
+    def test_direct_bound_domain(self):
+        for args in ((1.5,), (0.5, 1.5)):
+            with pytest.raises(ValueError):
+                rate_direct_bound(*args)
+
     def test_plob_domain(self):
         for p in (1.0 + 1e-12, -1e-12, math.nan):
             with pytest.raises(ValueError):
@@ -264,6 +269,11 @@ class TestSiftedEnhancement:
     def test_rejects_too_few_pulses(self):
         with pytest.raises(ValueError):
             sifted_enhancement(0.4, 2, 1)
+
+    @pytest.mark.parametrize("eta,n_sub", [(1.5, 2), (0.4, 0)])
+    def test_rejects_eta_or_n_sub_out_of_range(self, eta, n_sub):
+        with pytest.raises(ValueError):
+            sifted_enhancement(eta, 62, n_sub)
 
 
 class TestKeyRateReport:

@@ -799,3 +799,15 @@ class TestValidation:
         seq = SequenceConfig(n_pi=4, n_sub=2)
         with pytest.raises(ValueError):
             ChannelConfig.from_mean_photons(10.0, seq.n_qubits)  # n_p > 1
+
+    @pytest.mark.parametrize("call", [
+        lambda: simulate_session(SEQ124, ChannelConfig(n_p=0.01), PartyConfig(), NoiseParams(),
+                                 1, seed=0, engine="slow"),
+        lambda: chsh_statistic(CoincidenceTally(), 0),
+        lambda: coincidence_cell_probabilities(SequenceConfig(n_pi=1, n_sub=1),
+                                               ChannelConfig(n_p=0.01), PartyConfig(), NoiseParams()),
+        lambda: ChannelConfig.from_mean_photons(0.0, 0),
+    ], ids=["unknown-engine", "parity-0", "one-slot-sequence", "no-slots"])
+    def test_rejects_out_of_range_arguments(self, call):
+        with pytest.raises(ValueError):
+            call()
