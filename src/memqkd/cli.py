@@ -34,7 +34,7 @@ from .config import (
     load_config,
     load_preset,
 )
-from .rates import KeyRateReport, build_report
+from .rates import KeyRateReport, build_report, build_reports
 from .session import EmptyCellError, chsh_statistic, simulate_session, truth_table_rows
 
 _FLOAT_FMT = "%.9g"
@@ -106,9 +106,11 @@ def _run_session(cfg: ScenarioConfig):
     )
 
 
-def _session_row(cfg: ScenarioConfig, report) -> tuple[dict, KeyRateReport]:
+def _session_row(
+    cfg: ScenarioConfig, report, rates: Optional[KeyRateReport] = None
+) -> tuple[dict, KeyRateReport]:
     chan = cfg.channel()
-    rates = build_report(report, cfg)
+    rates = build_report(report, cfg) if rates is None else rates
     row = {
         "N": cfg.sequence.n_qubits,
         "n_m": cfg.n_m,
@@ -198,10 +200,11 @@ def _cmd_sweep(args) -> int:
                 raise ConfigError(f"n_m values must be positive, got {value}")
             swept = {"n_m": value}
         points.append(cfg.replace(seed=cfg.seed + index, **swept))
+    sessions = [_run_session(point)[1] for point in points]
     rows = []
-    for point in points:
-        _, report = _run_session(point)
-        row, _ = _session_row(point, report)
+    # One call builds every point's report, so the posteriors are solved together.
+    for point, report, rates in zip(points, sessions, build_reports(zip(sessions, points))):
+        row, _ = _session_row(point, report, rates)
         rows.append({c: row[_SWEEP_SOURCE.get(c, c)] for c in SWEEP_COLUMNS})
     _write_csv(args.out, SWEEP_COLUMNS, rows)
     return 0

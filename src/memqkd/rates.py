@@ -2,6 +2,8 @@
 
 The QBER posterior is the truncated Beta of the pooled sifted counts,
 Beta(errors + 1, sifted - errors + 1) on [0, 1/2], with an exact CDF.
+`build_reports` solves many posteriors' intervals together, with the
+same floats as one at a time.
 Each rate ratio has one definition, on `KeyRateReport`: the secure rate
 over the bound, with the measured sifted rate when a session is given and
 the analytic one otherwise; its confidence level is the posterior
@@ -20,7 +22,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .config import ScenarioConfig
 from .session import SessionReport
@@ -74,45 +78,110 @@ def _log_front(x: float, a: int, b: int) -> float:
             + 0.5 * math.log(a * b / (2.0 * math.pi * (a + b))))
 
 
-def _log_ibeta(x: float, a: int, b: int) -> tuple[float, float]:
-    """log I_x(a, b), the regularized incomplete beta, for 0 < x < 1, and
-    the log front, `_log_front(x, a, b)`.
+# A round of `_log_ibetas` with at least this many points sums their
+# continued fractions as one numpy loop; a smaller one sums them one by one.
+_BATCH_MIN = 128
+_TINY = 1e-300  # stands in for an exactly zero Lentz denominator
 
-    I_x(a, b) = front * cf / a, with the continued fraction cf summed by
-    the modified Lentz method; it converges in O(sqrt(a + b)) steps at
-    worst for x < (a + 1) / (a + b + 2), so above that point the upper
-    tail 1 - I_x(a, b) = I_(1-x)(b, a) is summed instead.
-    """
-    upper = x >= (a + 1.0) / (a + b + 2.0)
-    front = _log_front(x, a, b)
-    # Float (not integer) arithmetic makes the loop about 40% faster.
-    x, a, b = (1.0 - x, float(b), float(a)) if upper else (x, float(a), float(b))
-    tiny = 1e-300  # stands in for an exactly zero denominator
-    c, d = 1.0, 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or tiny)
-    cf, m = d, 0.0
+
+def _lentz(x: float, a: float, b: float, state: Optional[tuple] = None) -> float:
+    """The continued fraction of I_x(a, b), summed by the modified Lentz
+    method until a step moves it by less than 1e-15 relative; from the
+    start, or on from `state` = (m, c, d, cf), a sum that stopped after
+    step m."""
+    if state is None:
+        d = 1.0 / ((1.0 - (a + b) * x / (a + 1.0)) or _TINY)
+        state = 0.0, 1.0, d, d
+    m, c, d, cf = state
     while abs(d * c - 1.0) >= 1e-15:
         m += 1.0
         k = a + 2.0 * m
         num = m * (b - m) * x / ((k - 1) * k)
-        d = 1.0 / ((1.0 + num * d) or tiny)
-        c = (1.0 + num / c) or tiny
+        d = 1.0 / ((1.0 + num * d) or _TINY)
+        c = (1.0 + num / c) or _TINY
         cf *= d * c
         num = -(a + m) * (a + b + m) * x / (k * (k + 1))
-        d = 1.0 / ((1.0 + num * d) or tiny)
-        c = (1.0 + num / c) or tiny
+        d = 1.0 / ((1.0 + num * d) or _TINY)
+        c = (1.0 + num / c) or _TINY
         cf *= d * c
-    log_tail = front + math.log(cf / a)
-    return (math.log1p(-math.exp(log_tail)) if upper else log_tail), front
+    return cf
+
+
+def _lentz_lanes(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`_lentz` on each lane: the same correctly rounded operations in the
+    same order, each lane leaving the loop at its own stopping step, so each
+    lane's float is the scalar one whatever numpy's CPU dispatch. Once fewer
+    than `_BATCH_MIN` lanes are left, `_lentz` sums each on from its state."""
+    def nonzero(v: np.ndarray) -> np.ndarray:  # `v or _TINY` on each lane
+        return np.where(v == 0.0, _TINY, v)
+
+    out = np.empty_like(x)
+    lanes = np.arange(len(x))
+    c, d = np.ones_like(x), 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    cf, m = d, 0.0
+    while True:
+        going = abs(d * c - 1.0) >= 1e-15
+        if not going.all():
+            out[lanes[~going]] = cf[~going]
+            lanes, x, a, b, c, d, cf = (v[going] for v in (lanes, x, a, b, c, d, cf))
+            if len(lanes) < _BATCH_MIN:
+                break
+        m += 1.0
+        k = a + 2.0 * m
+        num = m * (b - m) * x / ((k - 1) * k)
+        d = 1.0 / nonzero(1.0 + num * d)
+        c = nonzero(1.0 + num / c)
+        cf = cf * (d * c)
+        num = -(a + m) * (a + b + m) * x / (k * (k + 1))
+        d = 1.0 / nonzero(1.0 + num * d)
+        c = nonzero(1.0 + num / c)
+        cf = cf * (d * c)
+    left = zip(*(v.tolist() for v in (lanes, x, a, b, c, d, cf)))
+    for lane, lane_x, lane_a, lane_b, *lane_cdcf in left:
+        out[lane] = _lentz(lane_x, lane_a, lane_b, (m, *lane_cdcf))
+    return out
+
+
+def _log_ibetas(points: Sequence[tuple[float, int, int]]) -> list[tuple[float, float]]:
+    """log I_x(a, b), the regularized incomplete beta, and the log front
+    `_log_front(x, a, b)` at each point (x, a, b), 0 < x < 1.
+
+    I_x(a, b) = front * cf / a, with the continued fraction cf of `_lentz`;
+    it converges in O(sqrt(a + b)) steps at worst for x < (a + 1) / (a + b
+    + 2), so above that point the upper tail 1 - I_x(a, b) = I_(1-x)(b, a)
+    is summed instead. At `_BATCH_MIN` points or more the continued
+    fractions run together (`_lentz_lanes`), with the same floats; the logs
+    and exps are `math` calls either way.
+    """
+    terms = []
+    for x, a, b in points:
+        upper = x >= (a + 1.0) / (a + b + 2.0)
+        # Float (not integer) arithmetic makes the loop about 40% faster.
+        terms.append((upper, _log_front(x, a, b),
+                      *((1.0 - x, float(b), float(a)) if upper else (x, float(a), float(b)))))
+    if len(terms) < _BATCH_MIN:
+        cfs = [_lentz(x, a, b) for _, _, x, a, b in terms]
+    else:
+        cfs = _lentz_lanes(*np.array([term[2:] for term in terms]).T).tolist()
+    logs = []
+    for (upper, front, _, a, _), cf in zip(terms, cfs):
+        log_tail = front + math.log(cf / a)
+        logs.append(((math.log1p(-math.exp(log_tail)) if upper else log_tail), front))
+    return logs
 
 
 class TruncatedBeta:
-    """Posterior of the average QBER on a uniform prior over [0, 1/2].
+    """Posterior of the pooled average of the X and Y error rates, on a
+    uniform prior over [0, 1/2].
 
-    A product of per-cell binomial likelihoods in one error rate E is the
-    binomial likelihood of the pooled counts, so the posterior is
+    The counts of both bases are pooled, as if every sifted key had one
+    error rate E: a product of per-cell binomial likelihoods in one E is
+    the binomial likelihood of the pooled counts, so the posterior is
     Beta(errors + 1, sifted - errors + 1) truncated to [0, 1/2], with ML
-    point min(errors / sifted, 1/2). The CDF I_x(a, b) / I_1/2(a, b) is
-    formed in log space, so it also holds where I_1/2 underflows.
+    point min(errors / sifted, 1/2). Where the bases' rates differ it
+    describes their average, weighted by the sifted counts, and not
+    either basis. The CDF I_x(a, b) / I_1/2(a, b) is formed in log space,
+    so it also holds where I_1/2 underflows.
     """
 
     def __init__(self, errors: int, sifted: int) -> None:
@@ -121,13 +190,20 @@ class TruncatedBeta:
                              f"sifted > 0, got {errors} errors of {sifted}")
         self.a, self.b = errors + 1, sifted - errors + 1
         self.ml = min(errors / sifted, 0.5)
-        self._log_mass = _log_ibeta(0.5, self.a, self.b)[0]
+
+    @functools.cached_property
+    def _log_mass(self) -> float:
+        """log I_1/2(a, b); `_intervals` sets it for many posteriors at once."""
+        return _log_ibetas([(0.5, self.a, self.b)])[0][0]
+
+    def _cdf_of(self, log_ibeta: float) -> float:
+        return min(math.exp(log_ibeta - self._log_mass), 1.0)
 
     def cdf(self, x: float) -> float:
         """Posterior probability that the QBER lies below x."""
         if not 0 < x < 0.5:
             return 0.0 if x <= 0 else 1.0
-        return min(math.exp(_log_ibeta(x, self.a, self.b)[0] - self._log_mass), 1.0)
+        return self._cdf_of(_log_ibetas([(x, self.a, self.b)])[0][0])
 
     def quantile(self, p: float, guess: float = 0.25) -> float:
         """The QBER below which the posterior holds probability p: Halley
@@ -135,33 +211,69 @@ class TruncatedBeta:
         (0, 1/2)), each evaluated point shrinking the bracket and a step that
         would leave it bisecting it instead. The step from the first point
         whose CDF lies within 1e-4 min(p, 1 - p) of p is returned."""
-        if not 0 < p < 1:
-            return 0.0 if p <= 0 else 0.5
-        a, b, log_mass = self.a, self.b, self._log_mass
-        lo, hi = 0.0, 0.5
-        x = guess if lo < guess < hi else 0.25
-        while True:
-            log_ibeta, front = _log_ibeta(x, a, b)
-            cdf = min(math.exp(log_ibeta - log_mass), 1.0)
+        return _quantiles([(self, p, guess)])[0]
+
+    def interval(self) -> tuple[float, float]:
+        """68.2% credible interval: 34.1% each side of the ML point, any
+        mass a domain edge cuts off one side spilling to the other."""
+        return _intervals([self])[0]
+
+
+def _quantiles(searches: Sequence[tuple[TruncatedBeta, float, float]]) -> list[float]:
+    """`TruncatedBeta.quantile` of each (posterior, p, guess), the searches
+    run in lockstep: each round evaluates the CDF at every unfinished
+    search's next point in one `_log_ibetas` call."""
+    found, pending = {}, {}
+    for i, (_, p, guess) in enumerate(searches):
+        if 0 < p < 1:
+            pending[i] = 0.0, 0.5, guess if 0.0 < guess < 0.5 else 0.25
+        else:
+            found[i] = 0.0 if p <= 0 else 0.5
+    while pending:
+        current = list(pending.items())
+        points = [(x, searches[i][0].a, searches[i][0].b) for i, (_, _, x) in current]
+        for (i, (lo, hi, x)), (log_ibeta, front) in zip(current, _log_ibetas(points)):
+            post, p, _ = searches[i]
+            a, b, log_mass = post.a, post.b, post._log_mass
+            cdf = post._cdf_of(log_ibeta)
             density = math.exp(front - math.log(x) - math.log1p(-x) - log_mass)
             bend = (a - 1) / x - (b - 1) / (1.0 - x)  # the density's log-derivative
             lo, hi = (x, hi) if cdf < p else (lo, x)
             step = (p - cdf) / density if density > 0 else math.nan
             new = x + step / (1.0 + 0.5 * step * bend)
+            converged = lo < new < hi and abs(p - cdf) <= 1e-4 * min(p, 1.0 - p)
             if not lo < new < hi:
                 new = 0.5 * (lo + hi)
-            elif abs(p - cdf) <= 1e-4 * min(p, 1.0 - p):
-                return new
-            if new == x:
-                return x
-            x = new
+            if converged or new == x:
+                found[i] = new
+                del pending[i]
+            else:
+                pending[i] = lo, hi, new
+    return [found[i] for i in range(len(searches))]
 
-    def interval(self) -> tuple[float, float]:
-        """68.2% credible interval: 34.1% each side of the ML point, any
-        mass a domain edge cuts off one side spilling to the other."""
-        low = min(max(self.cdf(self.ml) - 0.341, 0.0), 1.0 - 0.682)
-        sigma = math.sqrt(self.a * self.b / (self.a + self.b + 1.0)) / (self.a + self.b)
-        return self.quantile(low, self.ml - sigma), self.quantile(low + 0.682, self.ml + sigma)
+
+def _intervals(posteriors: Sequence[TruncatedBeta]) -> list[tuple[float, float]]:
+    """`TruncatedBeta.interval` of each posterior: one round evaluates every
+    mass and every CDF at an ML point inside (0, 1/2), then `_quantiles`
+    finds both ends of every interval in lockstep."""
+    inner = [post for post in posteriors if 0 < post.ml < 0.5]
+    logs = _log_ibetas([(0.5, post.a, post.b) for post in posteriors]
+                       + [(post.ml, post.a, post.b) for post in inner])
+    for post, (log_mass, _) in zip(posteriors, logs):
+        post._log_mass = log_mass
+    log_at_ml = iter(logs[len(posteriors):])
+    searches = []
+    for post in posteriors:
+        # The CDF at the ML point, as `cdf` gives it.
+        if 0 < post.ml < 0.5:
+            cdf_ml = post._cdf_of(next(log_at_ml)[0])
+        else:
+            cdf_ml = 0.0 if post.ml <= 0 else 1.0
+        low = min(max(cdf_ml - 0.341, 0.0), 1.0 - 0.682)
+        sigma = math.sqrt(post.a * post.b / (post.a + post.b + 1.0)) / (post.a + post.b)
+        searches += [(post, low, post.ml - sigma), (post, low + 0.682, post.ml + sigma)]
+    ends = _quantiles(searches)
+    return list(zip(ends[::2], ends[1::2]))
 
 
 def rate_direct_bound(p_ab: float, bias: float = 0.5) -> float:
@@ -294,21 +406,38 @@ def build_report(source: Union[float, SessionReport], cfg: ScenarioConfig) -> Ke
     2 * sifted_enhancement * r_s. Without sifted key the error rate, and
     every secure rate built on it, is unknown (nan) rather than perfect.
     """
-    p_ab = cfg.channel().p_ab
-    r_max = rate_direct_bound(p_ab, cfg.parties.basis_bias)
-    plob = plob_bound(p_ab)
-    posterior = None
-    if isinstance(source, SessionReport):
-        sifted_use = source.sifted_rate_per_use()
-        e_ml = e_low = e_high = math.nan
-        if source.sifted:
-            posterior = TruncatedBeta(source.errors, source.sifted)
-            e_ml, (e_low, e_high) = posterior.ml, posterior.interval()
-    else:
-        seq = cfg.sequence
-        sifted_use = 2.0 * sifted_enhancement(cfg.noise.eta_detect, seq.n_pi, seq.n_sub) * r_max
-        e_ml = e_low = e_high = float(source)
-    return KeyRateReport(
-        qber_ml=e_ml, qber_low=e_low, qber_high=e_high, r_s=secret_fraction(e_ml),
-        sifted_per_use=sifted_use, r_max=r_max, plob=plob, posterior=posterior,
-    )
+    return build_reports([(source, cfg)])[0]
+
+
+def build_reports(
+    sources: Iterable[tuple[Union[float, SessionReport], ScenarioConfig]],
+) -> list[KeyRateReport]:
+    """`build_report` of each (source, cfg) pair, every posterior's interval
+    found in one lockstep pass (`_intervals`)."""
+    sources = list(sources)
+    posteriors = [
+        TruncatedBeta(source.errors, source.sifted)
+        if isinstance(source, SessionReport) and source.sifted else None
+        for source, _ in sources
+    ]
+    intervals = iter(_intervals([post for post in posteriors if post is not None]))
+    reports = []
+    for (source, cfg), posterior in zip(sources, posteriors):
+        p_ab = cfg.channel().p_ab
+        r_max = rate_direct_bound(p_ab, cfg.parties.basis_bias)
+        plob = plob_bound(p_ab)
+        if isinstance(source, SessionReport):
+            sifted_use = source.sifted_rate_per_use()
+            e_ml = e_low = e_high = math.nan
+            if posterior is not None:
+                e_ml, (e_low, e_high) = posterior.ml, next(intervals)
+        else:
+            seq = cfg.sequence
+            enhancement = sifted_enhancement(cfg.noise.eta_detect, seq.n_pi, seq.n_sub)
+            sifted_use = 2.0 * enhancement * r_max
+            e_ml = e_low = e_high = float(source)
+        reports.append(KeyRateReport(
+            qber_ml=e_ml, qber_low=e_low, qber_high=e_high, r_s=secret_fraction(e_ml),
+            sifted_per_use=sifted_use, r_max=r_max, plob=plob, posterior=posterior,
+        ))
+    return reports

@@ -439,7 +439,10 @@ def _run_fast(
     rng = np.random.default_rng(seed)
     pmf = _herald_count_pmf(seq.n_qubits, chan.n_p * noise.eta_detect)
     by_heralds = rng.multinomial(cycles, pmf / pmf.sum())
-    heralds = int(by_heralds @ np.arange(len(by_heralds)))
+    # Summed as Python ints over the herald counts that occur: an int64 dot
+    # product wraps past 2^63 - 1 heralds.
+    seen = np.flatnonzero(by_heralds)
+    heralds = sum(k * n for k, n in zip(seen.tolist(), by_heralds[seen].tolist()))
     cells = np.zeros(256, dtype=np.int64)
     if len(by_heralds) > 2 and by_heralds[2] > 0:
         pi = coincidence_cell_probabilities(seq, chan, parties, noise)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -216,6 +217,71 @@ class TestTruncatedBeta:
             TruncatedBeta(0, 0)
         with pytest.raises(ValueError):
             TruncatedBeta(5, 3)
+
+
+def random_posteriors(count: int, seed: int) -> list[TruncatedBeta]:
+    """Posteriors with sifted log-uniform on [1, 1e9] and errors from every
+    regime: none, all, uniform, QBER-like and near one half."""
+    rng = random.Random(seed)
+    posteriors = []
+    for _ in range(count):
+        n = int(10 ** rng.uniform(0, 9))
+        k = rng.choice([0, n, rng.randint(0, n), int(n * rng.uniform(0.0, 0.2)),
+                        int(n * rng.uniform(0.45, 0.55))])
+        posteriors.append(TruncatedBeta(k, n))
+    return posteriors
+
+
+class TestLockstepPosteriors:
+    # Many posteriors solved together give each one's floats bit for bit:
+    # in batches of `_BATCH_MIN` or more the continued fractions run as one
+    # numpy loop, below it one by one, and one at a time always scalar.
+    SIZES = (rates._BATCH_MIN - 1, 1000)
+
+    def test_log_ibetas_match_one_at_a_time(self):
+        rng = random.Random(2)
+        points = []
+        for post in random_posteriors(1000, seed=1):
+            near_ml = min(post.ml * rng.uniform(0.9, 1.1), 0.5)
+            x = rng.choice([0.5, rng.uniform(0.0, 0.5), near_ml])
+            if 0 < x < 1:
+                points.append((x, post.a, post.b))
+        single = [rates._log_ibetas([point])[0] for point in points]
+        for size in self.SIZES:
+            batched = [value for start in range(0, len(points), size)
+                       for value in rates._log_ibetas(points[start:start + size])]
+            assert batched == single, size
+
+    def test_cdf_matches_one_at_a_time(self):
+        rng = random.Random(3)
+        posteriors = random_posteriors(1000, seed=3)
+        xs = [rng.uniform(0.0, 0.5) for _ in posteriors]
+        logs = rates._log_ibetas([(x, post.a, post.b) for x, post in zip(xs, posteriors)])
+        assert [post._cdf_of(log) for post, (log, _) in zip(posteriors, logs)] == [
+            post.cdf(x) for post, x in zip(posteriors, xs)
+        ]
+
+    def test_quantiles_match_one_at_a_time(self):
+        # Guesses near the answer, as `interval` makes them, and anywhere.
+        rng = random.Random(4)
+        searches = []
+        for post in random_posteriors(1000, seed=4):
+            sigma = math.sqrt(post.a * post.b) / (post.a + post.b) ** 1.5
+            near = post.ml + rng.uniform(-3.0, 3.0) * sigma
+            guess = rng.choice([near, near, near, rng.uniform(-0.1, 0.6)])
+            searches.append((post, rng.choice([rng.random(), 0.159, 0.841, 0.0, 1.0]), guess))
+        single = [post.quantile(p, guess) for post, p, guess in searches]
+        for size in self.SIZES:
+            assert [q for start in range(0, len(searches), size)
+                    for q in rates._quantiles(searches[start:start + size])] == single, size
+
+    def test_intervals_match_one_at_a_time(self):
+        posteriors = random_posteriors(1000, seed=5)
+        single = [post.interval() for post in posteriors]
+        for size in self.SIZES:
+            batched = [interval for start in range(0, len(posteriors), size)
+                       for interval in rates._intervals(posteriors[start:start + size])]
+            assert batched == single, size
 
 
 class TestBounds:

@@ -11,7 +11,7 @@ from scipy import stats
 import oracles
 from memqkd import session
 from memqkd.bsm import CONJ_LABEL, LABEL_NAMES, ChannelConfig, SequenceConfig
-from memqkd.config import load_preset
+from memqkd.config import default_config, load_preset
 from memqkd.qubits import NoiseParams
 from memqkd.session import (
     _BLOCK,
@@ -427,6 +427,71 @@ class TestHeraldStatistics:
         )
         assert report.coincidences == 0
         assert tally.total() == 0
+
+
+def check_counters(cfg, engine: str) -> None:
+    """The counters of a session of scenario `cfg` are exact: none is
+    negative, they obey the herald bookkeeping, and the heralds lie within
+    5 sigma of their Binomial(N cycles, a) mean, a = n_p eta_detect, where
+    the variance is large enough (>= 100) for a normal tail."""
+    seq, chan = cfg.sequence, cfg.channel()
+    _, report = simulate_session(
+        seq, chan, cfg.parties, cfg.noise, cfg.cycles, cfg.seed, engine=engine
+    )
+    counters = dataclasses.asdict(report)
+    assert all(counters[f] >= 0 for f in counters)
+    assert isinstance(report.heralds, int)
+    assert report.heralds >= 2 * report.coincidences + 3 * report.discarded_multi
+    assert report.heralds <= seq.n_qubits * cfg.cycles
+    assert report.coincidences + report.discarded_multi <= cfg.cycles
+    a = chan.n_p * cfg.noise.eta_detect
+    mean = cfg.cycles * seq.n_qubits * a
+    if mean * (1.0 - a) >= 100:
+        assert abs(report.heralds - mean) < 5 * math.sqrt(mean * (1.0 - a))
+
+
+def scenario(n_pi, n_sub, load, cycles, mode, assignment, seed):
+    """A scenario the config accepts: N = n_pi n_sub slots at n_m = load N."""
+    seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
+    return default_config().replace(
+        sequence=seq, n_m=load * seq.n_qubits, cycles=cycles, seed=seed,
+        parties=PartyConfig(mode=mode, assignment=assignment),
+    )
+
+
+class TestCountersOverTheAcceptedDomain:
+    # Cycles up to 2^63 - 1 and N up to the 10^6-slot limit: the herald sum
+    # reaches about 4e24, past any fixed-width integer.
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n_pi=st.one_of(st.integers(1, 64), st.integers(1, 250_000)),
+        n_sub=st.sampled_from([1, 2, 4]),
+        load=st.floats(0.0, 1.0),
+        cycles=st.integers(1, 2**63 - 1),
+        mode=st.sampled_from(["qkd", "chsh"]),
+        assignment=st.sampled_from(["random", "alternating", "single"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # n_m = N = 124 with one sender at 1e18 cycles: about 5.2e19 heralds.
+    @example(n_pi=62, n_sub=2, load=1.0, cycles=10**18, mode="qkd",
+             assignment="single", seed=123456789)
+    @example(n_pi=250_000, n_sub=4, load=1.0, cycles=2**63 - 1, mode="chsh",
+             assignment="random", seed=1)
+    def test_fast_engine(self, n_pi, n_sub, load, cycles, mode, assignment, seed):
+        check_counters(scenario(n_pi, n_sub, load, cycles, mode, assignment, seed), "fast")
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_pi=st.integers(1, 16),
+        n_sub=st.sampled_from([1, 2, 4]),
+        load=st.floats(0.0, 1.0),
+        cycles=st.integers(1, 2_000),
+        mode=st.sampled_from(["qkd", "chsh"]),
+        assignment=st.sampled_from(["random", "alternating", "single"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reference_engine(self, n_pi, n_sub, load, cycles, mode, assignment, seed):
+        check_counters(scenario(n_pi, n_sub, load, cycles, mode, assignment, seed), "reference")
 
 
 class TestCellProbabilities:
