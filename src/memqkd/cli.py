@@ -23,8 +23,10 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
+from .bsm import ChannelConfig
 from .config import (
     ConfigError,
     ScenarioConfig,
@@ -35,7 +37,15 @@ from .config import (
     load_preset,
 )
 from .rates import KeyRateReport, build_report, build_reports
-from .session import EmptyCellError, chsh_statistic, simulate_session, truth_table_rows
+from .session import (
+    EmptyCellError,
+    SessionReport,
+    TimingOverheads,
+    chsh_statistic,
+    simulate_session,
+    simulate_sessions,
+    truth_table_rows,
+)
 
 _FLOAT_FMT = "%.9g"
 
@@ -50,8 +60,34 @@ SWEEP_COLUMNS = [
     "N", "n_m", "n_p", "p_AB", "sifted_rate", "qber_ml", "qber_lo",
     "qber_hi", "r_s", "R", "R_over_Rmax", "R_over_PLOB", "seed",
 ]
-# The simulate column each sweep column copies, where the names differ.
-_SWEEP_SOURCE = {"sifted_rate": "sifted_per_use", "R": "secure_per_use"}
+
+# The attribute of a `_Point` that each simulate and sweep column holds.
+_COLUMN_SOURCE = {
+    "N": "scenario.sequence.n_qubits",
+    "n_m": "scenario.n_m",
+    "n_p": "channel.n_p",
+    "p_AB": "channel.p_ab",
+    "cycles": "session.cycles",
+    "heralds": "session.heralds",
+    "coincidences": "session.coincidences",
+    "discarded": "session.discarded_multi",
+    "same_party": "session.same_party",
+    "sifted": "session.sifted",
+    "errors": "session.errors",
+    "qber_ml": "rates.qber_ml",
+    "qber_lo": "rates.qber_low",
+    "qber_hi": "rates.qber_high",
+    "r_s": "rates.r_s",
+    "sifted_per_use": "rates.sifted_per_use",
+    "sifted_rate": "rates.sifted_per_use",
+    "sifted_per_occupancy": "rates.sifted_per_occupancy",
+    "secure_per_use": "rates.secure_per_use",
+    "R": "rates.secure_per_use",
+    "R_over_Rmax": "rates.ratio_rmax_per_use",
+    "R_over_PLOB": "rates.ratio_plob_per_use",
+    "clock_rate_hz": "session.clock_rate_hz",
+    "seed": "scenario.seed",
+}
 
 CHSH_COLUMNS = ["parity", "term", "value", "coincidences", "S"]
 
@@ -62,12 +98,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Optional[str], columns: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Optional[str], columns: list[str], rows: Iterable[Sequence]) -> None:
+    """Write the header and each row's values, in the order of `columns`."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+    writer.writerows(map(_fmt, row) for row in rows)
     text = buffer.getvalue()
     if path:
         try:
@@ -94,53 +130,37 @@ def _load_scenario(args) -> ScenarioConfig:
     return cfg
 
 
-def _run_session(cfg: ScenarioConfig):
-    return simulate_session(
-        cfg.sequence,
-        cfg.channel(),
-        cfg.parties,
-        cfg.noise,
-        cfg.cycles,
-        cfg.seed,
-        overheads=cfg.overheads,
+class _Point(NamedTuple):
+    """One scenario's run: what every simulate and sweep column is read from."""
+
+    scenario: ScenarioConfig
+    channel: ChannelConfig
+    session: SessionReport
+    rates: KeyRateReport
+
+
+def _run(points: Sequence[ScenarioConfig], overheads: TimingOverheads) -> list[_Point]:
+    """Each scenario's channel, session report and rate report: the sessions
+    run in one call, and one call builds the reports, so the posteriors are
+    solved together."""
+    chans = [point.channel() for point in points]
+    runs = simulate_sessions(
+        [(p.sequence, chan, p.parties, p.noise, p.cycles, p.seed) for p, chan in zip(points, chans)],
+        overheads=overheads,
     )
+    sessions = [report for _, report in runs]
+    return list(map(_Point, points, chans, sessions, build_reports(zip(sessions, points))))
 
 
-def _session_row(
-    cfg: ScenarioConfig, report, rates: Optional[KeyRateReport] = None
-) -> tuple[dict, KeyRateReport]:
-    chan = cfg.channel()
-    rates = build_report(report, cfg) if rates is None else rates
-    row = {
-        "N": cfg.sequence.n_qubits,
-        "n_m": cfg.n_m,
-        "n_p": chan.n_p,
-        "p_AB": chan.p_ab,
-        "cycles": report.cycles,
-        "heralds": report.heralds,
-        "coincidences": report.coincidences,
-        "discarded": report.discarded_multi,
-        "same_party": report.same_party,
-        "sifted": report.sifted,
-        "errors": report.errors,
-        "qber_ml": rates.qber_ml,
-        "qber_lo": rates.qber_low,
-        "qber_hi": rates.qber_high,
-        "r_s": rates.r_s,
-        "sifted_per_use": rates.sifted_per_use,
-        "sifted_per_occupancy": rates.sifted_per_occupancy,
-        "secure_per_use": rates.secure_per_use,
-        "R_over_Rmax": rates.ratio_rmax_per_use,
-        "R_over_PLOB": rates.ratio_plob_per_use,
-        "clock_rate_hz": report.clock_rate_hz,
-        "seed": cfg.seed,
-    }
-    return row, rates
+def _rows(columns: list[str], points: Iterable[_Point]) -> Iterator[tuple]:
+    """The values of `columns` (`_COLUMN_SOURCE`) of each point."""
+    return map(attrgetter(*(_COLUMN_SOURCE[c] for c in columns)), points)
 
 
-def _print_summary(cfg: ScenarioConfig, report, row, rates: KeyRateReport) -> None:
-    print(f"session: N={row['N']} slots/cycle, n_m={row['n_m']:g}, "
-          f"p_AB={row['p_AB']:.3e}, cycles={report.cycles:,}")
+def _print_summary(point: _Point) -> None:
+    cfg, chan, report, rates = point
+    print(f"session: N={cfg.sequence.n_qubits} slots/cycle, n_m={cfg.n_m:g}, "
+          f"p_AB={chan.p_ab:.3e}, cycles={report.cycles:,}")
     print(f"  heralding efficiency: eta_detect={cfg.noise.eta_detect:g}")
     print(f"  heralds={report.heralds:,}  coincidences={report.coincidences:,}  "
           f"discarded={report.discarded_multi:,}  same-party={report.same_party:,}")
@@ -152,8 +172,8 @@ def _print_summary(cfg: ScenarioConfig, report, row, rates: KeyRateReport) -> No
               f"r_s={rates.r_s:.4f}")
     print(f"  sifted rate: {rates.sifted_per_use:.4e}/use  "
           f"{rates.sifted_per_occupancy:.4e}/occupancy")
-    print(f"  secure rate: {row['secure_per_use']:.4e}/use  "
-          f"R/Rmax={row['R_over_Rmax']:.3f}  R/(1.44p)={row['R_over_PLOB']:.3f}")
+    print(f"  secure rate: {rates.secure_per_use:.4e}/use  "
+          f"R/Rmax={rates.ratio_rmax_per_use:.3f}  R/(1.44p)={rates.ratio_plob_per_use:.3f}")
     if rates.confidence_vs_plob is not None:
         print(f"  confidence above bounds: Rmax {rates.confidence_vs_rmax:.4f}  "
               f"PLOB {rates.confidence_vs_plob:.4f}")
@@ -163,13 +183,12 @@ def _print_summary(cfg: ScenarioConfig, report, row, rates: KeyRateReport) -> No
 
 def _cmd_simulate(args) -> int:
     cfg = _load_scenario(args)
-    _, report = _run_session(cfg)
-    row, rates = _session_row(cfg, report)
-    _write_csv(args.out, SIMULATE_COLUMNS, [row])
+    (point,) = _run([cfg], cfg.overheads)
+    _write_csv(args.out, SIMULATE_COLUMNS, _rows(SIMULATE_COLUMNS, [point]))
     # Without --out the CSV is stdout, so the summary goes to stderr and
     # stdout stays one clean data stream.
     with contextlib.redirect_stdout(sys.stdout if args.out else sys.stderr):
-        _print_summary(cfg, report, row, rates)
+        _print_summary(point)
     return 0
 
 
@@ -200,13 +219,7 @@ def _cmd_sweep(args) -> int:
                 raise ConfigError(f"n_m values must be positive, got {value}")
             swept = {"n_m": value}
         points.append(cfg.replace(seed=cfg.seed + index, **swept))
-    sessions = [_run_session(point)[1] for point in points]
-    rows = []
-    # One call builds every point's report, so the posteriors are solved together.
-    for point, report, rates in zip(points, sessions, build_reports(zip(sessions, points))):
-        row, _ = _session_row(point, report, rates)
-        rows.append({c: row[_SWEEP_SOURCE.get(c, c)] for c in SWEEP_COLUMNS})
-    _write_csv(args.out, SWEEP_COLUMNS, rows)
+    _write_csv(args.out, SWEEP_COLUMNS, _rows(SWEEP_COLUMNS, _run(points, cfg.overheads)))
     return 0
 
 
@@ -223,7 +236,10 @@ def _cmd_chsh(args) -> int:
     cfg = _load_scenario(args)
     if cfg.parties.mode != "chsh":
         raise ConfigError("chsh requires a config with parties.mode = chsh")
-    tally, report = _run_session(cfg)
+    tally, report = simulate_session(
+        cfg.sequence, cfg.channel(), cfg.parties, cfg.noise, cfg.cycles, cfg.seed,
+        overheads=cfg.overheads,
+    )
     rows = []
     for parity in (1, -1):
         terms, s_value = chsh_statistic(tally, parity)
@@ -233,8 +249,7 @@ def _cmd_chsh(args) -> int:
               "  ".join(f"<AB>_{k}={v:+.4f}" for k, v in terms.items()) +
               f"  ->  {label} = {s_value:.4f}")
         for key, value in terms.items():
-            rows.append({"parity": parity, "term": key, "value": value,
-                         "coincidences": n, "S": s_value})
+            rows.append((parity, key, value, n, s_value))
     print(f"coincidences: {report.coincidences:,} over {report.cycles:,} cycles")
     if args.out:
         _write_csv(args.out, CHSH_COLUMNS, rows)

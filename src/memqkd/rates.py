@@ -57,25 +57,36 @@ def secret_fraction(qber: float) -> float:
     return 0.0 if r < 0 else r
 
 
-def _log_front(x: float, a: int, b: int) -> float:
-    """log(x^a (1 - x)^b / B(a, b)) for integers a, b >= 1.
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2, for z > 20."""
+    w = 1.0 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
+
+
+def _front_terms(a: int, b: int) -> tuple[float, ...]:
+    """The terms of `_log_front` that do not depend on x: log((a + b - 1)
+    C(a + b - 2, a - 1)) when a or b is small, else the three Stirling
+    tails and the half log."""
+    if min(a, b) <= 20:
+        return (math.log((a + b - 1) * math.comb(a + b - 2, a - 1)),)
+    return (_stirling_tail(a + b), _stirling_tail(a), _stirling_tail(b),
+            0.5 * math.log(a * b / (2.0 * math.pi * (a + b))))
+
+
+def _log_front(x: float, a: int, b: int, terms: tuple[float, ...]) -> float:
+    """log(x^a (1 - x)^b / B(a, b)) for integers a, b >= 1, with the terms
+    `_front_terms(a, b)` added in the order written here.
 
     1 / B(a, b) = (a + b - 1) C(a + b - 2, a - 1) exactly when a or b is
     small. Otherwise Stirling's series pairs each power with its lgamma
     terms, so that the O(a + b) parts cancel before rounding.
     """
-    if min(a, b) <= 20:
-        return (a * math.log(x) + b * math.log1p(-x)
-                + math.log((a + b - 1) * math.comb(a + b - 2, a - 1)))
-
-    def tail(z: float) -> float:  # lgamma(z) - (z - 1/2) log z + z - log(2 pi) / 2
-        w = 1.0 / (z * z)
-        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
-
+    if len(terms) == 1:
+        return a * math.log(x) + b * math.log1p(-x) + terms[0]
+    tail_ab, tail_a, tail_b, half_log = terms
     t = x * (a + b) - a  # t / a rounds to -1 for x below about eps a / (a + b)
     head = a * math.log1p(t / a) if 2.0 * t > -a else a * (math.log(x) + math.log1p(b / a))
-    return (head + b * math.log1p(-t / b) + tail(a + b) - tail(a) - tail(b)
-            + 0.5 * math.log(a * b / (2.0 * math.pi * (a + b))))
+    return head + b * math.log1p(-t / b) + tail_ab - tail_a - tail_b + half_log
 
 
 # A round of `_log_ibetas` with at least this many points sums their
@@ -142,9 +153,9 @@ def _lentz_lanes(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_ibetas(points: Sequence[tuple[float, int, int]]) -> list[tuple[float, float]]:
+def _log_ibetas(points: Sequence[tuple[float, "TruncatedBeta"]]) -> list[tuple[float, float]]:
     """log I_x(a, b), the regularized incomplete beta, and the log front
-    `_log_front(x, a, b)` at each point (x, a, b), 0 < x < 1.
+    `_log_front` at each point (x, posterior) of Beta(a, b), 0 < x < 1.
 
     I_x(a, b) = front * cf / a, with the continued fraction cf of `_lentz`;
     it converges in O(sqrt(a + b)) steps at worst for x < (a + 1) / (a + b
@@ -154,10 +165,11 @@ def _log_ibetas(points: Sequence[tuple[float, int, int]]) -> list[tuple[float, f
     and exps are `math` calls either way.
     """
     terms = []
-    for x, a, b in points:
+    for x, post in points:
+        a, b = post.a, post.b
         upper = x >= (a + 1.0) / (a + b + 2.0)
         # Float (not integer) arithmetic makes the loop about 40% faster.
-        terms.append((upper, _log_front(x, a, b),
+        terms.append((upper, _log_front(x, a, b, post._front_terms),
                       *((1.0 - x, float(b), float(a)) if upper else (x, float(a), float(b)))))
     if len(terms) < _BATCH_MIN:
         cfs = [_lentz(x, a, b) for _, _, x, a, b in terms]
@@ -190,11 +202,12 @@ class TruncatedBeta:
                              f"sifted > 0, got {errors} errors of {sifted}")
         self.a, self.b = errors + 1, sifted - errors + 1
         self.ml = min(errors / sifted, 0.5)
+        self._front_terms = _front_terms(self.a, self.b)
 
     @functools.cached_property
     def _log_mass(self) -> float:
         """log I_1/2(a, b); `_intervals` sets it for many posteriors at once."""
-        return _log_ibetas([(0.5, self.a, self.b)])[0][0]
+        return _log_ibetas([(0.5, self)])[0][0]
 
     def _cdf_of(self, log_ibeta: float) -> float:
         return min(math.exp(log_ibeta - self._log_mass), 1.0)
@@ -203,7 +216,7 @@ class TruncatedBeta:
         """Posterior probability that the QBER lies below x."""
         if not 0 < x < 0.5:
             return 0.0 if x <= 0 else 1.0
-        return self._cdf_of(_log_ibetas([(x, self.a, self.b)])[0][0])
+        return self._cdf_of(_log_ibetas([(x, self)])[0][0])
 
     def quantile(self, p: float, guess: float = 0.25) -> float:
         """The QBER below which the posterior holds probability p: Halley
@@ -231,7 +244,7 @@ def _quantiles(searches: Sequence[tuple[TruncatedBeta, float, float]]) -> list[f
             found[i] = 0.0 if p <= 0 else 0.5
     while pending:
         current = list(pending.items())
-        points = [(x, searches[i][0].a, searches[i][0].b) for i, (_, _, x) in current]
+        points = [(x, searches[i][0]) for i, (_, _, x) in current]
         for (i, (lo, hi, x)), (log_ibeta, front) in zip(current, _log_ibetas(points)):
             post, p, _ = searches[i]
             a, b, log_mass = post.a, post.b, post._log_mass
@@ -257,8 +270,7 @@ def _intervals(posteriors: Sequence[TruncatedBeta]) -> list[tuple[float, float]]
     mass and every CDF at an ML point inside (0, 1/2), then `_quantiles`
     finds both ends of every interval in lockstep."""
     inner = [post for post in posteriors if 0 < post.ml < 0.5]
-    logs = _log_ibetas([(0.5, post.a, post.b) for post in posteriors]
-                       + [(post.ml, post.a, post.b) for post in inner])
+    logs = _log_ibetas([(0.5, post) for post in posteriors] + [(post.ml, post) for post in inner])
     for post, (log_mass, _) in zip(posteriors, logs):
         post._log_mass = log_mass
     log_at_ml = iter(logs[len(posteriors):])

@@ -341,7 +341,7 @@ class TestSimulate:
         def broken(*args, **kwargs):
             raise ValueError("internal fault")
 
-        monkeypatch.setattr(memqkd.cli, "simulate_session", broken)
+        monkeypatch.setattr(memqkd.cli, "simulate_sessions", broken)
         with pytest.raises(ValueError, match="internal fault"):
             run(["simulate", "--config", qkd_config])
 
@@ -400,8 +400,9 @@ class TestPresetBenchmark:
         # grid step: the row must carry K/N itself and the interval of the
         # truncated Beta, here by scipy's betainc/betaincinv.
         cfg = load_preset("fig4-point-N124").replace(cycles=10**12)
-        _, report = memqkd.cli._run_session(cfg)
-        row, _ = memqkd.cli._session_row(cfg, report)
+        (point,) = memqkd.cli._run([cfg], cfg.overheads)
+        row = dict(zip(SIMULATE_COLUMNS, next(memqkd.cli._rows(SIMULATE_COLUMNS, [point]))))
+        report = point.session
         assert report.sifted > 10**7
         assert row["qber_ml"] == report.errors / report.sifted
         low, high = TruncatedBetaOracle(report.errors, report.sifted).interval()
@@ -499,9 +500,9 @@ class TestSweep:
     def test_bad_later_point_runs_no_session(self, axis, values, message, monkeypatch,
                                              tmp_path, capsys):
         # At 1e12 cycles each earlier point would run for real time first.
-        calls, session = [], memqkd.cli.simulate_session
-        monkeypatch.setattr(memqkd.cli, "simulate_session",
-                            lambda *a, **k: calls.append(a) or session(*a, **k))
+        calls, sessions = [], memqkd.cli.simulate_sessions
+        monkeypatch.setattr(memqkd.cli, "simulate_sessions",
+                            lambda *a, **k: calls.append(a) or sessions(*a, **k))
         out = tmp_path / "bad.csv"
         assert run(["sweep", "--preset", "fig4-point-N124", "--axis", axis, "--values", values,
                     "--cycles", "1e12", "--out", str(out)]) == 2

@@ -245,7 +245,7 @@ class TestLockstepPosteriors:
             near_ml = min(post.ml * rng.uniform(0.9, 1.1), 0.5)
             x = rng.choice([0.5, rng.uniform(0.0, 0.5), near_ml])
             if 0 < x < 1:
-                points.append((x, post.a, post.b))
+                points.append((x, post))
         single = [rates._log_ibetas([point])[0] for point in points]
         for size in self.SIZES:
             batched = [value for start in range(0, len(points), size)
@@ -256,7 +256,7 @@ class TestLockstepPosteriors:
         rng = random.Random(3)
         posteriors = random_posteriors(1000, seed=3)
         xs = [rng.uniform(0.0, 0.5) for _ in posteriors]
-        logs = rates._log_ibetas([(x, post.a, post.b) for x, post in zip(xs, posteriors)])
+        logs = rates._log_ibetas(list(zip(xs, posteriors)))
         assert [post._cdf_of(log) for post, (log, _) in zip(posteriors, logs)] == [
             post.cdf(x) for post, x in zip(posteriors, xs)
         ]
@@ -282,6 +282,35 @@ class TestLockstepPosteriors:
             batched = [interval for start in range(0, len(posteriors), size)
                        for interval in rates._intervals(posteriors[start:start + size])]
             assert batched == single, size
+
+
+def unsplit_log_front(x: float, a: int, b: int) -> float:
+    """`rates._log_front` with its x-independent terms computed in place."""
+    if min(a, b) <= 20:
+        return (a * math.log(x) + b * math.log1p(-x)
+                + math.log((a + b - 1) * math.comb(a + b - 2, a - 1)))
+
+    def tail(z):
+        w = 1.0 / (z * z)
+        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
+
+    t = x * (a + b) - a
+    head = a * math.log1p(t / a) if 2.0 * t > -a else a * (math.log(x) + math.log1p(b / a))
+    return (head + b * math.log1p(-t / b) + tail(a + b) - tail(a) - tail(b)
+            + 0.5 * math.log(a * b / (2.0 * math.pi * (a + b))))
+
+
+def test_front_terms_computed_once_keep_every_float():
+    # Both branches, x from the far lower tail (where log1p(t / a) is
+    # replaced) to near 1, and a, b up to 1e9.
+    rng = random.Random(5)
+    for _ in range(20_000):
+        a, b = (rng.choice([rng.randint(1, 20), rng.randint(21, 400), int(10 ** rng.uniform(1, 9))])
+                for _ in range(2))
+        x = rng.choice([rng.random(), 10 ** rng.uniform(-300, 0), 1.0 - 10 ** rng.uniform(-15, 0)])
+        if 0 < x < 1:
+            split = rates._log_front(x, a, b, rates._front_terms(a, b))
+            assert split == unsplit_log_front(x, a, b), (x, a, b)
 
 
 class TestBounds:

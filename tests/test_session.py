@@ -41,7 +41,7 @@ def sift(tally: CoincidenceTally) -> dict:
     """The sift fields of the report that `simulate_session` makes of the tally's cells."""
     cells = np.concatenate([tally.counts.ravel(), tally.excluded.ravel()])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(session, "_run_fast", lambda *args: (cells, 0, 0))
+        patch.setattr(session, "_run_fast", lambda points: iter([(cells, 0, 0)]))
         _, report = simulate_session(
             SEQ124, ChannelConfig(n_p=0.01), PartyConfig(), NoiseParams(), 1, seed=0
         )
@@ -197,6 +197,60 @@ class TestReferenceDecomposition:
         # errs, so a sifted record errs with probability 1/2 after a scatter.
         report, _, no_scatter = self.run("single", seed=52)
         assert within_5_sigma(report.errors, report.sifted, (1 - no_scatter) / 2)
+
+
+class TestLockstepSessions:
+    # `simulate_sessions` forms the pi of `_PI_BLOCK` points at a time, and
+    # each point keeps its own generator and draws, so every tally and report
+    # is the one of a call on its own. CI also runs these at numpy's lowest
+    # dispatch level.
+
+    @staticmethod
+    def points(cycles=10**6):
+        """An N grid at n_m = 0.5 and an n_m grid at N = 124, for every mode
+        and assignment, in one list, so that a block mixes `_cell_map`s. It
+        holds a one-slot point, which has no pi, and points without
+        coincidences (n_m = 0, and n_m = 1e-5 at one cycle)."""
+        points = []
+        for mode in ("qkd", "chsh"):
+            for assignment in ("random", "alternating", "single"):
+                parties = PartyConfig(mode=mode, assignment=assignment)
+                for n_pi, n_sub in [(1, 1), (1, 2), (2, 1), (3, 2), (9, 2), (62, 2), (252, 2)]:
+                    seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
+                    chan = ChannelConfig.from_mean_photons(0.5, seq.n_qubits)
+                    points.append((seq, chan, parties, NoiseParams(), cycles))
+                for n_m in (0.0, 1e-5, 0.02, 0.2, 2.0, 124.0):
+                    chan = ChannelConfig.from_mean_photons(n_m, SEQ124.n_qubits)
+                    points.append((SEQ124, chan, parties, NoiseParams(), 1 if n_m == 1e-5 else cycles))
+        return [(*point, seed) for seed, point in enumerate(points)]
+
+    def test_fast_sessions_match_one_at_a_time(self):
+        points = self.points()
+        assert len(points) > 2 * session._PI_BLOCK
+        overheads = TimingOverheads(lock_s=0.0)
+        together = list(session.simulate_sessions(points, overheads=overheads))
+        alone = [simulate_session(*point, overheads=overheads) for point in points]
+        assert together == alone
+        # Without coincidences, in each of the six mode and assignment pairs:
+        # the one-slot point, n_m = 0, the one-cycle point and n_m = N, where
+        # P(two heralds) is about 1e-26.
+        coincidences = [report.coincidences for _, report in together]
+        assert coincidences[0] == 0 and coincidences.count(0) == 4 * 6
+
+    def test_reference_sessions_match_one_at_a_time(self):
+        points = self.points(cycles=50)[::5]
+        together = list(session.simulate_sessions(points, engine="reference"))
+        assert together == [simulate_session(*point, engine="reference") for point in points]
+
+    def test_pi_matches_one_point_bit_for_bit(self):
+        points = self.points()
+        pis = session._cell_probabilities(points)
+        for (seq, chan, parties, noise, *_), pi in zip(points, pis):
+            if seq.n_qubits < 2:
+                assert pi is None
+            else:
+                one = coincidence_cell_probabilities(seq, chan, parties, noise)
+                assert np.array_equal(pi, one.ravel())
 
 
 def nonzero_cells(tally):
