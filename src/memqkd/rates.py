@@ -2,8 +2,14 @@
 
 The QBER posterior is the truncated Beta of the pooled sifted counts,
 Beta(errors + 1, sifted - errors + 1) on [0, 1/2], with an exact CDF.
-`build_reports` solves many posteriors' intervals together, with the
-same floats as one at a time.
+Each round of its solves runs on numpy arrays over lanes (posteriors, or
+points of one): `build_reports` solves a sweep's intervals together, and
+`TruncatedBeta`'s methods call the same code on one posterior. Every +,
+-, *, / and comparison is a numpy operation, which IEEE rounds alike at
+every CPU dispatch level; every log, log1p, exp and sqrt is a `math`
+(libm) call on each lane, as numpy's own round differently on different
+CPUs. So each float is the one that scalar code in the same order gives,
+whatever the round's size.
 Each rate ratio has one definition, on `KeyRateReport`: the secure rate
 over the bound, with the measured sifted rate when a session is given and
 the analytic one otherwise; its confidence level is the posterior
@@ -63,35 +69,53 @@ def _stirling_tail(z: float) -> float:
     return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
 
 
-def _front_terms(a: int, b: int) -> tuple[float, ...]:
+def _front_terms(a: int, b: int) -> tuple[float, float, float, float]:
     """The terms of `_log_front` that do not depend on x: log((a + b - 1)
-    C(a + b - 2, a - 1)) when a or b is small, else the three Stirling
-    tails and the half log."""
+    C(a + b - 2, a - 1)) and three zeros when a or b is small, else the
+    three Stirling tails and the half log."""
     if min(a, b) <= 20:
-        return (math.log((a + b - 1) * math.comb(a + b - 2, a - 1)),)
+        return math.log((a + b - 1) * math.comb(a + b - 2, a - 1)), 0.0, 0.0, 0.0
     return (_stirling_tail(a + b), _stirling_tail(a), _stirling_tail(b),
             0.5 * math.log(a * b / (2.0 * math.pi * (a + b))))
 
 
-def _log_front(x: float, a: int, b: int, terms: tuple[float, ...]) -> float:
-    """log(x^a (1 - x)^b / B(a, b)) for integers a, b >= 1, with the terms
-    `_front_terms(a, b)` added in the order written here.
+def _each(f, *lanes: np.ndarray) -> np.ndarray:
+    """f of each lane's Python floats. A `math` (libm) call gives the same
+    float on every CPU, where numpy's own exp and log depend on its dispatch."""
+    return np.fromiter(map(f, *(v.tolist() for v in lanes)), float, len(lanes[0]))
+
+
+def _log_front(x: np.ndarray, a: np.ndarray, b: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """log(x^a (1 - x)^b / B(a, b)) on each lane, for integers a, b >= 1,
+    with the row `_front_terms(a, b)` of `terms` added in the order written
+    here.
 
     1 / B(a, b) = (a + b - 1) C(a + b - 2, a - 1) exactly when a or b is
     small. Otherwise Stirling's series pairs each power with its lgamma
     terms, so that the O(a + b) parts cancel before rounding.
     """
-    if len(terms) == 1:
-        return a * math.log(x) + b * math.log1p(-x) + terms[0]
-    tail_ab, tail_a, tail_b, half_log = terms
-    t = x * (a + b) - a  # t / a rounds to -1 for x below about eps a / (a + b)
-    head = a * math.log1p(t / a) if 2.0 * t > -a else a * (math.log(x) + math.log1p(b / a))
-    return head + b * math.log1p(-t / b) + tail_ab - tail_a - tail_b + half_log
+    front = np.empty_like(x)
+    small = np.minimum(a, b) <= 20
+    if small.any():
+        xs = x[small]
+        front[small] = (a[small] * _each(math.log, xs) + b[small] * _each(math.log1p, -xs)
+                        + terms[small, 0])
+    big = ~small
+    if big.any():
+        x, a, b, (tail_ab, tail_a, tail_b, half_log) = x[big], a[big], b[big], terms[big].T
+        t = x * (a + b) - a  # t / a rounds to -1 for x below about eps a / (a + b)
+        near = 2.0 * t > -a
+        far = ~near
+        head = np.empty_like(x)
+        head[near] = a[near] * _each(math.log1p, t[near] / a[near])
+        head[far] = a[far] * (_each(math.log, x[far]) + _each(math.log1p, b[far] / a[far]))
+        front[big] = head + b * _each(math.log1p, -t / b) + tail_ab - tail_a - tail_b + half_log
+    return front
 
 
-# A round of `_log_ibetas` with at least this many points sums their
+# A round of `_log_ibetas` with at least this many lanes sums their
 # continued fractions as one numpy loop; a smaller one sums them one by one.
-_BATCH_MIN = 128
+_BATCH_MIN = 64
 _TINY = 1e-300  # stands in for an exactly zero Lentz denominator
 
 
@@ -153,33 +177,30 @@ def _lentz_lanes(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_ibetas(points: Sequence[tuple[float, "TruncatedBeta"]]) -> list[tuple[float, float]]:
+def _log_ibetas(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log I_x(a, b), the regularized incomplete beta, and the log front
-    `_log_front` at each point (x, posterior) of Beta(a, b), 0 < x < 1.
+    `_log_front` on each lane: a point 0 < x < 1 and a posterior's row
+    (a, b, *front terms) of `TruncatedBeta._row`.
 
     I_x(a, b) = front * cf / a, with the continued fraction cf of `_lentz`;
     it converges in O(sqrt(a + b)) steps at worst for x < (a + 1) / (a + b
     + 2), so above that point the upper tail 1 - I_x(a, b) = I_(1-x)(b, a)
-    is summed instead. At `_BATCH_MIN` points or more the continued
-    fractions run together (`_lentz_lanes`), with the same floats; the logs
-    and exps are `math` calls either way.
+    is summed instead. At `_BATCH_MIN` lanes or more the continued
+    fractions run together (`_lentz_lanes`), with the same floats.
     """
-    terms = []
-    for x, post in points:
-        a, b = post.a, post.b
-        upper = x >= (a + 1.0) / (a + b + 2.0)
-        # Float (not integer) arithmetic makes the loop about 40% faster.
-        terms.append((upper, _log_front(x, a, b, post._front_terms),
-                      *((1.0 - x, float(b), float(a)) if upper else (x, float(a), float(b)))))
-    if len(terms) < _BATCH_MIN:
-        cfs = [_lentz(x, a, b) for _, _, x, a, b in terms]
-    else:
-        cfs = _lentz_lanes(*np.array([term[2:] for term in terms]).T).tolist()
-    logs = []
-    for (upper, front, _, a, _), cf in zip(terms, cfs):
-        log_tail = front + math.log(cf / a)
-        logs.append(((math.log1p(-math.exp(log_tail)) if upper else log_tail), front))
-    return logs
+    a, b = rows[:, 0], rows[:, 1]
+    front = _log_front(x, a, b, rows[:, 2:])
+    upper = x >= (a + 1.0) / (a + b + 2.0)
+    x, a, b = np.where(upper, 1.0 - x, x), np.where(upper, b, a), np.where(upper, a, b)
+    cf = _lentz_lanes(x, a, b) if len(x) >= _BATCH_MIN else _each(_lentz, x, a, b)
+    log_ibeta = front + _each(math.log, cf / a)
+    log_ibeta[upper] = _each(math.log1p, -_each(math.exp, log_ibeta[upper]))
+    return log_ibeta, front
+
+
+def _cdfs(log_ibeta: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
+    """The truncated CDF I_x(a, b) / I_1/2(a, b) of each lane, from the logs."""
+    return np.minimum(_each(math.exp, log_ibeta - log_mass), 1.0)
 
 
 class TruncatedBeta:
@@ -193,7 +214,8 @@ class TruncatedBeta:
     point min(errors / sifted, 1/2). Where the bases' rates differ it
     describes their average, weighted by the sifted counts, and not
     either basis. The CDF I_x(a, b) / I_1/2(a, b) is formed in log space,
-    so it also holds where I_1/2 underflows.
+    so it also holds where I_1/2 underflows. Each method runs the array
+    code that `build_reports` runs on many posteriors on this one.
     """
 
     def __init__(self, errors: int, sifted: int) -> None:
@@ -202,29 +224,26 @@ class TruncatedBeta:
                              f"sifted > 0, got {errors} errors of {sifted}")
         self.a, self.b = errors + 1, sifted - errors + 1
         self.ml = min(errors / sifted, 0.5)
-        self._front_terms = _front_terms(self.a, self.b)
-
-    @functools.cached_property
-    def _log_mass(self) -> float:
-        """log I_1/2(a, b); `_intervals` sets it for many posteriors at once."""
-        return _log_ibetas([(0.5, self)])[0][0]
-
-    def _cdf_of(self, log_ibeta: float) -> float:
-        return min(math.exp(log_ibeta - self._log_mass), 1.0)
+        self._row = (self.a, self.b, *_front_terms(self.a, self.b))
 
     def cdf(self, x: float) -> float:
         """Posterior probability that the QBER lies below x."""
         if not 0 < x < 0.5:
             return 0.0 if x <= 0 else 1.0
-        return self._cdf_of(_log_ibetas([(x, self)])[0][0])
+        log_ibeta, _ = _log_ibetas(np.array([x, 0.5]), np.array([self._row] * 2, dtype=float))
+        return _cdfs(log_ibeta[:1], log_ibeta[1:]).item()
 
     def quantile(self, p: float, guess: float = 0.25) -> float:
         """The QBER below which the posterior holds probability p: Halley
         steps on the CDF from `guess` (1/4 if it lies outside the bracket
         (0, 1/2)), each evaluated point shrinking the bracket and a step that
         would leave it bisecting it instead. The step from the first point
-        whose CDF lies within 1e-4 min(p, 1 - p) of p is returned."""
-        return _quantiles([(self, p, guess)])[0]
+        whose CDF lies within 1e-4 min(p, 1 - p) of p is returned, or the
+        first point that a step no longer moves."""
+        rows = np.array([self._row], dtype=float)
+        log_mass, _ = _log_ibetas(np.array([0.5]), rows)
+        return _quantiles(rows, log_mass, np.array([p], dtype=float),
+                          np.array([guess], dtype=float)).item()
 
     def interval(self) -> tuple[float, float]:
         """68.2% credible interval: 34.1% each side of the ML point, any
@@ -232,59 +251,74 @@ class TruncatedBeta:
         return _intervals([self])[0]
 
 
-def _quantiles(searches: Sequence[tuple[TruncatedBeta, float, float]]) -> list[float]:
-    """`TruncatedBeta.quantile` of each (posterior, p, guess), the searches
-    run in lockstep: each round evaluates the CDF at every unfinished
-    search's next point in one `_log_ibetas` call."""
-    found, pending = {}, {}
-    for i, (_, p, guess) in enumerate(searches):
-        if 0 < p < 1:
-            pending[i] = 0.0, 0.5, guess if 0.0 < guess < 0.5 else 0.25
-        else:
-            found[i] = 0.0 if p <= 0 else 0.5
-    while pending:
-        current = list(pending.items())
-        points = [(x, searches[i][0]) for i, (_, _, x) in current]
-        for (i, (lo, hi, x)), (log_ibeta, front) in zip(current, _log_ibetas(points)):
-            post, p, _ = searches[i]
-            a, b, log_mass = post.a, post.b, post._log_mass
-            cdf = post._cdf_of(log_ibeta)
-            density = math.exp(front - math.log(x) - math.log1p(-x) - log_mass)
-            bend = (a - 1) / x - (b - 1) / (1.0 - x)  # the density's log-derivative
-            lo, hi = (x, hi) if cdf < p else (lo, x)
-            step = (p - cdf) / density if density > 0 else math.nan
+def _quantiles(rows: np.ndarray, log_mass: np.ndarray, p: np.ndarray,
+               guess: np.ndarray) -> np.ndarray:
+    """`TruncatedBeta.quantile` of each lane's p and guess, for the
+    posterior of row `rows[i]` and log mass log I_1/2(a, b) `log_mass[i]`.
+    The searches run in lockstep: each round evaluates every unfinished
+    search's next point in one `_log_ibetas` call and steps them all as
+    arrays."""
+    found = np.where(p <= 0, 0.0, 0.5)
+    going = (0 < p) & (p < 1)
+    lanes = np.flatnonzero(going)
+    rows, log_mass, p, x = rows[going], log_mass[going], p[going], guess[going]
+    x = np.where((0.0 < x) & (x < 0.5), x, 0.25)
+    lo, hi = np.zeros_like(x), np.full_like(x, 0.5)
+    # An overflow, a zero divisor or an invalid operation gives inf or nan
+    # silently, and a step to inf or nan bisects the bracket.
+    with np.errstate(all="ignore"):
+        while len(lanes):
+            log_ibeta, front = _log_ibetas(x, rows)
+            a, b = rows[:, 0], rows[:, 1]
+            cdf = _cdfs(log_ibeta, log_mass)
+            density = _each(math.exp, front - _each(math.log, x) - _each(math.log1p, -x) - log_mass)
+            bend = (a - 1.0) / x - (b - 1.0) / (1.0 - x)  # the density's log-derivative
+            below = cdf < p
+            lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+            step = np.where(density > 0, (p - cdf) / density, np.nan)
             new = x + step / (1.0 + 0.5 * step * bend)
-            converged = lo < new < hi and abs(p - cdf) <= 1e-4 * min(p, 1.0 - p)
-            if not lo < new < hi:
-                new = 0.5 * (lo + hi)
-            if converged or new == x:
-                found[i] = new
-                del pending[i]
-            else:
-                pending[i] = lo, hi, new
-    return [found[i] for i in range(len(searches))]
+            inside = (lo < new) & (new < hi)
+            # A step that rounds onto its own point, which is now a bracket
+            # end and so not inside, ends the search there.
+            stuck = new == x
+            done = stuck | (inside & (np.abs(p - cdf) <= 1e-4 * np.minimum(p, 1.0 - p)))
+            new = np.where(inside | stuck, new, 0.5 * (lo + hi))
+            done |= new == x
+            found[lanes[done]] = new[done]
+            going = ~done
+            lanes, rows, log_mass, p, lo, hi, x = (
+                v[going] for v in (lanes, rows, log_mass, p, lo, hi, new))
+    return found
 
 
 def _intervals(posteriors: Sequence[TruncatedBeta]) -> list[tuple[float, float]]:
     """`TruncatedBeta.interval` of each posterior: one round evaluates every
     mass and every CDF at an ML point inside (0, 1/2), then `_quantiles`
-    finds both ends of every interval in lockstep."""
-    inner = [post for post in posteriors if 0 < post.ml < 0.5]
-    logs = _log_ibetas([(0.5, post) for post in posteriors] + [(post.ml, post) for post in inner])
-    for post, (log_mass, _) in zip(posteriors, logs):
-        post._log_mass = log_mass
-    log_at_ml = iter(logs[len(posteriors):])
-    searches = []
-    for post in posteriors:
-        # The CDF at the ML point, as `cdf` gives it.
-        if 0 < post.ml < 0.5:
-            cdf_ml = post._cdf_of(next(log_at_ml)[0])
-        else:
-            cdf_ml = 0.0 if post.ml <= 0 else 1.0
-        low = min(max(cdf_ml - 0.341, 0.0), 1.0 - 0.682)
-        sigma = math.sqrt(post.a * post.b / (post.a + post.b + 1.0)) / (post.a + post.b)
-        searches += [(post, low, post.ml - sigma), (post, low + 0.682, post.ml + sigma)]
-    ends = _quantiles(searches)
+    finds both ends of every interval in lockstep, the upper one from ml +
+    sigma of the untruncated Beta and the lower one from ml - sigma or
+    nearer."""
+    if not posteriors:
+        return []
+    n = len(posteriors)
+    rows = np.array([post._row for post in posteriors], dtype=float)
+    ml = np.array([post.ml for post in posteriors])
+    inner = (0 < ml) & (ml < 0.5)
+    log_ibeta, _ = _log_ibetas(np.concatenate([np.full(n, 0.5), ml[inner]]),
+                               np.concatenate([rows, rows[inner]]))
+    log_mass = log_ibeta[:n]
+    cdf_ml = np.where(ml <= 0, 0.0, 1.0)  # the CDF at the ML point, as `cdf` gives it
+    cdf_ml[inner] = _cdfs(log_ibeta[n:], log_mass[inner])
+    low = np.minimum(np.maximum(cdf_ml - 0.341, 0.0), 1.0 - 0.682)
+    a, b = rows[:, 0], rows[:, 1]
+    sigma = _each(math.sqrt, a * b / (a + b + 1.0)) / (a + b)
+    # With more errors than half the sifted count (a > b) the ML point is
+    # 1/2, from which the truncated posterior falls off on the scale
+    # 1 / (2 (a - b)); the lower search starts there if that is nearer. For
+    # a <= b the scale term is 1/2, above every sigma.
+    down = np.minimum(sigma, 0.5 / np.maximum(a - b, 1.0))
+    ends = _quantiles(np.repeat(rows, 2, axis=0), np.repeat(log_mass, 2),
+                      np.column_stack([low, low + 0.682]).ravel(),
+                      np.column_stack([ml - down, ml + sigma]).ravel()).tolist()
     return list(zip(ends[::2], ends[1::2]))
 
 

@@ -20,7 +20,8 @@ cycle count:
    of a point (slot-pair counts times the two dephasing ends), so a map
    cached per (n_sub, noise, parties) gives it. On a 2-core Xeon, warm,
    one point's pi takes 10 us, and one einsum gives a block of 32 points'
-   pi in 115 us, 3.6 us a point (`simulate_sessions`).
+   pi in 115 us, 3.6 us a point (`simulate_sessions`). The block's cells
+   are the rows of one array, so one np.dot gives all its report counters.
 
 Both paths track the measurement frame and map a record to its tally
 cell by one rule (`_tally_cell`): a photon sent in an odd window is
@@ -205,12 +206,12 @@ class SessionReport:
         return self.sifted / self.channel_uses if self.channel_uses else 0.0
 
 
-# Each flat tally cell's share of the `_COUNTERS`: a coincidence, same-party
-# if `excluded`. A `counts` X/X (Y/Y) cell is sifted_xx (sifted_yy), and an
-# error too when its basis, sign and parity indices sum to odd, as X pairs
-# correlate with the sign product and Y pairs anticorrelate. Plain Python:
-# numpy here would add 0.1 MB of RSS.
-_COUNTERS = ("coincidences", "same_party", "sifted_xx", "errors_xx", "sifted_yy", "errors_yy")
+# Each flat tally cell's share of the counters coincidences, same_party,
+# sifted_xx, errors_xx, sifted_yy and errors_yy, in `SessionReport`'s order:
+# a coincidence, same-party if `excluded`. A `counts` X/X (Y/Y) cell is
+# sifted_xx (sifted_yy), and an error too when its basis, sign and parity
+# indices sum to odd, as X pairs correlate with the sign product and Y pairs
+# anticorrelate. Plain Python: numpy here would add 0.1 MB of RSS.
 _COUNTER_TABLE = np.array([
     [1, p] + [p == 0 and ba == bb == f // 2 and (ba + sa + sb + q) % 2 >= f % 2 for f in range(4)]
     for p, ba, sa, bb, sb, q in itertools.product(*map(range, (2, 4, 2, 4, 2, 2)))
@@ -454,28 +455,33 @@ def _cell_probabilities(points: Sequence[tuple]) -> list[np.ndarray | None]:
     return pis
 
 
-def _run_fast(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray, int, int]]:
-    """The 256 flat tally cells, total heralds and cycles discarded by a third
-    herald of each point (seq, chan, parties, noise, cycles, seed), in order.
+def _run_fast(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray, list[int], list[int]]]:
+    """The 256 flat tally cells of each point (seq, chan, parties, noise,
+    cycles, seed) as a row of a (points, 256) array, with its total heralds
+    and the cycles that a third herald discarded, one block of `_PI_BLOCK`
+    points at a time, in order.
 
-    One `_cell_probabilities` call gives the pi of each block of
-    `_PI_BLOCK` points. Each point then draws from its own generator: its
-    herald counts, and its cells if it has coincidences.
+    One `_cell_probabilities` call gives the pi of each block. Each point
+    then draws from its own generator: its herald counts, and its cells if
+    it has coincidences.
     """
     for start in range(0, len(points), _PI_BLOCK):
         block = points[start:start + _PI_BLOCK]
-        for (seq, chan, _, noise, cycles, seed), pi in zip(block, _cell_probabilities(block)):
+        cells = np.zeros((len(block), 256), dtype=np.int64)
+        heralds, discarded = [], []
+        for row, (seq, chan, _, noise, cycles, seed), pi in zip(cells, block, _cell_probabilities(block)):
             rng = np.random.default_rng(seed)
             pmf = _herald_count_pmf(seq.n_qubits, chan.n_p * noise.eta_detect)
             by_heralds = rng.multinomial(cycles, pmf / pmf.sum())
             # Summed as Python ints over the herald counts that occur: an int64
             # dot product wraps past 2^63 - 1 heralds.
             seen = np.flatnonzero(by_heralds)
-            heralds = sum(k * n for k, n in zip(seen.tolist(), by_heralds[seen].tolist()))
-            cells = np.zeros(256, dtype=np.int64)
-            if len(by_heralds) > 2 and by_heralds[2] > 0:
-                cells = rng.multinomial(by_heralds[2], pi)
-            yield cells, heralds, int(by_heralds[3:].sum())
+            heralds.append(sum(k * n for k, n in zip(seen.tolist(), by_heralds[seen].tolist())))
+            up_to_two = by_heralds[:3].tolist()  # shorter below two slots
+            discarded.append(cycles - sum(up_to_two))
+            if len(up_to_two) > 2 and up_to_two[2] > 0:
+                row[:] = rng.multinomial(up_to_two[2], pi)
+        yield cells, heralds, discarded
 
 
 def _run_reference(
@@ -485,8 +491,10 @@ def _run_reference(
     noise: NoiseParams,
     cycles: int,
     seed: int,
-) -> tuple[np.ndarray, int, int]:
-    """The 256 flat tally cells, total heralds and cycles discarded by a third herald."""
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """`_run_fast`'s block of one point: the 256 flat tally cells as a
+    (1, 256) array, with the total heralds and the cycles that a third
+    herald discarded."""
     rng = np.random.default_rng(seed)
     n = seq.n_qubits
     cells = np.zeros(256, dtype=np.int64)
@@ -513,7 +521,7 @@ def _run_reference(
             window = seq.window_of(slots) % 2
             cell = _tally_cell(*window.T, *party.T, *labels.T, m.prod(axis=1) == -1)
             cells += np.bincount(cell, minlength=256)
-    return cells, heralds, discarded
+    return cells[None], [heralds], [discarded]
 
 
 def simulate_sessions(
@@ -526,7 +534,8 @@ def simulate_sessions(
     seed), yielded in order: the same tally and report as one at a time.
 
     The fast engine forms the pi of up to `_PI_BLOCK` points at once
-    (`_run_fast`); the reference engine runs the points one by one.
+    (`_run_fast`); the reference engine runs the points one by one. One
+    np.dot gives the report counters of each block's points.
     """
     points = list(points)
     for _, _, _, _, cycles, _ in points:
@@ -536,27 +545,25 @@ def simulate_sessions(
         raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
 
     if engine == "fast":
-        runs = _run_fast(points)
+        blocks = _run_fast(points)
     else:
-        runs = (_run_reference(*point) for point in points)
+        blocks = (_run_reference(*point) for point in points)
     ov = overheads if overheads is not None else TimingOverheads()
     lock_factor = 1.0 + (ov.lock_s / ov.block_s if ov.lock_s > 0 else 0.0)
-    for (seq, _, _, _, cycles, _), (cells, heralds, discarded) in zip(points, runs):
+    start = 0
+    for cells, heralds, discarded in blocks:
         # np.dot, not @: the int64 matmul loop would add 0.1 MB to the reference engine's RSS.
         counters = np.dot(cells, _COUNTER_TABLE).tolist()
-        n = seq.n_qubits
-        wall = cycles * (seq.cycle_duration_s() + ov.readout_s) * lock_factor / ov.duty_factor
-        report = SessionReport(
-            cycles=cycles,
-            heralds=heralds,
-            discarded_multi=discarded,
-            **dict(zip(_COUNTERS, counters)),
+        block = points[start:start + len(cells)]
+        start += len(cells)
+        for (seq, _, _, _, cycles, _), row, (coincidences, *rest), n_heralds, n_discarded in zip(
+                block, cells, counters, heralds, discarded):
+            n = seq.n_qubits
+            wall = cycles * (seq.cycle_duration_s() + ov.readout_s) * lock_factor / ov.duty_factor
             # A channel use is one photon from each party: two qubit slots.
-            channel_uses=n * cycles / 2.0,
-            wall_clock_s=wall,
-            clock_rate_hz=(n * cycles / wall) if wall > 0 else 0.0,
-        )
-        yield CoincidenceTally(*cells.reshape(2, 4, 2, 4, 2, 2)), report
+            report = SessionReport(cycles, n_heralds, coincidences, n_discarded, *rest,
+                                   n * cycles / 2.0, wall, (n * cycles / wall) if wall > 0 else 0.0)
+            yield CoincidenceTally(*row.reshape(2, 4, 2, 4, 2, 2)), report
 
 
 def simulate_session(

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import random
@@ -212,6 +213,25 @@ class TestTruncatedBeta:
         assert 0.5 - 1e-5 < low < 0.5
         assert post.cdf(low) == pytest.approx(1.0 - 0.682, rel=1e-9)
 
+    @pytest.mark.parametrize("errors,sifted", [
+        (71_596_849, 73_946_503), (353_335_329, 353_335_329), (27_577, 44_473),
+    ])
+    def test_interval_above_half_errors_takes_few_rounds(self, errors, sifted, monkeypatch):
+        # From 1/2 these posteriors fall off on the scale 1 / (2 (a - b)),
+        # far below the untruncated sigma: a lower search from 1/2 - sigma
+        # took 363 rounds on the first. From 1/2 - 1 / (2 (a - b)) the second
+        # took 363 and the third 33, each bisecting from a point onto which
+        # its own Halley step rounded.
+        rounds, solve = [], rates._log_ibetas
+        monkeypatch.setattr(rates, "_log_ibetas", lambda *args: rounds.append(args) or solve(*args))
+        post = TruncatedBeta(errors, sifted)
+        low, high = post.interval()
+        assert len(rounds) <= 6
+        want_low, want_high = TruncatedBetaOracle(errors, sifted).interval()
+        assert 0.4999 < low < post.ml == high == 0.5
+        assert low == pytest.approx(want_low, abs=1e-10)
+        assert high == pytest.approx(want_high, abs=1e-10)
+
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             TruncatedBeta(0, 0)
@@ -232,60 +252,14 @@ def random_posteriors(count: int, seed: int) -> list[TruncatedBeta]:
     return posteriors
 
 
-class TestLockstepPosteriors:
-    # Many posteriors solved together give each one's floats bit for bit:
-    # in batches of `_BATCH_MIN` or more the continued fractions run as one
-    # numpy loop, below it one by one, and one at a time always scalar.
-    SIZES = (rates._BATCH_MIN - 1, 1000)
-
-    def test_log_ibetas_match_one_at_a_time(self):
-        rng = random.Random(2)
-        points = []
-        for post in random_posteriors(1000, seed=1):
-            near_ml = min(post.ml * rng.uniform(0.9, 1.1), 0.5)
-            x = rng.choice([0.5, rng.uniform(0.0, 0.5), near_ml])
-            if 0 < x < 1:
-                points.append((x, post))
-        single = [rates._log_ibetas([point])[0] for point in points]
-        for size in self.SIZES:
-            batched = [value for start in range(0, len(points), size)
-                       for value in rates._log_ibetas(points[start:start + size])]
-            assert batched == single, size
-
-    def test_cdf_matches_one_at_a_time(self):
-        rng = random.Random(3)
-        posteriors = random_posteriors(1000, seed=3)
-        xs = [rng.uniform(0.0, 0.5) for _ in posteriors]
-        logs = rates._log_ibetas(list(zip(xs, posteriors)))
-        assert [post._cdf_of(log) for post, (log, _) in zip(posteriors, logs)] == [
-            post.cdf(x) for post, x in zip(posteriors, xs)
-        ]
-
-    def test_quantiles_match_one_at_a_time(self):
-        # Guesses near the answer, as `interval` makes them, and anywhere.
-        rng = random.Random(4)
-        searches = []
-        for post in random_posteriors(1000, seed=4):
-            sigma = math.sqrt(post.a * post.b) / (post.a + post.b) ** 1.5
-            near = post.ml + rng.uniform(-3.0, 3.0) * sigma
-            guess = rng.choice([near, near, near, rng.uniform(-0.1, 0.6)])
-            searches.append((post, rng.choice([rng.random(), 0.159, 0.841, 0.0, 1.0]), guess))
-        single = [post.quantile(p, guess) for post, p, guess in searches]
-        for size in self.SIZES:
-            assert [q for start in range(0, len(searches), size)
-                    for q in rates._quantiles(searches[start:start + size])] == single, size
-
-    def test_intervals_match_one_at_a_time(self):
-        posteriors = random_posteriors(1000, seed=5)
-        single = [post.interval() for post in posteriors]
-        for size in self.SIZES:
-            batched = [interval for start in range(0, len(posteriors), size)
-                       for interval in rates._intervals(posteriors[start:start + size])]
-            assert batched == single, size
+def rows_of(posteriors) -> np.ndarray:
+    """The `rates._log_ibetas` rows of the posteriors."""
+    return np.array([post._row for post in posteriors], dtype=float)
 
 
 def unsplit_log_front(x: float, a: int, b: int) -> float:
-    """`rates._log_front` with its x-independent terms computed in place."""
+    """`rates._log_front` of one lane in Python floats, with its
+    x-independent terms computed in place."""
     if min(a, b) <= 20:
         return (a * math.log(x) + b * math.log1p(-x)
                 + math.log((a + b - 1) * math.comb(a + b - 2, a - 1)))
@@ -300,17 +274,173 @@ def unsplit_log_front(x: float, a: int, b: int) -> float:
             + 0.5 * math.log(a * b / (2.0 * math.pi * (a + b))))
 
 
+# The scalar form of a posterior round, one lane at a time in Python floats
+# and `math` calls: the reference that the array rounds of `rates` match
+# bit for bit.
+
+def scalar_log_ibeta(x: float, post: TruncatedBeta) -> tuple[float, float]:
+    """log I_x(a, b) and the log front of one lane."""
+    a, b = post.a, post.b
+    front = unsplit_log_front(x, a, b)
+    upper = x >= (a + 1.0) / (a + b + 2.0)
+    tx, ta, tb = (1.0 - x, float(b), float(a)) if upper else (x, float(a), float(b))
+    log_tail = front + math.log(rates._lentz(tx, ta, tb) / ta)
+    return (math.log1p(-math.exp(log_tail)) if upper else log_tail), front
+
+
+def scalar_cdf(x: float, post: TruncatedBeta) -> float:
+    return min(math.exp(scalar_log_ibeta(x, post)[0] - scalar_log_ibeta(0.5, post)[0]), 1.0)
+
+
+def scalar_quantile(post: TruncatedBeta, p: float, guess: float, events: list) -> float:
+    """`TruncatedBeta.quantile`; `events` gets "zero density" for each step
+    that bisects because the density underflows, and "stuck" for each
+    search that ends where its step rounds onto its own point."""
+    if not 0 < p < 1:
+        return 0.0 if p <= 0 else 0.5
+    log_mass = scalar_log_ibeta(0.5, post)[0]
+    lo, hi, x = 0.0, 0.5, guess if 0.0 < guess < 0.5 else 0.25
+    while True:
+        log_ibeta, front = scalar_log_ibeta(x, post)
+        cdf = min(math.exp(log_ibeta - log_mass), 1.0)
+        density = math.exp(front - math.log(x) - math.log1p(-x) - log_mass)
+        bend = (post.a - 1) / x - (post.b - 1) / (1.0 - x)
+        lo, hi = (x, hi) if cdf < p else (lo, x)
+        step = (p - cdf) / density if density > 0 else math.nan
+        if density == 0:
+            events.append("zero density")
+        new = x + step / (1.0 + 0.5 * step * bend)
+        converged = lo < new < hi and abs(p - cdf) <= 1e-4 * min(p, 1.0 - p)
+        if new == x:
+            events.append("stuck")
+            return x
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if converged or new == x:
+            return new
+        x = new
+
+
+def scalar_interval(post: TruncatedBeta) -> tuple[float, float]:
+    """`TruncatedBeta.interval`: searches from ml -+ sigma, the lower one
+    from 1/2 - 1 / (2 (a - b)) if that is nearer, as with more errors than
+    half the sifted count."""
+    if 0 < post.ml < 0.5:
+        cdf_ml = scalar_cdf(post.ml, post)
+    else:
+        cdf_ml = 0.0 if post.ml <= 0 else 1.0
+    low = min(max(cdf_ml - 0.341, 0.0), 1.0 - 0.682)
+    a, b = post.a, post.b
+    sigma = math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+    down = min(sigma, 1 / (2 * (a - b))) if a > b else sigma
+    return (scalar_quantile(post, low, post.ml - down, []),
+            scalar_quantile(post, low + 0.682, post.ml + sigma, []))
+
+
+class TestLockstepPosteriors:
+    # Each round runs on numpy arrays over its lanes, with `math` logs and
+    # exps, and gives the scalar code's floats bit for bit at every round
+    # size: from `_BATCH_MIN` lanes up the continued fractions run as one
+    # numpy loop, below it one by one, and a posterior's own methods make
+    # one-lane rounds. CI also runs these at numpy's lowest dispatch level.
+    SIZES = (rates._BATCH_MIN - 1, 3000)
+    ONE_LANE = 100  # lanes also solved one at a time through `TruncatedBeta`
+
+    @staticmethod
+    def in_rounds(solve, lanes: list, size: int) -> list:
+        return [value for start in range(0, len(lanes), size)
+                for value in solve(lanes[start:start + size])]
+
+    def test_log_ibetas_match_one_at_a_time(self):
+        # x at 1/2, anywhere below it, near the ML point and in the far
+        # lower tail, so that both fronts, both heads and both tails occur.
+        rng = random.Random(2)
+        lanes = []
+        for post in random_posteriors(3000, seed=1):
+            near_ml = min(post.ml * rng.uniform(0.9, 1.1), 0.5)
+            x = rng.choice([0.5, rng.uniform(0.0, 0.5), near_ml, 10 ** rng.uniform(-300, -1)])
+            if 0 < x < 1:
+                lanes.append((x, post))
+        scalar = [scalar_log_ibeta(x, post) for x, post in lanes]
+
+        def solve(chunk):
+            xs, posteriors = zip(*chunk)
+            return list(zip(*(v.tolist() for v in rates._log_ibetas(np.array(xs), rows_of(posteriors)))))
+
+        for size in self.SIZES:
+            assert self.in_rounds(solve, lanes, size) == scalar, size
+        assert self.in_rounds(solve, lanes[:self.ONE_LANE], 1) == scalar[:self.ONE_LANE]
+        kinds = collections.Counter()
+        for x, post in lanes:
+            a, b = post.a, post.b
+            kinds["upper" if x >= (a + 1.0) / (a + b + 2.0) else "lower"] += 1
+            kinds["small" if min(a, b) <= 20 else "near" if 2.0 * (x * (a + b) - a) > -a else "far"] += 1
+        assert min(kinds[kind] for kind in ("upper", "lower", "small", "near", "far")) >= 100, kinds
+
+    def test_cdf_matches_one_at_a_time(self):
+        rng = random.Random(3)
+        posteriors = random_posteriors(3000, seed=3)
+        xs = [rng.uniform(0.0, 0.5) for _ in posteriors]
+        scalar = [scalar_cdf(x, post) for x, post in zip(xs, posteriors)]
+        rows = rows_of(posteriors)
+        log_ibeta, _ = rates._log_ibetas(np.array(xs), rows)
+        log_mass, _ = rates._log_ibetas(np.full(len(xs), 0.5), rows)
+        assert rates._cdfs(log_ibeta, log_mass).tolist() == scalar
+        one_lane = zip(posteriors[:self.ONE_LANE], xs)
+        assert [post.cdf(x) for post, x in one_lane] == scalar[:self.ONE_LANE]
+
+    def test_quantiles_match_one_at_a_time(self):
+        # Guesses near the answer, as `interval` makes them, anywhere, and
+        # 40 to 1000 sigma out, where the density underflows to 0.
+        rng = random.Random(4)
+        searches = []
+        for post in random_posteriors(3000, seed=4):
+            sigma = math.sqrt(post.a * post.b) / (post.a + post.b) ** 1.5
+            near = post.ml + rng.uniform(-3.0, 3.0) * sigma
+            far = post.ml + rng.choice([-1.0, 1.0]) * rng.uniform(40.0, 1000.0) * sigma
+            guess = rng.choice([near, near, far, rng.uniform(-0.1, 0.6)])
+            searches.append((post, rng.choice([rng.random(), 0.159, 0.841, 0.0, 1.0]), guess))
+        events = []
+        scalar = [scalar_quantile(*search, events) for search in searches]
+
+        def solve(chunk):
+            posteriors, p, guess = zip(*chunk)
+            rows = rows_of(posteriors)
+            log_mass, _ = rates._log_ibetas(np.full(len(chunk), 0.5), rows)
+            return rates._quantiles(rows, log_mass, np.array(p), np.array(guess)).tolist()
+
+        for size in self.SIZES:
+            assert self.in_rounds(solve, searches, size) == scalar, size
+        one_lane = searches[:self.ONE_LANE]
+        assert [post.quantile(p, guess) for post, p, guess in one_lane] == scalar[:self.ONE_LANE]
+        assert events.count("zero density") >= 100 and events.count("stuck") >= 50
+
+    def test_intervals_match_one_at_a_time(self):
+        posteriors = random_posteriors(3000, seed=5)
+        scalar = [scalar_interval(post) for post in posteriors]
+        for size in self.SIZES:
+            assert self.in_rounds(rates._intervals, posteriors, size) == scalar, size
+        assert [post.interval() for post in posteriors[:self.ONE_LANE]] == scalar[:self.ONE_LANE]
+        mls = [post.ml for post in posteriors]
+        assert mls.count(0.0) >= 300 and mls.count(0.5) >= 300
+        assert sum(post.a > post.b and post.a + post.b > 10**6 for post in posteriors) >= 100
+
+
 def test_front_terms_computed_once_keep_every_float():
     # Both branches, x from the far lower tail (where log1p(t / a) is
-    # replaced) to near 1, and a, b up to 1e9.
+    # replaced) to near 1, and a, b up to 1e9, in one round.
     rng = random.Random(5)
+    lanes = []
     for _ in range(20_000):
         a, b = (rng.choice([rng.randint(1, 20), rng.randint(21, 400), int(10 ** rng.uniform(1, 9))])
                 for _ in range(2))
         x = rng.choice([rng.random(), 10 ** rng.uniform(-300, 0), 1.0 - 10 ** rng.uniform(-15, 0)])
         if 0 < x < 1:
-            split = rates._log_front(x, a, b, rates._front_terms(a, b))
-            assert split == unsplit_log_front(x, a, b), (x, a, b)
+            lanes.append((x, a, b))
+    x, a, b = (np.array(v, dtype=float) for v in zip(*lanes))
+    terms = np.array([rates._front_terms(lane_a, lane_b) for _, lane_a, lane_b in lanes])
+    split = rates._log_front(x, a, b, terms).tolist()
+    assert split == [unsplit_log_front(*lane) for lane in lanes]
 
 
 class TestBounds:

@@ -41,7 +41,7 @@ def sift(tally: CoincidenceTally) -> dict:
     """The sift fields of the report that `simulate_session` makes of the tally's cells."""
     cells = np.concatenate([tally.counts.ravel(), tally.excluded.ravel()])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(session, "_run_fast", lambda points: iter([(cells, 0, 0)]))
+        patch.setattr(session, "_run_fast", lambda points: iter([(cells[None], [0], [0])]))
         _, report = simulate_session(
             SEQ124, ChannelConfig(n_p=0.01), PartyConfig(), NoiseParams(), 1, seed=0
         )
