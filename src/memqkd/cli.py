@@ -36,7 +36,7 @@ from .config import (
     load_config,
     load_preset,
 )
-from .rates import KeyRateReport, build_report, build_reports
+from .rates import KeyRateReport, analytic_report, build_reports
 from .session import (
     EmptyCellError,
     SessionReport,
@@ -105,7 +105,7 @@ def _write_csv(path: Optional[str], columns: list[str], rows: Iterable[Sequence]
     writer.writerow(columns)
     writer.writerows(map(_fmt, row) for row in rows)
     text = buffer.getvalue()
-    if path:
+    if path is not None:
         try:
             Path(path).write_text(text)
         except OSError as exc:
@@ -115,11 +115,11 @@ def _write_csv(path: Optional[str], columns: list[str], rows: Iterable[Sequence]
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    if args.preset and args.config:
+    if args.preset is not None and args.config is not None:
         raise ConfigError("give either --preset or --config, not both")
-    if args.preset:
+    if args.preset is not None:
         cfg = load_preset(args.preset)
-    elif args.config:
+    elif args.config is not None:
         cfg = load_config(args.config)
     else:
         cfg = default_config()
@@ -187,7 +187,7 @@ def _cmd_simulate(args) -> int:
     _write_csv(args.out, SIMULATE_COLUMNS, _rows(SIMULATE_COLUMNS, [point]))
     # Without --out the CSV is stdout, so the summary goes to stderr and
     # stdout stays one clean data stream.
-    with contextlib.redirect_stdout(sys.stdout if args.out else sys.stderr):
+    with contextlib.redirect_stdout(sys.stdout if args.out is not None else sys.stderr):
         _print_summary(point)
     return 0
 
@@ -251,7 +251,7 @@ def _cmd_chsh(args) -> int:
         for key, value in terms.items():
             rows.append((parity, key, value, n, s_value))
     print(f"coincidences: {report.coincidences:,} over {report.cycles:,} cycles")
-    if args.out:
+    if args.out is not None:
         _write_csv(args.out, CHSH_COLUMNS, rows)
     return 0
 
@@ -273,7 +273,7 @@ def _cmd_rates(args) -> int:
             parties=dataclasses.replace(base.parties, basis_bias=args.bias),
         )
         cfg = cfg.replace(n_m=math.sqrt(args.p_ab) * cfg.sequence.n_qubits)
-        rates = build_report(args.qber, cfg)
+        rates = analytic_report(args.qber, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     bias_label = f"{args.bias:.2f}:{1 - args.bias:.2f}"

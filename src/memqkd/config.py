@@ -193,9 +193,8 @@ def list_presets() -> list[str]:
 
 
 def load_preset(name: str) -> ScenarioConfig:
-    ref = resources.files("memqkd.presets").joinpath(f"{name}.cfg")
-    if not ref.is_file():
+    if name not in list_presets():  # a shipped preset's name, never a path
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(list_presets())}"
         )
-    return parse_config(ref.read_text())
+    return parse_config(resources.files("memqkd.presets").joinpath(f"{name}.cfg").read_text())

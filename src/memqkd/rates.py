@@ -4,16 +4,16 @@ The QBER posterior is the truncated Beta of the pooled sifted counts,
 Beta(errors + 1, sifted - errors + 1) on [0, 1/2], with an exact CDF.
 Each round of its solves runs on numpy arrays over lanes (posteriors, or
 points of one): `build_reports` solves a sweep's intervals together, and
-`TruncatedBeta`'s methods call the same code on one posterior. Every +,
--, *, / and comparison is a numpy operation, which IEEE rounds alike at
-every CPU dispatch level; every log, log1p, exp and sqrt is a `math`
-(libm) call on each lane, as numpy's own round differently on different
-CPUs. So each float is the one that scalar code in the same order gives,
-whatever the round's size.
+`TruncatedBeta.cdf` and `.interval` run the same code on one posterior.
+Every +, -, *, / and comparison is a numpy operation, which IEEE rounds
+alike at every CPU dispatch level; every log, log1p, exp and sqrt is a
+`math` (libm) call on each lane, as numpy's own round differently on
+different CPUs. So each float is the one that scalar code in the same
+order gives, whatever the round's size.
 Each rate ratio has one definition, on `KeyRateReport`: the secure rate
-over the bound, with the measured sifted rate when a session is given and
-the analytic one otherwise; its confidence level is the posterior
-probability that this same ratio exceeds one.
+over the bound, with a session's measured sifted rate (`build_report`) or
+the analytic one (`analytic_report`); its confidence level is the
+posterior probability that this same ratio exceeds one.
 
 Rate conventions. A full channel use is one photon from each party (two
 qubit slots); a channel occupancy is a single half-link slot, so rates
@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -214,8 +214,8 @@ class TruncatedBeta:
     point min(errors / sifted, 1/2). Where the bases' rates differ it
     describes their average, weighted by the sifted counts, and not
     either basis. The CDF I_x(a, b) / I_1/2(a, b) is formed in log space,
-    so it also holds where I_1/2 underflows. Each method runs the array
-    code that `build_reports` runs on many posteriors on this one.
+    so it also holds where I_1/2 underflows. `cdf` and `interval` run the
+    array code that `build_reports` runs on many posteriors on this one.
     """
 
     def __init__(self, errors: int, sifted: int) -> None:
@@ -233,18 +233,6 @@ class TruncatedBeta:
         log_ibeta, _ = _log_ibetas(np.array([x, 0.5]), np.array([self._row] * 2, dtype=float))
         return _cdfs(log_ibeta[:1], log_ibeta[1:]).item()
 
-    def quantile(self, p: float, guess: float = 0.25) -> float:
-        """The QBER below which the posterior holds probability p: Halley
-        steps on the CDF from `guess` (1/4 if it lies outside the bracket
-        (0, 1/2)), each evaluated point shrinking the bracket and a step that
-        would leave it bisecting it instead. The step from the first point
-        whose CDF lies within 1e-4 min(p, 1 - p) of p is returned, or the
-        first point that a step no longer moves."""
-        rows = np.array([self._row], dtype=float)
-        log_mass, _ = _log_ibetas(np.array([0.5]), rows)
-        return _quantiles(rows, log_mass, np.array([p], dtype=float),
-                          np.array([guess], dtype=float)).item()
-
     def interval(self) -> tuple[float, float]:
         """68.2% credible interval: 34.1% each side of the ML point, any
         mass a domain edge cuts off one side spilling to the other."""
@@ -253,16 +241,18 @@ class TruncatedBeta:
 
 def _quantiles(rows: np.ndarray, log_mass: np.ndarray, p: np.ndarray,
                guess: np.ndarray) -> np.ndarray:
-    """`TruncatedBeta.quantile` of each lane's p and guess, for the
-    posterior of row `rows[i]` and log mass log I_1/2(a, b) `log_mass[i]`.
-    The searches run in lockstep: each round evaluates every unfinished
-    search's next point in one `_log_ibetas` call and steps them all as
-    arrays."""
+    """The QBER below which each lane's posterior (row `rows[i]`, log mass
+    log I_1/2(a, b) `log_mass[i]`) holds probability `p[i]`: 0 or 1/2 for
+    p outside (0, 1), else Halley steps on the CDF from `guess[i]`, which
+    must lie inside the bracket (0, 1/2). Each evaluated point shrinks the
+    bracket, and a step that would leave it bisects it; the step from the
+    first point whose CDF lies within 1e-4 min(p, 1 - p) of p is returned,
+    or the first point that a step no longer moves. The searches run in
+    lockstep, every unfinished one's next point in one `_log_ibetas` call."""
     found = np.where(p <= 0, 0.0, 0.5)
     going = (0 < p) & (p < 1)
     lanes = np.flatnonzero(going)
     rows, log_mass, p, x = rows[going], log_mass[going], p[going], guess[going]
-    x = np.where((0.0 < x) & (x < 0.5), x, 0.25)
     lo, hi = np.zeros_like(x), np.full_like(x, 0.5)
     # An overflow, a zero divisor or an invalid operation gives inf or nan
     # silently, and a step to inf or nan bisects the bracket.
@@ -294,9 +284,9 @@ def _quantiles(rows: np.ndarray, log_mass: np.ndarray, p: np.ndarray,
 def _intervals(posteriors: Sequence[TruncatedBeta]) -> list[tuple[float, float]]:
     """`TruncatedBeta.interval` of each posterior: one round evaluates every
     mass and every CDF at an ML point inside (0, 1/2), then `_quantiles`
-    finds both ends of every interval in lockstep, the upper one from ml +
-    sigma of the untruncated Beta and the lower one from ml - sigma or
-    nearer."""
+    finds both ends of every interval in lockstep, from ml + sigma of the
+    untruncated Beta and from ml - sigma or nearer, each at most halfway
+    from ml to its domain edge and so inside (0, 1/2)."""
     if not posteriors:
         return []
     n = len(posteriors)
@@ -316,9 +306,10 @@ def _intervals(posteriors: Sequence[TruncatedBeta]) -> list[tuple[float, float]]
     # 1 / (2 (a - b)); the lower search starts there if that is nearer. For
     # a <= b the scale term is 1/2, above every sigma.
     down = np.minimum(sigma, 0.5 / np.maximum(a - b, 1.0))
+    start = np.column_stack([np.maximum(ml - down, 0.5 * ml),
+                             np.minimum(ml + sigma, 0.5 * (ml + 0.5))])
     ends = _quantiles(np.repeat(rows, 2, axis=0), np.repeat(log_mass, 2),
-                      np.column_stack([low, low + 0.682]).ravel(),
-                      np.column_stack([ml - down, ml + sigma]).ravel()).tolist()
+                      np.column_stack([low, low + 0.682]).ravel(), start.ravel()).tolist()
     return list(zip(ends[::2], ends[1::2]))
 
 
@@ -437,53 +428,51 @@ def _confidence(posterior: TruncatedBeta, rs_needed: float) -> float:
         lo, hi = (mid, hi) if secret_fraction(mid) > rs_needed else (lo, mid)
 
 
-def build_report(source: Union[float, SessionReport], cfg: ScenarioConfig) -> KeyRateReport:
-    """Assemble the rate report.
+def _bounds(cfg: ScenarioConfig) -> tuple[float, float]:
+    """`rate_direct_bound` at the p_AB and basis bias of scenario `cfg`, and
+    `plob_bound`, both per use."""
+    p_ab = cfg.channel().p_ab
+    return rate_direct_bound(p_ab, cfg.parties.basis_bias), plob_bound(p_ab)
 
-    `source` is an error rate (the analytic report) or a session report,
-    whose sifted counts give the QBER posterior: its ML point and 68.2%
-    interval here, and the confidence levels only when they are read
-    (`KeyRateReport`), since no CSV row holds one. The bounds take p_AB from
-    the channel of scenario `cfg` and its basis bias: `rate_direct_bound`
-    and the linear PLOB bound, both per use. The sifted rate per use is the
-    session's, or else the analytic one, sifted_enhancement of the
+
+def analytic_report(qber: float, cfg: ScenarioConfig) -> KeyRateReport:
+    """The rate report of error rate `qber` in scenario `cfg`, with no
+    posterior: its sifted rate per use is sifted_enhancement of the
     scenario's eta_detect and pulse layout times the direct bound per
-    occupancy, so the analytic ratio_rmax_per_use is
-    2 * sifted_enhancement * r_s. Without sifted key the error rate, and
-    every secure rate built on it, is unknown (nan) rather than perfect.
-    """
-    return build_reports([(source, cfg)])[0]
+    occupancy, so ratio_rmax_per_use is 2 * sifted_enhancement * r_s."""
+    r_max, plob = _bounds(cfg)
+    seq = cfg.sequence
+    enhancement = sifted_enhancement(cfg.noise.eta_detect, seq.n_pi, seq.n_sub)
+    return KeyRateReport(
+        qber_ml=qber, qber_low=qber, qber_high=qber, r_s=secret_fraction(qber),
+        sifted_per_use=2.0 * enhancement * r_max, r_max=r_max, plob=plob, posterior=None,
+    )
 
 
-def build_reports(
-    sources: Iterable[tuple[Union[float, SessionReport], ScenarioConfig]],
-) -> list[KeyRateReport]:
-    """`build_report` of each (source, cfg) pair, every posterior's interval
+def build_report(session: SessionReport, cfg: ScenarioConfig) -> KeyRateReport:
+    """The rate report of a session run in scenario `cfg`: its sifted rate
+    per use, the `_bounds` of `cfg`, and the QBER posterior of its sifted
+    counts with that posterior's ML point and 68.2% interval. Without sifted
+    key the error rate, and every secure rate built on it, is nan."""
+    return build_reports([(session, cfg)])[0]
+
+
+def build_reports(runs: Iterable[tuple[SessionReport, ScenarioConfig]]) -> list[KeyRateReport]:
+    """`build_report` of each (session, cfg) pair, every posterior's interval
     found in one lockstep pass (`_intervals`)."""
-    sources = list(sources)
-    posteriors = [
-        TruncatedBeta(source.errors, source.sifted)
-        if isinstance(source, SessionReport) and source.sifted else None
-        for source, _ in sources
-    ]
+    runs = list(runs)
+    posteriors = [TruncatedBeta(session.errors, session.sifted) if session.sifted else None
+                  for session, _ in runs]
     intervals = iter(_intervals([post for post in posteriors if post is not None]))
     reports = []
-    for (source, cfg), posterior in zip(sources, posteriors):
-        p_ab = cfg.channel().p_ab
-        r_max = rate_direct_bound(p_ab, cfg.parties.basis_bias)
-        plob = plob_bound(p_ab)
-        if isinstance(source, SessionReport):
-            sifted_use = source.sifted_rate_per_use()
-            e_ml = e_low = e_high = math.nan
-            if posterior is not None:
-                e_ml, (e_low, e_high) = posterior.ml, next(intervals)
-        else:
-            seq = cfg.sequence
-            enhancement = sifted_enhancement(cfg.noise.eta_detect, seq.n_pi, seq.n_sub)
-            sifted_use = 2.0 * enhancement * r_max
-            e_ml = e_low = e_high = float(source)
+    for (session, cfg), posterior in zip(runs, posteriors):
+        r_max, plob = _bounds(cfg)
+        e_ml = e_low = e_high = math.nan
+        if posterior is not None:
+            e_ml, (e_low, e_high) = posterior.ml, next(intervals)
         reports.append(KeyRateReport(
             qber_ml=e_ml, qber_low=e_low, qber_high=e_high, r_s=secret_fraction(e_ml),
-            sifted_per_use=sifted_use, r_max=r_max, plob=plob, posterior=posterior,
+            sifted_per_use=session.sifted_rate_per_use(), r_max=r_max, plob=plob,
+            posterior=posterior,
         ))
     return reports

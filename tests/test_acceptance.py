@@ -17,6 +17,7 @@ from memqkd.config import default_config, load_preset
 from memqkd.qubits import NoiseParams
 from memqkd.rates import (
     TruncatedBeta,
+    analytic_report,
     build_report,
     rate_direct_bound,
     secret_fraction,
@@ -112,8 +113,8 @@ def test_criterion_04_secret_fraction():
 def test_criterion_05_key_rate_ratios():
     # N = 124 slots as 62 x 2 at n_m = 0.02 and eta_detect = 0.423.
     cfg = default_config()
-    unbiased = build_report(0.110, cfg)
-    biased = build_report(0.110, cfg.replace(parties=PartyConfig(basis_bias=0.99)))
+    unbiased = analytic_report(0.110, cfg)
+    biased = analytic_report(0.110, cfg.replace(parties=PartyConfig(basis_bias=0.99)))
     ok = (
         abs(unbiased.ratio_rmax_per_occupancy - 2.06) < 0.15
         and abs(unbiased.ratio_rmax_per_use - 4.13) < 0.3

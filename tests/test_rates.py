@@ -14,6 +14,7 @@ from memqkd.config import default_config, load_preset
 from memqkd.rates import (
     QBER_INDIVIDUAL_LIMIT,
     TruncatedBeta,
+    analytic_report,
     binary_entropy,
     build_report,
     plob_bound,
@@ -158,8 +159,9 @@ class TestTruncatedBeta:
 
     def test_quantile_inverts_cdf(self):
         post = TruncatedBeta(11, 100)
-        for p in (1e-9, 0.01, 0.3, 0.682, 0.99, 1 - 1e-9):
-            assert post.cdf(post.quantile(p)) == pytest.approx(p, rel=1e-12)
+        ps = (1e-9, 0.01, 0.3, 0.682, 0.99, 1 - 1e-9)
+        for p, x in zip(ps, quantiles([(post, p, 0.25) for p in ps])):
+            assert post.cdf(x) == pytest.approx(p, rel=1e-12)
 
     def test_single_cell_interval_width(self):
         post = TruncatedBeta(11, 100)
@@ -215,20 +217,26 @@ class TestTruncatedBeta:
 
     @pytest.mark.parametrize("errors,sifted", [
         (71_596_849, 73_946_503), (353_335_329, 353_335_329), (27_577, 44_473),
+        (1677, 3407), (1860, 3777),
     ])
-    def test_interval_above_half_errors_takes_few_rounds(self, errors, sifted, monkeypatch):
-        # From 1/2 these posteriors fall off on the scale 1 / (2 (a - b)),
-        # far below the untruncated sigma: a lower search from 1/2 - sigma
-        # took 363 rounds on the first. From 1/2 - 1 / (2 (a - b)) the second
-        # took 363 and the third 33, each bisecting from a point onto which
-        # its own Halley step rounded.
+    def test_interval_near_half_errors_takes_few_rounds(self, errors, sifted, monkeypatch):
+        # Above half the sifted count these posteriors fall off from 1/2 on
+        # the scale 1 / (2 (a - b)), far below the untruncated sigma: a lower
+        # search from 1/2 - sigma took 363 rounds on the first. From 1/2 - 1 /
+        # (2 (a - b)) the second took 363 and the third 33, each bisecting
+        # from a point onto which its own Halley step rounded. Just below
+        # half, ml + sigma lies past 1/2: an upper search from 1/4 instead
+        # took 238 and 263 rounds on the last two.
         rounds, solve = [], rates._log_ibetas
         monkeypatch.setattr(rates, "_log_ibetas", lambda *args: rounds.append(args) or solve(*args))
         post = TruncatedBeta(errors, sifted)
         low, high = post.interval()
         assert len(rounds) <= 6
         want_low, want_high = TruncatedBetaOracle(errors, sifted).interval()
-        assert 0.4999 < low < post.ml == high == 0.5
+        if 2 * errors > sifted:
+            assert 0.4999 < low < post.ml == high == 0.5
+        else:
+            assert 0.48 < low < post.ml < high < 0.5
         assert low == pytest.approx(want_low, abs=1e-10)
         assert high == pytest.approx(want_high, abs=1e-10)
 
@@ -255,6 +263,14 @@ def random_posteriors(count: int, seed: int) -> list[TruncatedBeta]:
 def rows_of(posteriors) -> np.ndarray:
     """The `rates._log_ibetas` rows of the posteriors."""
     return np.array([post._row for post in posteriors], dtype=float)
+
+
+def quantiles(searches: list) -> list[float]:
+    """`rates._quantiles` of (posterior, p, guess) searches, solved together."""
+    posteriors, p, guess = zip(*searches)
+    rows = rows_of(posteriors)
+    log_mass, _ = rates._log_ibetas(np.full(len(searches), 0.5), rows)
+    return rates._quantiles(rows, log_mass, np.array(p), np.array(guess)).tolist()
 
 
 def unsplit_log_front(x: float, a: int, b: int) -> float:
@@ -293,13 +309,15 @@ def scalar_cdf(x: float, post: TruncatedBeta) -> float:
 
 
 def scalar_quantile(post: TruncatedBeta, p: float, guess: float, events: list) -> float:
-    """`TruncatedBeta.quantile`; `events` gets "zero density" for each step
-    that bisects because the density underflows, and "stuck" for each
-    search that ends where its step rounds onto its own point."""
+    """`rates._quantiles` of one search, from a guess inside (0, 1/2);
+    `events` gets "zero density" for each step that bisects because the
+    density underflows, and "stuck" for each search that ends where its
+    step rounds onto its own point."""
     if not 0 < p < 1:
         return 0.0 if p <= 0 else 0.5
+    assert 0.0 < guess < 0.5, guess
     log_mass = scalar_log_ibeta(0.5, post)[0]
-    lo, hi, x = 0.0, 0.5, guess if 0.0 < guess < 0.5 else 0.25
+    lo, hi, x = 0.0, 0.5, guess
     while True:
         log_ibeta, front = scalar_log_ibeta(x, post)
         cdf = min(math.exp(log_ibeta - log_mass), 1.0)
@@ -324,7 +342,7 @@ def scalar_quantile(post: TruncatedBeta, p: float, guess: float, events: list) -
 def scalar_interval(post: TruncatedBeta) -> tuple[float, float]:
     """`TruncatedBeta.interval`: searches from ml -+ sigma, the lower one
     from 1/2 - 1 / (2 (a - b)) if that is nearer, as with more errors than
-    half the sifted count."""
+    half the sifted count, and each from at most halfway to its edge."""
     if 0 < post.ml < 0.5:
         cdf_ml = scalar_cdf(post.ml, post)
     else:
@@ -333,8 +351,17 @@ def scalar_interval(post: TruncatedBeta) -> tuple[float, float]:
     a, b = post.a, post.b
     sigma = math.sqrt(a * b / (a + b + 1.0)) / (a + b)
     down = min(sigma, 1 / (2 * (a - b))) if a > b else sigma
-    return (scalar_quantile(post, low, post.ml - down, []),
-            scalar_quantile(post, low + 0.682, post.ml + sigma, []))
+    return (scalar_quantile(post, low, max(post.ml - down, 0.5 * post.ml), []),
+            scalar_quantile(post, low + 0.682, min(post.ml + sigma, 0.5 * (post.ml + 0.5)), []))
+
+
+def clipped(post: TruncatedBeta, offset: float) -> float:
+    """ml + offset, at most halfway from ml to the domain edge it heads for,
+    as `rates._intervals` clips its starts; from an ML point on an edge the
+    offset heads inward."""
+    if post.ml == 0.5 or (offset < 0 and post.ml > 0):
+        return max(post.ml - abs(offset), 0.5 * post.ml)
+    return min(post.ml + abs(offset), 0.5 * (post.ml + 0.5))
 
 
 class TestLockstepPosteriors:
@@ -390,29 +417,24 @@ class TestLockstepPosteriors:
         assert [post.cdf(x) for post, x in one_lane] == scalar[:self.ONE_LANE]
 
     def test_quantiles_match_one_at_a_time(self):
-        # Guesses near the answer, as `interval` makes them, anywhere, and
-        # 40 to 1000 sigma out, where the density underflows to 0.
+        # Guesses near the answer, as `interval` makes them, anywhere in
+        # (0, 1/2), and 40 to 1000 sigma out, where the density underflows
+        # to 0. Each near or far guess is clipped as `interval` clips its
+        # starts, to at most halfway from ml to the edge it heads for.
         rng = random.Random(4)
         searches = []
         for post in random_posteriors(3000, seed=4):
             sigma = math.sqrt(post.a * post.b) / (post.a + post.b) ** 1.5
-            near = post.ml + rng.uniform(-3.0, 3.0) * sigma
-            far = post.ml + rng.choice([-1.0, 1.0]) * rng.uniform(40.0, 1000.0) * sigma
-            guess = rng.choice([near, near, far, rng.uniform(-0.1, 0.6)])
+            near = clipped(post, rng.uniform(-3.0, 3.0) * sigma)
+            far = clipped(post, rng.choice([-1.0, 1.0]) * rng.uniform(40.0, 1000.0) * sigma)
+            guess = rng.choice([near, near, far, rng.uniform(0.0, 0.5)])
             searches.append((post, rng.choice([rng.random(), 0.159, 0.841, 0.0, 1.0]), guess))
+        assert all(0.0 < guess < 0.5 for _, _, guess in searches)
         events = []
         scalar = [scalar_quantile(*search, events) for search in searches]
-
-        def solve(chunk):
-            posteriors, p, guess = zip(*chunk)
-            rows = rows_of(posteriors)
-            log_mass, _ = rates._log_ibetas(np.full(len(chunk), 0.5), rows)
-            return rates._quantiles(rows, log_mass, np.array(p), np.array(guess)).tolist()
-
         for size in self.SIZES:
-            assert self.in_rounds(solve, searches, size) == scalar, size
-        one_lane = searches[:self.ONE_LANE]
-        assert [post.quantile(p, guess) for post, p, guess in one_lane] == scalar[:self.ONE_LANE]
+            assert self.in_rounds(quantiles, searches, size) == scalar, size
+        assert self.in_rounds(quantiles, searches[:self.ONE_LANE], 1) == scalar[:self.ONE_LANE]
         assert events.count("zero density") >= 100 and events.count("stuck") >= 50
 
     def test_intervals_match_one_at_a_time(self):
@@ -504,14 +526,14 @@ class TestSiftedEnhancement:
 class TestKeyRateReport:
     def test_benchmark_ratios_unbiased(self):
         assert BENCHMARK.channel().p_ab == (0.02 / 124) ** 2
-        report = build_report(0.110, BENCHMARK)
+        report = analytic_report(0.110, BENCHMARK)
         assert report.ratio_rmax_per_use == pytest.approx(4.13, abs=0.3)
         assert report.ratio_rmax_per_occupancy == pytest.approx(2.06, abs=0.15)
         assert report.ratio_plob_per_use == pytest.approx(1.43, abs=0.15)
         assert report.ratio_plob_per_occupancy == pytest.approx(0.71, abs=0.1)
 
     def test_benchmark_ratios_biased(self):
-        report = build_report(0.110, BENCHMARK.replace(parties=PartyConfig(basis_bias=0.99)))
+        report = analytic_report(0.110, BENCHMARK.replace(parties=PartyConfig(basis_bias=0.99)))
         # Biasing leaves the direct-transmission comparison unchanged but
         # pushes the repeaterless ratio up by the extra sifting yield.
         assert report.ratio_rmax_per_use == pytest.approx(4.13, abs=0.3)
@@ -519,7 +541,7 @@ class TestKeyRateReport:
         assert report.ratio_plob_per_occupancy == pytest.approx(1.40, abs=0.2)
 
     def test_report_identity(self):
-        report = build_report(0.09, BENCHMARK)
+        report = analytic_report(0.09, BENCHMARK)
         enh = sifted_enhancement(0.423, 62, 2)
         rs = secret_fraction(0.09)
         assert report.ratio_rmax_per_occupancy == pytest.approx(enh * rs, rel=1e-12)
@@ -527,13 +549,13 @@ class TestKeyRateReport:
         assert report.secure_per_use == pytest.approx(rs * report.sifted_per_use, rel=1e-12)
 
     def test_confidence_levels_from_posterior(self):
-        analytic = build_report(0.11, BENCHMARK).sifted_per_use
+        analytic = analytic_report(0.11, BENCHMARK).sifted_per_use
         report = build_report(session_with(440, 4000, analytic), BENCHMARK)
         assert report.confidence_vs_rmax > 0.99
         assert 0.5 < report.confidence_vs_plob < 1.0
 
     def test_confidence_levels_are_computed_once_on_read(self, monkeypatch):
-        analytic = build_report(0.11, BENCHMARK).sifted_per_use
+        analytic = analytic_report(0.11, BENCHMARK).sifted_per_use
         report = build_report(session_with(440, 4000, analytic), BENCHMARK)
         expected = [rates._confidence(report.posterior, bound / report.sifted_per_use)
                     for bound in (report.r_max, report.plob)]
@@ -544,7 +566,7 @@ class TestKeyRateReport:
         assert len(calls) == 2 and 0 < expected[1] < expected[0] < 1
 
     def test_analytic_report_has_no_confidence(self):
-        report = build_report(0.11, BENCHMARK)
+        report = analytic_report(0.11, BENCHMARK)
         assert report.confidence_vs_rmax is None and report.confidence_vs_plob is None
         assert report.qber_ml == report.qber_low == report.qber_high == 0.11
 
@@ -594,12 +616,12 @@ class TestKeyRateReport:
         assert report.confidence_vs_rmax == report.confidence_vs_plob == 0.0
 
     def test_high_qber_kills_rate(self):
-        report = build_report(0.2, BENCHMARK)
+        report = analytic_report(0.2, BENCHMARK)
         assert report.r_s == 0.0
         assert report.secure_per_use == 0.0
 
     def test_ratios_are_derived_from_the_stored_bounds(self):
-        report = build_report(0.09, BENCHMARK)
+        report = analytic_report(0.09, BENCHMARK)
         moved = dataclasses.replace(report, r_max=2 * report.r_max, plob=0.0)
         assert moved.ratio_rmax_per_use == report.secure_per_use / (2 * report.r_max)
         assert math.isnan(moved.ratio_plob_per_use) and math.isnan(moved.ratio_plob_per_occupancy)
@@ -615,7 +637,7 @@ class TestKeyRateReport:
         pi = coincidence_cell_probabilities(seq, chan, cfg.parties, cfg.noise)
         sifted_mass = pi[0, 0, :, 0].sum() + pi[0, 1, :, 1].sum()
         exact = pmf[2] / pmf.sum() * sifted_mass / (seq.n_qubits / 2)
-        analytic = build_report(0.11, cfg).sifted_per_use
+        analytic = analytic_report(0.11, cfg).sifted_per_use
         assert exact == pytest.approx(2.8389e-7, rel=1e-4)
         assert analytic == pytest.approx(2.7478e-7, rel=1e-4)
         assert exact / analytic == pytest.approx(1.03317, abs=1e-4)
