@@ -117,6 +117,10 @@ def _write_csv(path: Optional[str], columns: list[str], rows: Iterable[Sequence]
 def _load_scenario(args) -> ScenarioConfig:
     if args.preset is not None and args.config is not None:
         raise ConfigError("give either --preset or --config, not both")
+    # An empty path would name the current directory.
+    for flag in ("config", "out"):
+        if getattr(args, flag) == "":
+            raise ConfigError(f"--{flag} is empty; give a file path")
     if args.preset is not None:
         cfg = load_preset(args.preset)
     elif args.config is not None:
@@ -292,59 +296,77 @@ def _cmd_rates(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_scenario_flags(p: argparse.ArgumentParser, presets: str) -> None:
+    # Integer flags take the literals a config file accepts, 2e6 among them.
+    p.register("type", int, _parse_int)
+    p.add_argument("--config", help="path to a scenario config file")
+    p.add_argument("--preset", help=f"named preset ({presets})")
+    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--cycles", type=int, help="override the cycle count")
+    p.add_argument("--out", help="write the CSV here instead of stdout")
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--axis", choices=("N", "n_m"), required=True)
+    p.add_argument("--values", required=True,
+                   help="comma-separated list, e.g. 60,124,248,504")
+
+
+def _add_rates_flags(p: argparse.ArgumentParser) -> None:
+    scenario = default_config()
+    p.add_argument("--qber", type=float, required=True)
+    p.add_argument("--eta", type=float, default=scenario.noise.eta_detect)
+    p.add_argument("--n-pi", dest="n_pi", type=int, default=scenario.sequence.n_pi)
+    p.add_argument("--n-sub", dest="n_sub", type=int, default=scenario.sequence.n_sub)
+    p.add_argument("--bias", type=float, default=scenario.parties.basis_bias)
+    p.add_argument("--p-ab", dest="p_ab", type=float,
+                   default=scenario.channel().p_ab,
+                   help="effective channel transmission; the sifted rate is "
+                        "the paper's low-load formula, linear in p_AB with no "
+                        "two-herald saturation")
+
+
+# Each subcommand: its handler, its help line, whether it takes the scenario
+# flags, and what adds its own flags.
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "run one session", True, None),
+    "sweep": (_cmd_sweep, "sweep N or n_m", True, _add_sweep_flags),
+    "truth-table": (_cmd_truth_table, "print the BSM truth table", False, None),
+    "chsh": (_cmd_chsh, "run a Bell-test session", True, None),
+    "rates": (_cmd_rates, "analytic rate report", False, _add_rates_flags),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `command` alone, or with all five
+    when `command` names none of them."""
     parser = argparse.ArgumentParser(
         prog="memqkd",
         description="Memory-assisted MDI-QKD simulator and rate calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    presets = ", ".join(list_presets())
-
-    def add_scenario_flags(p):
-        # Integer flags take the literals a config file accepts, 2e6 among them.
-        p.register("type", int, _parse_int)
-        p.add_argument("--config", help="path to a scenario config file")
-        p.add_argument("--preset", help=f"named preset ({presets})")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--cycles", type=int, help="override the cycle count")
-        p.add_argument("--out", help="write the CSV here instead of stdout")
-
-    p_sim = sub.add_parser("simulate", help="run one session")
-    add_scenario_flags(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="sweep N or n_m")
-    add_scenario_flags(p_sweep)
-    p_sweep.add_argument("--axis", choices=("N", "n_m"), required=True)
-    p_sweep.add_argument("--values", required=True,
-                         help="comma-separated list, e.g. 60,124,248,504")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_tt = sub.add_parser("truth-table", help="print the BSM truth table")
-    p_tt.set_defaults(func=_cmd_truth_table)
-
-    p_chsh = sub.add_parser("chsh", help="run a Bell-test session")
-    add_scenario_flags(p_chsh)
-    p_chsh.set_defaults(func=_cmd_chsh)
-
-    scenario = default_config()
-    p_rates = sub.add_parser("rates", help="analytic rate report")
-    p_rates.add_argument("--qber", type=float, required=True)
-    p_rates.add_argument("--eta", type=float, default=scenario.noise.eta_detect)
-    p_rates.add_argument("--n-pi", dest="n_pi", type=int, default=scenario.sequence.n_pi)
-    p_rates.add_argument("--n-sub", dest="n_sub", type=int, default=scenario.sequence.n_sub)
-    p_rates.add_argument("--bias", type=float, default=scenario.parties.basis_bias)
-    p_rates.add_argument("--p-ab", dest="p_ab", type=float,
-                         default=scenario.channel().p_ab,
-                         help="effective channel transmission; the sifted rate is "
-                              "the paper's low-load formula, linear in p_AB with no "
-                              "two-herald saturation")
-    p_rates.set_defaults(func=_cmd_rates)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    if len(names) == 1:
+        # Usage lines name all five, as where all five are built. Only here:
+        # the errors that name the action would print it for "argument command".
+        sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    presets = None
+    for name in names:
+        func, help_text, scenario, add_flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if scenario:
+            if presets is None:
+                presets = ", ".join(list_presets())
+            _add_scenario_flags(p, presets)
+        if add_flags is not None:
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

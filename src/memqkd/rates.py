@@ -146,19 +146,22 @@ def _lentz_lanes(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`_lentz` on each lane: the same correctly rounded operations in the
     same order, each lane leaving the loop at its own stopping step, so each
     lane's float is the scalar one whatever numpy's CPU dispatch. Once fewer
-    than `_BATCH_MIN` lanes are left, `_lentz` sums each on from its state."""
+    than `_BATCH_MIN` lanes are left, `_lentz` sums each on from its state.
+    a + b and -a are formed once: -a - m is -(a + m) under round to nearest."""
     def nonzero(v: np.ndarray) -> np.ndarray:  # `v or _TINY` on each lane
-        return np.where(v == 0.0, _TINY, v)
+        return v if v.all() else np.where(v == 0.0, _TINY, v)
 
     out = np.empty_like(x)
     lanes = np.arange(len(x))
-    c, d = np.ones_like(x), 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    apb, neg_a = a + b, -a
+    c, d = np.ones_like(x), 1.0 / nonzero(1.0 - apb * x / (a + 1.0))
     cf, m = d, 0.0
     while True:
         going = abs(d * c - 1.0) >= 1e-15
         if not going.all():
             out[lanes[~going]] = cf[~going]
-            lanes, x, a, b, c, d, cf = (v[going] for v in (lanes, x, a, b, c, d, cf))
+            lanes, x, a, b, apb, neg_a, c, d, cf = (
+                v[going] for v in (lanes, x, a, b, apb, neg_a, c, d, cf))
             if len(lanes) < _BATCH_MIN:
                 break
         m += 1.0
@@ -167,7 +170,7 @@ def _lentz_lanes(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d = 1.0 / nonzero(1.0 + num * d)
         c = nonzero(1.0 + num / c)
         cf = cf * (d * c)
-        num = -(a + m) * (a + b + m) * x / (k * (k + 1))
+        num = (neg_a - m) * (apb + m) * x / (k * (k + 1))
         d = 1.0 / nonzero(1.0 + num * d)
         c = nonzero(1.0 + num / c)
         cf = cf * (d * c)

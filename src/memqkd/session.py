@@ -10,6 +10,9 @@ cycle count:
 
 1. Cycles are independent, so the herald counts of all cycles are one
    draw over the Binomial(N, n_p * eta_detect) pmf of heralds per cycle.
+   The pmfs of many points are the rows of one array of up to 4,096
+   floats (`_herald_count_pmfs`); over a 223-point N sweep to N = 504 a
+   point's pmf then costs 13 us warm with its normalisation, 16 us alone.
 2. Only cycles with exactly two heralds make a record, and every input
    to it is discrete: the two photon labels and parties, the window and
    slot parity of each herald, and the outcomes m1, m2, m3. The count of
@@ -22,6 +25,7 @@ cycle count:
    one point's pi takes 10 us, and one einsum gives a block of 32 points'
    pi in 115 us, 3.6 us a point (`simulate_sessions`). The block's cells
    are the rows of one array, so one np.dot gives all its report counters.
+   The whole fast session costs about 45 us a point over that sweep.
 
 Both paths track the measurement frame and map a record to its tally
 cell by one rule (`_tally_cell`): a photon sent in an odd window is
@@ -63,8 +67,12 @@ _OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
 _BLOCK = 2**17
 _LANES = 2**13
 # Fast engine: points per `_cell_probabilities` call, whose pi is then at
-# most a (32, 256) array of 64 KB.
+# most a (32, 256) array of 64 KB, and floats per `_herald_count_pmfs` call
+# (32 KB) unless one row is larger. Over a 223-point N sweep to N = 504,
+# whole blocks of pmf rows (128 KB arrays) grew the heap by 0.5 MB, as each
+# block's arrays outgrew the holes the last one's left; 32 KB, by 0.1 MB.
 _PI_BLOCK = 32
+_PMF_CELLS = 2**12
 
 
 def _tally_cell(w1, w2, p1, p2, l1, l2, parity):
@@ -252,19 +260,34 @@ def chsh_statistic(
     return terms, abs(total)
 
 
-def _herald_count_pmf(n_slots: int, p: float) -> np.ndarray:
-    """Binomial(n_slots, p) probabilities of k = 0..n_slots heralds.
+def _herald_count_pmfs(n_slots: Sequence[int], p: Sequence[float]) -> np.ndarray:
+    """Binomial(n_slots[i], p[i]) probabilities of k = 0..n_slots[i] heralds
+    in row i's first n_slots[i] + 1 entries; the rest pad the row to
+    max(n_slots) + 1 and hold no probabilities.
 
     Each term is evaluated in log space, so the tail P(k >= 3) is a sum
     of accurate terms even when it is far below the rounding error of 1.
+    Each row takes a point's operations in the order one point alone
+    takes them, and so has its bits. In a row's padding n - k is clamped
+    to 1 inside the log and to 0 outside it, so every log is of a
+    positive number and no exp overflows.
     """
-    k = np.arange(n_slots + 1.0)
-    if p == 0.0 or p == 1.0:
-        return (k == round(p * n_slots)).astype(float)
-    log_pmf = k * math.log(p)
-    log_pmf[1:] += np.cumsum(np.log((n_slots - k[:-1]) / k[1:]))  # log C(n_slots, k)
-    log_pmf += (n_slots - k) * math.log1p(-p)
-    return np.exp(log_pmf, out=log_pmf)
+    n = np.array(n_slots, dtype=float)[:, None]
+    k = np.arange(max(n_slots) + 1.0)
+    inner = [0.0 < q < 1.0 for q in p]
+    # math's log and log1p, as for a point alone.
+    log_p = np.array([[math.log(q) if ok else 0.0] for q, ok in zip(p, inner)])
+    log_q = np.array([[math.log1p(-q) if ok else 0.0] for q, ok in zip(p, inner)])
+    log_pmf = k * log_p
+    log_pmf[:, 1:] += np.cumsum(np.log(np.maximum(n - k[:-1], 1.0) / k[1:]), axis=1)  # log C(n, k)
+    log_pmf += np.maximum(n - k, 0.0) * log_q
+    edge = [i for i, ok in enumerate(inner) if not ok]
+    for i in edge:  # p = 0 or 1: log C(n, k) alone can pass exp's range
+        log_pmf[i] = -np.inf
+    pmf = np.exp(log_pmf, out=log_pmf)
+    for i in edge:
+        pmf[i] = k == round(p[i] * n_slots[i])
+    return pmf
 
 
 def _draw_labels(rng: np.random.Generator, parties: PartyConfig, shape: tuple) -> np.ndarray:
@@ -455,23 +478,39 @@ def _cell_probabilities(points: Sequence[tuple]) -> list[np.ndarray | None]:
     return pis
 
 
+def _herald_count_rows(block: Sequence[tuple]) -> Iterator[np.ndarray]:
+    """The herald-count pmf of each point (seq, chan, parties, noise, ...),
+    formed by `_herald_count_pmfs` for as many points at a time as keep
+    their padded rows within `_PMF_CELLS` floats, and at least one."""
+    start = 0
+    while start < len(block):
+        widths = itertools.accumulate((seq.n_qubits + 1 for seq, *_ in block[start:]), max)
+        size = max(1, sum(i * width <= _PMF_CELLS for i, width in enumerate(widths, 1)))
+        part = block[start:start + size]
+        start += size
+        yield from _herald_count_pmfs([seq.n_qubits for seq, *_ in part],
+                                      [chan.n_p * noise.eta_detect for _, chan, _, noise, *_ in part])
+
+
 def _run_fast(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray, list[int], list[int]]]:
     """The 256 flat tally cells of each point (seq, chan, parties, noise,
     cycles, seed) as a row of a (points, 256) array, with its total heralds
     and the cycles that a third herald discarded, one block of `_PI_BLOCK`
     points at a time, in order.
 
-    One `_cell_probabilities` call gives the pi of each block. Each point
-    then draws from its own generator: its herald counts, and its cells if
-    it has coincidences.
+    One `_cell_probabilities` call gives the pi of each block, and
+    `_herald_count_rows` its herald-count pmfs. Each point then draws from
+    its own generator: its herald counts, and its cells if it has
+    coincidences.
     """
     for start in range(0, len(points), _PI_BLOCK):
         block = points[start:start + _PI_BLOCK]
         cells = np.zeros((len(block), 256), dtype=np.int64)
         heralds, discarded = [], []
-        for row, (seq, chan, _, noise, cycles, seed), pi in zip(cells, block, _cell_probabilities(block)):
+        rows = zip(cells, block, _cell_probabilities(block), _herald_count_rows(block))
+        for row, (seq, _, _, _, cycles, seed), pi, pmf in rows:
             rng = np.random.default_rng(seed)
-            pmf = _herald_count_pmf(seq.n_qubits, chan.n_p * noise.eta_detect)
+            pmf = pmf[:seq.n_qubits + 1]
             by_heralds = rng.multinomial(cycles, pmf / pmf.sum())
             # Summed as Python ints over the herald counts that occur: an int64
             # dot product wraps past 2^63 - 1 heralds.

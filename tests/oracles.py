@@ -5,7 +5,8 @@ by brute force on the spin x photon1 x photon2 state vector, using only
 projectors and bras (no parity shortcuts), and reduces them to a POVM on
 the 4-dimensional two-photon input space. The spin's channels act on
 its 2x2 density matrix. The herald-count oracle sums the binomial head
-in 50-digit arithmetic, and the per-slot oracle sums every outcome
+in 50-digit arithmetic, the herald-count pmf oracle forms one point's
+pmf at a time, and the per-slot oracle sums every outcome
 string of a short cycle. The QBER-posterior oracle takes
 its incomplete beta from scipy and mpmath. The slot-pair oracle walks
 every pair of slots, the party table and the pair weights are built
@@ -155,6 +156,20 @@ def per_slot_two_herald_statistics(n_slots: int, n_p: float, eta: float) -> tupl
         same += p * (heralds[0] % 2 == heralds[1] % 2)
         clean += p * ("scatter" not in outcome)
     return two, same / two, clean / two
+
+
+def herald_count_pmf(n_slots: int, p: float) -> np.ndarray:
+    """Binomial(n_slots, p) probabilities of k = 0..n_slots heralds, one
+    point at a time, by the log-space formula the fast engine evaluates:
+    k log p + log C(n, k) + (n - k) log(1 - p), with log C(n, k) a running
+    sum of log((n - j) / (j + 1))."""
+    k = np.arange(n_slots + 1.0)
+    if p == 0.0 or p == 1.0:
+        return (k == round(p * n_slots)).astype(float)
+    log_pmf = k * math.log(p)
+    log_pmf[1:] += np.cumsum(np.log((n_slots - k[:-1]) / k[1:]))
+    log_pmf += (n_slots - k) * math.log1p(-p)
+    return np.exp(log_pmf, out=log_pmf)
 
 
 def herald_tail_probability(n_slots: int, p: float) -> float:

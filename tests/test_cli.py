@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -107,8 +108,51 @@ def test_sweep_computes_no_confidence_level(monkeypatch, capsys):
     assert capsys.readouterr() == (PINNED_SWEEP, "")
 
 
-# The help text of the scenario subcommands at 80 columns.
+# The help text of each subcommand at 80 columns; "" is the top-level parser.
 PINNED_HELP = {
+    "": textwrap.dedent(
+        """\
+        usage: memqkd [-h] {simulate,sweep,truth-table,chsh,rates} ...
+
+        Memory-assisted MDI-QKD simulator and rate calculator
+
+        positional arguments:
+          {simulate,sweep,truth-table,chsh,rates}
+            simulate            run one session
+            sweep               sweep N or n_m
+            truth-table         print the BSM truth table
+            chsh                run a Bell-test session
+            rates               analytic rate report
+
+        options:
+          -h, --help            show this help message and exit
+        """
+    ),
+    "rates": textwrap.dedent(
+        """\
+        usage: memqkd rates [-h] --qber QBER [--eta ETA] [--n-pi N_PI] [--n-sub N_SUB]
+                            [--bias BIAS] [--p-ab P_AB]
+
+        options:
+          -h, --help     show this help message and exit
+          --qber QBER
+          --eta ETA
+          --n-pi N_PI
+          --n-sub N_SUB
+          --bias BIAS
+          --p-ab P_AB    effective channel transmission; the sifted rate is the
+                         paper's low-load formula, linear in p_AB with no two-herald
+                         saturation
+        """
+    ),
+    "truth-table": textwrap.dedent(
+        """\
+        usage: memqkd truth-table [-h]
+
+        options:
+          -h, --help  show this help message and exit
+        """
+    ),
     "simulate": textwrap.dedent(
         """\
         usage: memqkd simulate [-h] [--config CONFIG] [--preset PRESET] [--seed SEED]
@@ -160,11 +204,22 @@ PINNED_HELP = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(PINNED_HELP))
+@pytest.mark.parametrize("command", sorted(PINNED_HELP), ids=lambda command: command or "memqkd")
 def test_pinned_scenario_help(command, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
-    assert run([command, "--help"]) == 0
+    assert run([command, "--help"] if command else ["--help"]) == 0
     assert capsys.readouterr() == (PINNED_HELP[command], "")
+
+
+@pytest.mark.parametrize("argv,built", [(["truth-table"], 1), (["--help"], 5)], ids=["truth-table", "help"])
+def test_parser_builds_only_the_named_subcommand(argv, built, monkeypatch, capsys):
+    # A command's own subparser is all it builds; without one, --help lists all five.
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: added.append(name) or add_parser(self, name, **kw))
+    assert run(argv) == 0
+    assert len(added) == built
 
 
 def test_parser_scans_the_presets_once(monkeypatch):

@@ -13,7 +13,8 @@ shows: the entry point, the pipe closes and the exit status.
 
 In an argv and in every output, `{tmp}` stands for the run's temporary
 directory. An input file's text is stored with bytes outside ASCII
-hex-escaped (`\\xff`).
+hex-escaped (`\\xff`). Commands run at 80 columns, so usage lines wrap
+alike in a terminal and out of one.
 
 `golden/reference.json` holds reference-engine sessions, which no command
 reaches: each one's call and the SHA-256 of its 256 tally cells and its
@@ -30,8 +31,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import shlex
 from pathlib import Path
+from unittest import mock
 
 from memqkd.bsm import ChannelConfig, SequenceConfig
 from memqkd.cli import run
@@ -62,7 +65,8 @@ def replay(entry: dict, tmp: Path) -> dict:
     for name, text in entry["files"].items():
         (tmp / name).write_bytes(decode_file(text))
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = run([arg.replace(TMP, str(tmp)) for arg in entry["argv"]])
     written = sorted(p for p in tmp.iterdir() if p.name not in entry["files"])
     return {

@@ -25,7 +25,7 @@ from memqkd.rates import (
 from memqkd.session import (
     PartyConfig,
     SessionReport,
-    _herald_count_pmf,
+    _herald_count_pmfs,
     coincidence_cell_probabilities,
     simulate_session,
 )
@@ -633,7 +633,7 @@ class TestKeyRateReport:
         # rate sits 3.3% low at the fig4 point.
         cfg = load_preset("fig4-point-N124")
         seq, chan = cfg.sequence, cfg.channel()
-        pmf = _herald_count_pmf(seq.n_qubits, chan.n_p * cfg.noise.eta_detect)
+        (pmf,) = _herald_count_pmfs([seq.n_qubits], [chan.n_p * cfg.noise.eta_detect])
         pi = coincidence_cell_probabilities(seq, chan, cfg.parties, cfg.noise)
         sifted_mass = pi[0, 0, :, 0].sum() + pi[0, 1, :, 1].sum()
         exact = pmf[2] / pmf.sum() * sifted_mass / (seq.n_qubits / 2)
