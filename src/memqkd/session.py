@@ -11,8 +11,7 @@ cycle count:
 1. Cycles are independent, so the herald counts of all cycles are one
    draw over the Binomial(N, n_p * eta_detect) pmf of heralds per cycle.
    The pmfs of many points are the rows of one array of up to 4,096
-   floats (`_herald_count_pmfs`); over a 223-point N sweep to N = 504 a
-   point's pmf then costs 13 us warm with its normalisation, 16 us alone.
+   floats (`_herald_count_pmfs`).
 2. Only cycles with exactly two heralds make a record, and every input
    to it is discrete: the two photon labels and parties, the window and
    slot parity of each herald, and the outcomes m1, m2, m3. The count of
@@ -21,11 +20,12 @@ cycle count:
    probability (`coincidence_cell_probabilities`), and the tally is one
    draw from Multinomial(coincidences, pi). pi is linear in eight numbers
    of a point (slot-pair counts times the two dephasing ends), so a map
-   cached per (n_sub, noise, parties) gives it. On a 2-core Xeon, warm,
-   one point's pi takes 10 us, and one einsum gives a block of 32 points'
-   pi in 115 us, 3.6 us a point (`simulate_sessions`). The block's cells
-   are the rows of one array, so one np.dot gives all its report counters.
-   The whole fast session costs about 45 us a point over that sweep.
+   cached per (n_sub, noise, parties) gives it, and one einsum gives the pi
+   of a block of 32 points (`simulate_sessions`). The block's cells are the
+   rows of one array, so one np.dot gives all its report counters.
+
+`_point_models` gives each point's pmf and pi: the engine draws from them,
+and `expected_sessions` reads the mean of every report counter from them.
 
 Both paths track the measurement frame and map a record to its tally
 cell by one rule (`_tally_cell`): a photon sent in an odd window is
@@ -478,18 +478,24 @@ def _cell_probabilities(points: Sequence[tuple]) -> list[np.ndarray | None]:
     return pis
 
 
-def _herald_count_rows(block: Sequence[tuple]) -> Iterator[np.ndarray]:
-    """The herald-count pmf of each point (seq, chan, parties, noise, ...),
-    formed by `_herald_count_pmfs` for as many points at a time as keep
-    their padded rows within `_PMF_CELLS` floats, and at least one."""
-    start = 0
-    while start < len(block):
-        widths = itertools.accumulate((seq.n_qubits + 1 for seq, *_ in block[start:]), max)
-        size = max(1, sum(i * width <= _PMF_CELLS for i, width in enumerate(widths, 1)))
-        part = block[start:start + size]
-        start += size
-        yield from _herald_count_pmfs([seq.n_qubits for seq, *_ in part],
+def _point_models(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
+    """The flat pi (None below two slots) and the normalised herald-count pmf
+    of each point (seq, chan, parties, noise, ...), in order. Each block's pi
+    comes first, from one `_cell_probabilities` call; its pmfs only as read,
+    `_herald_count_pmfs` taking as many points as keep their padded rows
+    within `_PMF_CELLS` floats, and at least one."""
+    for start in range(0, len(points), _PI_BLOCK):
+        block = points[start:start + _PI_BLOCK]
+        pis = iter(_cell_probabilities(block))
+        while block:
+            widths = itertools.accumulate((seq.n_qubits + 1 for seq, *_ in block), max)
+            size = max(1, sum(i * width <= _PMF_CELLS for i, width in enumerate(widths, 1)))
+            part, block = block[:size], block[size:]
+            pmfs = _herald_count_pmfs([seq.n_qubits for seq, *_ in part],
                                       [chan.n_p * noise.eta_detect for _, chan, _, noise, *_ in part])
+            for (seq, *_), pi, pmf in zip(part, pis, pmfs):
+                pmf = pmf[:seq.n_qubits + 1]
+                yield pi, pmf / pmf.sum()
 
 
 def _run_fast(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray, list[int], list[int]]]:
@@ -498,20 +504,17 @@ def _run_fast(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray, list[int], 
     and the cycles that a third herald discarded, one block of `_PI_BLOCK`
     points at a time, in order.
 
-    One `_cell_probabilities` call gives the pi of each block, and
-    `_herald_count_rows` its herald-count pmfs. Each point then draws from
-    its own generator: its herald counts, and its cells if it has
-    coincidences.
+    Each point draws from its own generator: its herald counts over its
+    `_point_models` pmf, and its cells over its pi if it has coincidences.
     """
+    models = _point_models(points)
     for start in range(0, len(points), _PI_BLOCK):
         block = points[start:start + _PI_BLOCK]
         cells = np.zeros((len(block), 256), dtype=np.int64)
         heralds, discarded = [], []
-        rows = zip(cells, block, _cell_probabilities(block), _herald_count_rows(block))
-        for row, (seq, _, _, _, cycles, seed), pi, pmf in rows:
+        for row, (*_, cycles, seed), (pi, pmf) in zip(cells, block, models):
             rng = np.random.default_rng(seed)
-            pmf = pmf[:seq.n_qubits + 1]
-            by_heralds = rng.multinomial(cycles, pmf / pmf.sum())
+            by_heralds = rng.multinomial(cycles, pmf)
             # Summed as Python ints over the herald counts that occur: an int64
             # dot product wraps past 2^63 - 1 heralds.
             seen = np.flatnonzero(by_heralds)
@@ -603,6 +606,20 @@ def simulate_sessions(
             report = SessionReport(cycles, n_heralds, coincidences, n_discarded, *rest,
                                    n * cycles / 2.0, wall, (n * cycles / wall) if wall > 0 else 0.0)
             yield CoincidenceTally(*row.reshape(2, 4, 2, 4, 2, 2)), report
+
+
+def expected_sessions(points: Iterable[tuple]) -> np.ndarray:
+    """The mean counters per cycle of the fast engine's draws at each point
+    that `simulate_sessions` takes, as a row of a (points, 8) array in
+    `SessionReport`'s order, heralds to errors_yy: sums over the herald-count
+    pmf, and pi times P(two heralds)."""
+    points = list(points)
+    expected = np.zeros((len(points), 8))
+    for row, (pi, pmf) in zip(expected, _point_models(points)):
+        row[0], row[2] = pmf @ np.arange(len(pmf)), pmf[3:].sum()
+        if pi is not None:
+            row[1], row[3:] = pmf[2], pmf[2] * (pi @ _COUNTER_TABLE[:, 1:])
+    return expected
 
 
 def simulate_session(

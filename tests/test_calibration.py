@@ -13,13 +13,12 @@ it would need eps_leak of about 0.3515.
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from heralded import heralded_fidelity
 from memqkd.config import load_preset
 from memqkd.qubits import NoiseParams
-from memqkd.session import coincidence_cell_probabilities
+from memqkd.session import expected_sessions
 
 
 def bisect(f, lo: float, hi: float, target: float) -> float:
@@ -32,15 +31,6 @@ def bisect(f, lo: float, hi: float, target: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def expected_sifted_qber(cfg) -> float:
-    """Pooled X-X and Y-Y error rate of the exact coincidence distribution pi."""
-    pi = coincidence_cell_probabilities(cfg.sequence, cfg.channel(), cfg.parties, cfg.noise)
-    same = pi[0][[0, 1], :, [0, 1]]  # (basis X/Y, signA, signB, parity)
-    # X pairs correlate with the sign product and Y pairs anticorrelate.
-    error = np.indices(same.shape).sum(axis=0) % 2 == 1
-    return float(same[error].sum() / same.sum())
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +50,10 @@ def test_eps_leak_gives_the_measured_heralded_fidelity(fig4):
 
 def test_p_mw_gives_the_observed_sifted_qber(fig4):
     def qber(p_mw):
-        return expected_sifted_qber(fig4.replace(noise=dataclasses.replace(fig4.noise, p_mw=p_mw)))
+        # Pooled X/X and Y/Y error rate the fast engine draws from.
+        noise = dataclasses.replace(fig4.noise, p_mw=p_mw)
+        (expected,) = expected_sessions([(fig4.sequence, fig4.channel(), fig4.parties, noise, 1, 0)])
+        return expected[5::2].sum() / expected[4::2].sum()
 
     p_mw = bisect(qber, 0.0, 0.01, 0.115)
     assert p_mw == pytest.approx(0.0010944, abs=1e-7)

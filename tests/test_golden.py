@@ -32,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 from pathlib import Path
 from unittest import mock
@@ -87,6 +88,14 @@ def test_golden_outputs_unchanged(tmp_path):
             moved.append(f"{entry['name']}: {', '.join(keys)} of "
                          f"`memqkd {shlex.join(entry['argv'])}`")
     assert not moved, f"{len(moved)} of {len(entries)} outputs moved:\n" + "\n".join(moved)
+
+
+def test_readme_counts_the_recorded_entries():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for pattern, path in ((r"(\d+) commands in all", GOLDEN),
+                          (r"the (\d+) reference-engine sessions", REFERENCE)):
+        count = re.search(pattern, readme).group(1)
+        assert int(count) == len(json.loads(path.read_text())), pattern
 
 
 def replay_reference(call: dict) -> str:

@@ -25,8 +25,7 @@ from memqkd.rates import (
 from memqkd.session import (
     PartyConfig,
     SessionReport,
-    _herald_count_pmfs,
-    coincidence_cell_probabilities,
+    expected_sessions,
     simulate_session,
 )
 from oracles import TruncatedBetaOracle
@@ -627,16 +626,13 @@ class TestKeyRateReport:
         assert math.isnan(moved.ratio_plob_per_use) and math.isnan(moved.ratio_plob_per_occupancy)
 
     def test_analytic_sifted_rate_against_the_exact_fig4_expectation(self):
-        # Exact: the two-herald share of cycles times the X/X + Y/Y mass of
-        # the coincidence cells, per use of the N/2 uses in a cycle. The
-        # paper's pair factor leaves some herald pairs out, so the analytic
-        # rate sits 3.3% low at the fig4 point.
+        # Exact: the expected X/X + Y/Y sifted keys of a cycle, per use of
+        # the N/2 uses in a cycle. The paper's pair factor leaves some herald
+        # pairs out, so the analytic rate sits 3.3% low at the fig4 point.
         cfg = load_preset("fig4-point-N124")
-        seq, chan = cfg.sequence, cfg.channel()
-        (pmf,) = _herald_count_pmfs([seq.n_qubits], [chan.n_p * cfg.noise.eta_detect])
-        pi = coincidence_cell_probabilities(seq, chan, cfg.parties, cfg.noise)
-        sifted_mass = pi[0, 0, :, 0].sum() + pi[0, 1, :, 1].sum()
-        exact = pmf[2] / pmf.sum() * sifted_mass / (seq.n_qubits / 2)
+        seq = cfg.sequence
+        (expected,) = expected_sessions([(seq, cfg.channel(), cfg.parties, cfg.noise, 1, 0)])
+        exact = expected[4::2].sum() / (seq.n_qubits / 2)
         analytic = analytic_report(0.11, cfg).sifted_per_use
         assert exact == pytest.approx(2.8389e-7, rel=1e-4)
         assert analytic == pytest.approx(2.7478e-7, rel=1e-4)

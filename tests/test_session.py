@@ -11,7 +11,7 @@ from scipy import stats
 import oracles
 from memqkd import session
 from memqkd.bsm import CONJ_LABEL, LABEL_NAMES, ChannelConfig, SequenceConfig
-from memqkd.config import default_config, load_preset
+from memqkd.config import default_config, list_presets, load_preset
 from memqkd.qubits import NoiseParams
 from memqkd.session import (
     _BLOCK,
@@ -129,10 +129,9 @@ class TestEngineEquivalence:
         sigma = math.sqrt(r_fast * (1 - r_fast) / ref.cycles)
         assert abs(r_ref - r_fast) < 5 * sigma
 
-        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
-        assert_cells_follow(pi, ref_tally)
-        same = pi[0][[0, 1], :, [0, 1]]
-        assert within_5_sigma(ref.errors, ref.sifted, same[oracles.SIFT_ERROR].sum() / same.sum())
+        assert_cells_follow(coincidence_cell_probabilities(seq, chan, parties, noise), ref_tally)
+        (expected,) = session.expected_sessions([(seq, chan, parties, noise, cycles, seed)])
+        assert within_5_sigma(ref.errors, ref.sifted, qber(expected))
 
     def test_paths_agree_at_full_sequence_layout(self):
         # The 62-window, 124-slot layout: about 2e5 coincidences.
@@ -159,6 +158,11 @@ def assert_cells_follow(pi, tally):
 
 def within_5_sigma(observed, trials, p):
     return abs(observed - trials * p) <= 5 * math.sqrt(trials * p * (1 - p))
+
+
+def qber(expected) -> float:
+    """Pooled X/X and Y/Y error rate of a row of `expected_sessions`."""
+    return expected[5::2].sum() / expected[4::2].sum()
 
 
 class TestReferenceDecomposition:
@@ -473,23 +477,72 @@ class TestReferenceFollowsExactProbabilities:
         n_m = min(heralds_per_cycle / noise.eta_detect, seq.n_qubits)
         chan = ChannelConfig.from_mean_photons(n_m, seq.n_qubits)
         parties = PartyConfig(mode=mode, assignment=assignment)
-        (pmf,) = _herald_count_pmfs([seq.n_qubits], [chan.n_p * noise.eta_detect])
-        assert cycles * pmf[2] >= 200
+        (expected,) = session.expected_sessions([(seq, chan, parties, noise, cycles, seed)])
+        heralds, coincidences, discarded = expected[:3]
+        assert cycles * coincidences >= 200
 
         _, ref = simulate_session(seq, chan, parties, noise, cycles, seed, engine="reference")
 
-        k = np.arange(len(pmf))
-        mean, var = pmf @ k, pmf @ k**2 - (pmf @ k) ** 2
-        assert abs(ref.heralds - cycles * mean) <= 5 * math.sqrt(cycles * var)
-        assert within_5_sigma(ref.coincidences, cycles, pmf[2])
-        assert within_5_sigma(ref.discarded_multi, cycles, pmf[3:].sum())
+        # A cycle's heralds are Binomial(N, a): variance mean * (1 - a).
+        var = heralds * (1 - heralds / seq.n_qubits)
+        assert abs(ref.heralds - cycles * heralds) <= 5 * math.sqrt(cycles * var)
+        assert within_5_sigma(ref.coincidences, cycles, coincidences)
+        assert within_5_sigma(ref.discarded_multi, cycles, discarded)
+        sifted = expected[4::2].sum() / coincidences
+        assert within_5_sigma(ref.sifted, ref.coincidences, sifted)
+        assert within_5_sigma(ref.errors, ref.sifted, qber(expected))
 
-        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
-        same = pi[0][[0, 1], :, [0, 1]]
-        p_sifted = same.sum()
-        p_error = same[oracles.SIFT_ERROR].sum()
-        assert within_5_sigma(ref.sifted, ref.coincidences, p_sifted)
-        assert within_5_sigma(ref.errors, ref.sifted, p_error / p_sifted)
+
+def preset_point(name: str, cycles: int | None = None) -> tuple:
+    cfg = load_preset(name)
+    return cfg.sequence, cfg.channel(), cfg.parties, cfg.noise, cycles or cfg.cycles, cfg.seed
+
+
+class TestExpectedSessions:
+    # The fast engine's own pmf and pi, pinned without sampling. CI also runs
+    # these at numpy's lowest dispatch level.
+    COUNTERS = [f.name for f in dataclasses.fields(session.SessionReport)][1:9]
+
+    def test_fig4_point(self):
+        point = preset_point("fig4-point-N124")
+        (expected,) = session.expected_sessions([point])
+        heralds, _, _, same_party, sifted_xx, errors_xx, sifted_yy, errors_yy = expected
+        assert heralds == pytest.approx(0.00846, rel=1e-7)
+        assert same_party == 0.0  # one sender plays both parties
+        assert qber(expected) == pytest.approx(0.1152661785, rel=1e-7)
+        assert errors_xx / sifted_xx == pytest.approx(0.07064050036, rel=1e-7)
+        assert errors_yy / sifted_yy == pytest.approx(0.1598918567, rel=1e-7)
+        per_use = (sifted_xx + sifted_yy) / (point[0].n_qubits / 2)
+        assert per_use == pytest.approx(2.838948257e-7, rel=1e-7)
+
+    def test_chsh_presets(self):
+        noisy, ideal = session.expected_sessions(
+            preset_point(name) for name in ("fig3-chsh-qber11", "fig3-chsh-ideal"))
+        assert qber(noisy) == pytest.approx(0.109999461, rel=1e-7)
+        assert noisy[1] == pytest.approx(0.2249393982, rel=1e-7)
+        assert noisy[2] == pytest.approx(0.5795553141, rel=1e-7)
+        assert qber(ideal) == pytest.approx(0.0, abs=1e-15)
+
+    def test_points_without_pairs(self):
+        noise = NoiseParams()
+        one_slot = (SequenceConfig(n_pi=1, n_sub=1), ChannelConfig(n_p=0.3), PartyConfig(), noise, 1, 0)
+        dark = (SEQ124, ChannelConfig.from_mean_photons(0.0, 124), PartyConfig(), noise, 1, 0)
+        one, none = session.expected_sessions([one_slot, dark])
+        assert one[0] == pytest.approx(0.3 * noise.eta_detect, rel=1e-15)
+        assert not one[1:].any() and not none.any()
+
+    @pytest.mark.parametrize("name", list_presets())
+    def test_trillion_cycles_lie_within_5_sigma(self, name):
+        cycles = 10**12
+        point = preset_point(name, cycles)
+        (expected,) = session.expected_sessions([point])
+        _, report = simulate_session(*point)
+        heralds, *rest = [getattr(report, counter) for counter in self.COUNTERS]
+        # A cycle's heralds are Binomial(N, a); every other counter counts cycles.
+        var = expected[0] * (1 - expected[0] / point[0].n_qubits)
+        assert abs(heralds - cycles * expected[0]) <= 5 * math.sqrt(cycles * var)
+        for counter, observed, p in zip(self.COUNTERS[1:], rest, expected[1:]):
+            assert within_5_sigma(observed, cycles, p), counter
 
 
 class TestHeraldStatistics:
@@ -720,10 +773,9 @@ class TestCellProbabilitiesMatchPerPointOracle:
         seq = SequenceConfig(n_pi=3, n_sub=2)
         flipped = NoiseParams(p_mw=0.9)
         assert (1.0 - 2.0 * flipped.p_mw) ** seq.n_pi < 0
-        pi = coincidence_cell_probabilities(seq, ChannelConfig(n_p=0.01), PartyConfig(), flipped)
+        point = (seq, ChannelConfig(n_p=0.01), PartyConfig(), flipped, 1, 0)
         # The sign of the dephasing factor swaps the error rate about 1/2.
-        same = pi[0][[0, 1], :, [0, 1]]
-        assert same[oracles.SIFT_ERROR].sum() / same.sum() > 0.5
+        assert qber(session.expected_sessions([point])[0]) > 0.5
 
     def test_cached_arrays_are_read_only(self):
         for assignment in ("random", "alternating", "single"):
