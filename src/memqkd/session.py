@@ -9,9 +9,8 @@ path is two exact multinomial draws, so its cost does not grow with the
 cycle count:
 
 1. Cycles are independent, so the herald counts of all cycles are one
-   draw over the Binomial(N, n_p * eta_detect) pmf of heralds per cycle.
-   The pmfs of many points are the rows of one array of up to 4,096
-   floats (`_herald_count_pmfs`).
+   draw over the Binomial(N, n_p * eta_detect) pmf of heralds per cycle
+   (`_herald_count_pmf`).
 2. Only cycles with exactly two heralds make a record, and every input
    to it is discrete: the two photon labels and parties, the window and
    slot parity of each herald, and the outcomes m1, m2, m3. The count of
@@ -67,12 +66,8 @@ _OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
 _BLOCK = 2**17
 _LANES = 2**13
 # Fast engine: points per `_cell_probabilities` call, whose pi is then at
-# most a (32, 256) array of 64 KB, and floats per `_herald_count_pmfs` call
-# (32 KB) unless one row is larger. Over a 223-point N sweep to N = 504,
-# whole blocks of pmf rows (128 KB arrays) grew the heap by 0.5 MB, as each
-# block's arrays outgrew the holes the last one's left; 32 KB, by 0.1 MB.
+# most a (32, 256) array of 64 KB.
 _PI_BLOCK = 32
-_PMF_CELLS = 2**12
 
 
 def _tally_cell(w1, w2, p1, p2, l1, l2, parity):
@@ -260,34 +255,34 @@ def chsh_statistic(
     return terms, abs(total)
 
 
-def _herald_count_pmfs(n_slots: Sequence[int], p: Sequence[float]) -> np.ndarray:
-    """Binomial(n_slots[i], p[i]) probabilities of k = 0..n_slots[i] heralds
-    in row i's first n_slots[i] + 1 entries; the rest pad the row to
-    max(n_slots) + 1 and hold no probabilities.
+def _herald_count_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) probabilities of k = 0..n heralds.
 
-    Each term is evaluated in log space, so the tail P(k >= 3) is a sum
-    of accurate terms even when it is far below the rounding error of 1.
-    Each row takes a point's operations in the order one point alone
-    takes them, and so has its bits. In a row's padding n - k is clamped
-    to 1 inside the log and to 0 outside it, so every log is of a
-    positive number and no exp overflows.
+    The term at the mode floor((n + 1) p) is set to 1 and every other term
+    comes from its neighbour nearer the mode by their exact ratio, so no term
+    passes 1 but by rounding, a tail far below the rounding error of 1 is a
+    sum of accurate terms, and terms past the double range come out 0; then
+    all are divided by their sum. With no log or exp, every operation is
+    correctly rounded and in a fixed order: the bits do not depend on the CPU.
     """
-    n = np.array(n_slots, dtype=float)[:, None]
-    k = np.arange(max(n_slots) + 1.0)
-    inner = [0.0 < q < 1.0 for q in p]
-    # math's log and log1p, as for a point alone.
-    log_p = np.array([[math.log(q) if ok else 0.0] for q, ok in zip(p, inner)])
-    log_q = np.array([[math.log1p(-q) if ok else 0.0] for q, ok in zip(p, inner)])
-    log_pmf = k * log_p
-    log_pmf[:, 1:] += np.cumsum(np.log(np.maximum(n - k[:-1], 1.0) / k[1:]), axis=1)  # log C(n, k)
-    log_pmf += np.maximum(n - k, 0.0) * log_q
-    edge = [i for i, ok in enumerate(inner) if not ok]
-    for i in edge:  # p = 0 or 1: log C(n, k) alone can pass exp's range
-        log_pmf[i] = -np.inf
-    pmf = np.exp(log_pmf, out=log_pmf)
-    for i in edge:
-        pmf[i] = k == round(p[i] * n_slots[i])
-    return pmf
+    mode = min(int((n + 1) * p), n)  # n at p = 1, so no odds divide by 0
+    num, den = p.as_integer_ratio()  # p = num/den and 1 - p = (den - num)/den
+    k = np.arange(n + 1.0)
+    pmf = np.empty(n + 1)
+    pmf[mode] = 1.0
+    # Up from the mode P(j + 1)/P(j) = (n - j)/(j + 1) * p/(1 - p), and down
+    # P(j - 1)/P(j) = j/(n + 1 - j) * (1 - p)/p, from j = mode outward.
+    for c, a, b, out in ((k[n - mode:0:-1] / k[mode + 1:], num, den - num, pmf[mode + 1:]),
+                         (k[mode:0:-1] / k[n + 1 - mode:], den - num, num, pmf[mode - 1::-1])):
+        if len(c):
+            # The odds a/b enter rounded, as hi; d steps out a term is then times
+            # 1 + d (a/b - hi)/hi, since hi's rounding error would grow d-fold.
+            hi = a / b
+            m, e = hi.as_integer_ratio()
+            np.cumprod(c * hi, out=out)
+            if a * e != m * b:
+                out *= 1.0 + k[1:len(c) + 1] * ((a * e - m * b) / (b * m))
+    return np.divide(pmf, pmf.sum(), out=pmf)
 
 
 def _draw_labels(rng: np.random.Generator, parties: PartyConfig, shape: tuple) -> np.ndarray:
@@ -479,23 +474,13 @@ def _cell_probabilities(points: Sequence[tuple]) -> list[np.ndarray | None]:
 
 
 def _point_models(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
-    """The flat pi (None below two slots) and the normalised herald-count pmf
-    of each point (seq, chan, parties, noise, ...), in order. Each block's pi
-    comes first, from one `_cell_probabilities` call; its pmfs only as read,
-    `_herald_count_pmfs` taking as many points as keep their padded rows
-    within `_PMF_CELLS` floats, and at least one."""
+    """The flat pi (None below two slots) and the herald-count pmf of each
+    point (seq, chan, parties, noise, ...), in order. Each block's pi comes
+    first, from one `_cell_probabilities` call; its pmfs only as read."""
     for start in range(0, len(points), _PI_BLOCK):
         block = points[start:start + _PI_BLOCK]
-        pis = iter(_cell_probabilities(block))
-        while block:
-            widths = itertools.accumulate((seq.n_qubits + 1 for seq, *_ in block), max)
-            size = max(1, sum(i * width <= _PMF_CELLS for i, width in enumerate(widths, 1)))
-            part, block = block[:size], block[size:]
-            pmfs = _herald_count_pmfs([seq.n_qubits for seq, *_ in part],
-                                      [chan.n_p * noise.eta_detect for _, chan, _, noise, *_ in part])
-            for (seq, *_), pi, pmf in zip(part, pis, pmfs):
-                pmf = pmf[:seq.n_qubits + 1]
-                yield pi, pmf / pmf.sum()
+        for (seq, chan, _, noise, *_), pi in zip(block, _cell_probabilities(block)):
+            yield pi, _herald_count_pmf(seq.n_qubits, chan.n_p * noise.eta_detect)
 
 
 def _run_fast(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray, list[int], list[int]]]:

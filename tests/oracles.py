@@ -158,18 +158,32 @@ def per_slot_two_herald_statistics(n_slots: int, n_p: float, eta: float) -> tupl
     return two, same / two, clean / two
 
 
-def herald_count_pmf(n_slots: int, p: float) -> np.ndarray:
-    """Binomial(n_slots, p) probabilities of k = 0..n_slots heralds, one
-    point at a time, by the log-space formula the fast engine evaluates:
-    k log p + log C(n, k) + (n - k) log(1 - p), with log C(n, k) a running
-    sum of log((n - j) / (j + 1))."""
-    k = np.arange(n_slots + 1.0)
-    if p == 0.0 or p == 1.0:
-        return (k == round(p * n_slots)).astype(float)
-    log_pmf = k * math.log(p)
-    log_pmf[1:] += np.cumsum(np.log((n_slots - k[:-1]) / k[1:]))
-    log_pmf += (n_slots - k) * math.log1p(-p)
-    return np.exp(log_pmf, out=log_pmf)
+def herald_count_pmf(n_slots: int, p: float) -> dict[int, float]:
+    """Binomial(n_slots, p) probabilities above 1e-290, {k: P(k)}, at 40
+    digits: the term at the mode from mpmath.binomial and powers, and its
+    neighbours by the ratio (n - k)/(k + 1) * p/(1 - p) until they fall
+    below 1e-290."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p)
+        if q in (0, 1):
+            return {round(p * n_slots): 1.0}
+        mode = int(mpmath.floor((n_slots + 1) * q))
+        mode_term = mpmath.binomial(n_slots, mode) * q**mode * (1 - q) ** (n_slots - mode)
+        terms = {mode: mode_term}
+        for step in (1, -1):
+            k, term = mode, mode_term
+            while 0 <= k + step <= n_slots:
+                if step == 1:
+                    term *= mpmath.mpf(n_slots - k) / (k + 1) * q / (1 - q)
+                else:
+                    term *= mpmath.mpf(k) / (n_slots - k + 1) * (1 - q) / q
+                k += step
+                if term < 1e-290:
+                    break
+                terms[k] = term
+        return {k: float(t) for k, t in terms.items()}
 
 
 def herald_tail_probability(n_slots: int, p: float) -> float:

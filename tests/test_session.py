@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from memqkd.session import (
     PartyConfig,
     TimingOverheads,
     _cell_map,
-    _herald_count_pmfs,
+    _herald_count_pmf,
     _party_table,
     _period_classes,
     _period_counts,
@@ -246,25 +247,6 @@ class TestLockstepSessions:
         together = list(session.simulate_sessions(points, engine="reference"))
         assert together == [simulate_session(*point, engine="reference") for point in points]
 
-    def test_pmf_calls_stay_within_their_cells(self, monkeypatch):
-        # A `_herald_count_pmfs` call takes fewer points than a block where
-        # their padded rows would pass `_PMF_CELLS` floats, and at least one.
-        points = self.points()
-        widths = []
-        pmfs = session._herald_count_pmfs
-
-        def spy(n_slots, p):
-            widths.append((len(n_slots), max(n_slots) + 1))
-            return pmfs(n_slots, p)
-
-        monkeypatch.setattr(session, "_PMF_CELLS", 1000)
-        monkeypatch.setattr(session, "_herald_count_pmfs", spy)
-        together = list(session.simulate_sessions(points))
-        assert sum(rows for rows, _ in widths) == len(points)
-        assert all(rows * width <= 1000 or rows == 1 for rows, width in widths)
-        assert (1, 505) in widths and any(rows > 1 for rows, _ in widths)
-        assert together == [simulate_session(*point) for point in points]
-
     def test_pi_matches_one_point_bit_for_bit(self):
         points = self.points()
         pis = session._cell_probabilities(points)
@@ -276,37 +258,41 @@ class TestLockstepSessions:
                 assert np.array_equal(pi, one.ravel())
 
 
-class TestHeraldCountPmfs:
-    # `_run_fast` forms the herald-count pmfs of many points as the rows of
-    # one array per call; each row must have the bits of the one-point formula.
-    # CI also runs these at numpy's lowest dispatch level.
+class TestHeraldCountPmf:
+    # CI also runs the digest test at numpy's lowest dispatch level.
 
-    @staticmethod
-    def assert_rows_match(n_slots, p):
-        rows = session._herald_count_pmfs(n_slots, p)
-        assert rows.shape == (len(n_slots), max(n_slots) + 1)
-        for row, n, q in zip(rows, n_slots, p):
-            assert np.array_equal(row[:n + 1], oracles.herald_count_pmf(n, q)), (n, q)
+    EDGES = [(n, p) for n in (1, 2, 3, 4, 6, 8, 504, 1032, 2000) for p in (0.0, 1.0)]
+    EDGES += [(4, 0.5), (1032, 0.5), (3, 0.999), (2, 1 - 1e-12), (2, 1 - 2**-53), (2000, 1 - 2**-53),
+              (124, 0.02 / 124 * 0.423), (504, 0.3), (3, 1e-7)]
+    # The grid's top load n_m = 20, and the overdriven limit n_m = N, where p = eta_detect.
+    LARGE = [(n, p) for n in (4096, 10**5, 10**6) for p in (20 * 0.423 / n, 0.423)]
 
-    def test_rows_match_one_point_bit_for_bit(self):
+    @pytest.mark.parametrize("n,p", EDGES + LARGE)
+    def test_terms_match_mpmath(self, n, p):
+        pmf = _herald_count_pmf(n, p)
+        assert pmf.shape == (n + 1,)
+        assert abs(math.fsum(pmf) - 1.0) <= 4 * np.finfo(float).eps
+        exact = oracles.herald_count_pmf(n, p)
+        k = np.array(sorted(exact))
+        assert pmf[k] == pytest.approx([exact[i] for i in k], rel=1e-13, abs=0.0)
+        # The oracle stops at the first term below 1e-290 on each side.
+        rest = np.delete(pmf, k)
+        assert rest.max(initial=0.0) < 1e-289
+
+    def test_pmf_bits_unchanged(self):
+        # Over the sweep grid of every even N to 504 and seven loads, and at
+        # N = 10^6: the pmfs take only correctly rounded operations, so
+        # their bits are the same at every numpy dispatch level.
         eta = NoiseParams().eta_detect
-        grid = [(n, min(n_m, n) / n * eta)
-                for n in range(2, 505, 2) for n_m in (1e-5, 0.002, 0.02, 0.2, 2.0, 4.73, 20.0)]
-        for start in range(0, len(grid), session._PI_BLOCK):
-            self.assert_rows_match(*zip(*grid[start:start + session._PI_BLOCK]))
-
-    @pytest.mark.parametrize("n_slots,p", [
-        ([124], [0.02 / 124 * 0.423]),
-        ([1, 2, 124, 6, 504, 3], [0.0, 1.0, 0.0, 1.0, 0.3, 1e-7]),
-        ([8, 4, 504], [1.0, 0.5, 0.0]),
-        # log C(n, k) passes exp's range at n = 1032: rows at p 0 or 1 never reach exp.
-        ([1032, 4, 2000], [0.0, 0.5, 1.0]),
-        # A short row's padding at p near 1 stays inside exp's range.
-        ([2, 1032, 3], [1.0 - 1e-12, 0.5, 0.999]),
-    ], ids=["one point", "p 0 and 1 among others", "p 0 in the widest block",
-            "p 0 and 1 past exp's range", "p near 1 in a wide block"])
-    def test_rows_at_the_edges(self, n_slots, p):
-        self.assert_rows_match(n_slots, p)
+        grid = [(n, n_m) for n in range(2, 505, 2)
+                for n_m in (1e-5, 0.002, 0.02, 0.2, 2.0, 4.73, 20.0) if n_m <= n]
+        grid += [(10**6, 0.02), (10**6, 20.0)]
+        digest = hashlib.sha256()
+        for n, n_m in grid:
+            p = ChannelConfig.from_mean_photons(n_m, n).n_p * eta
+            digest.update(_herald_count_pmf(n, p).tobytes())
+        assert len(grid) == 1755
+        assert digest.hexdigest() == "a79412eb7356d98cda77806b593491783d486e8e296ae2dec724fb39966a8f4a"
 
 
 def nonzero_cells(tally):
@@ -556,11 +542,11 @@ class TestHeraldStatistics:
         sigma = math.sqrt(expected * (1 - expected) / slots)
         assert abs(observed - expected) < 3 * sigma
 
-    @pytest.mark.parametrize("n", [124, 504])
+    @pytest.mark.parametrize("n", [124, 504, 4096, 10**5])
     @pytest.mark.parametrize("n_m", [2e-5, 2e-4, 2e-3])
     def test_multi_herald_tail_matches_oracle(self, n, n_m):
         p = n_m * NoiseParams().eta_detect / n
-        tail = _herald_count_pmfs([n], [p])[0, 3:].sum()
+        tail = _herald_count_pmf(n, p)[3:].sum()
         assert tail == pytest.approx(oracles.herald_tail_probability(n, p), rel=1e-12)
 
     def test_trillion_cycles(self):
