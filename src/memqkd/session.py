@@ -20,8 +20,8 @@ cycle count:
    draw from Multinomial(coincidences, pi). pi is linear in eight numbers
    of a point (slot-pair counts times the two dephasing ends), so a map
    cached per (n_sub, noise, parties) gives it, and one einsum gives the pi
-   of a block of 32 points (`simulate_sessions`). The block's cells are the
-   rows of one array, so one np.dot gives all its report counters.
+   of a block of 32 points (`_point_models`). One np.dot of a point's cells
+   gives all its report counters.
 
 `_point_models` gives each point's pmf and pi: the engine draws from them,
 and `expected_sessions` reads the mean of every report counter from them.
@@ -483,32 +483,25 @@ def _point_models(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray | None, 
             yield pi, _herald_count_pmf(seq.n_qubits, chan.n_p * noise.eta_detect)
 
 
-def _run_fast(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray, list[int], list[int]]]:
+def _run_fast(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray, int, int]]:
     """The 256 flat tally cells of each point (seq, chan, parties, noise,
-    cycles, seed) as a row of a (points, 256) array, with its total heralds
-    and the cycles that a third herald discarded, one block of `_PI_BLOCK`
-    points at a time, in order.
+    cycles, seed), with its total heralds and the cycles that a third herald
+    discarded, in order.
 
     Each point draws from its own generator: its herald counts over its
     `_point_models` pmf, and its cells over its pi if it has coincidences.
     """
-    models = _point_models(points)
-    for start in range(0, len(points), _PI_BLOCK):
-        block = points[start:start + _PI_BLOCK]
-        cells = np.zeros((len(block), 256), dtype=np.int64)
-        heralds, discarded = [], []
-        for row, (*_, cycles, seed), (pi, pmf) in zip(cells, block, models):
-            rng = np.random.default_rng(seed)
-            by_heralds = rng.multinomial(cycles, pmf)
-            # Summed as Python ints over the herald counts that occur: an int64
-            # dot product wraps past 2^63 - 1 heralds.
-            seen = np.flatnonzero(by_heralds)
-            heralds.append(sum(k * n for k, n in zip(seen.tolist(), by_heralds[seen].tolist())))
-            up_to_two = by_heralds[:3].tolist()  # shorter below two slots
-            discarded.append(cycles - sum(up_to_two))
-            if len(up_to_two) > 2 and up_to_two[2] > 0:
-                row[:] = rng.multinomial(up_to_two[2], pi)
-        yield cells, heralds, discarded
+    for (*_, cycles, seed), (pi, pmf) in zip(points, _point_models(points)):
+        rng = np.random.default_rng(seed)
+        by_heralds = rng.multinomial(cycles, pmf)
+        # Summed as Python ints over the herald counts that occur: an int64
+        # dot product wraps past 2^63 - 1 heralds.
+        seen = np.flatnonzero(by_heralds)
+        heralds = sum(k * n for k, n in zip(seen.tolist(), by_heralds[seen].tolist()))
+        up_to_two = by_heralds[:3].tolist()  # shorter below two slots
+        pairs = up_to_two[2] if len(up_to_two) > 2 else 0
+        cells = rng.multinomial(pairs, pi) if pairs else np.zeros(256, dtype=np.int64)
+        yield cells, heralds, cycles - sum(up_to_two)
 
 
 def _run_reference(
@@ -518,10 +511,9 @@ def _run_reference(
     noise: NoiseParams,
     cycles: int,
     seed: int,
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """`_run_fast`'s block of one point: the 256 flat tally cells as a
-    (1, 256) array, with the total heralds and the cycles that a third
-    herald discarded."""
+) -> tuple[np.ndarray, int, int]:
+    """The 256 flat tally cells of one point, with its total heralds and the
+    cycles that a third herald discarded, as `_run_fast` yields them."""
     rng = np.random.default_rng(seed)
     n = seq.n_qubits
     cells = np.zeros(256, dtype=np.int64)
@@ -548,7 +540,7 @@ def _run_reference(
             window = seq.window_of(slots) % 2
             cell = _tally_cell(*window.T, *party.T, *labels.T, m.prod(axis=1) == -1)
             cells += np.bincount(cell, minlength=256)
-    return cells[None], [heralds], [discarded]
+    return cells, heralds, discarded
 
 
 def simulate_sessions(
@@ -560,9 +552,9 @@ def simulate_sessions(
     """`simulate_session` of each point (seq, chan, parties, noise, cycles,
     seed), yielded in order: the same tally and report as one at a time.
 
-    The fast engine forms the pi of up to `_PI_BLOCK` points at once
-    (`_run_fast`); the reference engine runs the points one by one. One
-    np.dot gives the report counters of each block's points.
+    The fast engine forms the pi of a block of points at once
+    (`_point_models`); the reference engine runs the points one by one. One
+    np.dot gives the report counters of each point.
     """
     points = list(points)
     for _, _, _, _, cycles, _ in points:
@@ -572,25 +564,20 @@ def simulate_sessions(
         raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
 
     if engine == "fast":
-        blocks = _run_fast(points)
+        runs = _run_fast(points)
     else:
-        blocks = (_run_reference(*point) for point in points)
+        runs = (_run_reference(*point) for point in points)
     ov = overheads if overheads is not None else TimingOverheads()
     lock_factor = 1.0 + (ov.lock_s / ov.block_s if ov.lock_s > 0 else 0.0)
-    start = 0
-    for cells, heralds, discarded in blocks:
+    for (seq, _, _, _, cycles, _), (cells, heralds, discarded) in zip(points, runs):
         # np.dot, not @: the int64 matmul loop would add 0.1 MB to the reference engine's RSS.
-        counters = np.dot(cells, _COUNTER_TABLE).tolist()
-        block = points[start:start + len(cells)]
-        start += len(cells)
-        for (seq, _, _, _, cycles, _), row, (coincidences, *rest), n_heralds, n_discarded in zip(
-                block, cells, counters, heralds, discarded):
-            n = seq.n_qubits
-            wall = cycles * (seq.cycle_duration_s() + ov.readout_s) * lock_factor / ov.duty_factor
-            # A channel use is one photon from each party: two qubit slots.
-            report = SessionReport(cycles, n_heralds, coincidences, n_discarded, *rest,
-                                   n * cycles / 2.0, wall, (n * cycles / wall) if wall > 0 else 0.0)
-            yield CoincidenceTally(*row.reshape(2, 4, 2, 4, 2, 2)), report
+        coincidences, *rest = np.dot(cells, _COUNTER_TABLE).tolist()
+        n = seq.n_qubits
+        wall = cycles * (seq.cycle_duration_s() + ov.readout_s) * lock_factor / ov.duty_factor
+        # A channel use is one photon from each party: two qubit slots.
+        report = SessionReport(cycles, heralds, coincidences, discarded, *rest,
+                               n * cycles / 2.0, wall, (n * cycles / wall) if wall > 0 else 0.0)
+        yield CoincidenceTally(*cells.reshape(2, 4, 2, 4, 2, 2)), report
 
 
 def expected_sessions(points: Iterable[tuple]) -> np.ndarray:

@@ -42,7 +42,7 @@ def sift(tally: CoincidenceTally) -> dict:
     """The sift fields of the report that `simulate_session` makes of the tally's cells."""
     cells = np.concatenate([tally.counts.ravel(), tally.excluded.ravel()])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(session, "_run_fast", lambda points: iter([(cells[None], [0], [0])]))
+        patch.setattr(session, "_run_fast", lambda points: iter([(cells, 0, 0)]))
         _, report = simulate_session(
             SEQ124, ChannelConfig(n_p=0.01), PartyConfig(), NoiseParams(), 1, seed=0
         )
@@ -205,9 +205,9 @@ class TestReferenceDecomposition:
 
 
 class TestLockstepSessions:
-    # `simulate_sessions` forms the pi of `_PI_BLOCK` points at a time, and
-    # each point keeps its own generator and draws, so every tally and report
-    # is the one of a call on its own. CI also runs these at numpy's lowest
+    # `_point_models` forms the pi of `_PI_BLOCK` points at a time, and each
+    # point keeps its own generator and draws, so every tally and report is
+    # the one of a call on its own. CI also runs these at numpy's lowest
     # dispatch level.
 
     @staticmethod
@@ -246,6 +246,12 @@ class TestLockstepSessions:
         points = self.points(cycles=50)[::5]
         together = list(session.simulate_sessions(points, engine="reference"))
         assert together == [simulate_session(*point, engine="reference") for point in points]
+
+    def test_expected_sessions_match_one_at_a_time(self):
+        points = self.points()
+        assert len(points) > 2 * session._PI_BLOCK
+        alone = np.concatenate([session.expected_sessions([point]) for point in points])
+        assert session.expected_sessions(points).tobytes() == alone.tobytes()
 
     def test_pi_matches_one_point_bit_for_bit(self):
         points = self.points()
