@@ -18,16 +18,19 @@ conjugate `CONJ_LABEL`. `session.truth_table_rows` reads the truth table
 off the ideal-noise Born kernel.
 
 `run_memory_cycles` runs a block of independent cycles whose two herald
-slots and photon labels are given as integer (n, 2) arrays: one slot
-loop whose maps act on the coherences b of all the block's spins at
-once (`qubits` says why b is the whole state). A herald's outcome
-probability P and amplitude h depend on the photon label and outcome
-alone, so the block reads them from one `qubits.herald_tables` call on
-the eight label phases, the same tables the fast engine's Born kernel
-reads. A scatter scales b by 1 - 2 p_scatter_dephase, and each pi
-pulse conjugates b and scales it by 1 - 2 p_mw. At a herald slot the
-loop writes just the heralded lanes' b. `session` draws which cycles
-herald twice and where; a drill passes its own slots and labels.
+slots and photon labels are given as integer (n, 2) arrays. Its slot loop
+makes the draws of all the block's cycles in slot order and counts each
+cycle's undetected scatters. The spin's coherence b (`qubits` says why b
+is the whole state) is formed only where it is read: at the two heralds
+and at the readout. A scatter scales b by 1 - 2 p_scatter_dephase, and
+each pi pulse conjugates b and scales it by 1 - 2 p_mw; real factors
+commute with the conjugation, so the stretch before each read is one
+real factor and one conjugation parity. A herald's outcome probability
+P and amplitude h depend on the photon label and outcome alone, so the
+block reads them from one `qubits.herald_tables` call on the eight label
+phases, the same tables the fast engine's Born kernel reads. `session`
+draws which cycles herald twice and where; a drill passes its own slots
+and labels.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ def run_memory_cycles(
 
     The cycles draw from `rng` in this order. At each slot: one uniform
     per cycle, then the detector outcomes of the cycles that herald there.
-    At the end, two uniforms per cycle for the readout.
+    At the end, two uniforms per cycle for the readout: n (N + 4) in all.
     """
     slots, labels = np.asarray(slots), np.asarray(labels)
     if not (slots.shape[1:] == (2,) and labels.shape == slots.shape
@@ -161,39 +164,50 @@ def run_memory_cycles(
     r = chan.scatter_probability(noise.eta_detect)
 
     n = len(slots)
-    b = prepare_superposition(noise.f_init, (n,))
-    m = np.zeros((n, 3), dtype=np.int64)
     # Herald lanes by slot: a stable sort of the flat (row, column) indices
     # keeps each slot's lanes in row-major order, so a slot's lanes are one
-    # slice of each sorted array.
+    # slice of the sorted order.
     order = np.argsort(slots, axis=None, kind="stable")
     bounds = np.searchsorted(slots.ravel()[order], np.arange(seq.n_qubits + 1)).tolist()
-    # Sorted like the lanes: each lane's cycle, the flat index of its
-    # outcome in m, and the herald tables of its photon's label.
     row = order // 2
-    outcome = order + row
-    probs, amps = herald_tables(LABEL_PHASE, noise.eps_leak)
-    label = labels.ravel()[order]
-    probs, amps = probs[label], amps[label]
-    # A phase flip with probability p scales b by 1 - 2p.
-    scatter_factor = 1.0 - 2.0 * noise.p_scatter_dephase
-    slot = 0
-    for _ in range(seq.n_pi):
-        for _ in range(seq.n_sub):
-            here = slice(bounds[slot], bounds[slot + 1])
-            hit = row[here]
-            scatter = rng.random(n) < r
-            scatter[hit] = False
-            # An unscattered lane's factor is 1, so only scattered lanes are scaled.
-            np.multiply(b, scatter_factor, out=b, where=scatter)
-            if hit.size:
-                m.flat[outcome[here]], b[hit] = reflect_and_herald(
-                    b[hit], probs[here], amps[here], rng
-                )
-            slot += 1
-        # The pi pulse: X rho X conjugates b, then its phase flip scales it.
-        np.conjugate(b, out=b)
-        b *= 1.0 - 2.0 * noise.p_mw
-    m[:, 2] = measure_x(b, noise.f_readout, rng)
-    return m
+    # The slot loop only draws and counts. A lane scatters where its uniform
+    # is below r and it does not herald. At each herald the loop keeps the
+    # outcome's uniform and the lane's scatters so far, laid out like slots.
+    scattered = np.zeros(n, dtype=np.int64)
+    uniform, so_far = np.empty(2 * n), np.empty(2 * n, dtype=np.int64)
+    for slot in range(seq.n_qubits):
+        lanes = slice(bounds[slot], bounds[slot + 1])
+        here, hit = order[lanes], row[lanes]
+        u = rng.random(n + len(hit))
+        scatter = u[:n] < r
+        scatter[hit] = False
+        scattered += scatter
+        uniform[here] = u[n:]
+        so_far[here] = scattered[hit]
+    # b at each read: the stretch before it conjugates b once per pi pulse
+    # and scales it by (1 - 2 p_scatter_dephase)^k (1 - 2 p_mw)^p for its k
+    # scatters and p pulses. The powers are running products, each step
+    # rounded correctly, so their bits do not follow numpy's CPU dispatch.
+    powers = np.ones((2, seq.n_qubits + 1))
+    powers[:, 1:] = [[1.0 - 2.0 * noise.p_scatter_dephase], [1.0 - 2.0 * noise.p_mw]]
+    powers = np.cumprod(powers, axis=1)
+    # Scatters and pulses from the cycle's start to each read: the two
+    # heralds, then the readout.
+    scatters = [0, *so_far.reshape(n, 2).T, scattered]
+    pulses = [0, *(slots.T // seq.n_sub), seq.n_pi]
 
+    def carried(b, read):
+        k, p = scatters[read + 1] - scatters[read], pulses[read + 1] - pulses[read]
+        np.conjugate(b, out=b, where=p % 2 == 1)
+        b *= powers[0].take(k) * powers[1].take(p)
+        return b
+
+    probs, amps = herald_tables(LABEL_PHASE, noise.eps_leak)
+    uniform = uniform.reshape(n, 2)
+    m = np.empty((n, 3), dtype=np.int64)
+    b = prepare_superposition(noise.f_init, (n,))
+    for i in range(2):
+        label = labels[:, i]
+        m[:, i], b = reflect_and_herald(carried(b, i), probs[label], amps[label], uniform[:, i])
+    m[:, 2] = measure_x(carried(b, 2), noise.f_readout, rng)
+    return m

@@ -28,19 +28,19 @@ depend on the state (the two outcomes' weights sum to 2 (1 + eps^2)), and
 the herald keeps the populations and turns b by the unit phase g(m) of
 h(m) = k_up conj(k_down) / (2 (1 + eps^2)) = P(m) g(m). Both depend on the
 photon phase and the outcome alone. `herald_tables` is the one place that
-forms them, once per phase: `reflect_and_herald` draws m and turns b by
+forms them, once per phase: `reflect_and_herald` picks m and turns b by
 h / |h|, and the fast engine's Born kernel reads P and h.
 
-The other maps of a cycle are one line each of `bsm.run_memory_cycles`'
-slot loop: a phase flip with probability p scales b by 1 - 2p, and
-each microwave pi pulse that closes a free-precession window is the bit
-flip X rho X, b -> conj(b), followed by a phase flip with the pulse's
-dephasing probability p_mw. The X readout gives +1 with probability
-1/2 + Re(b). Herald and readout are elementwise: phases and
+The other maps of a cycle are applied by `bsm.run_memory_cycles`
+between the reads of b: a phase flip with probability p scales b by
+1 - 2p, and each microwave pi pulse that closes a free-precession window
+is the bit flip X rho X, b -> conj(b), followed by a phase flip with the
+pulse's dephasing probability p_mw. The X readout gives +1 with
+probability 1/2 + Re(b). Herald and readout are elementwise: phases and
 probabilities may be scalars or arrays of the lanes' shape.
-`reflect_and_herald` checks positivity at every herald. The functions
-that sample take a numpy Generator and draw one uniform per lane for
-each random outcome.
+`reflect_and_herald` checks positivity at every herald. It takes one
+uniform per lane, which its caller draws; `measure_x` takes a numpy
+Generator and draws two uniforms per lane.
 """
 
 from __future__ import annotations
@@ -131,22 +131,23 @@ def herald_tables(phase, eps_leak: float) -> tuple:
     return probs, (1.0 + eps_leak * e) * (e + eps_leak).conjugate() / (2.0 * one)
 
 
-def reflect_and_herald(b, probs, amps, rng: np.random.Generator) -> tuple:
+def reflect_and_herald(b, probs, amps, u) -> tuple:
     """Reflect one photonic qubit off the node and detect it.
 
     `probs` and `amps` are what `herald_tables` gives for the photon
-    phases. Checks that the state is positive, samples the detector
-    outcome m = +-1, which is +1 with probability probs[..., 0], and
-    returns it with the heralded coherence: b turned by h / |h| of the
-    drawn outcome. An outcome of probability 0 is never drawn. With
-    eps_leak = 0 and the spin prepared in (|up>+|down>)/sqrt(2), the
-    result is exactly (|up> + m exp(i phi) |down>)/sqrt(2).
+    phases, and `u` holds one uniform in [0, 1) per lane. Checks that the
+    state is positive, takes the detector outcome m = +-1, which is +1
+    where u < probs[..., 0], and returns it with the heralded coherence:
+    b turned by h / |h| of that outcome. An outcome of probability 0 is
+    never taken. With eps_leak = 0 and the spin prepared in
+    (|up>+|down>)/sqrt(2), the result is exactly
+    (|up> + m exp(i phi) |down>)/sqrt(2).
     """
     smallest = 0.5 - abs(b)
     physical = smallest >= -1e-9  # a nan lane fails too
     if not physical.all():
         raise NonPhysicalStateError(f"negative eigenvalue {np.extract(~physical, smallest)[0]}")
-    minus = rng.random(np.shape(b)) >= probs[..., 0]
+    minus = u >= probs[..., 0]
     h = np.where(minus, amps[..., 1], amps[..., 0])
     return np.where(minus, -1, 1), h / abs(h) * b
 

@@ -4,8 +4,9 @@ Two execution paths sample the same distribution. The reference path
 is the ground truth and never reads the fast path's pmf or cells. It
 draws each cycle's herald count, then a uniform slot pair and two photon
 labels for each cycle with exactly two heralds, and runs only those
-cycles slot by slot on the spins' coherences (`run_memory_cycles`). The fast
-path is two exact multinomial draws, so its cost does not grow with the
+cycles (`run_memory_cycles`): it draws slot by slot and forms each
+spin's coherence where a herald or the readout reads it. The fast path
+is two exact multinomial draws, so its cost does not grow with the
 cycle count:
 
 1. Cycles are independent, so the herald counts of all cycles are one
@@ -62,7 +63,8 @@ from .qubits import NoiseParams, herald_tables
 # Parity index (0 for +1) of each outcome (m1, m2, m3) in C order.
 _OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
 # Reference engine: cycles per herald-count block (1 MB of counts), and
-# two-herald cycles per slot-loop block, which share each herald call's cost.
+# two-herald cycles per slot-loop block, which share each slot's draw and
+# counting calls.
 _BLOCK = 2**17
 _LANES = 2**13
 # Fast engine: points per `_cell_probabilities` call, whose pi is then at

@@ -285,6 +285,25 @@ class TestMemoryCycle:
         ]
         assert rng.random() == 0.9481525827350313
 
+    @pytest.mark.parametrize("n_pi,n_sub", [(1, 2), (3, 1), (5, 2), (2, 4), (62, 2)])
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_block_draws_n_times_slots_plus_four_uniforms(self, n, n_pi, n_sub):
+        # Each slot draws one uniform per cycle, plus one per herald there,
+        # and the readout two per cycle: n (N + 4) in all, wherever the
+        # heralds fall. Row 0 heralds at the first and the last slot of its
+        # cycle, and row 1 at the last two.
+        seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
+        pick = np.random.default_rng(100 * n_pi + n_sub)
+        slots = np.sort([pick.choice(seq.n_qubits, 2, replace=False) for _ in range(n)], axis=1)
+        slots[0] = (0, seq.n_qubits - 1)
+        slots[1:2] = (seq.n_qubits - 2, seq.n_qubits - 1)
+        labels = pick.integers(0, len(LABEL_PHASE), slots.shape)
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        run_memory_cycles(seq, ChannelConfig.from_mean_photons(2.0, seq.n_qubits),
+                          NoiseParams(), slots, labels, rng)
+        twin.random(n * (seq.n_qubits + 4))
+        assert rng.random(3).tolist() == twin.random(3).tolist()
+
     def test_noiseless_truth_table_through_reference_engine(self):
         # Every label pair with a deterministic parity at its frame runs
         # through the reference engine: the 16 truth-table rows and the

@@ -43,20 +43,21 @@ def outcome_probability(phase, m, eps):
     return np.where(np.equal(m, 1), probs[..., 0], 1.0 - probs[..., 0])
 
 
-def engine_coherences(monkeypatch, noise, n_pi):
-    """b of each cycle right after its last herald and at its readout.
+def engine_records(monkeypatch, noise, n_pi, slots):
+    """b of each cycle before and after each herald call, and at its readout.
 
     `run_memory_cycles` runs one cycle per pair of photon labels, all
-    heralding at slots 0 and 1 of a layout with two slots per window, at
-    n_p = 1: with eta_detect = 0 every later slot scatters (r = 1). The
+    heralding at the two `slots` of a layout with two slots per window, at
+    n_p = 1: with eta_detect = 0 every other slot scatters (r = 1). The
     engine's herald and readout calls are wrapped to record b.
     """
-    seen = {}
+    seen = {"before": [], "after": []}
 
-    def herald(*args):
-        m, b = reflect_and_herald(*args)
-        seen["heralded"] = b.copy()
-        return m, b
+    def herald(b, *args):
+        m, after = reflect_and_herald(b, *args)
+        seen["before"].append(b.copy())
+        seen["after"].append(after.copy())
+        return m, after
 
     def readout(b, f_readout, rng):
         seen["read"] = b.copy()
@@ -65,12 +66,18 @@ def engine_coherences(monkeypatch, noise, n_pi):
     monkeypatch.setattr(bsm, "reflect_and_herald", herald)
     monkeypatch.setattr(bsm, "measure_x", readout)
     labels = np.array(list(itertools.product(range(len(LABEL_PHASE)), repeat=2)))
-    slots = np.tile((0, 1), (len(labels), 1))
     run_memory_cycles(
-        SequenceConfig(n_pi=n_pi, n_sub=2), ChannelConfig(n_p=1.0), noise, slots, labels,
-        np.random.default_rng(31),
+        SequenceConfig(n_pi=n_pi, n_sub=2), ChannelConfig(n_p=1.0), noise,
+        np.tile(slots, (len(labels), 1)), labels, np.random.default_rng(31),
     )
-    return seen["heralded"], seen["read"]
+    return seen
+
+
+def engine_coherences(monkeypatch, noise, n_pi):
+    """b of each cycle right after its last herald and at its readout, for
+    heralds at slots 0 and 1 (`engine_records`)."""
+    seen = engine_records(monkeypatch, noise, n_pi, (0, 1))
+    return seen["after"][-1], seen["read"]
 
 
 def scattering(**probabilities) -> NoiseParams:
@@ -88,7 +95,7 @@ def rejection(b):
     """None if a herald accepts the coherence b, else the error message."""
     try:
         reflect_and_herald(b, *herald_tables(np.zeros(np.shape(b)), NoiseParams.ideal().eps_leak),
-                           np.random.default_rng(0))
+                           np.random.default_rng(0).random(np.shape(b)))
     except NonPhysicalStateError as exc:
         return str(exc)
     return None
@@ -137,14 +144,14 @@ class TestStatePreparation:
 
     def test_state_does_not_alias_the_callers_array(self):
         # The herald returns a new array and leaves the caller's lanes as
-        # they were; run_memory_cycles writes only the lanes it maps.
+        # they were.
         rng = np.random.default_rng(17)
         block = prepare_superposition(lanes=(4,))
         block[1:] = [random_coherence(rng) for _ in range(3)]
         before = block.copy()
         assert not np.shares_memory(prepare_superposition(lanes=(4,)), block)
         _, after = reflect_and_herald(
-            block, *herald_tables(np.zeros(4), NoiseParams().eps_leak), rng
+            block, *herald_tables(np.zeros(4), NoiseParams().eps_leak), rng.random(np.shape(block))
         )
         assert not np.shares_memory(after, block)
         measure_x(block, 0.9998, rng)
@@ -224,7 +231,7 @@ class TestHeraldedGate:
         noise = NoiseParams.ideal()
         for phase in (0.0, math.pi / 2, 1.234):
             m, _ = reflect_and_herald(prepare_superposition(lanes=(400,)),
-                                      *herald_tables(phase, noise.eps_leak), rng)
+                                      *herald_tables(phase, noise.eps_leak), rng.random(400))
             # exact 1/2 Born probability, so a 4-sigma band around 200
             assert abs(np.count_nonzero(m == 1) - 200) < 4 * 10
 
@@ -235,7 +242,8 @@ class TestHeraldedGate:
         n = 10_000
         for phase in LABEL_PHASE[::2]:  # +x, +y, +a, +b
             spins = prepare_superposition(lanes=(n,))
-            m, _ = reflect_and_herald(spins, *herald_tables(phase, noise.eps_leak), rng)
+            m, _ = reflect_and_herald(spins, *herald_tables(phase, noise.eps_leak),
+                                      rng.random(np.shape(spins)))
             plus = np.count_nonzero(m == 1)
             _, p_value = stats.chisquare([plus, n - plus])
             assert p_value > 0.01
@@ -243,7 +251,7 @@ class TestHeraldedGate:
     def test_single_state_outcome_is_a_scalar(self):
         rng = np.random.default_rng(4)
         m, b = reflect_and_herald(prepare_superposition(),
-                                  *herald_tables(0.0, NoiseParams.ideal().eps_leak), rng)
+                                  *herald_tables(0.0, NoiseParams.ideal().eps_leak), rng.random(()))
         assert m in (1, -1) and np.ndim(m) == 0
         assert b == pytest.approx(m / 2, abs=1e-12)
 
@@ -290,13 +298,14 @@ class TestHeraldedGate:
         rng = np.random.default_rng(0)
         with pytest.raises(NonPhysicalStateError, match="negative eigenvalue") as lone:
             reflect_and_herald(np.array(0.7 + 0j),
-                               *herald_tables(0.0, NoiseParams.ideal().eps_leak), rng)
+                               *herald_tables(0.0, NoiseParams.ideal().eps_leak), rng.random(()))
         smallest = float(str(lone.value).removeprefix("negative eigenvalue "))
         assert smallest == pytest.approx(np.linalg.eigvalsh(rho_of(0.7)).min(), abs=1e-15)
         # A block names its first bad lane.
         block = np.array([0.0, 0.7, 0.9j])
         with pytest.raises(NonPhysicalStateError) as herald:
-            reflect_and_herald(block, *herald_tables(np.zeros(3), NoiseParams.ideal().eps_leak), rng)
+            reflect_and_herald(block, *herald_tables(np.zeros(3), NoiseParams.ideal().eps_leak),
+                               rng.random(np.shape(block)))
         assert str(herald.value) == str(lone.value)
 
     @pytest.mark.parametrize("b", [complex(math.nan, 0.0), complex(0.0, math.nan)])
@@ -304,22 +313,22 @@ class TestHeraldedGate:
         block = np.array([0.5, b])
         with pytest.raises(NonPhysicalStateError, match="negative eigenvalue nan"):
             reflect_and_herald(block, *herald_tables(np.zeros(2), NoiseParams.ideal().eps_leak),
-                               np.random.default_rng(0))
+                               np.random.default_rng(0).random(np.shape(block)))
 
     def test_positivity_threshold(self):
         # |b| = 1/2 is a pure state and heralds; 1e-6 beyond it is rejected.
         rng = np.random.default_rng(0)
         turn = np.exp(0.7j)
         tables = herald_tables(np.zeros(2), NoiseParams.ideal().eps_leak)
-        reflect_and_herald(np.array([0.0, 0.5 * turn]), *tables, rng)
+        reflect_and_herald(np.array([0.0, 0.5 * turn]), *tables, rng.random(2))
         with pytest.raises(NonPhysicalStateError, match="negative eigenvalue"):
-            reflect_and_herald(np.array([0.0, (0.5 + 1e-6) * turn]), *tables, rng)
+            reflect_and_herald(np.array([0.0, (0.5 + 1e-6) * turn]), *tables, rng.random(2))
 
 
 class TestChannels:
-    """The herald is the one map of `qubits` on b. The pi pulse and the
-    scatter dephasing are lines of `bsm.run_memory_cycles`' slot loop, so
-    these tests read b out of the engine."""
+    """The herald is the one map of `qubits` on b. `bsm.run_memory_cycles`
+    applies the pi pulses and the scatter dephasing between the reads of b,
+    so these tests read b out of the engine."""
 
     def test_pi_pulse_is_involutive(self, monkeypatch):
         # Two noiseless pulses, with noiseless scatters between them, give
@@ -348,8 +357,29 @@ class TestChannels:
                     rho = dephase(SX @ rho @ SX, noise.p_mw)
                 assert abs(final - coherence_of(rho)) <= 1e-14
 
+    @pytest.mark.parametrize("n_pi", [2, 3])
+    @pytest.mark.parametrize("p", [0.0011, 0.3])
+    def test_each_read_is_the_matrix_product_since_the_last(self, p, n_pi, monkeypatch):
+        # Heralds at slots 0 and 2 lie in windows 0 and 1. Between them come
+        # a scatter and one pulse; after the second come a scatter, a pulse,
+        # then two scatters and a pulse per further window. So b is read after
+        # an odd number of pulses, then after n_pi - 1 more.
+        noise = scattering(p_mw=p, p_scatter_dephase=p, eps_leak=0.24123)
+        seen = engine_records(monkeypatch, noise, n_pi, (0, 2))
+        (_, first), (second_in, second) = zip(seen["before"], seen["after"])
+        assert np.abs(first.imag).max() > 0.4
+        for b, want in zip(first, second_in):
+            rho = dephase(SX @ dephase(rho_of(b), noise.p_scatter_dephase) @ SX, noise.p_mw)
+            assert abs(want - coherence_of(rho)) <= 1e-14
+        for b, final in zip(second, seen["read"]):
+            rho = dephase(SX @ dephase(rho_of(b), noise.p_scatter_dephase) @ SX, noise.p_mw)
+            for _ in range(n_pi - 2):
+                rho = dephase(dephase(rho, noise.p_scatter_dephase), noise.p_scatter_dephase)
+                rho = dephase(SX @ rho @ SX, noise.p_mw)
+            assert abs(final - coherence_of(rho)) <= 1e-14
+
     def test_dephasing_rejects_bad_probability(self):
-        # The loop's factors 1 - 2p take their p from NoiseParams, which
+        # The engine's factors 1 - 2p take their p from NoiseParams, which
         # holds each probability to [0, 1].
         for name in ("p_mw", "p_scatter_dephase"):
             with pytest.raises(ValueError, match=f"{name} must lie in"):
