@@ -297,8 +297,6 @@ def _cmd_rates(args) -> int:
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser, presets: str) -> None:
-    # Integer flags take the literals a config file accepts, 2e6 among them.
-    p.register("type", int, _parse_int)
     p.add_argument("--config", help="path to a scenario config file")
     p.add_argument("--preset", help=f"named preset ({presets})")
     p.add_argument("--seed", type=int, help="override the config seed")
@@ -354,6 +352,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     for name in names:
         func, help_text, scenario, add_flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
+        # Integer flags take the literals a config file accepts, 2e6 among them.
+        p.register("type", int, _parse_int)
         if scenario:
             if presets is None:
                 presets = ", ".join(list_presets())

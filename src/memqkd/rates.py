@@ -3,8 +3,8 @@
 The QBER posterior is the truncated Beta of the pooled sifted counts,
 Beta(errors + 1, sifted - errors + 1) on [0, 1/2], with an exact CDF.
 Each round of its solves runs on numpy arrays over lanes (posteriors, or
-points of one): `build_reports` solves a sweep's intervals together, and
-`TruncatedBeta.cdf` and `.interval` run the same code on one posterior.
+points of one): `_intervals` solves a sweep's intervals together, and
+`TruncatedBeta.cdf` runs the same code on one posterior.
 Every +, -, *, / and comparison is a numpy operation, which IEEE rounds
 alike at every CPU dispatch level; every log, log1p, exp and sqrt is a
 `math` (libm) call on each lane, as numpy's own round differently on
@@ -217,8 +217,8 @@ class TruncatedBeta:
     point min(errors / sifted, 1/2). Where the bases' rates differ it
     describes their average, weighted by the sifted counts, and not
     either basis. The CDF I_x(a, b) / I_1/2(a, b) is formed in log space,
-    so it also holds where I_1/2 underflows. `cdf` and `interval` run the
-    array code that `build_reports` runs on many posteriors on this one.
+    so it also holds where I_1/2 underflows. `cdf` runs the array code
+    that `_intervals` runs on many posteriors on this one.
     """
 
     def __init__(self, errors: int, sifted: int) -> None:
@@ -235,11 +235,6 @@ class TruncatedBeta:
             return 0.0 if x <= 0 else 1.0
         log_ibeta, _ = _log_ibetas(np.array([x, 0.5]), np.array([self._row] * 2, dtype=float))
         return _cdfs(log_ibeta[:1], log_ibeta[1:]).item()
-
-    def interval(self) -> tuple[float, float]:
-        """68.2% credible interval: 34.1% each side of the ML point, any
-        mass a domain edge cuts off one side spilling to the other."""
-        return _intervals([self])[0]
 
 
 def _quantiles(rows: np.ndarray, log_mass: np.ndarray, p: np.ndarray,
@@ -285,11 +280,12 @@ def _quantiles(rows: np.ndarray, log_mass: np.ndarray, p: np.ndarray,
 
 
 def _intervals(posteriors: Sequence[TruncatedBeta]) -> list[tuple[float, float]]:
-    """`TruncatedBeta.interval` of each posterior: one round evaluates every
-    mass and every CDF at an ML point inside (0, 1/2), then `_quantiles`
-    finds both ends of every interval in lockstep, from ml + sigma of the
-    untruncated Beta and from ml - sigma or nearer, each at most halfway
-    from ml to its domain edge and so inside (0, 1/2)."""
+    """Each posterior's 68.2% credible interval, 34.1% each side of the ML
+    point, any mass a domain edge cuts off one side spilling to the other.
+    One round evaluates every mass and every CDF at an ML point inside
+    (0, 1/2); `_quantiles` then finds both ends of every interval in
+    lockstep, from ml + sigma of the untruncated Beta and from ml - sigma or
+    nearer, each at most halfway from ml to its domain edge: inside (0, 1/2)."""
     if not posteriors:
         return []
     n = len(posteriors)

@@ -17,15 +17,14 @@ cycle count:
    slot parity of each herald, and the outcomes m1, m2, m3. The count of
    undetected scatters enters only through a mean dephasing factor that
    has a closed form. Each coincidence cell therefore has a fixed
-   probability (`coincidence_cell_probabilities`), and the tally is one
-   draw from Multinomial(coincidences, pi). pi is linear in eight numbers
-   of a point (slot-pair counts times the two dephasing ends), so a map
-   cached per (n_sub, noise, parties) gives it, and one einsum gives the pi
-   of a block of 32 points (`_point_models`). One np.dot of a point's cells
-   gives all its report counters.
+   probability pi, and the tally is one draw from Multinomial(coincidences,
+   pi). pi is linear in eight numbers of a point (slot-pair counts times
+   the two dephasing ends), so a map cached per (n_sub, noise, parties)
+   gives it, and one einsum gives the pi of a block of 32 points. One
+   np.dot of a point's cells gives all its report counters.
 
-`_point_models` gives each point's pmf and pi: the engine draws from them,
-and `expected_sessions` reads the mean of every report counter from them.
+`_point_models` alone forms each point's pmf and pi: the engine draws from
+them, and `expected_sessions` reads every report counter's mean from them.
 
 Both paths track the measurement frame and map a record to its tally
 cell by one rule (`_tally_cell`): a photon sent in an odd window is
@@ -67,7 +66,7 @@ _OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
 # counting calls.
 _BLOCK = 2**17
 _LANES = 2**13
-# Fast engine: points per `_cell_probabilities` call, whose pi is then at
+# Fast engine: points per pi einsum of `_point_models`, whose pi is then at
 # most a (32, 256) array of 64 KB.
 _PI_BLOCK = 32
 
@@ -426,62 +425,46 @@ def _cell_map(n_sub: int, noise: NoiseParams, parties: PartyConfig) -> np.ndarra
     return cell_map
 
 
-def coincidence_cell_probabilities(
-    seq: SequenceConfig,
-    chan: ChannelConfig,
-    parties: PartyConfig,
-    noise: NoiseParams,
-) -> np.ndarray:
-    """Probability of each coincidence cell, given that a cycle heralded twice.
-
-    Returns an array of shape (2, 4, 2, 4, 2, 2): index 0 holds the
-    `CoincidenceTally.counts` cells and index 1 the `excluded` cells, each
-    in the tally's (basisA, signA, basisB, signB, parity) layout. The
-    tally of n coincidences is exactly Multinomial(n, pi). The other N - 2
-    slots each scatter an undetected photon with probability r, so the
-    mean scatter dephasing is E[(1 - 2p)^Bin(N-2, r)] = (1 - 2pr)^(N-2).
-    """
-    n = seq.n_qubits
-    if n < 2:
-        raise ValueError(f"a coincidence needs two slots, the sequence has {n}")
-    return _cell_probabilities([(seq, chan, parties, noise)])[0].reshape(2, 4, 2, 4, 2, 2)
-
-
-def _cell_probabilities(points: Sequence[tuple]) -> list[np.ndarray | None]:
-    """The flat pi of each point (seq, chan, parties, noise, ...), as
-    `coincidence_cell_probabilities` defines it, or None for a point of
-    fewer than two slots. One einsum serves all the points that share a
-    `_cell_map`, and each row has the floats it has alone."""
-    pis: list[np.ndarray | None] = [None] * len(points)
-    by_map: dict[tuple, list[int]] = {}
-    for i, (seq, _, parties, noise, *_) in enumerate(points):
-        if seq.n_qubits >= 2:
-            by_map.setdefault((seq.n_sub, noise, parties), []).append(i)
-    for (n_sub, noise, parties), rows in by_map.items():
-        weights = []
-        for i in rows:
-            seq, chan = points[i][:2]
-            r = chan.scatter_probability(noise.eta_detect)
-            deph = (1.0 - 2.0 * noise.p_mw) ** seq.n_pi
-            deph *= (1.0 - 2.0 * noise.p_scatter_dephase * r) ** (seq.n_qubits - 2)
-            # Exact at either end, so deph = 1 gives the pi of a kernel built at the point.
-            ends = (1.0 + deph) / 2.0, (1.0 - deph) / 2.0
-            weights.append([c * e for c in _period_counts(seq.n_pi) for e in ends])
-        # einsum runs no BLAS call: np.dot here read about 0.03 MB more peak RSS.
-        pi = np.einsum("pi,ij->pj", weights, _cell_map(n_sub, noise, parties))
-        pi /= pi.sum(axis=1, keepdims=True)
-        for i, row in zip(rows, pi):
-            pis[i] = row
-    return pis
-
-
 def _point_models(points: Sequence[tuple]) -> Iterator[tuple[np.ndarray | None, np.ndarray]]:
-    """The flat pi (None below two slots) and the herald-count pmf of each
-    point (seq, chan, parties, noise, ...), in order. Each block's pi comes
-    first, from one `_cell_probabilities` call; its pmfs only as read."""
+    """The flat pi and the herald-count pmf of each point (seq, chan,
+    parties, noise, ...), in order.
+
+    pi is the probability of each coincidence cell, given that a cycle
+    heralded twice, or None for a point of fewer than two slots. As a
+    (2, 4, 2, 4, 2, 2) array, index 0 holds the `CoincidenceTally.counts`
+    cells and index 1 the `excluded` cells, each in the tally's (basisA,
+    signA, basisB, signB, parity) layout. The tally of n coincidences is
+    exactly Multinomial(n, pi). The other N - 2 slots each scatter an
+    undetected photon with probability r, so the mean scatter dephasing is
+    E[(1 - 2p)^Bin(N-2, r)] = (1 - 2pr)^(N-2).
+
+    Each block of `_PI_BLOCK` points forms its pi first, one einsum for all
+    of its points that share a `_cell_map`, and each row has the floats it
+    has alone; its pmfs come only as read.
+    """
     for start in range(0, len(points), _PI_BLOCK):
         block = points[start:start + _PI_BLOCK]
-        for (seq, chan, _, noise, *_), pi in zip(block, _cell_probabilities(block)):
+        pis: list[np.ndarray | None] = [None] * len(block)
+        by_map: dict[tuple, list[int]] = {}
+        for i, (seq, _, parties, noise, *_) in enumerate(block):
+            if seq.n_qubits >= 2:
+                by_map.setdefault((seq.n_sub, noise, parties), []).append(i)
+        for (n_sub, noise, parties), rows in by_map.items():
+            weights = []
+            for i in rows:
+                seq, chan = block[i][:2]
+                r = chan.scatter_probability(noise.eta_detect)
+                deph = (1.0 - 2.0 * noise.p_mw) ** seq.n_pi
+                deph *= (1.0 - 2.0 * noise.p_scatter_dephase * r) ** (seq.n_qubits - 2)
+                # Exact at either end, so deph = 1 gives the pi of a kernel built at the point.
+                ends = (1.0 + deph) / 2.0, (1.0 - deph) / 2.0
+                weights.append([c * e for c in _period_counts(seq.n_pi) for e in ends])
+            # einsum runs no BLAS call: np.dot here read about 0.03 MB more peak RSS.
+            pi = np.einsum("pi,ij->pj", weights, _cell_map(n_sub, noise, parties))
+            pi /= pi.sum(axis=1, keepdims=True)
+            for i, row in zip(rows, pi):
+                pis[i] = row
+        for (seq, chan, _, noise, *_), pi in zip(block, pis):
             yield pi, _herald_count_pmf(seq.n_qubits, chan.n_p * noise.eta_detect)
 
 

@@ -323,7 +323,7 @@ def sift_counts(counts: np.ndarray) -> dict[str, int]:
 
 
 def cell_probabilities_per_point(seq, chan, parties, noise) -> np.ndarray:
-    """`session.coincidence_cell_probabilities` built afresh for one point.
+    """The pi of `session._point_models` built afresh for one point.
 
     The Born kernel is evaluated at the point's own dephasing factor, and
     the slot-pair classes are tallied with a prefix sum over all N slots.
@@ -358,7 +358,7 @@ def cell_probabilities_per_point(seq, chan, parties, noise) -> np.ndarray:
 
 
 def exact_cell_probabilities(seq, chan, parties, noise) -> np.ndarray:
-    """`session.coincidence_cell_probabilities` by whole-cycle density matrices.
+    """The pi of `session._point_models` by whole-cycle density matrices.
 
     Given two heralds, every slot pair lo < hi is equally likely. For each
     pair, every label pair and herald branch (m1, m2) evolves as a 2x2

@@ -11,6 +11,7 @@ import numpy as np
 
 import oracles
 from heralded import heralded_fidelity
+from memqkd import rates
 from memqkd.bsm import LABEL_PHASE, ChannelConfig, SequenceConfig, run_memory_cycles
 from memqkd.cavity import cooperativity, total_heralding_efficiency
 from memqkd.config import default_config, load_preset
@@ -178,7 +179,7 @@ def test_criterion_07_posterior_confidence():
     n = 2433  # gives ML 0.097 with posterior sigma 0.006
     k = round(0.097 * n)
     post = TruncatedBeta(k, n)
-    low, high = post.interval()
+    low, high = rates._intervals([post])[0]
     conf = post.cdf(0.110)
     ok = (
         abs(post.ml - 0.097) < 1e-3

@@ -694,6 +694,18 @@ class TestRates:
             values = self._line_values(out, label)
             assert len(values) == 2 and all(math.isnan(v) for v in values), label
 
+    def test_integer_flags_take_exponent_notation(self, capsys):
+        # The integer literals a config file accepts, as the scenario flags take them.
+        assert run(["rates", "--qber", "0.11", "--n-pi", "62", "--n-sub", "2"]) == 0
+        plain = capsys.readouterr()
+        assert run(["rates", "--qber", "0.11", "--n-pi", "6.2e1", "--n-sub", "2e0"]) == 0
+        assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("flag", ["--n-pi", "--n-sub"])
+    def test_non_integer_flag_is_usage_error(self, flag, capsys):
+        assert run(["rates", "--qber", "0.11", flag, "62.5"]) == 2
+        assert f"argument {flag}: invalid int value: '62.5'" in capsys.readouterr().err
+
     def test_bad_qber(self):
         assert run(["rates", "--qber", "0.7"]) == 2
 

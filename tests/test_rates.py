@@ -138,7 +138,7 @@ class TestTruncatedBeta:
         for f in GRID_FRACTIONS:
             k = round(f * n)
             post, oracle = TruncatedBeta(k, n), TruncatedBetaOracle(k, n)
-            low, high = post.interval()
+            low, high = rates._intervals([post])[0]
             want_low, want_high = oracle.interval()
             assert post.ml == min(k / n, 0.5)
             assert 0.0 <= low <= post.ml <= high <= 0.5, (k, n)
@@ -165,7 +165,7 @@ class TestTruncatedBeta:
     def test_single_cell_interval_width(self):
         post = TruncatedBeta(11, 100)
         assert post.ml == 0.11
-        low, high = post.interval()
+        low, high = rates._intervals([post])[0]
         assert (high - low) / 2 == pytest.approx(0.031, abs=4e-3)
 
     def test_confidence_below_threshold(self):
@@ -173,7 +173,7 @@ class TestTruncatedBeta:
         n = 2433
         k = round(0.097 * n)
         post = TruncatedBeta(k, n)
-        low, high = post.interval()
+        low, high = rates._intervals([post])[0]
         assert post.ml == pytest.approx(0.097, abs=5e-4)
         assert (high - low) / 2 == pytest.approx(0.006, abs=5e-4)
         conf = post.cdf(0.110)
@@ -187,7 +187,7 @@ class TestTruncatedBeta:
         for n in (100, 10_000, 1_000_000):
             post = TruncatedBeta(round(f * n), n)
             assert post.ml == round(f * n) / n
-            low, high = post.interval()
+            low, high = rates._intervals([post])[0]
             widths.append(high - low)
         assert widths[0] > widths[1] > widths[2]
         assert widths[2] < 2e-3
@@ -198,7 +198,7 @@ class TestTruncatedBeta:
 
     def test_all_errors_peaks_at_domain_edge(self):
         post = TruncatedBeta(50, 50)
-        low, high = post.interval()
+        low, high = rates._intervals([post])[0]
         assert post.ml == high == 0.5
         assert low < 0.5
         assert post.cdf(low) == pytest.approx(1.0 - 0.682, rel=1e-12)
@@ -209,7 +209,7 @@ class TestTruncatedBeta:
         k, n = 1_548_800, 1_760_000
         assert betainc(k + 1, n - k + 1, 0.5) == 0.0
         post = TruncatedBeta(k, n)
-        low, high = post.interval()
+        low, high = rates._intervals([post])[0]
         assert post.ml == high == 0.5
         assert 0.5 - 1e-5 < low < 0.5
         assert post.cdf(low) == pytest.approx(1.0 - 0.682, rel=1e-9)
@@ -229,7 +229,7 @@ class TestTruncatedBeta:
         rounds, solve = [], rates._log_ibetas
         monkeypatch.setattr(rates, "_log_ibetas", lambda *args: rounds.append(args) or solve(*args))
         post = TruncatedBeta(errors, sifted)
-        low, high = post.interval()
+        low, high = rates._intervals([post])[0]
         assert len(rounds) <= 6
         want_low, want_high = TruncatedBetaOracle(errors, sifted).interval()
         if 2 * errors > sifted:
@@ -339,9 +339,10 @@ def scalar_quantile(post: TruncatedBeta, p: float, guess: float, events: list) -
 
 
 def scalar_interval(post: TruncatedBeta) -> tuple[float, float]:
-    """`TruncatedBeta.interval`: searches from ml -+ sigma, the lower one
-    from 1/2 - 1 / (2 (a - b)) if that is nearer, as with more errors than
-    half the sifted count, and each from at most halfway to its edge."""
+    """`rates._intervals` of one posterior: searches from ml -+ sigma, the
+    lower one from 1/2 - 1 / (2 (a - b)) if that is nearer, as with more
+    errors than half the sifted count, and each from at most halfway to its
+    edge."""
     if 0 < post.ml < 0.5:
         cdf_ml = scalar_cdf(post.ml, post)
     else:
@@ -416,9 +417,9 @@ class TestLockstepPosteriors:
         assert [post.cdf(x) for post, x in one_lane] == scalar[:self.ONE_LANE]
 
     def test_quantiles_match_one_at_a_time(self):
-        # Guesses near the answer, as `interval` makes them, anywhere in
+        # Guesses near the answer, as `_intervals` makes them, anywhere in
         # (0, 1/2), and 40 to 1000 sigma out, where the density underflows
-        # to 0. Each near or far guess is clipped as `interval` clips its
+        # to 0. Each near or far guess is clipped as `_intervals` clips its
         # starts, to at most halfway from ml to the edge it heads for.
         rng = random.Random(4)
         searches = []
@@ -441,7 +442,8 @@ class TestLockstepPosteriors:
         scalar = [scalar_interval(post) for post in posteriors]
         for size in self.SIZES:
             assert self.in_rounds(rates._intervals, posteriors, size) == scalar, size
-        assert [post.interval() for post in posteriors[:self.ONE_LANE]] == scalar[:self.ONE_LANE]
+        one_lane = [rates._intervals([post])[0] for post in posteriors[:self.ONE_LANE]]
+        assert one_lane == scalar[:self.ONE_LANE]
         mls = [post.ml for post in posteriors]
         assert mls.count(0.0) >= 300 and mls.count(0.5) >= 300
         assert sum(post.a > post.b and post.a + post.b > 10**6 for post in posteriors) >= 100

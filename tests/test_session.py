@@ -27,11 +27,15 @@ from memqkd.session import (
     _period_counts,
     _tally_cell,
     chsh_statistic,
-    coincidence_cell_probabilities,
     simulate_session,
 )
 
 SEQ124 = SequenceConfig(n_pi=62, n_sub=2)
+
+
+def cell_probabilities(seq, chan, parties, noise) -> np.ndarray:
+    """`_point_models`' pi of one point, in the tally's (2, 4, 2, 4, 2, 2) layout."""
+    return next(session._point_models([(seq, chan, parties, noise)]))[0].reshape(2, 4, 2, 4, 2, 2)
 
 
 def sift_fields(report) -> dict:
@@ -111,7 +115,7 @@ class TestEngineEquivalence:
             sigma = math.sqrt(e_fast * (1 - e_fast) / n_ref)
             assert abs(e_ref - e_fast) < 5 * sigma, attr_n
 
-        assert_cells_follow(coincidence_cell_probabilities(seq, chan, parties, noise), ref_tally)
+        assert_cells_follow(cell_probabilities(seq, chan, parties, noise), ref_tally)
 
     @staticmethod
     def assert_paths_agree(seq, cycles, seed):
@@ -130,7 +134,7 @@ class TestEngineEquivalence:
         sigma = math.sqrt(r_fast * (1 - r_fast) / ref.cycles)
         assert abs(r_ref - r_fast) < 5 * sigma
 
-        assert_cells_follow(coincidence_cell_probabilities(seq, chan, parties, noise), ref_tally)
+        assert_cells_follow(cell_probabilities(seq, chan, parties, noise), ref_tally)
         (expected,) = session.expected_sessions([(seq, chan, parties, noise, cycles, seed)])
         assert within_5_sigma(ref.errors, ref.sifted, qber(expected))
 
@@ -255,13 +259,12 @@ class TestLockstepSessions:
 
     def test_pi_matches_one_point_bit_for_bit(self):
         points = self.points()
-        pis = session._cell_probabilities(points)
-        for (seq, chan, parties, noise, *_), pi in zip(points, pis):
-            if seq.n_qubits < 2:
-                assert pi is None
+        for point, (pi, _) in zip(points, session._point_models(points)):
+            one, _ = next(session._point_models([point]))
+            if point[0].n_qubits < 2:
+                assert pi is None and one is None
             else:
-                one = coincidence_cell_probabilities(seq, chan, parties, noise)
-                assert np.array_equal(pi, one.ravel())
+                assert np.array_equal(pi, one)
 
 
 class TestHeraldCountPmf:
@@ -670,7 +673,7 @@ class TestCellProbabilities:
         if seq.n_qubits < 2:
             assert report.coincidences == 0
             return
-        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
+        pi = cell_probabilities(seq, chan, parties, noise)
         assert pi.shape == (2, 4, 2, 4, 2, 2)
         assert (pi >= 0).all()
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -757,7 +760,7 @@ class TestCellProbabilitiesMatchPerPointOracle:
         chan = ChannelConfig(n_p=load)
         parties = PartyConfig(mode=mode, basis_bias=bias, assignment=assignment)
         noise = NoiseParams(eps_leak=eps_leak, p_mw=p_mw)
-        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
+        pi = cell_probabilities(seq, chan, parties, noise)
         expected = oracles.cell_probabilities_per_point(seq, chan, parties, noise)
         assert np.abs(pi - expected).max() <= 1e-15
 
@@ -795,7 +798,7 @@ class TestCellProbabilitiesMatchPerPointOracle:
             if field != "n_sub":
                 choice[field] = value
             parties = PartyConfig(**choice)
-            pi = coincidence_cell_probabilities(seq, chan, parties, noise)
+            pi = cell_probabilities(seq, chan, parties, noise)
             expected = oracles.cell_probabilities_per_point(seq, chan, parties, noise)
             assert np.abs(pi - expected).max() <= 1e-15
             assert last is None or np.abs(pi - last).max() > 1e-3
@@ -804,8 +807,8 @@ class TestCellProbabilitiesMatchPerPointOracle:
     def test_noise_models_differing_in_eps_leak_do_not_share_tensors(self):
         cfg = load_preset("fig4-point-N124")
         args = (cfg.sequence, cfg.channel(), cfg.parties)
-        pi = coincidence_cell_probabilities(*args, cfg.noise)
-        other = coincidence_cell_probabilities(*args, dataclasses.replace(cfg.noise, eps_leak=0.1))
+        pi = cell_probabilities(*args, cfg.noise)
+        other = cell_probabilities(*args, dataclasses.replace(cfg.noise, eps_leak=0.1))
         assert np.abs(pi - other).max() > 1e-3
 
     def test_born_range_check_survives_the_cache(self):
@@ -813,7 +816,7 @@ class TestCellProbabilitiesMatchPerPointOracle:
         noise = NoiseParams()
         object.__setattr__(noise, "f_init", 1.5)  # skips __post_init__
         with pytest.raises(RuntimeError, match=r"Born probabilities outside \[0, 1\]"):
-            coincidence_cell_probabilities(cfg.sequence, cfg.channel(), cfg.parties, noise)
+            cell_probabilities(cfg.sequence, cfg.channel(), cfg.parties, noise)
 
 
 # A probability in [0, 1] that is 0 or 1 in about half the draws.
@@ -851,7 +854,7 @@ class TestCellProbabilitiesMatchWholeCycleOracle:
         assume(2 <= seq.n_qubits <= 12)
         chan = ChannelConfig(n_p=n_p)
         parties = PartyConfig(mode=mode, basis_bias=bias, assignment=assignment)
-        pi = coincidence_cell_probabilities(seq, chan, parties, noise)
+        pi = cell_probabilities(seq, chan, parties, noise)
         expected = oracles.exact_cell_probabilities(seq, chan, parties, noise)
         assert np.abs(pi - expected).max() <= 1e-13
 
@@ -968,6 +971,18 @@ class TestChsh:
                 want = 1 / math.sqrt(2) * (1 if key == "xa" else -1) * parity
                 assert value == pytest.approx(want, abs=0.035)
 
+    @pytest.mark.parametrize("name", ["fig3-chsh-ideal", "fig3-chsh-qber11"])
+    def test_presets_give_the_exact_s_of_pi(self, name):
+        # A tally of 2^50 pi has the correlations of pi itself: 2 sqrt(2)
+        # damped by the readout coherence (1 - 2 p_mw)^62 that the pulses leave.
+        cfg = load_preset(name)
+        assert cfg.sequence.n_pi == 62
+        pi = cell_probabilities(cfg.sequence, cfg.channel(), cfg.parties, cfg.noise)
+        want = 2 * math.sqrt(2) * (1 - 2 * cfg.noise.p_mw) ** 62
+        for parity in (1, -1):
+            _, s_value = chsh_statistic(CoincidenceTally(*(2**50 * pi)), parity)
+            assert s_value == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_random_parity_gives_zero(self):
         rng = np.random.default_rng(0)
         tally = CoincidenceTally()
@@ -1019,10 +1034,8 @@ class TestValidation:
         lambda: simulate_session(SEQ124, ChannelConfig(n_p=0.01), PartyConfig(), NoiseParams(),
                                  1, seed=0, engine="slow"),
         lambda: chsh_statistic(CoincidenceTally(), 0),
-        lambda: coincidence_cell_probabilities(SequenceConfig(n_pi=1, n_sub=1),
-                                               ChannelConfig(n_p=0.01), PartyConfig(), NoiseParams()),
         lambda: ChannelConfig.from_mean_photons(0.0, 0),
-    ], ids=["unknown-engine", "parity-0", "one-slot-sequence", "no-slots"])
+    ], ids=["unknown-engine", "parity-0", "no-slots"])
     def test_rejects_out_of_range_arguments(self, call):
         with pytest.raises(ValueError):
             call()
