@@ -120,15 +120,16 @@ def herald_tables(phase, eps_leak: float) -> tuple:
     Returns two arrays with the shape of `phase` and a new last axis for
     m = +1, -1: P(m) = (1 + eps^2 + 2 eps m cos(phi)) / (2 (1 + eps^2)),
     and h(m) = k_up conj(k_down) / (2 (1 + eps^2)), whose phase is the unit
-    turn g(m) of b and whose modulus is P(m). h is kept in product form:
-    expanded into a sum, its terms cancel near an outcome of probability 0
-    and its phase loses bits. At eps_leak = 1 the phases 0 and pi each have
-    an outcome of probability 0, which is never drawn.
+    turn g(m) of b and whose modulus is P(m). h keeps its product form, as
+    a sum's terms cancel near an outcome of probability 0 (eps_leak = 1 has
+    one at phases 0 and pi), but in the real parts up + i leak of k_up and
+    down + i Im e of k_down: numpy's complex multiply rounds by CPU dispatch.
     """
     one = 1.0 + eps_leak * eps_leak
     e = np.array([1.0, -1.0]) * np.exp(1j * np.expand_dims(phase, -1))
     probs = (one + 2.0 * eps_leak * e.real) / (2.0 * one)
-    return probs, (1.0 + eps_leak * e) * (e + eps_leak).conjugate() / (2.0 * one)
+    up, leak, down = 1.0 + eps_leak * e.real, eps_leak * e.imag, e.real + eps_leak
+    return probs, (up * down + leak * e.imag + 1j * (leak * down - up * e.imag)) / (2.0 * one)
 
 
 def reflect_and_herald(b, probs, amps, u) -> tuple:

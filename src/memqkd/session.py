@@ -34,9 +34,10 @@ generator seeded with `seed`, so many points run together
 (`simulate_sessions`) make the same draws as one at a time. Drills with
 heralds at given slots call `run_memory_cycles` directly.
 
-The truth table (`truth_table_rows`) is the fast path's Born kernel at
-ideal noise, where every parity of an X/X or Y/Y pair has probability
-exactly 0 or 1.
+The fast path's Born kernel takes an odd frame as the sign of one real
+product and forms no complex product, so pi has the same bits at every
+numpy CPU dispatch level. At ideal noise it gives the truth table
+(`truth_table_rows`): each X/X or Y/Y pair's parity has probability 0 or 1.
 """
 
 from __future__ import annotations
@@ -302,9 +303,9 @@ def _born_kernel(phi1, phi2, frame, deph, noise: NoiseParams) -> np.ndarray:
     Outcome m of a herald has probability P(m | phi) and multiplies the
     spin coherence by a unit phase g(m | phi); a pi-pulse count of odd
     parity between the heralds conjugates the first factor. With P and
-    h = P g from `herald_tables`,
+    h = P g from `herald_tables`, and s = -1 at odd frame and +1 at even,
 
-        P(m1, m2, m3) = P1 P2 / 2 + m3 kappa Re(h1 h2),
+        P(m1, m2, m3) = P1 P2 / 2 + m3 kappa (Re h1 Re h2 - s Im h1 Im h2),
         kappa = (2 f_init - 1) (2 f_readout - 1) deph / 2,
 
     where `deph` is the mean coherence factor of all dephasing in the
@@ -313,11 +314,12 @@ def _born_kernel(phi1, phi2, frame, deph, noise: NoiseParams) -> np.ndarray:
     """
     p1, h1 = herald_tables(phi1, noise.eps_leak)
     p2, h2 = herald_tables(phi2, noise.eps_leak)
-    h1 = np.where(np.asarray(frame)[..., None] == 1, h1.conj(), h1)
     kappa = 0.5 * (2.0 * noise.f_init - 1.0) * (2.0 * noise.f_readout - 1.0)
     kappa = kappa * np.asarray(deph, dtype=float)[..., None, None]
     base = 0.5 * p1[..., :, None] * p2[..., None, :]
-    corr = kappa * (h1[..., :, None] * h2[..., None, :]).real
+    s = 1 - 2 * (np.asarray(frame)[..., None, None] == 1)
+    imag = s * (h1.imag[..., :, None] * h2.imag[..., None, :])
+    corr = kappa * (h1.real[..., :, None] * h2.real[..., None, :] - imag)
     kernel = np.stack([base + corr, base - corr], axis=-1)
     if kernel.min() < -1e-12 or kernel.max() > 1.0 + 1e-12:
         raise RuntimeError(

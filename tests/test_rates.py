@@ -17,6 +17,7 @@ from memqkd.rates import (
     analytic_report,
     binary_entropy,
     build_report,
+    build_reports,
     plob_bound,
     rate_direct_bound,
     secret_fraction,
@@ -27,6 +28,7 @@ from memqkd.session import (
     SessionReport,
     expected_sessions,
     simulate_session,
+    simulate_sessions,
 )
 from oracles import TruncatedBetaOracle
 
@@ -191,6 +193,25 @@ class TestTruncatedBeta:
             widths.append(high - low)
         assert widths[0] > widths[1] > widths[2]
         assert widths[2] < 2e-3
+
+    def test_interval_covers_the_model_qber_at_its_level(self):
+        # Over 2000 seeds of the fig4 point at 1e9 cycles (about 2000 errors
+        # in 17,500 sifted each), the share of 68.2% intervals that hold the
+        # model's QBER lies within 3.2 standard errors, 0.033, of 0.682, and
+        # the share that misses it on each side within 3.2 of theirs, 0.026,
+        # of 0.159: each end holds 34.1% of the posterior.
+        cfg = load_preset("fig4-point-N124")
+        point = (cfg.sequence, cfg.channel(), cfg.parties, cfg.noise, 10**9)
+        (expected,) = expected_sessions([(*point, 0)])
+        qber = (expected[5] + expected[7]) / (expected[4] + expected[6])
+        assert qber == pytest.approx(0.1152662, abs=5e-8)
+        runs = simulate_sessions([(*point, seed) for seed in range(1, 2001)])
+        reports = build_reports((report, cfg) for _, report in runs)
+        covered = sum(report.qber_low <= qber <= report.qber_high for report in reports)
+        below = sum(qber < report.qber_low for report in reports)
+        assert 0.65 <= covered / len(reports) <= 0.715
+        assert 0.133 <= below / len(reports) <= 0.185
+        assert 0.133 <= (len(reports) - covered - below) / len(reports) <= 0.185
 
     def test_ml_invariant_under_count_scaling(self):
         k, n = 36, 330  # (7, 80), (9, 75), (12, 90) and (8, 85) pooled
@@ -369,7 +390,7 @@ class TestLockstepPosteriors:
     # exps, and gives the scalar code's floats bit for bit at every round
     # size: from `_BATCH_MIN` lanes up the continued fractions run as one
     # numpy loop, below it one by one, and a posterior's own methods make
-    # one-lane rounds. CI also runs these at numpy's lowest dispatch level.
+    # one-lane rounds.
     SIZES = (rates._BATCH_MIN - 1, 3000)
     ONE_LANE = 100  # lanes also solved one at a time through `TruncatedBeta`
 

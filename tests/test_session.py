@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -211,8 +212,7 @@ class TestReferenceDecomposition:
 class TestLockstepSessions:
     # `_point_models` forms the pi of `_PI_BLOCK` points at a time, and each
     # point keeps its own generator and draws, so every tally and report is
-    # the one of a call on its own. CI also runs these at numpy's lowest
-    # dispatch level.
+    # the one of a call on its own.
 
     @staticmethod
     def points(cycles=10**6):
@@ -268,8 +268,6 @@ class TestLockstepSessions:
 
 
 class TestHeraldCountPmf:
-    # CI also runs the digest test at numpy's lowest dispatch level.
-
     EDGES = [(n, p) for n in (1, 2, 3, 4, 6, 8, 504, 1032, 2000) for p in (0.0, 1.0)]
     EDGES += [(4, 0.5), (1032, 0.5), (3, 0.999), (2, 1 - 1e-12), (2, 1 - 2**-53), (2000, 1 - 2**-53),
               (124, 0.02 / 124 * 0.423), (504, 0.3), (3, 1e-7)]
@@ -494,8 +492,7 @@ def preset_point(name: str, cycles: int | None = None) -> tuple:
 
 
 class TestExpectedSessions:
-    # The fast engine's own pmf and pi, pinned without sampling. CI also runs
-    # these at numpy's lowest dispatch level.
+    # The fast engine's own pmf and pi, pinned without sampling.
     COUNTERS = [f.name for f in dataclasses.fields(session.SessionReport)][1:9]
 
     def test_fig4_point(self):
@@ -681,6 +678,28 @@ class TestCellProbabilities:
             assert pi[:, 2:].sum() == 0 and pi[:, :, :, 2:].sum() == 0
         if assignment == "single":
             assert pi[1].sum() == 0
+
+    def test_pi_bits_unchanged(self):
+        # The presets and 400 random points over noise, layouts, modes,
+        # assignments and loads up to n_m = N: pi forms no complex product,
+        # so its bits are the same at every numpy dispatch level.
+        points = [preset_point(name)[:4] for name in list_presets()]
+        rng = random.Random(41)
+        for _ in range(400):
+            seq = SequenceConfig(n_pi=rng.randint(1, 260), n_sub=rng.choice((1, 2, 4)))
+            n_m = math.exp(rng.uniform(math.log(1e-5), math.log(seq.n_qubits)))
+            parties = PartyConfig(rng.choice(("qkd", "chsh")), rng.random(),
+                                  rng.choice(("random", "alternating", "single")))
+            noise = NoiseParams(rng.choice((0.0, 1.0, rng.random())), rng.uniform(0.0, 0.05),
+                                rng.uniform(0.0, 0.5), rng.uniform(0.9, 1.0),
+                                rng.uniform(0.9, 1.0), rng.uniform(0.05, 1.0))
+            points.append((seq, ChannelConfig.from_mean_photons(n_m, seq.n_qubits), parties, noise))
+        digest = hashlib.sha256()
+        pis = [pi for pi, _ in session._point_models(points) if pi is not None]
+        for pi in pis:
+            digest.update(pi.tobytes())
+        assert len(pis) == 401  # two one-slot points have no pi
+        assert digest.hexdigest() == "16492afb0781097cc259b2404ee79e44d9812b60167f92b53f593fed48d9f19e"
 
 
 class TestCounterProduct:
