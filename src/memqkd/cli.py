@@ -6,7 +6,11 @@ Subcommands:
   sweep        sweep N or n_m and emit one plot-ready CSV row per point
   truth-table  print all 16 input-pair / frame-parity classifications
   chsh         run a Bell-test session and print the four correlations and S
-  rates        analytic rate report for a given error rate and pulse layout
+  rates        analytic rate report of an error rate on the default scenario
+
+A value that a flag or sweep point gives a scenario key is set by
+`config.with_entries`, as that key in a scenario file is; a bad literal is
+a configuration error that names its [section] key.
 
 Exit codes: 0 success, 2 configuration error, 3 statistical or runtime
 failure (for example an empty correlation cell in the Bell test).
@@ -17,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import math
 import os
@@ -30,11 +33,11 @@ from .bsm import ChannelConfig
 from .config import (
     ConfigError,
     ScenarioConfig,
-    _parse_int,
     default_config,
     list_presets,
     load_config,
     load_preset,
+    with_entries,
 )
 from .rates import KeyRateReport, analytic_report, build_reports
 from .session import (
@@ -127,11 +130,8 @@ def _load_scenario(args) -> ScenarioConfig:
         cfg = load_config(args.config)
     else:
         cfg = default_config()
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
-    if args.cycles is not None:
-        cfg = cfg.replace(cycles=args.cycles)
-    return cfg
+    flags = (("seed", args.seed), ("cycles", args.cycles))
+    return with_entries(cfg, [("run", key, raw) for key, raw in flags if raw is not None])
 
 
 class _Point(NamedTuple):
@@ -202,27 +202,10 @@ def _cmd_sweep(args) -> int:
     fields = args.values.split(",")
     if not all(field.strip() for field in fields):
         raise ConfigError(f"sweep values {args.values!r} have an empty field")
-    try:
-        values = [float(v) for v in fields]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep values {args.values!r}: {exc}") from exc
-
+    section = "sequence" if args.axis == "N" else "channel"
     # Every point is built and checked before the first one runs.
-    points = []
-    for index, value in enumerate(values):
-        if args.axis == "N":
-            if not value.is_integer() or value <= 0:
-                raise ConfigError(f"N values must be positive integers, got {value}")
-            n = int(value)
-            seq = cfg.sequence
-            if n % seq.n_sub != 0:
-                raise ConfigError(f"N={n} is not a multiple of n_sub={seq.n_sub}")
-            swept = {"sequence": dataclasses.replace(seq, n_pi=n // seq.n_sub)}
-        else:
-            if value <= 0:
-                raise ConfigError(f"n_m values must be positive, got {value}")
-            swept = {"n_m": value}
-        points.append(cfg.replace(seed=cfg.seed + index, **swept))
+    points = [with_entries(cfg, [(section, args.axis, raw), ("run", "seed", str(cfg.seed + index))])
+              for index, raw in enumerate(fields)]
     _write_csv(args.out, SWEEP_COLUMNS, _rows(SWEEP_COLUMNS, _run(points, cfg.overheads)))
     return 0
 
@@ -265,24 +248,20 @@ def _cmd_rates(args) -> int:
         raise ConfigError(f"qber must lie in [0, 1/2], got {args.qber}")
     if not 0 <= args.p_ab <= 1:
         raise ConfigError(f"p_ab must lie in [0, 1], got {args.p_ab}")
-    # The default scenario with the flags' values, checked as a scenario file
-    # is. The layout goes in first, so an N past the slot limit fails there
-    # rather than overflowing n_m = N sqrt(p_AB). Every check that can fail
-    # here is on a command-line value.
-    base = default_config()
-    try:
-        cfg = base.replace(
-            noise=dataclasses.replace(base.noise, eta_detect=args.eta),
-            sequence=dataclasses.replace(base.sequence, n_pi=args.n_pi, n_sub=args.n_sub),
-            parties=dataclasses.replace(base.parties, basis_bias=args.bias),
-        )
-        cfg = cfg.replace(n_m=math.sqrt(args.p_ab) * cfg.sequence.n_qubits)
+    # The default scenario with the flags' values, set as a scenario file sets
+    # them. The layout goes in first, so an N past the slot limit fails there
+    # rather than overflowing n_m = N sqrt(p_AB).
+    flags = [("noise", "eta_detect", args.eta), ("sequence", "n_pi", args.n_pi),
+             ("sequence", "n_sub", args.n_sub), ("parties", "basis_bias", args.bias)]
+    cfg = with_entries(default_config(), [flag for flag in flags if flag[2] is not None])
+    cfg = cfg.replace(n_m=math.sqrt(args.p_ab) * cfg.sequence.n_qubits)
+    try:  # every check that can fail here is on a command-line value
         rates = analytic_report(args.qber, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    bias_label = f"{args.bias:.2f}:{1 - args.bias:.2f}"
-    print(f"rate report  (E={args.qber:g}, eta={args.eta:g}, "
-          f"n_pi={args.n_pi}, n_sub={args.n_sub}, bias={bias_label}, "
+    seq, bias = cfg.sequence, cfg.parties.basis_bias
+    print(f"rate report  (E={args.qber:g}, eta={cfg.noise.eta_detect:g}, "
+          f"n_pi={seq.n_pi}, n_sub={seq.n_sub}, bias={bias:.2f}:{1 - bias:.2f}, "
           f"p_AB={args.p_ab:.3e})")
     print(f"  secret fraction r_s        = {rates.r_s:.4f}")
     print(f"  sifted rate                = {rates.sifted_per_use:.4e}/use  "
@@ -299,8 +278,8 @@ def _cmd_rates(args) -> int:
 def _add_scenario_flags(p: argparse.ArgumentParser, presets: str) -> None:
     p.add_argument("--config", help="path to a scenario config file")
     p.add_argument("--preset", help=f"named preset ({presets})")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--cycles", type=int, help="override the cycle count")
+    p.add_argument("--seed", help="override the config seed")
+    p.add_argument("--cycles", help="override the cycle count")
     p.add_argument("--out", help="write the CSV here instead of stdout")
 
 
@@ -311,14 +290,14 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_rates_flags(p: argparse.ArgumentParser) -> None:
-    scenario = default_config()
     p.add_argument("--qber", type=float, required=True)
-    p.add_argument("--eta", type=float, default=scenario.noise.eta_detect)
-    p.add_argument("--n-pi", dest="n_pi", type=int, default=scenario.sequence.n_pi)
-    p.add_argument("--n-sub", dest="n_sub", type=int, default=scenario.sequence.n_sub)
-    p.add_argument("--bias", type=float, default=scenario.parties.basis_bias)
+    # Without a flag, the default scenario's value.
+    p.add_argument("--eta")
+    p.add_argument("--n-pi", dest="n_pi")
+    p.add_argument("--n-sub", dest="n_sub")
+    p.add_argument("--bias")
     p.add_argument("--p-ab", dest="p_ab", type=float,
-                   default=scenario.channel().p_ab,
+                   default=default_config().channel().p_ab,
                    help="effective channel transmission; the sifted rate is "
                         "the paper's low-load formula, linear in p_AB with no "
                         "two-herald saturation")
@@ -352,8 +331,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     for name in names:
         func, help_text, scenario, add_flags = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        # Integer flags take the literals a config file accepts, 2e6 among them.
-        p.register("type", int, _parse_int)
         if scenario:
             if presets is None:
                 presets = ", ".join(list_presets())

@@ -3,10 +3,11 @@
 A scenario file has the sections [noise], [sequence], [channel],
 [parties], [timing] and [run]. Each physical parameter the simulator
 reads has exactly one key: the heralding efficiency is [noise]
-eta_detect, the photon load [channel] n_m. Unknown sections or keys are
-rejected, and every downstream invariant is revalidated when the
-dataclasses are built. Serialization is canonical, so
-parse(serialize(cfg)) round-trips.
+eta_detect, the photon load [channel] n_m. `with_entries` sets key =
+value entries on a scenario, from a file, a command-line flag or a sweep
+point alike: unknown sections or keys are rejected, and every downstream
+invariant is revalidated when the dataclasses are rebuilt. Serialization
+is canonical, so parse(serialize(cfg)) round-trips.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 from .bsm import ChannelConfig, SequenceConfig
 from .qubits import NoiseParams
@@ -94,28 +95,67 @@ def _sections(cfg: ScenarioConfig) -> dict[str, dict[str, object]]:
     }
 
 
-def _parse_int(raw: str) -> int:
-    """An integer literal, also in exponent notation such as 2e6, never rounded."""
-    try:
-        value = Decimal(raw)
-    except InvalidOperation:
-        raise ValueError(f"invalid literal for int(): {raw!r}") from None
-    if not value.is_finite() or value != value.to_integral_value():
-        raise ValueError(f"{raw!r} is not an integer")
-    if value.adjusted() >= 4300:  # int()'s own digit limit; longer ones convert slowly
-        raise ValueError(f"{raw!r} has more than 4300 digits")
-    return int(value)
+# Each section's keys and the type of each key's default, which a raw value converts to.
+_KINDS = {section: {key: type(value) for key, value in keys.items()}
+          for section, keys in _sections(default_config()).items()}
+# The ScenarioConfig field that holds each section's dataclass.
+_HOLDERS = {"noise": "noise", "sequence": "sequence", "parties": "parties", "timing": "overheads"}
 
 
 def _convert(section: str, key: str, raw: str, kind: type):
+    """`raw` as a `kind`; an integer also in exponent notation such as 2e6, never rounded."""
     try:
-        if kind is int:
-            return _parse_int(raw)
         if kind is float:
             return float(raw)
-        return raw.strip()
+        if kind is not int:
+            return raw.strip()
+        try:
+            value = Decimal(raw)
+        except InvalidOperation:
+            raise ValueError(f"invalid literal for int(): {raw!r}") from None
+        if not value.is_finite() or value != value.to_integral_value():
+            raise ValueError(f"{raw!r} is not an integer")
+        if value.adjusted() >= 4300:  # int()'s own digit limit; longer ones convert slowly
+            raise ValueError(f"{raw!r} has more than 4300 digits")
+        return int(value)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+
+
+def with_entries(cfg: ScenarioConfig, entries: Iterable[tuple[str, str, str]]) -> ScenarioConfig:
+    """`cfg` with each `(section, key, raw)` entry set as a scenario file sets it.
+
+    Each raw text converts to the type of its key's default. Only the sections
+    the entries name are rebuilt, so their checks run again; a bad value is a
+    ConfigError that names its key. `N` in [sequence] is the slots per cycle:
+    a positive multiple of n_sub, it sets n_pi. No file can name it, as
+    configparser lowercases keys.
+    """
+    changed: dict[str, dict[str, object]] = {}
+    for section, key, raw in entries:
+        keys = changed.setdefault(section, {})
+        if (section, key) == ("sequence", "N"):
+            n, n_sub = _convert(section, key, raw, int), keys.get("n_sub", cfg.sequence.n_sub)
+            if n <= 0:
+                raise ConfigError(f"N must be positive, got {n}")
+            if n % n_sub:
+                raise ConfigError(f"N={n} is not a multiple of n_sub={n_sub}")
+            keys["n_pi"] = n // n_sub
+        elif key in _KINDS[section]:
+            keys[key] = _convert(section, key, raw, _KINDS[section][key])
+        else:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    fields = {}
+    for section, keys in changed.items():
+        holder = _HOLDERS.get(section)
+        if holder is None:  # [channel] and [run] keys are fields of ScenarioConfig
+            fields.update(keys)
+            continue
+        try:
+            fields[holder] = dataclasses.replace(getattr(cfg, holder), **keys)
+        except ValueError as exc:
+            raise ConfigError(f"invalid [{section}] configuration: {exc}") from exc
+    return dataclasses.replace(cfg, **fields)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -134,36 +174,17 @@ def parse_config(text: str) -> ScenarioConfig:
         line = text.split("\n")[lineno - 1].strip()
         raise ConfigError(f"malformed config: line {lineno} {line!r} {problem}") from exc
 
-    # Each key's type is that of its default value.
-    entries = _sections(default_config())
     for section in parser.sections():
         if section == "cavity":
             raise ConfigError(
                 "[cavity] is not a scenario section: the simulated heralding efficiency "
                 "is [noise] eta_detect and the leakage amplitude [noise] eps_leak"
             )
-        if section not in entries:
+        if section not in _KINDS:
             raise ConfigError(f"unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in entries[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            entries[section][key] = _convert(section, key, raw, type(entries[section][key]))
-
-    def build(cls, section):
-        try:
-            return cls(**entries[section])
-        except ValueError as exc:
-            raise ConfigError(f"invalid [{section}] configuration: {exc}") from exc
-
-    return ScenarioConfig(
-        noise=build(NoiseParams, "noise"),
-        sequence=build(SequenceConfig, "sequence"),
-        n_m=entries["channel"]["n_m"],
-        parties=build(PartyConfig, "parties"),
-        overheads=build(TimingOverheads, "timing"),
-        cycles=entries["run"]["cycles"],
-        seed=entries["run"]["seed"],
-    )
+    return with_entries(default_config(), [
+        (section, key, raw) for section in parser.sections() for key, raw in parser.items(section)
+    ])
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

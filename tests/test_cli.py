@@ -355,8 +355,10 @@ class TestSimulate:
     @pytest.mark.parametrize("value", ["1.5", "1e-3", "abc", "1e5000"])
     @pytest.mark.parametrize("flag", ["--cycles", "--seed"])
     def test_non_integer_override_is_usage_error(self, qkd_config, flag, value, capsys):
+        # A configuration error that names the [run] key, as in a file.
         assert run(["simulate", "--config", qkd_config, flag, value]) == 2
-        assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [run] {flag[2:]} = {value!r}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -422,6 +424,41 @@ def test_unwritable_out_is_config_error(command, target, qkd_config, chsh_config
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# Each scenario flag, and `sweep --axis n_m`, with the file entry it sets.
+FLAG_ENTRIES = {
+    "--seed": ("run", "seed"),
+    "--cycles": ("run", "cycles"),
+    "--n-pi": ("sequence", "n_pi"),
+    "--n-sub": ("sequence", "n_sub"),
+    "--eta": ("noise", "eta_detect"),
+    "--bias": ("parties", "basis_bias"),
+    "n_m": ("channel", "n_m"),
+}
+# One slot per cycle, so that n_m = 1.5 lies above N too.
+ONE_SLOT = "[sequence]\nn_pi = 1\nn_sub = 1\n"
+
+
+@pytest.mark.parametrize("literal", ["1.5", "abc", "1e5000", "-1", "nan"])
+@pytest.mark.parametrize("flag", list(FLAG_ENTRIES))
+def test_flag_and_file_entry_fail_alike(flag, literal, tmp_path, capsys):
+    section, key = FLAG_ENTRIES[flag]
+    base = ONE_SLOT if flag == "n_m" else ""
+    (tmp_path / "base.cfg").write_text(base)
+    (tmp_path / "entry.cfg").write_text(f"{base}[{section}]\n{key} = {literal}\n")
+    if flag == "n_m":
+        argv = ["sweep", "--config", str(tmp_path / "base.cfg"), "--axis", "n_m", "--values", literal]
+    elif section == "run":
+        argv = ["simulate", flag, literal]
+    else:
+        argv = ["rates", "--qber", "0.11", flag, literal]
+    assert run(argv) == 2
+    from_flag = capsys.readouterr()
+    assert run(["simulate", "--config", str(tmp_path / "entry.cfg")]) == 2
+    assert capsys.readouterr() == from_flag
+    assert from_flag.out == "" and from_flag.err.startswith("error: ")
+    assert from_flag.err.count("\n") == 1
 
 
 class TestPresetBenchmark:
@@ -521,6 +558,19 @@ class TestSweep:
         rows = out.read_text().splitlines()
         assert len(rows) == 3
 
+    def test_zero_load_runs_as_in_a_file(self, qkd_config, tmp_path, capsys):
+        # n_m = 0 is a valid load in a sweep, as in a scenario file.
+        assert run(["sweep", "--config", qkd_config, "--axis", "n_m", "--values", "0"]) == 0
+        swept = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        dark = tmp_path / "dark.cfg"
+        dark.write_text(FAST_QKD.replace("n_m = 1.2", "n_m = 0"))
+        assert run(["simulate", "--config", str(dark)]) == 0
+        simulated = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        shared = [column for column in SWEEP_COLUMNS if column in SIMULATE_COLUMNS]
+        assert len(swept) == len(simulated) == 1 and len(shared) == 11
+        assert {c: swept[0][c] for c in shared} == {c: simulated[0][c] for c in shared}
+        assert swept[0]["p_AB"] == "0" and swept[0]["seed"] == "11"
+
     def test_empty_values_error(self, qkd_config):
         assert run(["sweep", "--config", qkd_config, "--axis", "N",
                     "--values", ""]) == 2
@@ -547,10 +597,11 @@ class TestSweep:
     @pytest.mark.parametrize("axis,values,message", [
         ("N", "124,2000002", "N = 2000002 qubit slots exceeds the limit of 1000000"),
         ("N", "124,125", "N=125 is not a multiple of n_sub=2"),
-        ("N", "124,1.5", "N values must be positive integers, got 1.5"),
-        ("n_m", "0.02,-1", "n_m values must be positive, got -1.0"),
-        ("n_m", "0.02,abc",
-         "bad sweep values '0.02,abc': could not convert string to float: 'abc'"),
+        ("N", "124,1.5", "[sequence] N = '1.5': '1.5' is not an integer"),
+        ("N", "124,0", "N must be positive, got 0"),
+        ("n_m", "0.02,-1",
+         "n_m must lie in [0, N = 124] (at most one photon per slot on average), got -1.0"),
+        ("n_m", "0.02,abc", "[channel] n_m = 'abc': could not convert string to float: 'abc'"),
     ])
     def test_bad_later_point_runs_no_session(self, axis, values, message, monkeypatch,
                                              tmp_path, capsys):
@@ -703,8 +754,11 @@ class TestRates:
 
     @pytest.mark.parametrize("flag", ["--n-pi", "--n-sub"])
     def test_non_integer_flag_is_usage_error(self, flag, capsys):
+        # A configuration error that names the [sequence] key, as in a file.
         assert run(["rates", "--qber", "0.11", flag, "62.5"]) == 2
-        assert f"argument {flag}: invalid int value: '62.5'" in capsys.readouterr().err
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == (
+            f"error: [sequence] {key} = '62.5': '62.5' is not an integer\n")
 
     def test_bad_qber(self):
         assert run(["rates", "--qber", "0.7"]) == 2

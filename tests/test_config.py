@@ -16,6 +16,7 @@ from memqkd.config import (
     load_preset,
     parse_config,
     serialize_config,
+    with_entries,
 )
 from memqkd.qubits import NoiseParams
 from memqkd.session import PartyConfig, TimingOverheads
@@ -207,3 +208,29 @@ def test_fig4_preset_matches_benchmark_point():
     assert cfg.parties.assignment == "single"
     chan = cfg.channel()
     assert chan.p_ab == pytest.approx((0.02 / 124) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("entry,built", [
+    (("sequence", "N", "60"), ["SequenceConfig", "ScenarioConfig"]),
+    (("channel", "n_m", "0"), ["ScenarioConfig"]),
+], ids=["N", "n_m"])
+def test_a_sweep_point_rebuilds_only_the_sections_it_names(entry, built, monkeypatch):
+    # Each dataclass that is built runs its __post_init__ checks once.
+    names = []
+    for cls in (NoiseParams, SequenceConfig, PartyConfig, TimingOverheads, ScenarioConfig):
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=cls.__post_init__: names.append(
+                                type(self).__name__) or check(self))
+    cfg = load_preset("fig4-point-N124")
+    names.clear()
+    point = with_entries(cfg, [entry, ("run", "seed", "42")])
+    assert names == built
+    assert point.seed == 42 and (point.sequence.n_qubits, point.n_m) != (cfg.sequence.n_qubits, cfg.n_m)
+    assert all(getattr(point, f) is getattr(cfg, f) for f in ("noise", "parties", "overheads"))
+
+
+def test_n_is_no_file_key():
+    # N sets n_pi from the command line only; configparser lowercases a file's keys.
+    assert with_entries(default_config(), [("sequence", "N", "2e2")]).sequence.n_pi == 100
+    with pytest.raises(ConfigError, match=r"unknown key 'n' in section \[sequence\]"):
+        parse_config("[sequence]\nN = 200\n")
