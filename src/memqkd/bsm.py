@@ -18,11 +18,12 @@ conjugate `CONJ_LABEL`. `session.truth_table_rows` reads the truth table
 off the ideal-noise Born kernel.
 
 `run_memory_cycles` runs a block of independent cycles whose two herald
-slots and photon labels are given as integer (n, 2) arrays. Its slot loop
-makes the draws of all the block's cycles in slot order and counts each
-cycle's undetected scatters. The spin's coherence b (`qubits` says why b
-is the whole state) is formed only where it is read: at the two heralds
-and at the readout. A scatter scales b by 1 - 2 p_scatter_dephase, and
+slots and photon labels are given as integer (n, 2) arrays. The spin's
+coherence b (`qubits` says why b is the whole state) is formed only where
+it is read: at the two heralds and at the readout. Only the number of
+undetected scatters in the stretch before a read enters b there, so each
+stretch's count is one binomial draw, and the cost of a cycle does not
+grow with N. A scatter scales b by 1 - 2 p_scatter_dephase, and
 each pi pulse conjugates b and scales it by 1 - 2 p_mw; real factors
 commute with the conjugation, so the stretch before each read is one
 real factor and one conjugation parity. A herald's outcome probability
@@ -139,7 +140,7 @@ def run_memory_cycles(
     labels: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Run memory cycles that herald at given slots, slot by slot, in lockstep.
+    """Run a block of memory cycles that herald at given slots, in lockstep.
 
     Row i of the (n, 2) arrays `slots` and `labels` holds cycle i's two
     herald slots lo < hi and the labels of the photons they reflect. Every
@@ -148,42 +149,26 @@ def run_memory_cycles(
     scatter given no herald. Returns the outcomes (m1, m2, m3), shape
     (n, 3): the two heralds and the readout.
 
-    The cycles draw from `rng` in this order. At each slot: one uniform
-    per cycle, then the detector outcomes of the cycles that herald there.
-    At the end, two uniforms per cycle for the readout: n (N + 4) in all.
+    The block draws from `rng` in this order: one binomial call for the
+    (n, 3) scatter counts of the stretches before the first herald, between
+    the heralds and after the second, of lengths lo, hi - lo - 1 and
+    N - 1 - hi; an (n, 2) array of uniforms for the herald outcomes; and
+    the readout's two arrays of n uniforms.
     """
     slots, labels = np.asarray(slots), np.asarray(labels)
     if not (slots.shape[1:] == (2,) and labels.shape == slots.shape
             and slots.dtype.kind in "iu" and labels.dtype.kind in "iu"):
         raise ValueError("slots and labels must be integer arrays of one shape (n, 2)")
-    lo, hi = slots.T
+    lo, hi = slots.T.astype(np.int64)
     if not ((0 <= lo) & (lo < hi) & (hi < seq.n_qubits)).all():
         raise ValueError(f"herald slots must satisfy 0 <= lo < hi < {seq.n_qubits}")
     if not ((0 <= labels) & (labels < len(LABEL_PHASE))).all():
         raise ValueError(f"photon labels must lie in 0..{len(LABEL_PHASE) - 1}")
     r = chan.scatter_probability(noise.eta_detect)
 
-    n = len(slots)
-    # Herald lanes by slot: a stable sort of the flat (row, column) indices
-    # keeps each slot's lanes in row-major order, so a slot's lanes are one
-    # slice of the sorted order.
-    order = np.argsort(slots, axis=None, kind="stable")
-    bounds = np.searchsorted(slots.ravel()[order], np.arange(seq.n_qubits + 1)).tolist()
-    row = order // 2
-    # The slot loop only draws and counts. A lane scatters where its uniform
-    # is below r and it does not herald. At each herald the loop keeps the
-    # outcome's uniform and the lane's scatters so far, laid out like slots.
-    scattered = np.zeros(n, dtype=np.int64)
-    uniform, so_far = np.empty(2 * n), np.empty(2 * n, dtype=np.int64)
-    for slot in range(seq.n_qubits):
-        lanes = slice(bounds[slot], bounds[slot + 1])
-        here, hit = order[lanes], row[lanes]
-        u = rng.random(n + len(hit))
-        scatter = u[:n] < r
-        scatter[hit] = False
-        scattered += scatter
-        uniform[here] = u[n:]
-        so_far[here] = scattered[hit]
+    # Only a stretch's count of scatters enters b: one binomial per stretch.
+    scatters = rng.binomial(np.stack([lo, hi - lo - 1, seq.n_qubits - 1 - hi], axis=1), r)
+    uniform = rng.random((len(lo), 2))
     # b at each read: the stretch before it conjugates b once per pi pulse
     # and scales it by (1 - 2 p_scatter_dephase)^k (1 - 2 p_mw)^p for its k
     # scatters and p pulses. The powers are running products, each step
@@ -191,21 +176,19 @@ def run_memory_cycles(
     powers = np.ones((2, seq.n_qubits + 1))
     powers[:, 1:] = [[1.0 - 2.0 * noise.p_scatter_dephase], [1.0 - 2.0 * noise.p_mw]]
     powers = np.cumprod(powers, axis=1)
-    # Scatters and pulses from the cycle's start to each read: the two
-    # heralds, then the readout.
-    scatters = [0, *so_far.reshape(n, 2).T, scattered]
-    pulses = [0, *(slots.T // seq.n_sub), seq.n_pi]
+    # Pulses from the cycle's start to each read: the two heralds, then the
+    # readout.
+    pulses = [0, lo // seq.n_sub, hi // seq.n_sub, seq.n_pi]
 
     def carried(b, read):
-        k, p = scatters[read + 1] - scatters[read], pulses[read + 1] - pulses[read]
+        k, p = scatters[:, read], pulses[read + 1] - pulses[read]
         np.conjugate(b, out=b, where=p % 2 == 1)
         b *= powers[0].take(k) * powers[1].take(p)
         return b
 
     probs, amps = herald_tables(LABEL_PHASE, noise.eps_leak)
-    uniform = uniform.reshape(n, 2)
-    m = np.empty((n, 3), dtype=np.int64)
-    b = prepare_superposition(noise.f_init, (n,))
+    m = np.empty((len(lo), 3), dtype=np.int64)
+    b = prepare_superposition(noise.f_init, (len(lo),))
     for i in range(2):
         label = labels[:, i]
         m[:, i], b = reflect_and_herald(carried(b, i), probs[label], amps[label], uniform[:, i])

@@ -4,10 +4,10 @@ Two execution paths sample the same distribution. The reference path
 is the ground truth and never reads the fast path's pmf or cells. It
 draws each cycle's herald count, then a uniform slot pair and two photon
 labels for each cycle with exactly two heralds, and runs only those
-cycles (`run_memory_cycles`): it draws slot by slot and forms each
-spin's coherence where a herald or the readout reads it. The fast path
-is two exact multinomial draws, so its cost does not grow with the
-cycle count:
+cycles (`run_memory_cycles`): it draws each stretch's count of undetected
+scatters between the reads of the spin, and forms the spin's coherence
+where a herald or the readout reads it. The fast path is two exact
+multinomial draws, so its cost does not grow with the cycle count:
 
 1. Cycles are independent, so the herald counts of all cycles are one
    draw over the Binomial(N, n_p * eta_detect) pmf of heralds per cycle
@@ -63,8 +63,8 @@ from .qubits import NoiseParams, herald_tables
 # Parity index (0 for +1) of each outcome (m1, m2, m3) in C order.
 _OUTCOME_PARITY = np.indices((2, 2, 2)).sum(axis=0).ravel() % 2
 # Reference engine: cycles per herald-count block (1 MB of counts), and
-# two-herald cycles per slot-loop block, which share each slot's draw and
-# counting calls.
+# two-herald cycles per `run_memory_cycles` block, which share its draw
+# calls and bound its arrays.
 _BLOCK = 2**17
 _LANES = 2**13
 # Fast engine: points per pi einsum of `_point_models`, whose pi is then at
@@ -596,7 +596,8 @@ def simulate_session(
 
     Deterministic for fixed (seed, engine): either engine draws from one
     generator seeded with `seed`. The fast engine makes two multinomial
-    draws; the reference engine runs the two-herald cycles slot by slot.
+    draws; the reference engine runs each two-herald cycle from the scatter
+    counts of its three stretches.
     """
     points = [(seq, chan, parties, noise, cycles, seed)]
     return next(simulate_sessions(points, overheads=overheads, engine=engine))

@@ -269,39 +269,58 @@ class TestMemoryCycle:
                 np.array(labels), np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
+    def test_slots_of_any_integer_dtype_run_alike(self, dtype):
+        # Stretch lengths and pulse counts past 255 slots or windows come
+        # out as with int64 slots, from narrow and unsigned slots alike.
+        seq = SequenceConfig(n_pi=300, n_sub=1)
+        chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
+        slots = np.array([(0, 7), (2, 5), (100, 127)])
+        labels = np.array([(0, 1), (2, 3), (4, 7)])
+        want = run_memory_cycles(seq, chan, NoiseParams(), slots, labels,
+                                 np.random.default_rng(1))
+        got = run_memory_cycles(seq, chan, NoiseParams(), slots.astype(dtype),
+                                labels.astype(dtype), np.random.default_rng(1))
+        assert got.tolist() == want.tolist()
+
     def test_shared_generator_stream_is_pinned(self):
         # One block of twelve cycles with scatters in play, then the
-        # generator's next value. The block takes one value per cycle at
-        # each slot, then the outcomes of that slot's heralds, and two
-        # values per cycle for the readout.
+        # generator's next value. The block takes each cycle's three
+        # stretch counts, then its two herald outcomes, and two values per
+        # cycle for the readout.
         seq = SequenceConfig(n_pi=4, n_sub=2)
         chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
         slots = np.array([(lo, hi) for lo in range(4) for hi in (lo + 1, 7 - lo, 6)])
         rng = np.random.default_rng(2024)
         m = run_memory_cycles(seq, chan, NoiseParams(), slots, (3 * slots) % 8, rng)
         assert m.tolist() == [
-            [1, 1, 1], [1, 1, -1], [1, 1, -1], [1, -1, 1], [1, 1, -1], [1, -1, -1],
-            [-1, -1, -1], [-1, 1, 1], [-1, -1, 1], [-1, 1, 1], [-1, -1, 1], [-1, 1, -1],
+            [1, 1, 1], [1, -1, 1], [1, -1, 1], [1, -1, 1], [1, 1, -1], [-1, -1, 1],
+            [1, 1, 1], [1, -1, 1], [-1, 1, -1], [-1, 1, 1], [-1, 1, 1], [1, -1, -1],
         ]
-        assert rng.random() == 0.9481525827350313
+        assert rng.random() == 0.0134764538268769
 
     @pytest.mark.parametrize("n_pi,n_sub", [(1, 2), (3, 1), (5, 2), (2, 4), (62, 2)])
     @pytest.mark.parametrize("n", [1, 40])
     def test_block_draws_n_times_slots_plus_four_uniforms(self, n, n_pi, n_sub):
-        # Each slot draws one uniform per cycle, plus one per herald there,
-        # and the readout two per cycle: n (N + 4) in all, wherever the
+        # The block draws one binomial per stretch of each cycle (before the
+        # first herald, between the heralds, after the second), then two
+        # herald uniforms and two readout uniforms per cycle, wherever the
         # heralds fall. Row 0 heralds at the first and the last slot of its
         # cycle, and row 1 at the last two.
         seq = SequenceConfig(n_pi=n_pi, n_sub=n_sub)
+        chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
         pick = np.random.default_rng(100 * n_pi + n_sub)
         slots = np.sort([pick.choice(seq.n_qubits, 2, replace=False) for _ in range(n)], axis=1)
         slots[0] = (0, seq.n_qubits - 1)
         slots[1:2] = (seq.n_qubits - 2, seq.n_qubits - 1)
         labels = pick.integers(0, len(LABEL_PHASE), slots.shape)
         rng, twin = np.random.default_rng(7), np.random.default_rng(7)
-        run_memory_cycles(seq, ChannelConfig.from_mean_photons(2.0, seq.n_qubits),
-                          NoiseParams(), slots, labels, rng)
-        twin.random(n * (seq.n_qubits + 4))
+        run_memory_cycles(seq, chan, NoiseParams(), slots, labels, rng)
+        lo, hi = slots.T
+        twin.binomial(np.stack([lo, hi - lo - 1, seq.n_qubits - 1 - hi], axis=1),
+                      chan.scatter_probability(NoiseParams().eta_detect))
+        twin.random((n, 2))
+        twin.random(n), twin.random(n)
         assert rng.random(3).tolist() == twin.random(3).tolist()
 
     def test_noiseless_truth_table_through_reference_engine(self):

@@ -332,19 +332,18 @@ class TestReferenceStream:
         )
         assert report_counts(report) == {
             "heralds": 295, "coincidences": 59, "discarded_multi": 23, "same_party": 0,
-            "sifted_xx": 12, "errors_xx": 5, "sifted_yy": 19, "errors_yy": 10,
+            "sifted_xx": 12, "errors_xx": 5, "sifted_yy": 19, "errors_yy": 9,
         }
         assert nonzero_cells(tally) == {
             (0, 0, 0, 0, 1, 0): 2, (0, 0, 0, 0, 1, 1): 3, (0, 0, 0, 1, 0, 0): 1,
-            (0, 0, 0, 1, 0, 1): 3, (0, 0, 0, 1, 1, 0): 1, (0, 0, 0, 1, 1, 1): 3,
+            (0, 0, 0, 1, 0, 1): 3, (0, 0, 0, 1, 1, 0): 2, (0, 0, 0, 1, 1, 1): 2,
             (0, 0, 1, 0, 0, 0): 1, (0, 0, 1, 0, 0, 1): 3, (0, 0, 1, 0, 1, 0): 1,
             (0, 0, 1, 0, 1, 1): 2, (0, 0, 1, 1, 0, 0): 1, (0, 0, 1, 1, 0, 1): 1,
-            (0, 0, 1, 1, 1, 0): 1, (0, 0, 1, 1, 1, 1): 5, (0, 1, 0, 0, 0, 0): 4,
-            (0, 1, 0, 0, 0, 1): 1, (0, 1, 0, 0, 1, 0): 2, (0, 1, 0, 0, 1, 1): 2,
-            (0, 1, 0, 1, 0, 0): 4, (0, 1, 0, 1, 0, 1): 4, (0, 1, 0, 1, 1, 1): 3,
-            (0, 1, 1, 0, 0, 0): 1, (0, 1, 1, 0, 0, 1): 1, (0, 1, 1, 0, 1, 1): 1,
-            (0, 1, 1, 1, 0, 0): 1, (0, 1, 1, 1, 0, 1): 1, (0, 1, 1, 1, 1, 0): 2,
-            (0, 1, 1, 1, 1, 1): 4,
+            (0, 0, 1, 1, 1, 0): 5, (0, 0, 1, 1, 1, 1): 1, (0, 1, 0, 0, 0, 0): 2,
+            (0, 1, 0, 0, 0, 1): 3, (0, 1, 0, 0, 1, 0): 1, (0, 1, 0, 0, 1, 1): 3,
+            (0, 1, 0, 1, 0, 0): 2, (0, 1, 0, 1, 0, 1): 6, (0, 1, 0, 1, 1, 1): 3,
+            (0, 1, 1, 0, 0, 0): 2, (0, 1, 1, 0, 1, 0): 1, (0, 1, 1, 1, 0, 1): 2,
+            (0, 1, 1, 1, 1, 0): 2, (0, 1, 1, 1, 1, 1): 4,
         }
 
     def test_eight_slot_chsh_layout(self):
@@ -355,20 +354,20 @@ class TestReferenceStream:
             seed=5, engine="reference",
         )
         assert report_counts(report) == {
-            "heralds": 177, "coincidences": 33, "discarded_multi": 6, "same_party": 14,
-            "sifted_xx": 1, "errors_xx": 0, "sifted_yy": 0, "errors_yy": 0,
+            "heralds": 177, "coincidences": 33, "discarded_multi": 6, "same_party": 18,
+            "sifted_xx": 1, "errors_xx": 1, "sifted_yy": 1, "errors_yy": 1,
         }
         assert nonzero_cells(tally) == {
-            (0, 0, 0, 2, 0, 0): 1, (0, 0, 0, 3, 0, 1): 2, (0, 0, 1, 0, 1, 0): 1,
-            (0, 1, 0, 0, 0, 1): 1, (0, 1, 1, 2, 0, 0): 1, (0, 2, 0, 0, 1, 0): 1,
-            (0, 2, 0, 2, 1, 0): 1, (0, 2, 0, 3, 0, 0): 1, (0, 2, 1, 0, 1, 0): 1,
-            (0, 2, 1, 3, 0, 0): 1, (0, 2, 1, 3, 1, 0): 1, (0, 3, 0, 0, 0, 1): 1,
-            (0, 3, 0, 1, 1, 0): 1, (0, 3, 0, 3, 0, 0): 1, (0, 3, 0, 3, 0, 1): 1,
-            (0, 3, 0, 3, 1, 1): 1, (0, 3, 1, 1, 1, 1): 1, (0, 3, 1, 2, 1, 0): 1,
-            (1, 0, 0, 1, 1, 1): 1, (1, 0, 0, 3, 1, 0): 1, (1, 0, 0, 3, 1, 1): 1,
-            (1, 0, 1, 1, 0, 0): 2, (1, 1, 0, 1, 0, 1): 1, (1, 1, 0, 3, 1, 0): 2,
-            (1, 1, 1, 0, 1, 1): 1, (1, 1, 1, 1, 0, 1): 1, (1, 2, 1, 3, 1, 0): 1,
-            (1, 3, 0, 0, 1, 0): 1, (1, 3, 0, 2, 0, 1): 1, (1, 3, 0, 3, 1, 0): 1,
+            (0, 0, 0, 1, 1, 1): 1, (0, 0, 0, 3, 0, 1): 1, (0, 0, 1, 0, 1, 1): 1,
+            (0, 0, 1, 2, 1, 1): 1, (0, 1, 0, 1, 1, 1): 1, (0, 1, 1, 3, 0, 1): 1,
+            (0, 2, 0, 0, 1, 0): 1, (0, 2, 1, 3, 0, 0): 1, (0, 3, 0, 0, 0, 1): 1,
+            (0, 3, 0, 2, 0, 1): 1, (0, 3, 0, 3, 1, 1): 1, (0, 3, 1, 0, 0, 0): 1,
+            (0, 3, 1, 1, 0, 0): 1, (0, 3, 1, 2, 1, 1): 2, (1, 0, 0, 2, 0, 0): 1,
+            (1, 0, 0, 3, 0, 0): 1, (1, 0, 0, 3, 1, 1): 1, (1, 0, 1, 1, 0, 0): 2,
+            (1, 1, 0, 0, 0, 0): 1, (1, 1, 0, 1, 0, 1): 1, (1, 1, 0, 3, 1, 0): 1,
+            (1, 1, 1, 0, 1, 0): 1, (1, 1, 1, 3, 1, 1): 1, (1, 2, 0, 1, 1, 0): 1,
+            (1, 2, 0, 2, 1, 1): 1, (1, 2, 0, 3, 0, 1): 1, (1, 3, 0, 0, 1, 0): 1,
+            (1, 3, 0, 3, 0, 0): 2, (1, 3, 0, 3, 1, 1): 1, (1, 3, 1, 2, 1, 1): 1,
         }
 
 
@@ -384,19 +383,19 @@ class TestReferenceStream:
         )
         assert report_counts(report) == {
             "heralds": 16981, "coincidences": 3139, "discarded_multi": 1077, "same_party": 0,
-            "sifted_xx": 784, "errors_xx": 270, "sifted_yy": 765, "errors_yy": 375,
+            "sifted_xx": 784, "errors_xx": 292, "sifted_yy": 765, "errors_yy": 404,
         }
         assert nonzero_cells(tally) == {
-            (0, 0, 0, 0, 0, 0): 134, (0, 0, 0, 0, 0, 1): 72, (0, 0, 0, 0, 1, 0): 67,
-            (0, 0, 0, 0, 1, 1): 121, (0, 0, 0, 1, 0, 0): 92, (0, 0, 0, 1, 0, 1): 116,
-            (0, 0, 0, 1, 1, 0): 114, (0, 0, 0, 1, 1, 1): 99, (0, 0, 1, 0, 0, 0): 64,
-            (0, 0, 1, 0, 0, 1): 126, (0, 0, 1, 0, 1, 0): 133, (0, 0, 1, 0, 1, 1): 67,
-            (0, 0, 1, 1, 0, 0): 84, (0, 0, 1, 1, 0, 1): 97, (0, 0, 1, 1, 1, 0): 91,
-            (0, 0, 1, 1, 1, 1): 109, (0, 1, 0, 0, 0, 0): 94, (0, 1, 0, 0, 0, 1): 106,
-            (0, 1, 0, 0, 1, 0): 90, (0, 1, 0, 0, 1, 1): 89, (0, 1, 0, 1, 0, 0): 96,
-            (0, 1, 0, 1, 0, 1): 102, (0, 1, 0, 1, 1, 0): 94, (0, 1, 0, 1, 1, 1): 89,
-            (0, 1, 1, 0, 0, 0): 99, (0, 1, 1, 0, 0, 1): 96, (0, 1, 1, 0, 1, 0): 105,
-            (0, 1, 1, 0, 1, 1): 109, (0, 1, 1, 1, 0, 0): 102, (0, 1, 1, 1, 0, 1): 90,
+            (0, 0, 0, 0, 0, 0): 130, (0, 0, 0, 0, 0, 1): 76, (0, 0, 0, 0, 1, 0): 61,
+            (0, 0, 0, 0, 1, 1): 127, (0, 0, 0, 1, 0, 0): 108, (0, 0, 0, 1, 0, 1): 100,
+            (0, 0, 0, 1, 1, 0): 103, (0, 0, 0, 1, 1, 1): 110, (0, 0, 1, 0, 0, 0): 71,
+            (0, 0, 1, 0, 0, 1): 119, (0, 0, 1, 0, 1, 0): 116, (0, 0, 1, 0, 1, 1): 84,
+            (0, 0, 1, 1, 0, 0): 92, (0, 0, 1, 1, 0, 1): 89, (0, 0, 1, 1, 1, 0): 95,
+            (0, 0, 1, 1, 1, 1): 105, (0, 1, 0, 0, 0, 0): 99, (0, 1, 0, 0, 0, 1): 101,
+            (0, 1, 0, 0, 1, 0): 89, (0, 1, 0, 0, 1, 1): 90, (0, 1, 0, 1, 0, 0): 107,
+            (0, 1, 0, 1, 0, 1): 91, (0, 1, 0, 1, 1, 0): 87, (0, 1, 0, 1, 1, 1): 96,
+            (0, 1, 1, 0, 0, 0): 91, (0, 1, 1, 0, 0, 1): 104, (0, 1, 1, 0, 1, 0): 104,
+            (0, 1, 1, 0, 1, 1): 110, (0, 1, 1, 1, 0, 0): 91, (0, 1, 1, 1, 0, 1): 101,
             (0, 1, 1, 1, 1, 0): 100, (0, 1, 1, 1, 1, 1): 92,
         }
 
@@ -404,8 +403,8 @@ class TestReferenceStream:
 class TestReferenceBlocks:
     """Exact counts over one full herald-count block of cycles plus one more.
 
-    At N = 2 every cycle is a coincidence, so the slot loop crosses its
-    block boundaries as well.
+    At N = 2 every cycle is a coincidence, so the memory-cycle blocks
+    cross the herald-count block boundary as well.
     """
 
     def test_every_slot_heralds_across_a_block_boundary(self):
@@ -479,6 +478,22 @@ class TestReferenceFollowsExactProbabilities:
         # A cycle's heralds are Binomial(N, a): variance mean * (1 - a).
         var = heralds * (1 - heralds / seq.n_qubits)
         assert abs(ref.heralds - cycles * heralds) <= 5 * math.sqrt(cycles * var)
+        assert within_5_sigma(ref.coincidences, cycles, coincidences)
+        assert within_5_sigma(ref.discarded_multi, cycles, discarded)
+        sifted = expected[4::2].sum() / coincidences
+        assert within_5_sigma(ref.sifted, ref.coincidences, sifted)
+        assert within_5_sigma(ref.errors, ref.sifted, qber(expected))
+
+    def test_a_million_slots(self):
+        # N = 10^6: a two-herald cycle draws three scatter counts, whatever
+        # N. About 300 coincidences, whose spins have fully dephased.
+        cycles = 2_000
+        seq = SequenceConfig(n_pi=500_000, n_sub=2)
+        chan = ChannelConfig.from_mean_photons(2.0, seq.n_qubits)
+        point = (seq, chan, PartyConfig(assignment="single"), NoiseParams(), cycles, 0)
+        (expected,) = session.expected_sessions([point])
+        _, ref = simulate_session(*point, engine="reference")
+        coincidences, discarded = expected[1:3]
         assert within_5_sigma(ref.coincidences, cycles, coincidences)
         assert within_5_sigma(ref.discarded_multi, cycles, discarded)
         sifted = expected[4::2].sum() / coincidences
