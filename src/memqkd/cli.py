@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import math
 import os
 import sys
@@ -102,12 +100,9 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Optional[str], columns: list[str], rows: Iterable[Sequence]) -> None:
-    """Write the header and each row's values, in the order of `columns`."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(map(_fmt, row) for row in rows)
-    text = buffer.getvalue()
+    """Write the header and each row's values, in the order of `columns`.
+    No field needs quoting: each is a number or a fixed name."""
+    text = "".join(",".join(map(_fmt, line)) + "\n" for line in (columns, *rows))
     if path is not None:
         try:
             Path(path).write_text(text)

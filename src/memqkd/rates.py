@@ -113,8 +113,8 @@ def _log_front(x: np.ndarray, a: np.ndarray, b: np.ndarray, terms: np.ndarray) -
     return front
 
 
-# A round of `_log_ibetas` with at least this many lanes sums their
-# continued fractions as one numpy loop; a smaller one sums them one by one.
+# `_lentz_lanes` steps a round's lanes as one numpy loop while this many are
+# left; whenever fewer are, at its start or after a lane stops, one by one.
 _BATCH_MIN = 64
 _TINY = 1e-300  # stands in for an exactly zero Lentz denominator
 
@@ -145,8 +145,9 @@ def _lentz(x: float, a: float, b: float, state: Optional[tuple] = None) -> float
 def _lentz_lanes(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`_lentz` on each lane: the same correctly rounded operations in the
     same order, each lane leaving the loop at its own stopping step, so each
-    lane's float is the scalar one whatever numpy's CPU dispatch. Once fewer
-    than `_BATCH_MIN` lanes are left, `_lentz` sums each on from its state.
+    lane's float is the scalar one whatever numpy's CPU dispatch. Whenever
+    fewer than `_BATCH_MIN` lanes are left, at the start or after a lane
+    stops, `_lentz` sums each on from its state (m, c, d, cf).
     a + b and -a are formed once: -a - m is -(a + m) under round to nearest."""
     def nonzero(v: np.ndarray) -> np.ndarray:  # `v or _TINY` on each lane
         return v if v.all() else np.where(v == 0.0, _TINY, v)
@@ -156,14 +157,13 @@ def _lentz_lanes(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     apb, neg_a = a + b, -a
     c, d = np.ones_like(x), 1.0 / nonzero(1.0 - apb * x / (a + 1.0))
     cf, m = d, 0.0
-    while True:
+    while len(lanes) >= _BATCH_MIN:
         going = abs(d * c - 1.0) >= 1e-15
         if not going.all():
             out[lanes[~going]] = cf[~going]
             lanes, x, a, b, apb, neg_a, c, d, cf = (
                 v[going] for v in (lanes, x, a, b, apb, neg_a, c, d, cf))
-            if len(lanes) < _BATCH_MIN:
-                break
+            continue
         m += 1.0
         k = a + 2.0 * m
         num = m * (b - m) * x / ((k - 1) * k)
@@ -174,9 +174,8 @@ def _lentz_lanes(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d = 1.0 / nonzero(1.0 + num * d)
         c = nonzero(1.0 + num / c)
         cf = cf * (d * c)
-    left = zip(*(v.tolist() for v in (lanes, x, a, b, c, d, cf)))
-    for lane, lane_x, lane_a, lane_b, *lane_cdcf in left:
-        out[lane] = _lentz(lane_x, lane_a, lane_b, (m, *lane_cdcf))
+    states = ((m, *cdcf) for cdcf in zip(c.tolist(), d.tolist(), cf.tolist()))
+    out[lanes] = list(map(_lentz, x.tolist(), a.tolist(), b.tolist(), states))
     return out
 
 
@@ -188,14 +187,14 @@ def _log_ibetas(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray
     I_x(a, b) = front * cf / a, with the continued fraction cf of `_lentz`;
     it converges in O(sqrt(a + b)) steps at worst for x < (a + 1) / (a + b
     + 2), so above that point the upper tail 1 - I_x(a, b) = I_(1-x)(b, a)
-    is summed instead. At `_BATCH_MIN` lanes or more the continued
-    fractions run together (`_lentz_lanes`), with the same floats.
+    is summed instead, by `_lentz_lanes`: with the same floats, together
+    while `_BATCH_MIN` or more lanes are left and one by one once fewer are.
     """
     a, b = rows[:, 0], rows[:, 1]
     front = _log_front(x, a, b, rows[:, 2:])
     upper = x >= (a + 1.0) / (a + b + 2.0)
     x, a, b = np.where(upper, 1.0 - x, x), np.where(upper, b, a), np.where(upper, a, b)
-    cf = _lentz_lanes(x, a, b) if len(x) >= _BATCH_MIN else _each(_lentz, x, a, b)
+    cf = _lentz_lanes(x, a, b)
     log_ibeta = front + _each(math.log, cf / a)
     log_ibeta[upper] = _each(math.log1p, -_each(math.exp, log_ibeta[upper]))
     return log_ibeta, front

@@ -638,6 +638,30 @@ TRUTH_TABLE = """\
 """
 
 
+# `_write_csv` joins each row's fields with bare commas, so every field must
+# read back from `csv.reader` as written: a column whose text needs quoting
+# fails here rather than writing a broken row.
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "fig4-point-N124", "--cycles", "1000000"],
+    ["simulate", "--preset", "fig3-chsh-qber11", "--cycles", "100000"],
+    ["sweep", "--preset", "fig4-point-N124", "--axis", "N", "--values", "60,504",
+     "--cycles", "1000000"],
+    ["sweep", "--preset", "fig4-point-N124", "--axis", "n_m", "--values", "0,0.02,124",
+     "--cycles", "1000000"],
+    ["chsh", "--preset", "fig3-chsh-ideal", "--cycles", "100000"],
+    ["chsh", "--preset", "fig3-chsh-qber11", "--cycles", "100000"],
+], ids=["simulate-fig4", "simulate-chsh", "sweep-N", "sweep-n_m", "chsh-ideal", "chsh-qber11"])
+def test_each_csv_is_unquoted(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) >= 2
+    width = len(lines[0].split(","))
+    for line in lines:
+        fields = next(csv.reader([line]))
+        assert line == ",".join(fields) and len(fields) == width, line
+
+
 class TestTruthTable:
     def test_prints_sixteen_classifications(self, capsys):
         assert run(["truth-table"]) == 0

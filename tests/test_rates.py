@@ -388,10 +388,11 @@ def clipped(post: TruncatedBeta, offset: float) -> float:
 class TestLockstepPosteriors:
     # Each round runs on numpy arrays over its lanes, with `math` logs and
     # exps, and gives the scalar code's floats bit for bit at every round
-    # size: from `_BATCH_MIN` lanes up the continued fractions run as one
-    # numpy loop, below it one by one, and a posterior's own methods make
-    # one-lane rounds.
-    SIZES = (rates._BATCH_MIN - 1, 3000)
+    # size: rounds that start below, at and above `_BATCH_MIN` lanes all
+    # enter `_lentz_lanes`, which steps the continued fractions as one numpy
+    # loop while that many are left and one by one once fewer are, and a
+    # posterior's own methods make one-lane rounds.
+    SIZES = (1, rates._BATCH_MIN - 1, rates._BATCH_MIN, 3000)
     ONE_LANE = 100  # lanes also solved one at a time through `TruncatedBeta`
 
     @staticmethod
